@@ -104,6 +104,15 @@ def write_scattering_json(path, data: ScatteringData) -> None:
 
 def read_scattering_json(path) -> ScatteringData:
     doc = json.loads(Path(path).read_text())
+    try:
+        return _scattering_from_doc(doc)
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise ValidationError(f"malformed scattering data in {path}: {exc!r}") from exc
+
+
+def _scattering_from_doc(doc) -> ScatteringData:
     rho = np.asarray(doc["rho"], dtype=float)
     n_half = len(rho) // 2
     if n_half < 1 or len(rho) != 2 * n_half:
@@ -155,7 +164,6 @@ class RunConfig:
     x_min: float = -8.0
     x_max: float = 8.0
     dx: float = 0.02
-    du: float = None
     tau_max: float = 5.0
     taus: tuple = ()
     weights: tuple = ()
@@ -195,11 +203,20 @@ def _soliton_states(cfg: RunConfig):
     if len(cfg.weights) != len(cfg.taus):
         raise ValidationError("--tau and --weight counts must match")
     if cfg.direction:
-        v = np.array([complex(part) for part in cfg.direction.split(",")])
-        v = v / np.linalg.norm(v)
+        try:
+            v = np.array([complex(part) for part in cfg.direction.split(",")])
+        except ValueError as exc:
+            raise ValidationError(f"--direction {cfg.direction!r}: {exc}") from exc
+        norm = np.linalg.norm(v)
+        if not norm > 0:
+            raise ValidationError("--direction must be a nonzero vector")
+        v = v / norm
         proj = np.outer(v, v.conj())
-        return [(t, w * proj) for t, w in zip(cfg.taus, cfg.weights)]
-    return [(t, np.array([[complex(w)]])) for t, w in zip(cfg.taus, cfg.weights)]
+        states = [(t, w * proj) for t, w in zip(cfg.taus, cfg.weights)]
+    else:
+        states = [(t, np.array([[complex(w)]])) for t, w in zip(cfg.taus, cfg.weights)]
+    solitons.checked_states(states)
+    return states
 
 
 def _rel_l1_error(q_in: SampledPotential, q_out: SampledPotential) -> float:
@@ -242,7 +259,7 @@ def cmd_invert(cfg: RunConfig) -> int:
     if j_plus.side != "right":
         raise ValidationError("--data must hold right-side scattering data")
     j_minus = read_scattering_json(cfg.data_left) if cfg.data_left else None
-    result = glm.invert(j_plus, j_minus, grid=cfg.space_grid(), du=cfg.du)
+    result = glm.invert(j_plus, j_minus, grid=cfg.space_grid())
     cfg.out.mkdir(parents=True, exist_ok=True)
     write_potential_csv(cfg.out / "potential.csv", result.potential)
     write_report(cfg.out / "report.json", {
@@ -250,8 +267,7 @@ def cmd_invert(cfg: RunConfig) -> int:
         "overlap_gap": result.overlap_gap,
         "sigma_min_est": result.sigma_min_est,
         "residual_max": result.residual_max,
-        "hermiticity_defect": max(result.recovery_plus.hermiticity_defect,
-                                  result.recovery_minus.hermiticity_defect),
+        "hermiticity_defect": result.hermiticity_defect,
         "condition_A_plus": conditions.check_condition_A(j_plus).as_dict(),
     })
     print(f"invert: overlap gap {result.overlap_gap:.3e}; outputs in {cfg.out}")
@@ -260,7 +276,7 @@ def cmd_invert(cfg: RunConfig) -> int:
 
 def cmd_soliton(cfg: RunConfig) -> int:
     states = _soliton_states(cfg)
-    _, potential = solitons.separable_glm_solve(states, "right", cfg.space_grid())
+    potential = solitons.separable_glm_solve(states, "right", cfg.space_grid())
     cfg.out.mkdir(parents=True, exist_ok=True)
     write_potential_csv(cfg.out / "potential.csv", potential)
     m = states[0][1].shape[0]
@@ -298,7 +314,7 @@ def cmd_kdv(cfg: RunConfig) -> int:
 def cmd_roundtrip(cfg: RunConfig) -> int:
     potential = _load_potential(cfg)
     fwd = forward.full_forward(potential, cfg.rho_grid(), cfg.tau_max)
-    result = glm.invert(fwd.j_plus, fwd.j_minus, grid=potential.grid, du=cfg.du)
+    result = glm.invert(fwd.j_plus, fwd.j_minus, grid=potential.grid)
     err = _rel_l1_error(potential, result.potential)
     cfg.out.mkdir(parents=True, exist_ok=True)
     write_potential_csv(cfg.out / "potential_in.csv", potential)
@@ -370,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invert", help="scattering data -> potential")
     p.add_argument("--data", required=True)
     p.add_argument("--data-left")
-    p.add_argument("--du", type=float)
     _add_grid_args(p)
     p.add_argument("--out", required=True, type=Path)
 
@@ -396,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bundled", choices=["zero", "box", "bump", "random"], default="bump")
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--du", type=float)
     p.add_argument("--tol", type=float, default=0.02)
     _add_grid_args(p)
     _add_rho_args(p)

@@ -32,6 +32,7 @@ from mstl.domain import (
     hermitian_rank,
     matrix_operator_norm,
     psd_margin,
+    residue_contour_radius,
 )
 
 
@@ -198,10 +199,7 @@ def residues_from_evaluator(d_of, taus, nodes: int = 64):
     taus = sorted(float(t) for t in taus)
     pairs = []
     for k, tau in enumerate(taus):
-        gap = min(
-            [abs(tau - t) for t in taus if t != tau] or [np.inf]
-        )
-        radius = min(tau / 2.0, gap / 2.0, 0.2)
+        radius = residue_contour_radius(tau, taus)
         r_plus = contour_residue(lambda z: np.linalg.inv(d_of(z)), 1j * tau, radius, nodes)
         pairs.append(ResiduePair(tau=tau, R_minus=-r_plus.conj().T, R_plus=r_plus))
     return pairs
@@ -367,8 +365,7 @@ def check_condition_B_numeric(
     res_defect = 0.0
     rank_ok = True
     for b in j_plus.bound_states:
-        gap = min([abs(b.tau - t) for t in taus if t != b.tau] or [np.inf])
-        radius = min(b.tau / 2.0, gap / 2.0, 0.2)
+        radius = residue_contour_radius(b.tau, taus)
         r_hat = contour_residue(lambda z: np.linalg.inv(d_of(z)), 1j * b.tau, radius, contour_nodes)
         proj = hermitian_pseudo_inverse(b.weight) @ b.weight
         defect = matrix_operator_norm(r_hat - r_hat @ proj) / max(matrix_operator_norm(r_hat), 1e-30)

@@ -18,8 +18,7 @@ Conventions
 from __future__ import annotations
 
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,14 +51,6 @@ class InconsistentDataError(NumericsError):
 
 class ContourGeometryError(ValidationError):
     """A residue contour would cross the real axis or a neighboring pole."""
-
-
-def worker_count() -> int:
-    """Worker cap for embarrassingly parallel loops (MSTL_THREADS wins)."""
-    env = os.environ.get("MSTL_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    return max(1, min(4, os.cpu_count() or 1))
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +130,23 @@ def psd_margin(n: np.ndarray) -> float:
     """Smallest eigenvalue of the symmetrized matrix (negative = PSD violation)."""
     n = np.asarray(n, dtype=complex)
     return float(np.linalg.eigvalsh(0.5 * (n + n.conj().T)).min())
+
+
+def residue_contour_radius(tau: float, neighbor_taus, radius: float = None) -> float:
+    """Radius of the residue contour around rho = i tau.
+
+    The default is min(tau/2, gap/2, 0.2), where gap is the distance to the
+    nearest other tau in ``neighbor_taus``.  A given radius that reaches the
+    real axis or a neighboring pole raises ``ContourGeometryError``.
+    """
+    gap = min((abs(tau - t) for t in neighbor_taus if t != tau), default=np.inf)
+    if radius is None:
+        return min(tau / 2.0, gap / 2.0, 0.2)
+    if radius >= tau or radius >= gap:
+        raise ContourGeometryError(
+            f"contour radius {radius:g} reaches the real axis or a neighboring pole"
+        )
+    return radius
 
 
 def contour_residue(f, center: complex, radius: float, nodes: int = 64) -> np.ndarray:
@@ -463,14 +471,13 @@ class JostField:
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Plane-wave matching coefficients on the real grid plus A on the imaginary axis."""
+    """Plane-wave matching coefficients on the real grid."""
 
     rho_grid: RhoGrid
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
     D: np.ndarray
-    A_imag_axis: dict = field(default_factory=dict)
 
     @property
     def m(self) -> int:

@@ -31,7 +31,6 @@ import numpy as np
 from mstl.domain import (
     BoundState,
     CoefficientSet,
-    ContourGeometryError,
     IntegrationAccuracyError,
     JostAsymptotics,
     JostField,
@@ -42,6 +41,7 @@ from mstl.domain import (
     ScatteringData,
     ValidationError,
     contour_residue,
+    residue_contour_radius,
 )
 
 BRACKET_SPREAD_RTOL = 1e-6
@@ -220,10 +220,8 @@ def _checkpoints(potential: SampledPotential) -> np.ndarray:
     return np.unique(np.linspace(lo, hi, _N_CHECKPOINTS).astype(int))
 
 
-def scattering_coefficients(
-    potential: SampledPotential, rho_grid: RhoGrid, taus=()
-) -> CoefficientSet:
-    """Matching coefficients A, B, C, D on the real grid, plus A(i tau).
+def scattering_coefficients(potential: SampledPotential, rho_grid: RhoGrid) -> CoefficientSet:
+    """Matching coefficients A, B, C, D on the real grid.
 
     A and B come from brackets of the minus and plus fields; C and D follow
     from the real-axis symmetries C(rho) = -B(rho)^*, D(rho) = A(-rho)^*.
@@ -255,16 +253,7 @@ def scattering_coefficients(
     c = -b.conj().transpose(0, 2, 1)
     d = a[flip].conj().transpose(0, 2, 1)
 
-    a_imag = {}
-    if len(taus):
-        t = np.asarray(sorted(taus), dtype=float)
-        zf, zpp = _propagate(potential, 1j * t, "plus", cps)
-        zm, zmp = _propagate(potential, 1j * t, "minus", cps)
-        br = _bracket_at_checkpoints(zm, zmp, zf, zpp).mean(axis=0)
-        for k, tau in enumerate(t):
-            a_imag[float(tau)] = -br[k] / (2j * (1j * tau))
-
-    return CoefficientSet(rho_grid=rho_grid, A=a, B=b, C=c, D=d, A_imag_axis=a_imag)
+    return CoefficientSet(rho_grid=rho_grid, A=a, B=b, C=c, D=d)
 
 
 def coefficient_evaluators(potential: SampledPotential):
@@ -416,17 +405,10 @@ def residue_matrix(
 ) -> ResiduePair:
     """Residues of A^{-1} and D^{-1} at rho = i tau by contour integration.
 
-    The default radius is min(tau/2, gap/2, 0.2) where gap is the distance to
-    the nearest neighboring tau; the contour must stay clear of the real axis
-    and of other poles.
+    The radius follows ``domain.residue_contour_radius``; the contour must
+    stay clear of the real axis and of other poles.
     """
-    gap = min((abs(tau - t) for t in neighbor_taus if abs(tau - t) > 0), default=np.inf)
-    if contour_radius is None:
-        contour_radius = min(tau / 2.0, gap / 2.0, 0.2)
-    if contour_radius >= tau or contour_radius >= gap:
-        raise ContourGeometryError(
-            f"contour radius {contour_radius:g} reaches the real axis or a neighboring pole"
-        )
+    contour_radius = residue_contour_radius(tau, neighbor_taus, contour_radius)
     a_of, d_of = coefficient_evaluators(potential)
     r_minus = contour_residue(lambda z: np.linalg.inv(a_of(z)), 1j * tau, contour_radius, nodes)
     r_plus = contour_residue(lambda z: np.linalg.inv(d_of(z)), 1j * tau, contour_radius, nodes)
@@ -476,7 +458,7 @@ def full_forward(
 ) -> ForwardResult:
     """Complete forward map: potential -> (right data, left data, coefficients)."""
     taus = find_bound_states(potential, tau_max)
-    coeffs = scattering_coefficients(potential, rho_grid, taus=taus)
+    coeffs = scattering_coefficients(potential, rho_grid)
     s_minus, s_plus = reflection_matrices(coeffs)
 
     right_states = []

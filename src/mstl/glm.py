@@ -6,27 +6,31 @@ kernel function M, and the integral equation
 
     M(x + y) + K(x, y) + int_x^inf K(x, t) M(t + y) dt = 0,   y > x,
 
-is discretized per x by an endpoint-corrected (Gregory order-4) trapezoid
-rule and solved as one dense block system.  The potential is recovered from
-the kernel diagonal, Q(x) = -2 d/dx K(x, x), trusted on the right half-line;
-the left half-line uses the mirrored equation, solved by reflecting the data
-through u -> -u and reusing the same machinery.
+is discretized by an endpoint-corrected (Gregory order-4) trapezoid rule on
+the uniform y-grid y_j = x + j du.  Its Hankel arguments 2x + du (i + j) make
+the system at x + k du the trailing principal block of the system at x, up to
+the quadrature weights of the block's first three nodes.  So one reverse (UL)
+Cholesky factorization A = U U^H of the largest system gives the kernel
+diagonal K(x, x) at every node x + k du, each through a three-node Schur
+correction for its own Gregory weights.  With du = 2 dx two interleaved
+factorizations cover the target grid, and the potential is
+Q(x) = -2 d/dx K(x, x) by fourth-order central differences, trusted on the
+right half-line; the left half-line uses the mirrored equation, solved by
+reflecting the data through u -> -u and reusing the same machinery.
 
 The discretized operator inherits Hermitian positive definiteness from the
 continuous one (after symmetrization by the square-root quadrature weights),
-so each solve is a Cholesky factorization with a cheap reciprocal-condition
-estimate; the smallest-eigenvalue margin doubles as a uniqueness probe.
+so each factorization comes with a cheap reciprocal-condition estimate; the
+smallest-eigenvalue margin doubles as a uniqueness probe.
 """
 
 from __future__ import annotations
 
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.linalg import cho_factor, cho_solve, lapack
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import lapack
 
 from mstl.domain import (
     BoundState,
@@ -38,27 +42,24 @@ from mstl.domain import (
     ValidationError,
     hermitian_pseudo_inverse,
     matrix_operator_norm,
-    worker_count,
 )
 
 RCOND_FLOOR = 1e-12
-TAIL_REL_DEFAULT = 1e-10
+TAIL_REL = 1e-10
+_GREGORY_HEAD = np.array([3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0])
 
 
-def fourier_kernel(data: ScatteringData, u_grid: np.ndarray, order: int = 0) -> np.ndarray:
+def fourier_kernel(data: ScatteringData, u_grid: np.ndarray) -> np.ndarray:
     """Continuous kernel part: R(u) = (1/2pi) int S(rho) exp(+-i rho u) drho.
 
     The sign in the exponent is + for right data and - for left data.  The
     quadrature is the uniform midpoint rule native to the half-offset
     spectral grid; Hermiticity of the result is exact on the symmetric grid.
-    ``order`` > 0 returns the u-derivative of that order.
     """
     u = np.asarray(u_grid, dtype=float)
     nodes = data.rho_grid.nodes
     sign = 1.0 if data.side == "right" else -1.0
     phases = np.exp(1j * sign * np.outer(u, nodes)) * (data.rho_grid.step / (2.0 * np.pi))
-    if order:
-        phases = phases * (1j * sign * nodes[None, :]) ** order
     return np.tensordot(phases, data.S, axes=(1, 0))
 
 
@@ -68,16 +69,12 @@ class GLMKernelFunction:
 
     The continuous part is interpolated linearly between samples and treated
     as zero outside the sample window; the bound-state exponentials are exact.
-    ``dR`` holds samples of the derivative of the continuous part (computed
-    spectrally alongside R), which makes M' available for the pointwise
-    potential recovery.
     """
 
     side: str
     u_grid: np.ndarray
     R: np.ndarray
     states: tuple  # of (tau, weight) pairs
-    dR: np.ndarray = None
 
     def __post_init__(self):
         if self.side not in ("right", "left"):
@@ -92,46 +89,37 @@ class GLMKernelFunction:
                 raise ValidationError("kernel sample grid must be uniform")
         object.__setattr__(self, "u_grid", u)
         object.__setattr__(self, "R", r)
-        dr = np.zeros_like(r) if self.dR is None else np.asarray(self.dR, dtype=complex)
-        object.__setattr__(self, "dR", dr)
         object.__setattr__(self, "states", tuple((float(t), np.asarray(n, complex)) for t, n in self.states))
 
     @property
     def m(self) -> int:
         return self.R.shape[1]
 
-    def _interp(self, samples: np.ndarray, u) -> np.ndarray:
+    def continuous_part(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         shape = u.shape
-        if not np.any(samples):
-            return np.zeros(shape + samples.shape[1:], dtype=complex)
+        if not np.any(self.R):
+            return np.zeros(shape + self.R.shape[1:], dtype=complex)
         flat = u.ravel()
         grid = self.u_grid
         step = (grid[-1] - grid[0]) / (grid.size - 1)
         idx = np.clip(((flat - grid[0]) / step).astype(int), 0, grid.size - 2)
         frac = (flat - grid[idx]) / step
-        vals = (1.0 - frac)[:, None, None] * samples[idx] + frac[:, None, None] * samples[idx + 1]
+        vals = (1.0 - frac)[:, None, None] * self.R[idx] + frac[:, None, None] * self.R[idx + 1]
         inside = (flat >= grid[0]) & (flat <= grid[-1])
         vals[~inside] = 0.0
-        return vals.reshape(shape + samples.shape[1:])
+        return vals.reshape(shape + self.R.shape[1:])
 
-    def continuous_part(self, u) -> np.ndarray:
-        return self._interp(self.R, u)
-
-    def bound_part(self, u, order: int = 0) -> np.ndarray:
+    def bound_part(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         sign = -1.0 if self.side == "right" else 1.0
         out = np.zeros(u.shape + (self.m, self.m), dtype=complex)
         for tau, weight in self.states:
-            out += (sign * tau) ** order * np.exp(sign * tau * u)[..., None, None] * weight
+            out += np.exp(sign * tau * u)[..., None, None] * weight
         return out
 
     def __call__(self, u) -> np.ndarray:
         return self.continuous_part(u) + self.bound_part(u)
-
-    def derivative(self, u) -> np.ndarray:
-        """M'(u) from the spectral derivative samples and the analytic states."""
-        return self._interp(self.dR, u) + self.bound_part(u, order=1)
 
     def mirrored(self) -> "GLMKernelFunction":
         """Kernel u -> M(-u) in right-side form (used for the left equation)."""
@@ -140,24 +128,16 @@ class GLMKernelFunction:
             u_grid=-self.u_grid[::-1],
             R=self.R[::-1],
             states=self.states,
-            dR=-self.dR[::-1],
         )
 
-    def tail_cut(self, rel: float = TAIL_REL_DEFAULT) -> float:
-        """Smallest u0 with ||M|| <= rel * max||M|| for all sampled u >= u0.
+    def local_tail_cut(self, u_ref: float) -> float:
+        """Smallest u0 >= u_ref past which ||M|| stays below TAIL_REL times its scale.
 
-        Right-side form only (decay toward +inf).  Accounts for the analytic
-        bound-state tail beyond the sample window.
-        """
-        return self.local_tail_cut(float(self.u_grid[0]), rel)
-
-    def local_tail_cut(self, u_ref: float, rel: float = TAIL_REL_DEFAULT) -> float:
-        """Tail cut relative to the kernel scale seen from u_ref rightward.
-
-        The kernel can grow without bound toward -inf (bound-state part), so a
+        The scale is the running maximum of ||M|| from u_ref rightward: the
+        kernel can grow without bound toward -inf (bound-state part), so a
         globally-relative threshold would truncate solves at large x far too
-        early; each solve only meets arguments u >= u_ref = 2x and its scale
-        is the running maximum from there.
+        early; the equation at x only meets arguments u >= u_ref = 2x.
+        Accounts for the analytic bound-state tail beyond the sample window.
         """
         if self.side != "right":
             raise ValidationError("tail cuts apply to right-form kernels; mirror first")
@@ -171,7 +151,7 @@ class GLMKernelFunction:
         peak = float(running[i0])
         if peak == 0.0:
             return u_ref
-        ok = running[i0:] <= rel * peak
+        ok = running[i0:] <= TAIL_REL * peak
         if ok.any():
             u0 = float(self.u_grid[i0 + int(np.argmax(ok))])
         else:
@@ -179,32 +159,19 @@ class GLMKernelFunction:
         for tau, weight in self.states:
             scale = matrix_operator_norm(weight)
             if scale > 0:
-                u0 = max(u0, float(np.log(scale / (rel * peak)) / tau))
+                u0 = max(u0, float(np.log(scale / (TAIL_REL * peak)) / tau))
         return max(u0, u_ref)
-
-    def decay_integrals(self) -> tuple[float, float]:
-        """Trapezoid of ||M|| and (1+|u|)||M'|| over the decaying half (diagnostic)."""
-        samples = self(self.u_grid)
-        norms = np.abs(samples).max(axis=(1, 2))
-        du = float(self.u_grid[1] - self.u_grid[0])
-        deriv = np.gradient(samples, du, axis=0)
-        dnorms = np.abs(deriv).max(axis=(1, 2))
-        half = self.u_grid >= 0 if self.side == "right" else self.u_grid <= 0
-        i0 = float(np.trapezoid(norms[half], dx=du))
-        i1 = float(np.trapezoid(((1 + np.abs(self.u_grid)) * dnorms)[half], dx=du))
-        return i0, i1
 
 
 def assemble_M(data: ScatteringData, u_grid: np.ndarray) -> GLMKernelFunction:
     """Build the GLM kernel for one side's data on a uniform u grid."""
     r = fourier_kernel(data, u_grid)
-    dr = fourier_kernel(data, u_grid, order=1)
     states = tuple((b.tau, b.weight) for b in data.bound_states)
-    return GLMKernelFunction(side=data.side, u_grid=np.asarray(u_grid, float), R=r, dR=dr, states=states)
+    return GLMKernelFunction(side=data.side, u_grid=np.asarray(u_grid, float), R=r, states=states)
 
 
 # ---------------------------------------------------------------------------
-# Nystrom solve
+# nested Nystrom solve
 
 
 def gregory_weights(n: int, du: float) -> np.ndarray:
@@ -215,7 +182,7 @@ def gregory_weights(n: int, du: float) -> np.ndarray:
     """
     w = np.full(n, du)
     if n >= 8:
-        head = np.array([3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0]) * du
+        head = _GREGORY_HEAD * du
         w[:3] = head
         w[-3:] = head[::-1]
     elif n >= 2:
@@ -224,232 +191,89 @@ def gregory_weights(n: int, du: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GLMRow:
-    """Solution of the discretized equation for one x."""
+class DiagonalSolve:
+    """Kernel diagonal at x_k = x_0 + k du from one factorization."""
 
-    x: float
-    y_grid: np.ndarray
-    K: np.ndarray  # (ny, m, m) blocks, K[0] = K(x, x)
-    weights: np.ndarray
+    diag: np.ndarray  # (count, m, m) values of K(x_k, x_k)
+    sigma_min_est: float
     residual: float
-    sigma_min_est: float
-
-    @property
-    def diag(self) -> np.ndarray:
-        return self.K[0]
 
 
-class _FactorizedSystem:
-    """Weight-symmetrized Nystrom system at one x with a shared Cholesky factor."""
-
-    def __init__(self, kernel, x: float, y_grid: np.ndarray):
-        y = np.asarray(y_grid, dtype=float)
-        ny = y.size
-        if ny < 2 or abs(y[0] - x) > 1e-9:
-            raise ValidationError("y grid must start at x and contain at least two nodes")
-        du = float(y[1] - y[0])
-        if not np.allclose(np.diff(y), du, rtol=0, atol=1e-9 * max(1.0, abs(du))):
-            raise ValidationError("y grid must be uniform")
-
-        # t_j + y_i takes only 2 ny - 1 distinct values on a uniform grid
-        self.hankel_args = 2 * x + du * np.arange(2 * ny - 1)
-        hvals = np.asarray(kernel(self.hankel_args))
-        m = hvals.shape[-1]
-        self.x, self.y, self.du, self.ny, self.m = float(x), y, du, ny, m
-        self.kernel = kernel
-        self.hvals = hvals
-        self.weights = gregory_weights(ny, du)
-        self.sw = np.sqrt(self.weights)
-        self.trivial = not np.any(hvals)
-        if self.trivial:
-            self.sigma_min_est = 1.0
-            return
-
-        sum_idx = np.add.outer(np.arange(ny), np.arange(ny))
-        blocks = (self.sw[:, None, None, None] * hvals[sum_idx]) * self.sw[None, :, None, None]
-        nym = ny * m
-        a_sym = np.ascontiguousarray(blocks.transpose(0, 2, 1, 3).reshape(nym, nym))
-        a_sym[np.arange(nym), np.arange(nym)] += 1.0
-        anorm = float(np.abs(a_sym).sum(axis=0).max())
-        try:
-            self.factor = cho_factor(a_sym, lower=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise IllPosedDataError(
-                f"GLM operator not positive definite at x = {x:.6g}: {exc}"
-            ) from exc
-        rcond, _ = lapack.zpocon(self.factor[0], anorm, uplo="L")
-        if rcond < RCOND_FLOOR:
-            raise IllPosedDataError(
-                f"GLM system at x = {x:.6g} has reciprocal condition {rcond:.3e}"
-            )
-        self.a_sym = a_sym
-        self.sigma_min_est = float(rcond * anorm)
-
-    def solve_row(self, rhs_blocks: np.ndarray) -> np.ndarray:
-        """Row solve X (I + M) = -rhs, returning X as (ny, m, m) blocks."""
-        if self.trivial:
-            return np.zeros((self.ny, self.m, self.m), dtype=complex)
-        b_tilde = (rhs_blocks * self.sw[:, None, None]).transpose(1, 0, 2).reshape(
-            self.m, self.ny * self.m
-        )
-        x_scaled = cho_solve(self.factor, -b_tilde.conj().T, check_finite=False).conj().T
-        return (x_scaled.reshape(self.m, self.ny, self.m) / self.sw[None, :, None]).transpose(1, 0, 2)
-
-    def residual_of(self, k_blocks: np.ndarray, rhs_blocks: np.ndarray) -> float:
-        if self.trivial:
-            return 0.0
-        k_scaled = (k_blocks * self.sw[:, None, None]).transpose(1, 0, 2).reshape(
-            self.m, self.ny * self.m
-        )
-        b_tilde = (rhs_blocks * self.sw[:, None, None]).transpose(1, 0, 2).reshape(
-            self.m, self.ny * self.m
-        )
-        return float(np.abs(k_scaled @ self.a_sym + b_tilde).max())
+def _hankel_system(h: np.ndarray, sw: np.ndarray) -> np.ndarray:
+    """I + diag(sw) [h_{i+j}] diag(sw) as one C-contiguous (n m, n m) matrix."""
+    n, m = sw.size, h.shape[-1]
+    window = sliding_window_view(h, n, axis=0)  # window[i, a, b, j] = h[i + j, a, b]
+    a = np.ascontiguousarray(window.transpose(0, 1, 3, 2)).reshape(n * m, n * m)
+    s = np.repeat(sw, m)
+    a *= s[:, None]
+    a *= s[None, :]
+    a.flat[:: n * m + 1] += 1.0
+    return a
 
 
-def solve_glm_nystrom(kernel, x: float, y_grid: np.ndarray) -> GLMRow:
-    """Dense block solve of the discretized equation at one x.
+def _hankel_product(h: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """[sum_j h_{i+j} z_j]_i for blocks h (2n-1, m, m) and z (n, m, k), by FFT."""
+    n = z.shape[0]
+    size = 3 * n - 2  # the full linear convolution, no wrap-around
+    spectrum = np.fft.fft(h, size, axis=0) @ np.fft.fft(z[::-1], size, axis=0)
+    return np.fft.ifft(spectrum, axis=0)[n - 1 : 2 * n - 1]
 
-    ``kernel`` is any callable mapping u arrays to (..., m, m) values in
-    right-side form; ``y_grid`` must be uniform and start at x.  The system is
-    symmetrized by square-root quadrature weights and solved by Cholesky; an
-    estimated reciprocal condition below 1e-12 raises ``IllPosedDataError``.
+
+def nested_diagonal(kernel, x0: float, du: float, count: int, y_end: float) -> DiagonalSolve:
+    """K(x_k, x_k) at x_k = x0 + k du, k < count, from one reverse Cholesky.
+
+    ``kernel`` maps u arrays to (..., m, m) values in right-side form.  The
+    system at x_k has the nodes x_k + j du up to the first node at or past
+    ``y_end``, with at least eight nodes for the last x, so all of them end
+    on the same node.  Its symmetrized matrix is D (B_k + F) D: B_k is the
+    trailing block of the x0 system A from node k, D^2 the ratio of the
+    Gregory weights of its first three nodes to A's weights there, and
+    F = D^-2 - I.  With A = U U^H (U upper triangular), the first three
+    nodes of (B_k + F)^-1 are (T T^H + F)^-1 with T = U's 3 x 3 node block at
+    k, and K(x_k, x_k) = ((A_k^-1)_00 - I) / w_0 (Dyson's diagonal identity).
+
+    A factorization failure or an estimated reciprocal condition below
+    1e-12 raises ``IllPosedDataError``.  The residual is that of the x0 row,
+    solved through the factor and checked against the Hankel form.
     """
-    sys_ = _FactorizedSystem(kernel, x, y_grid)
-    rhs = sys_.hvals[: sys_.ny]
-    k_blocks = sys_.solve_row(rhs)
-    return GLMRow(
-        x=sys_.x,
-        y_grid=sys_.y,
-        K=k_blocks,
-        weights=sys_.weights,
-        residual=sys_.residual_of(k_blocks, rhs),
-        sigma_min_est=sys_.sigma_min_est,
-    )
+    n = max(count + 7, int(np.ceil((y_end - x0) / du - 1e-9)) + 1)
+    h = np.asarray(kernel(2.0 * x0 + du * np.arange(2 * n - 1)))
+    m = h.shape[-1]
+    if not np.any(h):
+        return DiagonalSolve(np.zeros((count, m, m), dtype=complex), 1.0, 0.0)
+    w = gregory_weights(n, du)
+    sw = np.sqrt(w)
 
+    # The system in reversed index order (nodes and entries within blocks) is
+    # built directly; its transpose is Fortran-ordered and equals its
+    # conjugate, so LAPACK factors it in place as R^H R.  Then the reversed
+    # system is L L^H with L = R^T, and A = U U^H with U = L reversed.
+    a_rev = _hankel_system(h[::-1, ::-1, ::-1], sw[::-1])
+    anorm = float(np.abs(a_rev).sum(axis=0).max())
+    r_fac, info = lapack.zpotrf(a_rev.T, lower=0, overwrite_a=1, clean=1)
+    if info:
+        raise IllPosedDataError(f"GLM operator not positive definite at x = {x0:.6g} (info {info})")
+    rcond, _ = lapack.zpocon(r_fac, anorm)
+    if rcond < RCOND_FLOOR:
+        raise IllPosedDataError(f"GLM system at x = {x0:.6g} has reciprocal condition {rcond:.3e}")
+    u = r_fac.T[::-1, ::-1]
 
-def potential_value_at(kernel, x: float, y_grid: np.ndarray):
-    """Q(x) from one factorization, without differencing across x.
+    k = np.arange(count)
+    idx = k[:, None] * m + np.arange(3 * m)
+    t = u[idx[:, :, None], idx[:, None, :]]
+    head = _GREGORY_HEAD * du
+    d_inv2 = w[k[:, None] + np.arange(3)] / head  # D^-2 on the three head nodes
+    g = t @ t.conj().transpose(0, 2, 1)
+    g[:, np.arange(3 * m), np.arange(3 * m)] += np.repeat(d_inv2 - 1.0, m, axis=1)
+    inv00 = np.linalg.inv(g)[:, :m, :m] * d_inv2[:, 0, None, None]
+    diag = (inv00 - np.eye(m)) / head[0]
 
-    The y-derivative of the kernel row is an explicit quadrature of M', and
-    the x-derivative row solves the same system with the right-hand side
-    -M'(x + y) + K(x, x) M(x + y); then Q = -2 (K_x + K_y) at y = x.
-    Returns (q, sigma_min_est, residual).
-    """
-    sys_ = _FactorizedSystem(kernel, x, y_grid)
-    if sys_.trivial:
-        z = np.zeros((sys_.m, sys_.m), dtype=complex)
-        return z, 1.0, 0.0
-    ny = sys_.ny
-    rhs = sys_.hvals[:ny]
-    k_blocks = sys_.solve_row(rhs)
-
-    dvals = np.asarray(kernel.derivative(sys_.hankel_args[:ny]))
-    k_y = -dvals[0] - np.einsum("j,jab,jbc->ac", sys_.weights, k_blocks, dvals)
-    rhs_x = dvals - k_blocks[0] @ rhs
-    k_x = sys_.solve_row(rhs_x)
-
-    q = -2.0 * (k_x[0] + k_y)
-    return q, sys_.sigma_min_est, sys_.residual_of(k_blocks, rhs)
-
-
-def glm_residual_probe(kernel, row: GLMRow, y_probe: np.ndarray) -> float:
-    """Continuous-equation residual at off-grid y, with K interpolated linearly."""
-    y = np.asarray(y_probe, dtype=float)
-    grid = row.y_grid
-    idx = np.clip(np.searchsorted(grid, y) - 1, 0, grid.size - 2)
-    frac = ((y - grid[idx]) / (grid[idx + 1] - grid[idx]))[:, None, None]
-    k_interp = (1 - frac) * row.K[idx] + frac * row.K[idx + 1]
-    # int K(x,t) M(t + y_p) dt by the row's own quadrature
-    mvals = np.asarray(kernel(grid[:, None] + y[None, :]))  # (ny, np, m, m)
-    integral = np.einsum("j,jab,jpbc->pac", row.weights, row.K, mvals)
-    res = np.asarray(kernel(row.x + y)) + k_interp + integral
-    return float(np.abs(res).max())
-
-
-@dataclass(frozen=True)
-class TransformKernel:
-    """Kernel diagonal (and optionally rows) over consecutive x nodes."""
-
-    side: str  # "plus" | "minus"
-    xs: np.ndarray
-    diag: np.ndarray  # (nx, m, m) values of K(x, x)
-    sigma_min_est: float
-    residual_max: float
-    rows: tuple = ()
-
-    def __post_init__(self):
-        if self.side not in ("plus", "minus"):
-            raise ValidationError(f"unknown side {self.side!r}")
-
-
-def _solve_grid(kernel, x: float, du: float, tail_rel: float) -> np.ndarray:
-    u_cut = kernel.local_tail_cut(2 * x, tail_rel)
-    ny = max(8, int(np.ceil((u_cut - 2 * x) / du)) + 1)
-    return x + du * np.arange(ny)
-
-
-def solve_transform_kernel(
-    kernel,
-    xs: np.ndarray,
-    du: float,
-    side: str = "plus",
-    tail_rel: float = TAIL_REL_DEFAULT,
-    keep_rows: bool = False,
-) -> TransformKernel:
-    """Solve the equation at every x (threaded) and collect the diagonal.
-
-    ``kernel`` must be a right-form GLMKernelFunction; for the minus side pass
-    the mirrored kernel of the left data and the native (ascending) xs, and
-    the reflection bookkeeping is handled here.
-    """
-    xs = np.asarray(xs, dtype=float)
-    solve_xs = -xs[::-1] if side == "minus" else xs
-
-    def solve_one(x):
-        return solve_glm_nystrom(kernel, x, _solve_grid(kernel, x, du, tail_rel))
-
-    n_workers = min(worker_count(), max(1, len(solve_xs)))
-    if n_workers > 1 and len(solve_xs) > 8:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            rows = list(pool.map(solve_one, solve_xs))
-    else:
-        rows = [solve_one(x) for x in solve_xs]
-
-    diag = np.array([r.diag for r in rows])
-    if side == "minus":
-        diag = diag[::-1]
-        rows = rows[::-1]
-    return TransformKernel(
-        side=side,
-        xs=xs,
-        diag=diag,
-        sigma_min_est=float(min(r.sigma_min_est for r in rows)),
-        residual_max=float(max(r.residual for r in rows)),
-        rows=tuple(rows) if keep_rows else (),
-    )
-
-
-def potential_on_points(kernel, points: np.ndarray, du: float, tail_rel: float = TAIL_REL_DEFAULT):
-    """Pointwise Q at the given solve points (threaded right-form solves).
-
-    Returns (q values (npts, m, m), min sigma estimate, max residual).
-    """
-    points = np.asarray(points, dtype=float)
-
-    def one(x):
-        return potential_value_at(kernel, x, _solve_grid(kernel, x, du, tail_rel))
-
-    n_workers = min(worker_count(), max(1, len(points)))
-    if n_workers > 1 and len(points) > 8:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            out = list(pool.map(one, points))
-    else:
-        out = [one(x) for x in points]
-    q = np.array([o[0] for o in out])
-    sigma = float(min(o[1] for o in out))
-    residual = float(max(o[2] for o in out))
-    return q, sigma, residual
+    # x0 row in column form, A v = -b^H, solved with the reversed factor
+    rhs = -(h[:n].conj().transpose(0, 2, 1) * sw[:, None, None])
+    sol, _ = lapack.zpotrs(r_fac, rhs.reshape(n * m, m)[::-1].conj())
+    v = sol.conj()[::-1].reshape(n, m, m)
+    av = v + sw[:, None, None] * _hankel_product(h, sw[:, None, None] * v)
+    return DiagonalSolve(diag, float(rcond * anorm), float(np.abs(av - rhs).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -457,54 +281,40 @@ def potential_on_points(kernel, points: np.ndarray, du: float, tail_rel: float =
 
 
 def _derivative(values: np.ndarray, dx: float) -> np.ndarray:
-    """Fourth-order central differences with one-sided second-order edges."""
-    n = values.shape[0]
-    out = np.empty_like(values)
-    if n >= 5:
-        out[2:-2] = (-values[4:] + 8 * values[3:-1] - 8 * values[1:-3] + values[:-4]) / (12 * dx)
-        out[1] = (values[2] - values[0]) / (2 * dx)
-        out[-2] = (values[-1] - values[-3]) / (2 * dx)
-        out[0] = (-3 * values[0] + 4 * values[1] - values[2]) / (2 * dx)
-        out[-1] = (3 * values[-1] - 4 * values[-2] + values[-3]) / (2 * dx)
-    else:
-        out[:] = np.gradient(values, dx, axis=0)
-    return out
+    """Fourth-order central differences at the nodes 2 .. n-3."""
+    return (-values[4:] + 8 * values[3:-1] - 8 * values[1:-3] + values[:-4]) / (12 * dx)
 
 
-@dataclass(frozen=True)
-class PotentialRecovery:
-    potential: SampledPotential
-    trusted: str  # "right" | "left"
-    hermiticity_defect: float
+def _half_line_potential(data: ScatteringData, xs: np.ndarray, dx: float):
+    """Q = -2 dK/dx on ascending nodes ``xs`` from one side's data.
 
-
-def recover_potential(kern: TransformKernel) -> PotentialRecovery:
-    """Differentiate the kernel diagonal: Q = -2 dK_+/dx (or +2 dK_-/dx).
-
-    The output is trusted on the right half-line for the plus kernel and on
-    the left half-line for the minus kernel; it is Hermitian-symmetrized and
-    the pre-symmetrization defect is reported.  A defect well above the
-    diagonal's own scale signals differentiation noise, i.e. dx too coarse
-    for the kernel resolution.
+    Right data give the plus equation; left data give the mirrored equation,
+    whose nodes are the reflected ones.  The diagonal is solved on xs plus
+    two nodes past each end, so every node gets the central stencil; with
+    du = 2 dx, two interleaved factorizations cover those nodes.  Returns
+    (q values (len(xs), m, m), min sigma estimate, max residual).
     """
-    xs = kern.xs
-    dx = float(xs[1] - xs[0])
-    sign = -2.0 if kern.side == "plus" else 2.0
-    q = sign * _derivative(kern.diag, dx)
-    defect = float(np.max(np.abs(q - q.conj().transpose(0, 2, 1)), initial=0.0))
-    scale = float(np.abs(q).max(initial=0.0))
-    if defect > 1e-3 * (1.0 + scale):
-        warnings.warn(
-            f"kernel differentiation noise {defect:.2e}; refine dx or the solve grid",
-            stacklevel=2,
-        )
-    q = 0.5 * (q + q.conj().transpose(0, 2, 1))
-    grid = SpaceGrid(float(xs[0]), dx, len(xs))
-    pot = SampledPotential(grid, q)
-    return PotentialRecovery(
-        potential=pot,
-        trusted="right" if kern.side == "plus" else "left",
-        hermiticity_defect=defect,
+    du = 2.0 * dx
+    ext = xs[0] + dx * np.arange(-2, xs.size + 2)
+
+    # continuous part sampled at the Hankel arguments 2 ext[0] + j du
+    tail = max((np.log(max(matrix_operator_norm(b.weight), 1e-30) / TAIL_REL) / b.tau
+                for b in data.bound_states), default=0.0)
+    u_hi = max(2 * ext[-1] + 2.0, tail + 2.0)
+    u_grid = 2 * ext[0] + du * np.arange(int(np.ceil((u_hi - 2 * ext[0]) / du)) + 1)
+    if data.side == "right":
+        kernel = assemble_M(data, u_grid)
+    else:
+        kernel = assemble_M(data, -u_grid[::-1]).mirrored()
+
+    y_end = max(kernel.local_tail_cut(2 * x) - x for x in ext)
+    solves = [nested_diagonal(kernel, ext[r], du, ext[r::2].size, y_end) for r in (0, 1)]
+    diag = np.empty((ext.size, data.m, data.m), dtype=complex)
+    diag[0::2], diag[1::2] = solves[0].diag, solves[1].diag
+    return (
+        -2.0 * _derivative(diag, dx),
+        min(s.sigma_min_est for s in solves),
+        max(s.residual for s in solves),
     )
 
 
@@ -515,11 +325,10 @@ def recover_potential(kern: TransformKernel) -> PotentialRecovery:
 @dataclass(frozen=True)
 class InversionResult:
     potential: SampledPotential
-    recovery_plus: PotentialRecovery
-    recovery_minus: PotentialRecovery
     overlap_gap: float
     sigma_min_est: float
     residual_max: float
+    hermiticity_defect: float
 
 
 def _derive_left_data(j_plus: ScatteringData) -> ScatteringData:
@@ -560,34 +369,19 @@ def _derive_left_data(j_plus: ScatteringData) -> ScatteringData:
     )
 
 
-def _half_line_q(kernel, xs: np.ndarray, du: float, tail_rel: float, stride: int):
-    """Pointwise Q on strided solve points, cubic-splined onto the full xs."""
-    pts = xs[::stride]
-    if pts[-1] != xs[-1]:
-        pts = np.append(pts, xs[-1])
-    q_pts, sigma, residual = potential_on_points(kernel, pts, du, tail_rel)
-    if len(pts) == len(xs):
-        return q_pts, sigma, residual
-    spline = CubicSpline(pts, q_pts, axis=0)
-    return spline(xs), sigma, residual
-
-
 def invert(
     j_plus: ScatteringData,
     j_minus: ScatteringData = None,
     grid: SpaceGrid = None,
-    du: float = None,
-    tail_rel: float = TAIL_REL_DEFAULT,
     overlap: float = 1.0,
     overlap_tol: float = 0.05,
-    solve_stride: int = None,
 ) -> InversionResult:
     """Reconstruct the potential from scattering data.
 
     Runs the plus-side equation for x >= -overlap and the minus side for
-    x <= overlap (each solved pointwise on a strided subgrid and splined onto
-    the target grid), checks agreement on the shared window and stitches with
-    a linear cross-fade across one cell at x = 0.  When ``j_minus`` is omitted
+    x <= overlap (each from two interleaved factorizations on the solve grid
+    du = 2 dx), checks agreement on the shared window and stitches with a
+    linear cross-fade across one cell at x = 0.  When ``j_minus`` is omitted
     it is derived from the right data (zero reflection, or the scalar
     reconstruction of the transmission denominator); matrix data with
     reflection requires it.
@@ -598,26 +392,11 @@ def invert(
         j_minus = _derive_left_data(j_plus)
 
     dx = grid.dx
-    if du is None:
-        du = 4.0 * dx
-    if solve_stride is None:
-        solve_stride = max(1, int(round(du / dx)))
     xs = grid.xs
-
-    tail = max((np.log(max(matrix_operator_norm(b.weight), 1e-30) / tail_rel) / b.tau
-                for b in (*j_plus.bound_states, *j_minus.bound_states)), default=0.0)
-    u_hi = max(2 * grid.x_max + 2.0, tail + 2.0)
-    u_lo = 2 * grid.x0 - 2.0
-    n_u = int(np.ceil((u_hi - u_lo) / (2 * dx))) + 1
-    u_grid = u_lo + (u_hi - u_lo) * np.arange(n_u) / (n_u - 1)
-
-    kern_plus = assemble_M(j_plus, u_grid)
-    kern_minus = assemble_M(j_minus, -u_grid[::-1]).mirrored()
-
     xs_plus = xs[xs >= -overlap - 1e-12]
     xs_minus = xs[xs <= overlap + 1e-12]
-    q_plus, sig_p, res_p = _half_line_q(kern_plus, xs_plus, du, tail_rel, solve_stride)
-    q_mirror, sig_m, res_m = _half_line_q(kern_minus, -xs_minus[::-1], du, tail_rel, solve_stride)
+    q_plus, sig_p, res_p = _half_line_potential(j_plus, xs_plus, dx)
+    q_mirror, sig_m, res_m = _half_line_potential(j_minus, -xs_minus[::-1], dx)
     q_minus = q_mirror[::-1]
 
     herm_defect = float(max(
@@ -656,20 +435,10 @@ def invert(
             f"left/right reconstructions disagree by {overlap_gap:.3e} on the overlap window"
         )
 
-    potential = SampledPotential(grid, q)
-    rec_plus = PotentialRecovery(
-        potential=SampledPotential(SpaceGrid(float(xs_plus[0]), dx, len(xs_plus)), q_plus),
-        trusted="right", hermiticity_defect=herm_defect,
-    )
-    rec_minus = PotentialRecovery(
-        potential=SampledPotential(SpaceGrid(float(xs_minus[0]), dx, len(xs_minus)), q_minus),
-        trusted="left", hermiticity_defect=herm_defect,
-    )
     return InversionResult(
-        potential=potential,
-        recovery_plus=rec_plus,
-        recovery_minus=rec_minus,
+        potential=SampledPotential(grid, q),
         overlap_gap=overlap_gap,
         sigma_min_est=float(min(sig_p, sig_m)),
         residual_max=float(max(res_p, res_m)),
+        hermiticity_defect=herm_defect,
     )

@@ -81,7 +81,7 @@ def soliton_trajectory(
     )
     for t in times:
         log_scales = [8.0 * tau**3 * t for tau in taus]
-        _, potential = separable_glm_solve(states, "right", x_grid, log_scales=log_scales)
+        potential = separable_glm_solve(states, "right", x_grid, log_scales=log_scales)
         potentials.append(potential)
         if store_data and max(log_scales) <= _EXP_LIMIT:
             snapshots.append(evolve_scattering_data(base, t))

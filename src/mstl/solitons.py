@@ -56,20 +56,17 @@ def _kernel_basis(n: np.ndarray, cutoff: float = EIG_CUTOFF_REL) -> np.ndarray:
     return v[:, np.abs(w) <= thresh]
 
 
-def build_projector_chain(states) -> ProjectorChain:
-    """Choose the projectors so each residue is C_k N_k with invertible C_k.
+def checked_states(states) -> tuple[list, list]:
+    """Taus and weights of (tau, weight) pairs, as floats and complex matrices.
 
-    ``states`` is a sequence of (tau, weight) with distinct positive taus and
-    Hermitian PSD weights.  I - P_1 projects onto Ker N_1; for k > 1,
-    I - P_k projects onto the image of Ker N_k under the partial product of
-    the earlier factors at rho_k (orthonormalized before projecting).
+    Raises ``ValidationError`` unless there is at least one state, the taus
+    are positive and distinct, and the weights are Hermitian PSD.
     """
     taus = [float(t) for t, _ in states]
     weights = [np.asarray(n, dtype=complex) for _, n in states]
     if not taus:
         raise ValidationError("at least one bound state is required")
-    m = weights[0].shape[0]
-    if min(t for t in taus) <= 0:
+    if min(taus) <= 0:
         raise ValidationError("taus must be positive")
     gaps = [abs(a - b) for i, a in enumerate(taus) for b in taus[i + 1 :]]
     if gaps and min(gaps) < 1e-8 * max(taus):
@@ -77,6 +74,20 @@ def build_projector_chain(states) -> ProjectorChain:
     for n in weights:
         if psd_margin(n) < -1e-8 * (1.0 + matrix_operator_norm(n)):
             raise ValidationError("weights must be Hermitian positive semidefinite")
+    return taus, weights
+
+
+def build_projector_chain(states) -> ProjectorChain:
+    """Choose the projectors so each residue is C_k N_k with invertible C_k.
+
+    ``states`` is a sequence of (tau, weight) with distinct positive taus and
+    Hermitian PSD weights (see ``checked_states``).  I - P_1 projects onto
+    Ker N_1; for k > 1, I - P_k projects onto the image of Ker N_k under the
+    partial product of the earlier factors at rho_k (orthonormalized before
+    projecting).
+    """
+    taus, weights = checked_states(states)
+    m = weights[0].shape[0]
 
     projectors: list[np.ndarray] = []
     eye = np.eye(m, dtype=complex)
@@ -246,28 +257,17 @@ def separable_potential_values(states, xs, log_scales=None, side: str = "right")
     return q, diag
 
 
-def separable_glm_solve(states, side: str, x_grid: SpaceGrid, log_scales=None):
-    """Exact reflectionless solve: transformation-kernel diagonal and potential.
+def separable_glm_solve(states, side: str, x_grid: SpaceGrid, log_scales=None) -> SampledPotential:
+    """Exact reflectionless solve: the potential on ``x_grid``.
 
     The potential is sampled at nodes and cell midpoints from the closed-form
     expression, so downstream propagation sees it at full accuracy.
-    Returns (TransformKernel, SampledPotential).
     """
-    from mstl.glm import TransformKernel
-
     if side not in ("right", "left"):
         raise ValidationError(f"unknown side {side!r}")
-    q_nodes, diag = separable_potential_values(states, x_grid.xs, log_scales, side)
+    q_nodes, _ = separable_potential_values(states, x_grid.xs, log_scales, side)
     q_cells, _ = separable_potential_values(states, x_grid.midpoints, log_scales, side)
-    potential = SampledPotential(x_grid, q_nodes, cell_values=q_cells)
-    kern = TransformKernel(
-        side="plus" if side == "right" else "minus",
-        xs=x_grid.xs,
-        diag=diag,
-        sigma_min_est=float("nan"),
-        residual_max=0.0,
-    )
-    return kern, potential
+    return SampledPotential(x_grid, q_nodes, cell_values=q_cells)
 
 
 def soliton_center(tau: float, weight: float) -> float:

@@ -131,7 +131,7 @@ def test_criterion_05_bump_roundtrip(bump_setup, bump_forward):
 def test_criterion_06_two_soliton_bound_states():
     states = [(1.0, np.array([[2.0 + 0j]])), (2.0, np.array([[8.0 + 0j]]))]
     grid = SpaceGrid.from_bounds(-14.0, 14.0, 0.01)
-    _, pot = solitons.separable_glm_solve(states, "right", grid)
+    pot = solitons.separable_glm_solve(states, "right", grid)
     fwd = forward.full_forward(pot, RhoGrid(10.0, 256), 5.0)
     s_max = float(np.abs(fwd.j_plus.S).max())
     tau_err = max(abs(b.tau - t) for b, (t, _) in zip(fwd.j_plus.bound_states, states))

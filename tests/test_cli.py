@@ -160,3 +160,61 @@ def test_exit_codes(tmp_path):
                      "--out", str(tmp_path / "o")]) == 4
     # soliton without states -> validation error
     assert cli.main(["soliton", "--out", str(tmp_path / "s")]) == 2
+
+
+def _scattering_doc(soliton_data, tmp_path):
+    path = tmp_path / "data.json"
+    cli.write_scattering_json(path, soliton_data)
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.pop("S"),
+    lambda doc: doc.pop("side"),
+    lambda doc: doc.pop("bound_states"),
+    lambda doc: doc.update(S="abc"),
+    lambda doc: doc.update(rho=None),
+    lambda doc: doc.update(bound_states=[{"tau": "one", "N": [[[2.0, 0.0]]]}]),
+    lambda doc: doc.update(bound_states=[{"tau": 1.0}]),
+])
+def test_malformed_scattering_json_is_a_validation_error(tmp_path, soliton_data, capsys, edit):
+    doc = _scattering_doc(soliton_data, tmp_path)
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", "--data", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["soliton"], ["soliton", "--direction", "1,1j"], ["kdv"]])
+@pytest.mark.parametrize("states", [
+    ["--tau", "1", "--weight", "2", "--tau", "1", "--weight", "3"],  # duplicate taus
+    ["--tau", "1", "--weight", "-2"],  # negative weight
+    ["--tau", "0", "--weight", "2"],  # zero tau
+    ["--tau", "-1", "--weight", "2"],  # negative tau
+    ["--tau", "1", "--weight", "2", "--direction", "1,x"],  # malformed direction
+    ["--tau", "1", "--weight", "2", "--direction", "0,0"],  # zero direction
+])
+def test_bad_soliton_states_are_validation_errors(tmp_path, capsys, command, states):
+    code = cli.main([*command, *states, "--x-min", "-2", "--x-max", "2",
+                     "--dx", "0.1", "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and err.count("\n") == 1
+
+
+def test_import_leaves_spline_and_optimizer_unloaded():
+    import os
+    import subprocess
+    import sys
+
+    import mstl
+
+    src = os.path.dirname(os.path.dirname(mstl.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import sys, mstl.cli; print(sorted(m for m in "
+             "('scipy.interpolate', 'scipy.optimize') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -138,10 +138,3 @@ def test_contour_residue_simple_pole():
 
     res = contour_residue(f, 1.0 + 2.0j, 0.3)
     assert abs(res[0, 0] - 2.5j) < 1e-12
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("MSTL_THREADS", "3")
-    assert domain.worker_count() == 3
-    monkeypatch.delenv("MSTL_THREADS")
-    assert domain.worker_count() >= 1

@@ -155,7 +155,7 @@ def test_reflection_norm_and_unitarity_identity(box_forward):
 
 def test_reflectionless_potential_has_tiny_reflection():
     grid = SpaceGrid.from_bounds(-10.0, 10.0, 0.005)
-    _, pot = solitons.separable_glm_solve([(1.0, np.array([[2.0 + 0j]]))], "right", grid)
+    pot = solitons.separable_glm_solve([(1.0, np.array([[2.0 + 0j]]))], "right", grid)
     coeffs = forward.scattering_coefficients(pot, RhoGrid(8.0, 64))
     _, s_plus = forward.reflection_matrices(coeffs)
     assert np.abs(s_plus).max() <= 1e-4
@@ -236,7 +236,7 @@ def test_full_forward_zero(zero_pot):
 
 def test_full_forward_one_soliton():
     grid = SpaceGrid.from_bounds(-12.0, 12.0, 0.01)
-    _, pot = solitons.separable_glm_solve([(1.0, np.array([[2.0 + 0j]]))], "right", grid)
+    pot = solitons.separable_glm_solve([(1.0, np.array([[2.0 + 0j]]))], "right", grid)
     result = forward.full_forward(pot, RhoGrid(8.0, 128), 5.0)
     assert np.abs(result.j_plus.S).max() < 3e-4
     assert len(result.j_plus.bound_states) == 1

@@ -68,22 +68,12 @@ def test_assemble_M_pure_bound_state(soliton_data):
     kern = glm.assemble_M(soliton_data, u)
     expect = 2.0 * np.exp(-u)
     assert np.abs(kern(u)[:, 0, 0] - expect).max() < 1e-12
-    assert np.abs(kern.derivative(u)[:, 0, 0] + expect).max() < 1e-12
 
 
 def test_assemble_M_without_states_is_fourier(bump_forward):
     u = np.arange(-4.0, 4.0, 0.1)
     kern = glm.assemble_M(bump_forward.j_plus, u)
     assert np.allclose(kern(u), glm.fourier_kernel(bump_forward.j_plus, u))
-
-
-def test_kernel_decay_integrals(soliton_data):
-    u = np.arange(-2.0, 25.0, 0.05)
-    kern = glm.assemble_M(soliton_data, u)
-    i0, i1 = kern.decay_integrals()
-    # M = 2 exp(-u): int_0^inf ||M|| = 2, int (1+u) ||M'|| = 4
-    assert i0 == pytest.approx(2.0, rel=1e-3)
-    assert i1 == pytest.approx(4.0, rel=1e-2)
 
 
 def test_mirrored_kernel():
@@ -106,81 +96,112 @@ def test_gregory_weights_integrate_exactly():
         assert np.sum(w * xs**p) == pytest.approx(xs[-1] ** (p + 1) / (p + 1), rel=1e-10)
 
 
+def dense_diagonal(kernel, x, du, n):
+    """K(x, x) from np.linalg.solve of the unsymmetrized Nystrom system at x."""
+    w = glm.gregory_weights(n, du)
+    h = kernel(2 * x + du * np.arange(2 * n - 1))
+    m = h.shape[-1]
+    sums = np.add.outer(np.arange(n), np.arange(n))
+    # row form X (I + W H) = -b with blocks (j, i) = delta_ji I + w_j M(y_i + y_j)
+    a = (w[:, None, None, None] * h[sums]).transpose(0, 2, 1, 3).reshape(n * m, n * m)
+    a += np.eye(n * m)
+    b = h[:n].transpose(1, 0, 2).reshape(m, n * m)
+    return np.linalg.solve(a.T, -b.T).T[:, :m]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_nested_diagonal_matches_dense(m):
+    # reflection part and two bound states, one of them rank one for m = 2
+    v = np.array([1.0, 0.5j])[:m]
+    proj = np.outer(v, v.conj()) / np.vdot(v, v)
+    u = np.linspace(-4.0, 30.0, 341)
+    r = 0.05 * np.exp(-((u - 1.0) ** 2))[:, None, None] * (proj + 0.3 * np.eye(m))
+    kern = glm.GLMKernelFunction(side="right", u_grid=u, R=r,
+                                 states=((1.0, 2.0 * proj), (1.7, 0.5 * np.eye(m))))
+    x0, du, count, y_end = -0.5, 0.05, 60, 20.0
+    out = glm.nested_diagonal(kern, x0, du, count, y_end)
+    n = int(round((y_end - x0) / du)) + 1
+    # k = 0..3 need the head-weight correction cases; k = 50 is a late x
+    for k in (0, 1, 2, 3, 50):
+        ref = dense_diagonal(kern, x0 + k * du, du, n - k)
+        assert np.abs(out.diag[k] - ref).max() < 1e-12
+    assert out.residual < 1e-12
+
+
 def test_solve_zero_kernel():
     kern = glm.GLMKernelFunction(side="right", u_grid=np.linspace(-1, 10, 12),
                                  R=np.zeros((12, 1, 1), complex), states=())
-    row = glm.solve_glm_nystrom(kern, 0.0, 0.05 * np.arange(100))
-    assert np.abs(row.K).max() == 0.0
-    assert row.sigma_min_est == 1.0
+    out = glm.nested_diagonal(kern, 0.0, 0.05, 20, 5.0)
+    assert out.diag.shape == (20, 1, 1)
+    assert np.abs(out.diag).max() == 0.0
+    assert out.sigma_min_est == 1.0
 
 
 def test_solve_soliton_row():
     kern = soliton_kernel()
-    y = 0.05 * np.arange(int(25 / 0.05) + 1)
-    row = glm.solve_glm_nystrom(kern, 0.0, y)
-    assert np.abs(row.diag[0, 0] + 1.0) < 1e-5
-    assert np.abs(row.K[:, 0, 0] + np.exp(-y)).max() < 1e-5
-    assert row.residual < 1e-10
-    # estimated smallest singular value against the exact spectrum
-    sw = np.sqrt(row.weights)
-    mat = np.eye(len(y)) + (sw[:, None] * kern(y[:, None] + y[None, :])[:, :, 0, 0]) * sw[None, :]
+    du = 0.05
+    out = glm.nested_diagonal(kern, 0.0, du, 1, 29.0)
+    assert np.abs(out.diag[0, 0, 0] + 1.0) < 1e-5
+    assert out.residual < 1e-10
+    # estimated smallest singular value against the exact spectrum of the x = 0 system
+    n = int(round(29.0 / du)) + 1
+    y = du * np.arange(n)
+    sw = np.sqrt(glm.gregory_weights(n, du))
+    mat = np.eye(n) + (sw[:, None] * kern(y[:, None] + y[None, :])[:, :, 0, 0]) * sw[None, :]
     exact = float(np.linalg.eigvalsh(mat).min())
-    assert 0.2 * exact <= row.sigma_min_est <= 5.0 * exact
-    assert row.sigma_min_est >= 1e-6
+    assert 0.2 * exact <= out.sigma_min_est <= 5.0 * exact
+    assert out.sigma_min_est >= 1e-6
 
 
 def test_solve_rank_one_matrix_case():
     kern = soliton_kernel(m=2, direction=[1.0, 1.0])
-    y = 0.05 * np.arange(int(25 / 0.05) + 1)
-    row = glm.solve_glm_nystrom(kern, 0.0, y)
+    out = glm.nested_diagonal(kern, 0.0, 0.05, 1, 25.0)
     proj = np.full((2, 2), 0.5)
-    assert np.abs(row.diag + proj).max() < 1e-5
+    assert np.abs(out.diag[0] + proj).max() < 1e-5
 
 
 def test_separable_equals_nystrom():
     states = [(1.0, np.array([[2.0 + 0j]]))]
-    kern = soliton_kernel()
-    x, du = 0.3, 0.0125
-    y = x + du * np.arange(int(28 / du) + 1)
-    row = glm.solve_glm_nystrom(kern, x, y)
-    grid = SpaceGrid(x, du, len(y))
-    tk, _ = solitons.separable_glm_solve(states, "right", grid)
-    # closed form K(x, y) = L(x) exp(-tau y): compare the whole row
-    ell = tk.diag[0][0, 0] * np.exp(x)
-    assert np.abs(row.K[:, 0, 0] - ell * np.exp(-y)).max() < 1e-8
+    x0, du, count = 0.3, 0.0125, 40
+    out = glm.nested_diagonal(soliton_kernel(), x0, du, count, 28.3)
+    _, diag = solitons.separable_potential_values(states, x0 + du * np.arange(count))
+    assert np.abs(out.diag - diag).max() < 1e-8
 
 
-def test_residual_probe_off_nodes():
-    kern = soliton_kernel()
-    y = 0.05 * np.arange(int(25 / 0.05) + 1)
-    row = glm.solve_glm_nystrom(kern, 0.0, y)
-    probe = np.array([0.513, 1.777, 3.404])
-    # bounded by the linear-interpolation error of K between Nystrom nodes
-    assert glm.glm_residual_probe(kern, row, probe) < 5e-3
-
-
-def test_transform_kernel_and_recover():
+def test_transform_kernel_and_recover(soliton_data):
     kern = soliton_kernel()
     xs = np.arange(0.0, 4.0 + 1e-9, 0.05)
-    tk = glm.solve_transform_kernel(kern, xs, 0.05)
+    out = glm.nested_diagonal(kern, 0.0, 0.05, xs.size, 29.0)
+    # closed form K(x, x) = -2 exp(-2x) / (1 + exp(-2x)) of the unit soliton
     expect_diag = -2.0 * np.exp(-2 * xs) / (1 + np.exp(-2 * xs))
-    assert np.abs(tk.diag[:, 0, 0] - expect_diag).max() < 1e-5
-    rec = glm.recover_potential(tk)
-    assert rec.trusted == "right"
-    exact = -2.0 / np.cosh(xs) ** 2
-    err = np.abs(rec.potential.values[:, 0, 0] - exact)
-    # boundary nodes fall back to one-sided second-order differences
-    assert err[2:-2].max() < 1e-3
-    assert err.max() < 5e-3
-    assert rec.hermiticity_defect < 1e-8
+    assert np.abs(out.diag[:, 0, 0] - expect_diag).max() < 1e-5
+    # Q = -2 dK(x, x)/dx, central differences at every node of the target grid
+    grid = SpaceGrid.from_bounds(-4.0, 4.0, 0.05)
+    inv = glm.invert(soliton_data, grid=grid)
+    exact = -2.0 / np.cosh(grid.xs) ** 2
+    assert np.abs(inv.potential.values[:, 0, 0] - exact).max() < 1e-3
+    assert inv.hermiticity_defect < 1e-8
 
 
-def test_potential_value_pointwise():
-    kern = soliton_kernel()
-    y = 0.05 * np.arange(int(26 / 0.05) + 1)
-    q, sigma, residual = glm.potential_value_at(kern, 0.0, y)
-    assert abs(q[0, 0] + 2.0) < 1e-5
-    assert sigma > 1e-6 and residual < 1e-10
+def test_potential_value_pointwise(soliton_data):
+    grid = SpaceGrid.from_bounds(-1.0, 1.0, 0.02)
+    out = glm.invert(soliton_data, grid=grid)
+    assert abs(out.potential.values[50, 0, 0] + 2.0) < 1e-5  # x = 0
+    assert out.sigma_min_est > 1e-6 and out.residual_max < 1e-10
+
+
+def test_invert_runs_two_factorizations_per_side(soliton_data, monkeypatch):
+    calls = []
+    zpotrf = glm.lapack.zpotrf
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return zpotrf(*args, **kwargs)
+
+    monkeypatch.setattr(glm.lapack, "zpotrf", counting)
+    glm.invert(soliton_data, grid=SpaceGrid.from_bounds(-3.0, 3.0, 0.05))
+    # du = 2 dx: two interleaved factorizations on each side
+    assert len(calls) == 4
 
 
 def test_invert_zero_data():
@@ -193,7 +214,7 @@ def test_invert_zero_data():
 
 def test_invert_one_soliton_quick(soliton_data):
     grid = SpaceGrid.from_bounds(-6.0, 6.0, 0.04)
-    out = glm.invert(soliton_data, grid=grid, du=0.12)
+    out = glm.invert(soliton_data, grid=grid)
     exact = -2.0 / np.cosh(grid.xs) ** 2
     assert np.abs(out.potential.values[:, 0, 0] - exact).max() < 1e-3
     assert out.overlap_gap < 1e-3
@@ -212,7 +233,7 @@ def test_invert_flags_inconsistent_sides(soliton_data):
     )
     grid = SpaceGrid.from_bounds(-5.0, 5.0, 0.05)
     with pytest.raises(InconsistentDataError):
-        glm.invert(soliton_data, bad_left, grid=grid, du=0.15)
+        glm.invert(soliton_data, bad_left, grid=grid)
 
 
 def test_roundtrip_matrix_with_reflection_and_bound_state():
@@ -244,8 +265,8 @@ def test_roundtrip_matrix_with_reflection_and_bound_state():
 def test_roundtrip_box(box_setup, box_forward):
     grid, box, _ = box_setup
     # the step edges put spectral content out to the window edge; the solve
-    # grid du must resolve it (Nyquist pi/du above the effective bandwidth)
-    out = glm.invert(box_forward.j_plus, box_forward.j_minus, grid=grid, du=0.04)
+    # grid du = 2 dx must resolve it (Nyquist pi/du above the effective bandwidth)
+    out = glm.invert(box_forward.j_plus, box_forward.j_minus, grid=grid)
     diff = np.abs(out.potential.values - box.values).max(axis=(1, 2))
     ref = np.abs(box.values).max(axis=(1, 2))
     rel = np.trapezoid(diff, dx=grid.dx) / np.trapezoid(ref, dx=grid.dx)
