@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import spence
 
 from mstl.domain import (
     BoundState,
@@ -210,6 +209,8 @@ def residues_from_evaluator(d_of, taus, nodes: int = 64):
 
 
 def _li2(w):
+    from scipy.special import spence  # loaded on first use: it dominates start-up
+
     return spence(1.0 - np.asarray(w))
 
 

@@ -153,7 +153,8 @@ def contour_residue(f, center: complex, radius: float, nodes: int = 64) -> np.nd
     """Residue of a matrix function at ``center`` by a circular trapezoid contour.
 
     ``f`` must accept a complex array of shape (nodes,) and return values of
-    shape (nodes, m, m).  Trapezoid on a circle converges exponentially for
+    shape (nodes, ...), for instance (nodes, m, m); the residue has the
+    trailing shape.  Trapezoid on a circle converges exponentially for
     integrands that are analytic apart from the enclosed simple pole.
     """
     if radius <= 0:
@@ -452,21 +453,6 @@ class ScatteringData:
     @property
     def taus(self) -> tuple:
         return tuple(b.tau for b in self.bound_states)
-
-
-@dataclass(frozen=True)
-class JostField:
-    """Values of one Jost solution and its x-derivative over the grid."""
-
-    rho: complex
-    direction: str  # "plus" | "minus"
-    grid: SpaceGrid
-    F: np.ndarray
-    Fprime: np.ndarray
-
-    def __post_init__(self):
-        if self.direction not in ("plus", "minus"):
-            raise ValidationError(f"unknown direction {self.direction!r}")
 
 
 @dataclass(frozen=True)

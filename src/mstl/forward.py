@@ -10,6 +10,13 @@ rho (free cells and step potentials are propagated exactly), and it preserves
 every Wronskian identity to roundoff, because the computed fields solve the
 cellwise equation exactly.
 
+A sweep is vectorized over its batch of spectral points.  It stays in the
+eigenbasis of the current cell and holds (F, F') component-major, as one
+(m, 2 m n_rho) array, so the change of basis from one cell to the next is one
+(m x m) matrix product over the whole batch; the cell factors cosh(mu h),
+sinh(mu h)/mu and mu sinh(mu h) are computed for a bounded block of cells at
+a time, so memory does not grow with the grid.
+
 Only the cells from the first to the last nonzero cell value are stepped.
 Free cells outside that range (cell values exactly zero; node values do not
 decide it) are never visited: there the fields are the exact free solution,
@@ -19,7 +26,12 @@ swept node on the other.  An identically zero potential needs no sweep.
 Directions: the "plus" solution equals exp(i rho x) I to the right of the
 support and is integrated right-to-left; "minus" mirrors this.  Row-equation
 solutions needed in brackets are obtained from column solutions at -conj(rho)
-by conjugate transposition, which is valid because Q is Hermitian.
+by conjugate transposition, which is valid because Q is Hermitian.  Every
+batch of points used here (the symmetric real grid, the imaginary axis, a
+residue contour ring) is closed under rho -> -conj(rho), so one evaluator,
+``_coefficients``, gets A, B and D from one plus and one minus sweep.
+Bound states are the zeros of det A(i tau): a scan, then a zoom that refines
+every candidate in the same batched sweeps.
 """
 
 from __future__ import annotations
@@ -33,7 +45,6 @@ from mstl.domain import (
     CoefficientSet,
     IntegrationAccuracyError,
     JostAsymptotics,
-    JostField,
     NumericsError,
     ResiduePair,
     RhoGrid,
@@ -46,6 +57,8 @@ from mstl.domain import (
 
 BRACKET_SPREAD_RTOL = 1e-6
 _N_CHECKPOINTS = 9
+_BLOCK_ELEMENTS = 2**15  # cell factors per sweep block, in (cell, component, rho) entries
+_ZOOM_POINTS = 33  # determinant samples per bracket in each zoom round
 
 
 class ForwardResult(tuple):
@@ -71,14 +84,27 @@ class ForwardResult(tuple):
 # cell propagation
 
 
-def _sinhc(z: np.ndarray, h: float | np.ndarray) -> np.ndarray:
-    """sinh(mu h)/mu evaluated stably through mu = 0, with z = mu * h."""
+def _cell_factors(mu2: np.ndarray, h: float | np.ndarray):
+    """cosh(mu h), sinh(mu h)/mu and mu^2 sinh(mu h)/mu for mu = sqrt(mu2).
+
+    Complex cosh and sinh are assembled from cosh, sinh, cos and sin of the
+    real and imaginary parts of mu h, which costs a fraction of numpy's
+    complex versions.  sinh(mu h)/mu is evaluated stably through mu = 0 by its
+    series; it and cosh(mu h) are even in mu, so the branch of the square root
+    does not matter.
+    """
+    z = np.sqrt(mu2) * h
+    cx, sx, cy, sy = np.cosh(z.real), np.sinh(z.real), np.cos(z.imag), np.sin(z.imag)
+    ch = np.empty(z.shape, dtype=complex)
+    ch.real, ch.imag = cx * cy, sx * sy
+    sl = np.empty(z.shape, dtype=complex)
+    sl.real, sl.imag = sx * cy, cx * sy
     small = np.abs(z) < 1e-6
-    zs = np.where(small, 0.0, z)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        main = np.where(small, 1.0, np.sinh(zs) / np.where(small, 1.0, zs))
-    series = 1.0 + z**2 / 6.0 + z**4 / 120.0
-    return h * np.where(small, series, main)
+    np.divide(sl, z, out=sl, where=~small)
+    z2 = z[small] ** 2
+    sl[small] = 1.0 + z2 / 6.0 + z2 * z2 / 120.0
+    sl *= h
+    return ch, sl, mu2 * sl
 
 
 def _swept_nodes(potential: SampledPotential) -> tuple[int, int]:
@@ -99,11 +125,8 @@ def _free_step(f, p, rhos, h):
     ``f`` and ``p`` have shape (n_rho, m, m); the result has a leading axis
     over ``h``.  The free propagator is scalar, so no basis change is needed.
     """
-    mu2 = -(rhos**2)
-    z = np.sqrt(mu2)[None, :] * h[:, None]
-    ch = np.cosh(z)[..., None, None]
-    sl = _sinhc(z, h[:, None])[..., None, None]
-    return ch * f + sl * p, (mu2[:, None, None] * sl) * f + ch * p
+    ch, sl, ms = (c[..., None, None] for c in _cell_factors(-(rhos**2), h[:, None]))
+    return ch * f + sl * p, ms * f + ch * p
 
 
 def _propagate(potential: SampledPotential, rhos: np.ndarray, direction: str, keep):
@@ -113,6 +136,12 @@ def _propagate(potential: SampledPotential, rhos: np.ndarray, direction: str, ke
     the first and last nonzero cell are stepped; on the incoming side of that
     range the field is the free wave exp(+-i rho x) I, and beyond its far edge
     it is carried from the edge by one exact free step.
+
+    The sweep works in each cell's eigenbasis and holds (F, F')
+    component-major, as one (m, 2 m n_rho) array, so the change of basis from
+    one cell to the next is a single (m x m) @ (m x 2 m n_rho) product; the
+    cell factors cosh, sinhc and mu^2 sinhc are computed for blocks of at most
+    ``_BLOCK_ELEMENTS`` (cell, component, rho) entries.
     """
     grid = potential.grid
     m = potential.m
@@ -131,16 +160,16 @@ def _propagate(potential: SampledPotential, rhos: np.ndarray, direction: str, ke
     if direction == "plus":
         ikr = 1j * rhos
         start, end = hi, lo
-        order = range(hi - 1, lo - 1, -1)
+        cells = np.arange(hi - 1, lo - 1, -1)
+        reached = cells  # stepping from node c+1 down across cell c reaches node c
         h = -grid.dx
-        cell_of = lambda node: node  # stepping from node+1 down onto node uses cell `node`
         incoming, beyond = keep >= hi, keep < lo
     elif direction == "minus":
         ikr = -1j * rhos
         start, end = lo, hi
-        order = range(lo + 1, hi + 1)
+        cells = np.arange(lo, hi)
+        reached = cells + 1
         h = grid.dx
-        cell_of = lambda node: node - 1
         incoming, beyond = keep <= lo, keep > hi
     else:
         raise ValidationError(f"unknown direction {direction!r}")
@@ -150,67 +179,58 @@ def _propagate(potential: SampledPotential, rhos: np.ndarray, direction: str, ke
     out_f[incoming] = wave[..., None, None] * eye
     out_p[incoming] = (ikr * wave)[..., None, None] * eye
 
-    phase = np.exp(ikr * xs[start])
-    f = phase[:, None, None] * eye
-    p = (ikr * phase)[:, None, None] * eye
-    w, v = np.linalg.eigh(potential.cell_values[lo:hi])
-    rho2 = (rhos**2)[:, None]
-    for node in order:
-        c = cell_of(node) - lo
-        vc = v[c]
-        mu2 = w[c][None, :] - rho2  # (nr, m)
-        mu = np.sqrt(mu2.astype(complex))
-        z = mu * h
-        ch = np.cosh(z)[..., None]
-        sl = _sinhc(z, h)[..., None]
-        wf = vc.conj().T @ f
-        wp = vc.conj().T @ p
-        f = vc @ (ch * wf + sl * wp)
-        p = vc @ ((mu2[..., None] * sl) * wf + ch * wp)
-        if node in slot:
-            out_f[slot[node]] = f
-            out_p[slot[node]] = p
+    eye_wave = np.exp(ikr * xs[start])[:, None, None] * eye
+    f, p = eye_wave, ikr[:, None, None] * eye_wave
+    if cells.size:
+        # visit k works in the eigenbasis of its cell; hop[k] = V_{k+1}^H V_k
+        # carries the field into the next one.  t[a, 0, b, n] and t[a, 1, b, n]
+        # hold row a of F and F' at rho_n, column b, so each hop is one
+        # (m x m) @ (m x 2 m n_rho) product.
+        w, v = np.linalg.eigh(potential.cell_values[cells])
+        vh = v.conj().transpose(0, 2, 1)
+        hop = vh[1:] @ v[:-1]
+        u = np.empty((m, 2, m, nr), dtype=complex)  # C order: reshapes below are views
+        u[:, 0] = vh[0][..., None] * f[:, 0, 0]
+        u[:, 1] = vh[0][..., None] * p[:, 0, 0]
+        t = np.empty(u.shape, dtype=complex)
+        uf, up, tf, tp = u[:, 0], u[:, 1], t[:, 0], t[:, 1]
+        rho2 = rhos**2
+        block = max(1, _BLOCK_ELEMENTS // (m * nr))
+        for b0 in range(0, cells.size, block):
+            mu2 = w[b0 : b0 + block, :, None, None] - rho2  # (cells, m, 1, n_rho)
+            ch, sl, ms = _cell_factors(mu2, h)
+            for i in range(ch.shape[0]):
+                k = b0 + i
+                np.multiply(ch[i], uf, out=tf)
+                tf += sl[i] * up
+                np.multiply(ms[i], uf, out=tp)
+                tp += ch[i] * up
+                node = int(reached[k])
+                if node in slot:
+                    out_f[slot[node]], out_p[slot[node]] = _to_nodes(v[k], t)
+                if k + 1 < cells.size:
+                    np.matmul(hop[k], t.reshape(m, -1), out=u.reshape(m, -1))
+        f, p = _to_nodes(v[-1], t)
 
     if np.any(beyond):
         out_f[beyond], out_p[beyond] = _free_step(f, p, rhos, xs[keep[beyond]] - xs[end])
     return out_f, out_p
 
 
-def jost_solution(potential: SampledPotential, rho: complex, direction: str) -> JostField:
-    """Jost solution over the whole grid for one spectral point.
+def _to_nodes(v, t):
+    """(F, F') of shape (n_rho, m, m) from the eigenbasis state ``t`` of a cell."""
+    g = (v @ t.reshape(v.shape[0], -1)).reshape(t.shape)
+    return g[:, 0].transpose(2, 0, 1), g[:, 1].transpose(2, 0, 1)
 
-    Normalized to exp(+-i rho x) I at the incoming end of the grid; valid for
-    Im rho >= 0.  At rho = 0 the field itself is still well defined (only
-    downstream inversions may degenerate).
+
+def _bracket(zf, zp, yf, yp):
+    """Bracket Z'^H Y - Z^H Y' for stacked fields of shape (..., m, m).
+
+    The row solution enters as the column field (zf, zp) computed at
+    -conj(rho), conjugate-transposed.
     """
-    f, p = _propagate(potential, np.array([rho], dtype=complex), direction, range(potential.grid.n))
-    return JostField(rho=complex(rho), direction=direction, grid=potential.grid, F=f[:, 0], Fprime=p[:, 0])
-
-
-def wronskian_bracket(row_field: JostField, field: JostField, return_spread: bool = False):
-    """x-independent bracket <Z, Y> = Z'Y - ZY' of a row and a column solution.
-
-    ``row_field`` is a column Jost field computed at -conj(rho) of the target
-    row argument; it enters conjugate-transposed.  The bracket is averaged
-    over the grid and its standard deviation across x is available as a
-    consistency diagnostic.
-    """
-    if row_field.grid is not field.grid and row_field.grid.n != field.grid.n:
-        raise ValidationError("bracket requires fields on the same grid")
-    z = row_field.F.conj().transpose(0, 2, 1)
-    zp = row_field.Fprime.conj().transpose(0, 2, 1)
-    values = zp @ field.F - z @ field.Fprime
-    mean = values.mean(axis=0)
-    if not return_spread:
-        return mean
-    spread = float(np.sqrt(np.mean(np.abs(values - mean) ** 2)))
-    return mean, spread
-
-
-def _bracket_at_checkpoints(zf, zp, yf, yp):
-    """Bracket per checkpoint for stacked fields of shape (nc, nr, m, m)."""
-    return np.einsum("cnba,cnbd->cnad", zp.conj(), yf) - np.einsum(
-        "cnba,cnbd->cnad", zf.conj(), yp
+    return np.einsum("...ba,...bd->...ad", zp.conj(), yf) - np.einsum(
+        "...ba,...bd->...ad", zf.conj(), yp
     )
 
 
@@ -220,65 +240,47 @@ def _checkpoints(potential: SampledPotential) -> np.ndarray:
     return np.unique(np.linspace(lo, hi, _N_CHECKPOINTS).astype(int))
 
 
+def _coefficients(potential: SampledPotential, z: np.ndarray, mirror: np.ndarray):
+    """A(z), B(z), D(z) and the bracket drift of A, from one plus and one minus sweep.
+
+    The batch ``z`` (closed upper half-plane) must be closed under
+    z -> -conj(z), with ``z[mirror] = -conj(z)``: the row solutions of each
+    bracket are the column fields at -conj(z), which the same two sweeps
+    provide.  B is the matching coefficient on the real axis.  The drift is
+    the RMS deviation of A's bracket across the checkpoints, per point.
+    """
+    z = np.asarray(z, dtype=complex)
+    cps = _checkpoints(potential)
+    fp, pp = _propagate(potential, z, "plus", cps)
+    fm, pm = _propagate(potential, z, "minus", cps)
+    two_iz = 2j * z[:, None, None]
+    br_a = _bracket(fm[:, mirror], pm[:, mirror], fp, pp)
+    mean_a = br_a.mean(axis=0)
+    drift = np.sqrt(np.mean(np.abs(br_a - mean_a) ** 2, axis=(0, 2, 3)))
+    a = -mean_a / two_iz
+    b = _bracket(fm, pm, fp, pp).mean(axis=0) / two_iz
+    d = _bracket(fp[:, mirror], pp[:, mirror], fm, pm).mean(axis=0) / two_iz
+    return a, b, d, drift
+
+
 def scattering_coefficients(potential: SampledPotential, rho_grid: RhoGrid) -> CoefficientSet:
     """Matching coefficients A, B, C, D on the real grid.
 
-    A and B come from brackets of the minus and plus fields; C and D follow
-    from the real-axis symmetries C(rho) = -B(rho)^*, D(rho) = A(-rho)^*.
-    Bracket non-constancy across x beyond tolerance raises
+    The grid is symmetric, so -conj(rho) = -rho is the reversed node; C
+    follows from the real-axis symmetry C(rho) = -B(rho)^*.  Bracket
+    non-constancy across x beyond tolerance raises
     ``IntegrationAccuracyError`` naming the worst node.
     """
     nodes = rho_grid.nodes
-    cps = _checkpoints(potential)
-    fp, pp = _propagate(potential, nodes, "plus", cps)
-    fm, pm = _propagate(potential, nodes, "minus", cps)
-
-    flip = slice(None, None, -1)
-    two_i_rho = 2j * nodes[:, None, None]
-
-    # A(rho): row solution from the minus field at -rho; B(rho): at +rho.
-    br_a = _bracket_at_checkpoints(fm[:, flip], pm[:, flip], fp, pp)
-    br_b = _bracket_at_checkpoints(fm, pm, fp, pp)
-    a = -br_a.mean(axis=0) / two_i_rho
-    b = br_b.mean(axis=0) / two_i_rho
-
-    worst = float(np.max(np.sqrt(np.mean(np.abs(br_a - br_a.mean(axis=0)) ** 2, axis=(0, 2, 3)))))
-    scale = 1.0 + float(np.abs(br_a.mean(axis=0)).max())
-    if worst > BRACKET_SPREAD_RTOL * scale * 2 * max(1.0, float(np.abs(nodes).max())):
-        j = int(np.argmax(np.sqrt(np.mean(np.abs(br_a - br_a.mean(axis=0)) ** 2, axis=(0, 2, 3)))))
+    a, b, d, drift = _coefficients(potential, nodes, np.arange(nodes.size)[::-1])
+    scale = 1.0 + float(np.abs(2.0 * nodes[:, None, None] * a).max())
+    j = int(np.argmax(drift))
+    if drift[j] > BRACKET_SPREAD_RTOL * scale * 2 * max(1.0, float(np.abs(nodes).max())):
         raise IntegrationAccuracyError(
-            f"bracket drift {worst:.3e} at rho = {nodes[j]:.6g}; refine the space grid"
+            f"bracket drift {drift[j]:.3e} at rho = {nodes[j]:.6g}; refine the space grid"
         )
-
     c = -b.conj().transpose(0, 2, 1)
-    d = a[flip].conj().transpose(0, 2, 1)
-
     return CoefficientSet(rho_grid=rho_grid, A=a, B=b, C=c, D=d)
-
-
-def coefficient_evaluators(potential: SampledPotential):
-    """Callables A(z), D(z) for batches of points in the closed upper half-plane.
-
-    Used for residue contours and analyticity probes; each call runs two grid
-    sweeps vectorized over the batch.
-    """
-    cps = _checkpoints(potential)
-
-    def a_of(z):
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        fp, pp = _propagate(potential, z, "plus", cps)
-        fm, pm = _propagate(potential, -z.conj(), "minus", cps)
-        br = _bracket_at_checkpoints(fm, pm, fp, pp).mean(axis=0)
-        return -br / (2j * z[:, None, None])
-
-    def d_of(z):
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        fm, pm = _propagate(potential, z, "minus", cps)
-        fp, pp = _propagate(potential, -z.conj(), "plus", cps)
-        br = _bracket_at_checkpoints(fp, pp, fm, pm).mean(axis=0)
-        return br / (2j * z[:, None, None])
-
-    return a_of, d_of
 
 
 def reflection_matrices(coefficients: CoefficientSet):
@@ -313,13 +315,10 @@ def jost_asymptotics(potential: SampledPotential) -> JostAsymptotics:
 # bound states
 
 
-def _det_a_on_axis(potential: SampledPotential, taus: np.ndarray) -> np.ndarray:
-    cps = _checkpoints(potential)
-    z = 1j * np.asarray(taus, dtype=float)
-    fp, pp = _propagate(potential, z, "plus", cps)
-    fm, pm = _propagate(potential, z, "minus", cps)
-    br = _bracket_at_checkpoints(fm, pm, fp, pp).mean(axis=0)
-    a = -br / (2j * z[:, None, None])
+def _abs_det_a_on_axis(potential: SampledPotential, taus: np.ndarray) -> np.ndarray:
+    """|det A(i tau)| for a batch of taus; -conj(i tau) = i tau, so the mirror is the identity."""
+    taus = np.asarray(taus, dtype=float)
+    a, _, _, _ = _coefficients(potential, 1j * taus, np.arange(taus.size))
     return np.abs(np.linalg.det(a))
 
 
@@ -333,55 +332,64 @@ def find_bound_states(
 ) -> list[float]:
     """Bound-state parameters: tau > 0 with det A(i tau) = 0.
 
-    Scans |det A(i tau)| on a uniform grid, refines each local minimum by
-    golden-section search (the determinant modulus need not change sign in the
-    matrix case), and accepts refined minima below ``accept_rel`` times the
-    scan maximum.  Taus closer than ``cluster_tol`` are merged with a warning;
-    degenerate eigenvalues are represented by higher-rank weights, never by
-    repeated taus.
+    The operator bound H >= min over cells of lambda_min(Q) gives
+    tau^2 <= -min lambda_min: a positive semidefinite potential has no bound
+    states and needs no scan, and a ``tau_max`` below the bound warns that
+    states may be missed.  Otherwise scans |det A(i tau)| on a uniform grid
+    and refines every local minimum at once by zooming: each round evaluates
+    the determinant on ``_ZOOM_POINTS`` points inside every bracket in one
+    batch (the modulus need not change sign in the matrix case) and keeps the
+    neighbors of each argmin, until the brackets are narrower than
+    ``refine_tol``.  Refined minima below ``accept_rel`` times the scan
+    maximum are accepted.  Taus closer than ``cluster_tol`` are merged with a
+    warning; degenerate eigenvalues are represented by higher-rank weights,
+    never by repeated taus.
     """
     if tau_max <= 0:
         raise ValidationError("tau_max must be positive")
+    lam_min = float(np.linalg.eigvalsh(potential.cell_values).min())
+    if lam_min >= 0.0:
+        return []
+    if tau_max**2 < -lam_min:
+        warnings.warn(
+            f"tau_max = {tau_max:g} is below the operator bound sqrt(-min lambda_min(Q)) = "
+            f"{np.sqrt(-lam_min):.6g}; bound states above tau_max may be missed",
+            stacklevel=2,
+        )
     taus = np.linspace(tau_max / n_scan, tau_max, n_scan)
-    vals = _det_a_on_axis(potential, taus)
+    vals = _abs_det_a_on_axis(potential, taus)
     vmax = float(vals.max())
     if vmax == 0.0:
         raise NumericsError("determinant scan degenerated to zero")
 
     # a genuine zero dips steeply into its grid neighborhood; requiring real
     # depth rejects the roundoff-level ripples of a constant determinant
-    candidates = []
+    brackets = []
     for j in range(len(taus)):
         left = vals[j - 1] if j > 0 else np.inf
         right = vals[j + 1] if j + 1 < len(taus) else np.inf
         if vals[j] < 0.9 * min(left, right):
             lo = taus[j - 1] if j > 0 else taus[j] * 0.1
             hi = taus[j + 1] if j + 1 < len(taus) else taus[j]
-            candidates.append((lo, hi))
+            brackets.append((lo, hi))
+    if not brackets:
+        return []
 
-    phi = 0.5 * (np.sqrt(5.0) - 1.0)
-    found = []
-    for lo, hi in candidates:
-        a, b = lo, hi
-        x1 = b - phi * (b - a)
-        x2 = a + phi * (b - a)
-        f1 = float(_det_a_on_axis(potential, np.array([x1]))[0])
-        f2 = float(_det_a_on_axis(potential, np.array([x2]))[0])
-        while b - a > refine_tol:
-            if f1 <= f2:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - phi * (b - a)
-                f1 = float(_det_a_on_axis(potential, np.array([x1]))[0])
-            else:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + phi * (b - a)
-                f2 = float(_det_a_on_axis(potential, np.array([x2]))[0])
-        tau_star = 0.5 * (a + b)
-        val = float(_det_a_on_axis(potential, np.array([tau_star]))[0])
-        if val < accept_rel * vmax:
-            found.append(float(tau_star))
+    brackets = np.array(brackets)
+    frac = np.linspace(0.0, 1.0, _ZOOM_POINTS)
+    rows = np.arange(len(brackets))
+    while True:
+        pts = brackets[:, :1] + (brackets[:, 1:] - brackets[:, :1]) * frac
+        zoom = _abs_det_a_on_axis(potential, pts.ravel()).reshape(pts.shape)
+        j = np.argmin(zoom, axis=1)
+        best, best_val = pts[rows, j], zoom[rows, j]
+        brackets = np.stack(
+            [pts[rows, np.maximum(j - 1, 0)], pts[rows, np.minimum(j + 1, frac.size - 1)]], axis=1
+        )
+        if np.max(brackets[:, 1] - brackets[:, 0]) <= refine_tol:
+            break
+    found = sorted(float(t) for t in best[best_val < accept_rel * vmax])
 
-    found.sort()
     merged: list[float] = []
     for t in found:
         if merged and t - merged[-1] < cluster_tol:
@@ -406,12 +414,20 @@ def residue_matrix(
     """Residues of A^{-1} and D^{-1} at rho = i tau by contour integration.
 
     The radius follows ``domain.residue_contour_radius``; the contour must
-    stay clear of the real axis and of other poles.
+    stay clear of the real axis and of other poles.  The ring nodes
+    theta_k = 2 pi (k + 1/2)/nodes are closed under z -> -conj(z)
+    (k -> nodes/2 - 1 - k), so one plus and one minus sweep give both A and D.
     """
     contour_radius = residue_contour_radius(tau, neighbor_taus, contour_radius)
-    a_of, d_of = coefficient_evaluators(potential)
-    r_minus = contour_residue(lambda z: np.linalg.inv(a_of(z)), 1j * tau, contour_radius, nodes)
-    r_plus = contour_residue(lambda z: np.linalg.inv(d_of(z)), 1j * tau, contour_radius, nodes)
+    if nodes % 2:
+        raise ValidationError("the residue contour needs an even number of nodes")
+    mirror = (nodes // 2 - 1 - np.arange(nodes)) % nodes
+
+    def inverses(z):
+        a, _, d, _ = _coefficients(potential, z, mirror)
+        return np.stack([np.linalg.inv(a), np.linalg.inv(d)], axis=1)
+
+    r_minus, r_plus = contour_residue(inverses, 1j * tau, contour_radius, nodes)
     return ResiduePair(tau=float(tau), R_minus=r_minus, R_plus=r_plus)
 
 

@@ -381,23 +381,35 @@ def invert(
     Runs the plus-side equation for x >= -overlap and the minus side for
     x <= overlap (each from two interleaved factorizations on the solve grid
     du = 2 dx), checks agreement on the shared window and stitches with a
-    linear cross-fade across one cell at x = 0.  When ``j_minus`` is omitted
-    it is derived from the right data (zero reflection, or the scalar
-    reconstruction of the transmission denominator); matrix data with
-    reflection requires it.
+    linear cross-fade across one cell at x = 0.  A side without target nodes
+    is not solved, and with no shared window the overlap gap is 0.  When
+    ``j_minus`` is omitted and the minus side is solved, it is derived from
+    the right data (zero reflection, or the scalar reconstruction of the
+    transmission denominator); matrix data with reflection requires it.
     """
     if grid is None:
         raise ValidationError("a target SpaceGrid is required")
-    if j_minus is None:
-        j_minus = _derive_left_data(j_plus)
 
     dx = grid.dx
     xs = grid.xs
-    xs_plus = xs[xs >= -overlap - 1e-12]
-    xs_minus = xs[xs <= overlap + 1e-12]
-    q_plus, sig_p, res_p = _half_line_potential(j_plus, xs_plus, dx)
-    q_mirror, sig_m, res_m = _half_line_potential(j_minus, -xs_minus[::-1], dx)
-    q_minus = q_mirror[::-1]
+    m = j_plus.m
+    has_plus = xs >= -overlap - 1e-12
+    has_minus = xs <= overlap + 1e-12
+    q_plus = np.zeros((grid.n, m, m), dtype=complex)
+    q_minus = np.zeros((grid.n, m, m), dtype=complex)
+    sigmas, residuals = [], []
+    # each side is solved only where the target grid has nodes on it
+    if has_plus.any():
+        q_plus[has_plus], sig, res = _half_line_potential(j_plus, xs[has_plus], dx)
+        sigmas.append(sig)
+        residuals.append(res)
+    if has_minus.any():
+        if j_minus is None:
+            j_minus = _derive_left_data(j_plus)
+        q_mirror, sig, res = _half_line_potential(j_minus, -xs[has_minus][::-1], dx)
+        q_minus[has_minus] = q_mirror[::-1]
+        sigmas.append(sig)
+        residuals.append(res)
 
     herm_defect = float(max(
         np.abs(q_plus - q_plus.conj().transpose(0, 2, 1)).max(initial=0.0),
@@ -406,29 +418,15 @@ def invert(
     q_plus = 0.5 * (q_plus + q_plus.conj().transpose(0, 2, 1))
     q_minus = 0.5 * (q_minus + q_minus.conj().transpose(0, 2, 1))
 
-    m = j_plus.m
-    q = np.zeros((grid.n, m, m), dtype=complex)
-    i_plus0 = int(np.searchsorted(xs, xs_plus[0] - 1e-12))
-    i_minus1 = int(np.searchsorted(xs, xs_minus[-1] - 1e-12))
-
     fade = np.clip((xs + dx) / (2 * dx), 0.0, 1.0)  # 0 left of -dx, 1 right of +dx
-    for i in range(grid.n):
-        has_plus = i >= i_plus0
-        has_minus = i <= i_minus1
-        if has_plus and has_minus:
-            w = fade[i]
-            q[i] = (1 - w) * q_minus[i] + w * q_plus[i - i_plus0]
-        elif has_plus:
-            q[i] = q_plus[i - i_plus0]
-        else:
-            q[i] = q_minus[i]
+    w = np.where(has_plus & has_minus, fade, has_plus.astype(float))[:, None, None]
+    q = (1 - w) * q_minus + w * q_plus
 
     # agreement of the two reconstructions on the shared window |x| <= 1
-    gaps = []
-    for i, x in enumerate(xs):
-        if -1.0 - 1e-12 <= x <= 1.0 + 1e-12 and i >= i_plus0 and i <= i_minus1:
-            gaps.append(matrix_operator_norm(q_plus[i - i_plus0] - q_minus[i]))
-    overlap_gap = float(max(gaps, default=0.0))
+    window = has_plus & has_minus & (np.abs(xs) <= 1.0 + 1e-12)
+    overlap_gap = float(max(
+        (matrix_operator_norm(d) for d in q_plus[window] - q_minus[window]), default=0.0
+    ))
     scale = float(np.abs(q).max(initial=0.0))
     if overlap_gap > overlap_tol * (0.1 + scale):
         raise InconsistentDataError(
@@ -438,7 +436,7 @@ def invert(
     return InversionResult(
         potential=SampledPotential(grid, q),
         overlap_gap=overlap_gap,
-        sigma_min_est=float(min(sig_p, sig_m)),
-        residual_max=float(max(res_p, res_m)),
+        sigma_min_est=float(min(sigmas)),
+        residual_max=float(max(residuals)),
         hermiticity_defect=herm_defect,
     )

@@ -111,6 +111,29 @@ def test_invert_command_from_soliton_data(tmp_path):
     assert np.abs(pot.values[:, 0, 0] - exact).max() < 5e-3
 
 
+@pytest.mark.parametrize("x_min, x_max", [("2", "4"), ("-4", "-2")])
+def test_invert_command_on_one_side_of_the_overlap(tmp_path, x_min, x_max):
+    # the target grid lies wholly right (left) of [-1, 1]: only that side is solved
+    sol = tmp_path / "sol"
+    assert cli.main([
+        "soliton", "--tau", "1", "--weight", "2",
+        "--x-min", "-6", "--x-max", "6", "--dx", "0.05",
+        "--rho-max", "8", "--n-rho", "64",
+        "--out", str(sol),
+    ]) == 0
+    inv = tmp_path / "inv"
+    code = cli.main([
+        "invert", "--data", str(sol / "scattering_right.json"),
+        "--x-min", x_min, "--x-max", x_max, "--dx", "0.1",
+        "--out", str(inv),
+    ])
+    assert code == 0
+    pot = cli.read_potential_csv(inv / "potential.csv")
+    exact = -2.0 / np.cosh(pot.grid.xs) ** 2
+    assert np.abs(pot.values[:, 0, 0] - exact).max() < 1e-4
+    assert json.loads((inv / "report.json").read_text())["overlap_gap"] == 0.0
+
+
 def test_roundtrip_command_zero(tmp_path):
     out = tmp_path / "rt"
     code = cli.main([
@@ -214,7 +237,7 @@ def test_import_leaves_spline_and_optimizer_unloaded():
     src = os.path.dirname(os.path.dirname(mstl.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     probe = ("import sys, mstl.cli; print(sorted(m for m in "
-             "('scipy.interpolate', 'scipy.optimize') if m in sys.modules))")
+             "('scipy.interpolate', 'scipy.optimize', 'scipy.special') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"

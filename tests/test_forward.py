@@ -17,29 +17,43 @@ def zero_pot():
     return domain.zero_potential(SpaceGrid.from_bounds(-4.0, 4.0, 0.02), dim=2)
 
 
+def _field(potential, rho, direction):
+    """Whole-grid Jost field (F, F') at one spectral point, shape (n, m, m) each."""
+    f, p = forward._propagate(potential, np.array([rho]), direction, range(potential.grid.n))
+    return f[:, 0], p[:, 0]
+
+
+def _bracket_with_spread(row, column):
+    """Bracket of a row field (given as the column field at -conj(rho)) and a
+    column field, averaged over the grid, with its RMS spread across x."""
+    values = forward._bracket(*row, *column)
+    mean = values.mean(axis=0)
+    return mean, float(np.sqrt(np.mean(np.abs(values - mean) ** 2)))
+
+
 def test_jost_zero_potential_plus(zero_pot):
-    field = forward.jost_solution(zero_pot, 1.0, "plus")
+    f, _ = _field(zero_pot, 1.0, "plus")
     expect = np.exp(1j * zero_pot.grid.xs)[:, None, None] * np.eye(2)
-    assert np.abs(field.F - expect).max() < 1e-12
+    assert np.abs(f - expect).max() < 1e-12
 
 
 def test_jost_zero_potential_minus_imaginary(zero_pot):
-    field = forward.jost_solution(zero_pot, 1.0j, "minus")
+    f, _ = _field(zero_pot, 1.0j, "minus")
     expect = np.exp(zero_pot.grid.xs)[:, None, None] * np.eye(2)
-    assert np.abs(field.F - expect).max() < 1e-10
+    assert np.abs(f - expect).max() < 1e-10
 
 
 def test_jost_rejects_lower_half_plane(zero_pot):
     with pytest.raises(ValidationError):
-        forward.jost_solution(zero_pot, 1.0 - 0.5j, "plus")
+        _field(zero_pot, 1.0 - 0.5j, "plus")
 
 
 def test_jost_box_field_matches_oracle():
     grid = SpaceGrid.from_bounds(-2.0, 2.0, 0.02)
     box = domain.box_potential(grid)
-    field = forward.jost_solution(box, 2.0, "plus")
+    f, _ = _field(box, 2.0, "plus")
     expect = box_oracle_field(grid.xs, 2.0)
-    assert np.abs(field.F[:, 0, 0] - expect).max() < 1e-10
+    assert np.abs(f[:, 0, 0] - expect).max() < 1e-10
 
 
 @pytest.mark.parametrize("direction", ["plus", "minus"])
@@ -54,18 +68,17 @@ def test_jost_box_field_matches_oracle():
 def test_jost_box_field_off_node_edges(direction, rho, half_width, cell_edge):
     grid = SpaceGrid.from_bounds(-2.0, 2.0, 0.02)
     box = domain.box_potential(grid, half_width=half_width)
-    field = forward.jost_solution(box, rho, direction)
+    f, _ = _field(box, rho, direction)
     # the box is even, so the minus field is the plus field at -x
     xs = grid.xs if direction == "plus" else -grid.xs
     expect = box_oracle_field(xs, rho, half_width=cell_edge)
-    assert np.abs(field.F[:, 0, 0] - expect).max() < 1e-10 * np.abs(expect).max()
+    assert np.abs(f[:, 0, 0] - expect).max() < 1e-10 * np.abs(expect).max()
 
 
 def test_jost_pde_residual_small():
     grid = SpaceGrid.from_bounds(-8.0, 8.0, 0.02)
     bump = domain.bump_potential(grid)
-    field = forward.jost_solution(bump, 2.0, "plus")
-    f = field.F
+    f, _ = _field(bump, 2.0, "plus")
     # second-difference consistency with the node-sampled equation, O(dx^2)
     lap = (f[2:] - 2 * f[1:-1] + f[:-2]) / grid.dx**2
     resid = -lap + bump.values[1:-1] @ f[1:-1] - 4.0 * f[1:-1]
@@ -73,31 +86,80 @@ def test_jost_pde_residual_small():
 
 
 def test_jost_zero_energy_computable(zero_pot):
-    field = forward.jost_solution(zero_pot, 0.0, "minus")
-    assert np.abs(field.F - np.eye(2)).max() < 1e-12
+    f, _ = _field(zero_pot, 0.0, "minus")
+    assert np.abs(f - np.eye(2)).max() < 1e-12
 
 
 def test_wronskian_zero_potential():
     pot = domain.zero_potential(SpaceGrid.from_bounds(-3.0, 3.0, 0.05))
-    f_plus = forward.jost_solution(pot, 1.0, "plus")
-    f_plus_neg = forward.jost_solution(pot, -1.0 + 0j, "plus")
+    f_plus = _field(pot, 1.0, "plus")
+    f_plus_neg = _field(pot, -1.0 + 0j, "plus")
     # the row solution at rho is the conjugate transpose of the column at -rho,
     # so the same-argument bracket at rho = 1 takes (row from -1, column at +1)
-    same, spread = forward.wronskian_bracket(f_plus_neg, f_plus, return_spread=True)
+    same, spread = _bracket_with_spread(f_plus_neg, f_plus)
     assert np.abs(same).max() < 1e-12 and spread < 1e-12
     # crossed arguments (row at +1, column at -1) give +2 i rho; both build
     # from the plus field computed at -1
-    cross = forward.wronskian_bracket(f_plus_neg, f_plus_neg)
+    cross, _ = _bracket_with_spread(f_plus_neg, f_plus_neg)
     assert np.abs(cross - 2j * np.eye(1)).max() < 1e-12
 
 
 def test_wronskian_box_constancy():
     grid = SpaceGrid.from_bounds(-2.0, 2.0, 0.02)
     box = domain.box_potential(grid)
-    y = forward.jost_solution(box, 2.0, "plus")
-    z = forward.jost_solution(box, -2.0 + 0j, "minus")
-    value, spread = forward.wronskian_bracket(z, y, return_spread=True)
+    y = _field(box, 2.0, "plus")
+    z = _field(box, -2.0 + 0j, "minus")
+    value, spread = _bracket_with_spread(z, y)
     assert spread <= 1e-6 * (1.0 + np.abs(value).max())
+
+
+def _expm_reference(potential, rho, direction):
+    """Per-rho Jost field from expm of the first-order system, cell by cell.
+
+    Y = (F, F') solves Y' = [[0, I], [Q_c - rho^2 I, 0]] Y on cell c; the
+    field starts as the free wave at the incoming end of the grid.
+    """
+    from scipy.linalg import expm
+
+    grid, m = potential.grid, potential.m
+    eye = np.eye(m)
+    sign = 1.0 if direction == "plus" else -1.0
+    ikr = sign * 1j * rho
+    ys = np.empty((grid.n, 2 * m, m), dtype=complex)
+    first = grid.n - 1 if direction == "plus" else 0
+    wave = np.exp(ikr * grid.xs[first])
+    ys[first] = np.vstack([wave * eye, ikr * wave * eye])
+    cells = range(grid.n - 2, -1, -1) if direction == "plus" else range(grid.n - 1)
+    zero = np.zeros((m, m))
+    for c in cells:
+        gen = np.block([[zero, eye], [potential.cell_values[c] - rho**2 * eye, zero]])
+        if direction == "plus":
+            ys[c] = expm(-grid.dx * gen) @ ys[c + 1]
+        else:
+            ys[c + 1] = expm(grid.dx * gen) @ ys[c]
+    return ys[:, :m], ys[:, m:]
+
+
+@pytest.mark.parametrize("direction", ["plus", "minus"])
+def test_propagate_matches_expm_reference(direction):
+    m = 3
+    grid = SpaceGrid.from_bounds(-1.0, 1.0, 0.05)
+    rng = np.random.default_rng(5)
+    g = rng.normal(size=(grid.n - 1, m, m)) + 1j * rng.normal(size=(grid.n - 1, m, m))
+    cells = 0.5 * (g + g.conj().transpose(0, 2, 1))
+    # one cell has the eigenvalue rho^2 = 2.25, so mu = 0 there
+    u, _ = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+    cells[17] = u @ np.diag([2.25, -1.0, 0.5]) @ u.conj().T
+    nodes = np.concatenate([cells[:1], 0.5 * (cells[1:] + cells[:-1]), cells[-1:]])
+    pot = domain.SampledPotential(grid, nodes, cell_values=cells)
+    assert np.abs(np.linalg.eigvalsh(pot.cell_values[17]) - 1.5**2).min() < 1e-12
+
+    rhos = np.array([1.3, 0.8 + 0.6j, 1.5])
+    f, p = forward._propagate(pot, rhos, direction, range(grid.n))
+    for k, rho in enumerate(rhos):
+        f_ref, p_ref = _expm_reference(pot, rho, direction)
+        assert np.abs(f[:, k] - f_ref).max() <= 1e-12 * np.abs(f_ref).max()
+        assert np.abs(p[:, k] - p_ref).max() <= 1e-12 * np.abs(p_ref).max()
 
 
 def test_coefficients_zero_potential(zero_pot):
@@ -184,6 +246,64 @@ def test_find_bound_states_sech_well():
     assert abs(taus[0] - 1.0) < 1e-3
 
 
+@pytest.fixture(scope="module")
+def two_soliton():
+    """Two rank-one solitons (tau = 1 and 2, weights 2 and 8) on [-4, 4]."""
+    v = np.array([1.0, 1.0j]) / np.sqrt(2)
+    proj = np.outer(v, v.conj())
+    grid = SpaceGrid.from_bounds(-4.0, 4.0, 0.025)
+    return solitons.separable_glm_solve([(1.0, 2.0 * proj), (2.0, 8.0 * proj)], "right", grid)
+
+
+def _count_sweeps(monkeypatch):
+    """List that gets one entry (the direction) per ``_propagate`` call."""
+    calls = []
+    propagate = forward._propagate
+
+    def counting(potential, rhos, direction, keep):
+        calls.append(direction)
+        return propagate(potential, rhos, direction, keep)
+
+    monkeypatch.setattr(forward, "_propagate", counting)
+    return calls
+
+
+def test_refined_taus_are_local_minima(two_soliton):
+    refine_tol = 1e-8
+    taus = forward.find_bound_states(two_soliton, 5.0, refine_tol=refine_tol)
+    assert len(taus) == 2
+    for tau in taus:
+        left, mid, right = forward._abs_det_a_on_axis(
+            two_soliton, np.array([tau - refine_tol, tau, tau + refine_tol])
+        )
+        # a local minimum of |det A(i tau)| lies within refine_tol of tau
+        assert mid <= left and mid <= right
+
+
+def test_full_forward_sweep_count(two_soliton, monkeypatch):
+    calls = _count_sweeps(monkeypatch)
+    result = forward.full_forward(two_soliton, RhoGrid(10.0, 64), 5.0)
+    assert len(result.j_plus.bound_states) == 2
+    # scan and six zoom rounds (14), real grid (2), and per state the residue
+    # ring (2) and the weight fields (2)
+    assert len(calls) == 24
+
+
+def test_positive_semidefinite_potential_needs_no_scan(bump_setup, monkeypatch):
+    _, bump, _ = bump_setup
+    calls = _count_sweeps(monkeypatch)
+    assert forward.find_bound_states(bump, 5.0) == []
+    assert calls == []
+
+
+def test_tau_max_below_operator_bound_warns():
+    grid = SpaceGrid.from_bounds(-10.0, 10.0, 0.02)
+    well = domain.sech_well(grid, tau=6.0)
+    # min Q = -72, so bound states may reach tau = sqrt(72) > 5
+    with pytest.warns(UserWarning, match="operator bound"):
+        forward.find_bound_states(well, 5.0)
+
+
 def test_residue_matrix_sech_well():
     grid = SpaceGrid.from_bounds(-10.0, 10.0, 0.02)
     well = domain.sech_well(grid, tau=1.0)
@@ -191,8 +311,7 @@ def test_residue_matrix_sech_well():
     res = forward.residue_matrix(well, tau)
     assert abs(res.R_minus[0, 0] - 2.0j) < 5e-3
     assert np.abs(res.R_minus + res.R_plus.conj().T).max() < 1e-6
-    a_of, _ = forward.coefficient_evaluators(well)
-    a_at = a_of(np.array([1j * tau]))[0]
+    a_at = forward._coefficients(well, np.array([1j * tau]), np.array([0]))[0][0]
     assert matrix_operator_norm(a_at @ res.R_minus) < 1e-6
 
 
