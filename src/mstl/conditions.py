@@ -96,7 +96,7 @@ def check_condition_A(
     items.append(CheckItem("reflection_norm_below_one", bool(s_norms.max(initial=0.0) < 1.0),
                            float(s_norms.max(initial=0.0)), 1.0))
 
-    sym = float(np.abs(data.rho_grid.flipped(s) - s.conj().transpose(0, 2, 1)).max(initial=0.0))
+    sym = float(np.abs(s[::-1] - s.conj().transpose(0, 2, 1)).max(initial=0.0))
     sym_tol = 1e-6 * (1.0 + float(s_norms.max(initial=0.0)))
     items.append(CheckItem("reflection_symmetry", sym <= sym_tol, sym, sym_tol))
 
@@ -166,7 +166,7 @@ def connect_left_from_right(
     if d.shape != j_plus.S.shape:
         raise ValidationError("D grid values must match the reflection sample shape")
     dh = d.conj().transpose(0, 2, 1)
-    dh_flip = j_plus.rho_grid.flipped(d).conj().transpose(0, 2, 1)
+    dh_flip = d[::-1].conj().transpose(0, 2, 1)
     sh = j_plus.S.conj().transpose(0, 2, 1)
     try:
         rightmost = np.linalg.solve(
@@ -406,7 +406,7 @@ def check_condition_B_numeric(
     items.append(CheckItem("zero_limit", b6_ok, v_small, max(v_next * 1.2, 1e-9)))
 
     # secondary probe (recorded, non-gating): rho (S_- - I) A with A = D(-rho)^*
-    d_flip = j_plus.rho_grid.flipped(d_real)
+    d_flip = d_real[::-1]
     a_real = d_flip.conj().transpose(0, 2, 1)
     s_minus = -np.einsum(
         "nab,nbc,ncd->nad",

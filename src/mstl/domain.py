@@ -101,25 +101,6 @@ def hermitian_pseudo_inverse(n: np.ndarray, cutoff: float = EIG_CUTOFF_REL) -> n
     return (u * inv) @ u.conj().T
 
 
-def hermitian_sqrt_pinv(
-    n: np.ndarray, cutoff: float = EIG_CUTOFF_REL
-) -> tuple[np.ndarray, np.ndarray]:
-    """Principal square root and pseudo-inverse square root of a PSD matrix.
-
-    Returns ``(n_half, n_half_pinv)`` with ``n_half @ n_half = n`` and
-    ``n_half @ n_half_pinv`` the orthogonal projector onto range(n).
-    """
-    if cutoff <= 0:
-        raise ValidationError("cutoff must be positive")
-    n = _checked_hermitian(n, "square-root input")
-    w, u = np.linalg.eigh(n)
-    thresh = cutoff * max(float(w.max(initial=0.0)), 0.0)
-    keep = w > thresh
-    root = np.where(keep, np.sqrt(np.where(keep, w, 1.0)), 0.0)
-    root_inv = np.where(keep, 1.0 / np.where(keep, root, 1.0), 0.0)
-    return (u * root) @ u.conj().T, (u * root_inv) @ u.conj().T
-
-
 def hermitian_rank(n: np.ndarray, cutoff: float = EIG_CUTOFF_REL) -> int:
     n = _checked_hermitian(n, "rank input")
     w = np.linalg.eigvalsh(n)
@@ -210,7 +191,8 @@ class RhoGrid:
 
     Nodes are +-(k + 1/2) * rho_max / n_half for k = 0..n_half-1, in ascending
     order.  Zero is never a node and nodes come in exact +-pairs, so node j
-    pairs with node -(j+1) under rho -> -rho.
+    pairs with node -(j+1) under rho -> -rho: reversing nodewise values
+    evaluates them at -rho.
     """
 
     rho_max: float
@@ -234,10 +216,6 @@ class RhoGrid:
     @property
     def n(self) -> int:
         return 2 * self.n_half
-
-    def flipped(self, values: np.ndarray) -> np.ndarray:
-        """Reorder nodewise values so entry j holds the value at -nodes[j]."""
-        return values[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ every candidate in the same batched sweeps.
 from __future__ import annotations
 
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,23 +62,13 @@ _BLOCK_ELEMENTS = 2**15  # cell factors per sweep block, in (cell, component, rh
 _ZOOM_POINTS = 33  # determinant samples per bracket in each zoom round
 
 
-class ForwardResult(tuple):
-    """(J_plus, J_minus, coefficients) with attribute access."""
+@dataclass(frozen=True)
+class ForwardResult:
+    """Right and left scattering data with the real-grid coefficients."""
 
-    def __new__(cls, j_plus, j_minus, coefficients):
-        return super().__new__(cls, (j_plus, j_minus, coefficients))
-
-    @property
-    def j_plus(self):
-        return self[0]
-
-    @property
-    def j_minus(self):
-        return self[1]
-
-    @property
-    def coefficients(self):
-        return self[2]
+    j_plus: ScatteringData
+    j_minus: ScatteringData
+    coefficients: CoefficientSet
 
 
 # ---------------------------------------------------------------------------

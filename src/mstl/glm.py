@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import lapack
 
 from mstl.domain import (
     BoundState,
@@ -236,6 +235,8 @@ def nested_diagonal(kernel, x0: float, du: float, count: int, y_end: float) -> D
     1e-12 raises ``IllPosedDataError``.  The residual is that of the x0 row,
     solved through the factor and checked against the Hankel form.
     """
+    from scipy.linalg import lapack  # loaded on first use: it dominates start-up
+
     n = max(count + 7, int(np.ceil((y_end - x0) / du - 1e-9)) + 1)
     h = np.asarray(kernel(2.0 * x0 + du * np.arange(2 * n - 1)))
     m = h.shape[-1]

@@ -1,9 +1,9 @@
 """Reflectionless potentials in closed form.
 
 With zero reflection the GLM kernel is a finite sum of exponentials, so the
-integral equation collapses to one small block system per x (the separable
-solve) and the scattering side of the problem is carried by a rational
-unitary factor
+integral equation collapses to a Cauchy system whose size is the sum of the
+weight ranks, solved for every x in one batch (the separable solve), and the
+scattering side of the problem is carried by a rational unitary factor
 
     U(rho) = (I + 2 rho_N / (rho - rho_N) P_N) ... (I + 2 rho_1 / (rho - rho_1) P_1),
 
@@ -31,7 +31,7 @@ from mstl.domain import (
     psd_margin,
 )
 
-_LOG_CLIP = 460.0  # exp stays finite and the saturated limit is exact to roundoff
+_EXP_CLAMP = 460.0  # largest exponent 2 tau x - s in the separable solve
 
 
 @dataclass(frozen=True)
@@ -49,11 +49,15 @@ class ProjectorChain:
         return len(self.taus)
 
 
-def _kernel_basis(n: np.ndarray, cutoff: float = EIG_CUTOFF_REL) -> np.ndarray:
-    """Orthonormal basis of the null space of a Hermitian PSD matrix."""
+def _range_and_kernel(n: np.ndarray, cutoff: float = EIG_CUTOFF_REL):
+    """Range factor B with B B^H = n, and an orthonormal basis of Ker n.
+
+    One eigen-split of a Hermitian PSD matrix: eigenvalues above ``cutoff``
+    times the largest magnitude span the range, the rest the kernel.
+    """
     w, v = np.linalg.eigh(0.5 * (n + n.conj().T))
-    thresh = cutoff * max(float(np.abs(w).max(initial=0.0)), 0.0)
-    return v[:, np.abs(w) <= thresh]
+    keep = w > cutoff * float(np.abs(w).max(initial=0.0))
+    return v[:, keep] * np.sqrt(w[keep]), v[:, ~keep]
 
 
 def checked_states(states) -> tuple[list, list]:
@@ -92,7 +96,7 @@ def build_projector_chain(states) -> ProjectorChain:
     projectors: list[np.ndarray] = []
     eye = np.eye(m, dtype=complex)
     for k in range(len(taus)):
-        ker = _kernel_basis(weights[k])
+        _, ker = _range_and_kernel(weights[k])
         if ker.shape[1] == 0:
             projectors.append(eye.copy())
             continue
@@ -184,76 +188,45 @@ def reflectionless_D(chain: ProjectorChain):
 # separable GLM solve
 
 
-def _solve_states_at(taus, weights, log_scales, x: float, m: int):
-    """Kernel diagonal value and x-derivative at one point, in closed form.
-
-    Works in the frame translated to the evaluation point, so only shifted
-    log-weights s_k - 2 tau_k x enter; clipping them at +460 realizes the
-    saturated limit of fully developed states without overflow.
-    """
-    n = len(taus)
-    eye_m = np.eye(m, dtype=complex)
-    exps = np.array([min(s - 2.0 * t * x, _LOG_CLIP) for s, t in zip(log_scales, taus)])
-    scaled = [np.exp(e) * w for e, w in zip(exps, weights)]
-
-    size = n * m
-    g = np.zeros((size, size), dtype=complex)
-    dg = np.zeros((size, size), dtype=complex)
-    b = np.zeros((m, size), dtype=complex)
-    db = np.zeros((m, size), dtype=complex)
-    for k in range(n):
-        cols = slice(k * m, (k + 1) * m)
-        b[:, cols] = scaled[k]
-        db[:, cols] = -2.0 * taus[k] * scaled[k]
-        for j in range(n):
-            rows = slice(j * m, (j + 1) * m)
-            g[rows, cols] = scaled[k] / (taus[j] + taus[k])
-            dg[rows, cols] = -2.0 * taus[k] * scaled[k] / (taus[j] + taus[k])
-    a = np.eye(size, dtype=complex) + g
-
-    try:
-        lu = np.linalg.inv(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(f"separable system singular at x = {x:g}: {exc}") from exc
-    ell = -b @ lu
-    dell = (-db - ell @ dg) @ lu
-
-    # in the translated frame the y-basis is constant at the origin, so the
-    # diagonal and its derivative are plain block sums
-    diag = np.zeros((m, m), dtype=complex)
-    ddiag = np.zeros((m, m), dtype=complex)
-    for k in range(n):
-        cols = slice(k * m, (k + 1) * m)
-        diag += ell[:, cols]
-        ddiag += dell[:, cols]
-    return diag, ddiag
-
-
 def separable_potential_values(states, xs, log_scales=None, side: str = "right"):
-    """Q and the kernel diagonal at arbitrary points, by the closed-form solve.
+    """Q and the kernel diagonal at arbitrary points, by one batched solve.
 
     ``states`` is a sequence of (tau, weight); optional ``log_scales`` carry
     weight factors exp(s_k) in log form (the KdV flow grows them fast).
+    Each weight factors over its range as N_k = B_k B_k^H, so with
+    B = [B_1 ... B_n] and the Hermitian positive definite Cauchy matrix
+    C_jk = B_j^H B_k / (tau_j + tau_k), the kernel diagonal is
+    K(x, x) = -B G^{-1} B^H for G(x) = C + diag(exp(2 tau x - s)), and
+    Q = -2 d/dx K(x, x) = -4 Y^H diag(tau exp(2 tau x - s)) Y with
+    Y = G^{-1} B^H.  Null directions of the weights never enter.
     Returns (q, diag) arrays of shape (len(xs), m, m).
     """
     taus = [float(t) for t, _ in states]
-    weights = [np.asarray(n, dtype=complex) for _, n in states]
     if log_scales is None:
         log_scales = [0.0] * len(taus)
-    m = weights[0].shape[0]
+    factors = [_range_and_kernel(np.asarray(n, dtype=complex))[0] for _, n in states]
+    ranks = [f.shape[1] for f in factors]
+    b = np.concatenate(factors, axis=1)
+    tau = np.repeat(taus, ranks)
     xs = np.asarray(xs, dtype=float)
     solve_xs = -xs[::-1] if side == "left" else xs
 
-    q = np.empty((xs.size, m, m), dtype=complex)
-    diag = np.empty_like(q)
-    for i, x in enumerate(solve_xs):
-        d, dd = _solve_states_at(taus, weights, log_scales, float(x), m)
-        q[i] = -2.0 * dd
-        diag[i] = d
+    # past the clamp a state is fully decayed to roundoff (its rows of Y are
+    # below e^-460), and exp stays finite however far right x or the flow goes
+    exponent = 2.0 * tau * solve_xs[:, None] - np.repeat(log_scales, ranks)
+    e = np.exp(np.minimum(exponent, _EXP_CLAMP))
+    cauchy = (b.conj().T @ b) / (tau[:, None] + tau[None, :])
+    g = cauchy + e[:, :, None] * np.eye(tau.size)
+    try:
+        y = np.linalg.solve(g, b.conj().T)
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(f"separable system singular: {exc}") from exc
+    z = np.sqrt(tau * e)[:, :, None] * y  # Q = -4 z^H z, Hermitian to roundoff
+    q = -4.0 * z.conj().transpose(0, 2, 1) @ z
+    diag = -b @ y
     if side == "left":
         q = q[::-1]
         diag = diag[::-1]
-    q = 0.5 * (q + q.conj().transpose(0, 2, 1))
     return q, diag
 
 

@@ -163,6 +163,19 @@ def test_kdv_command(tmp_path):
     assert len(lines) == 1 + 3 * 321
 
 
+def test_kdv_command_rank_one_weights(tmp_path):
+    # rank-one weights on a window reaching x = -8, where e^{2 tau |x|}
+    # dwarfs the weights' null space
+    out = tmp_path / "kdv"
+    code = cli.main([
+        "kdv", "--tau", "1", "--weight", "2", "--tau", "2", "--weight", "8",
+        "--direction", "1,1j", "--t-max", "1", "--n-t", "3",
+        "--x-min", "-8", "--x-max", "40", "--out", str(out),
+    ])
+    assert code == 0
+    assert len(json.loads((out / "report.json").read_text())["centers"]) == 3
+
+
 def test_validate_command(tmp_path, soliton_data):
     path = tmp_path / "data.json"
     cli.write_scattering_json(path, soliton_data)
@@ -237,7 +250,8 @@ def test_import_leaves_spline_and_optimizer_unloaded():
     src = os.path.dirname(os.path.dirname(mstl.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     probe = ("import sys, mstl.cli; print(sorted(m for m in "
-             "('scipy.interpolate', 'scipy.optimize', 'scipy.special') if m in sys.modules))")
+             "('scipy.interpolate', 'scipy.optimize', 'scipy.special', 'scipy.linalg') "
+             "if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"

@@ -10,7 +10,6 @@ from mstl.domain import (
     contour_residue,
     hermitian_pseudo_inverse,
     hermitian_rank,
-    hermitian_sqrt_pinv,
     matrix_operator_norm,
 )
 
@@ -53,21 +52,6 @@ def test_pinv_properties_random_psd(seed):
     )
 
 
-def test_sqrt_pinv_examples():
-    half, half_inv = hermitian_sqrt_pinv(np.diag([4.0, 0.0]).astype(complex))
-    assert np.allclose(half, np.diag([2.0, 0.0]))
-    assert np.allclose(half_inv, np.diag([0.5, 0.0]))
-    half, half_inv = hermitian_sqrt_pinv(np.eye(2, dtype=complex))
-    assert np.allclose(half, np.eye(2))
-    assert np.allclose(half_inv, np.eye(2))
-    half, half_inv = hermitian_sqrt_pinv(VV)
-    assert np.allclose(half, VV / np.sqrt(2))
-    assert np.allclose(half_inv, VV / (2 * np.sqrt(2)))
-    # square root squares back, and half @ half_inv projects onto the range
-    assert np.allclose(half @ half, VV)
-    assert np.allclose(half @ half_inv, VV / 2.0)
-
-
 def test_operator_norm_examples():
     assert matrix_operator_norm(np.zeros((3, 3))) == 0.0
     assert matrix_operator_norm(np.eye(3)) == pytest.approx(1.0)
@@ -96,8 +80,6 @@ def test_rho_grid_symmetric_without_origin():
     assert np.all(rg.nodes != 0.0)
     assert np.allclose(rg.nodes, -rg.nodes[::-1])
     assert np.allclose(np.diff(rg.nodes), rg.step)
-    values = np.arange(16.0)
-    assert np.allclose(rg.flipped(values), values[::-1])
 
 
 def test_potential_hermitization_and_support():

@@ -191,14 +191,16 @@ def test_potential_value_pointwise(soliton_data):
 
 
 def test_invert_runs_two_factorizations_per_side(soliton_data, monkeypatch):
+    from scipy.linalg import lapack
+
     calls = []
-    zpotrf = glm.lapack.zpotrf
+    zpotrf = lapack.zpotrf
 
     def counting(*args, **kwargs):
         calls.append(args[0].shape)
         return zpotrf(*args, **kwargs)
 
-    monkeypatch.setattr(glm.lapack, "zpotrf", counting)
+    monkeypatch.setattr(lapack, "zpotrf", counting)
     glm.invert(soliton_data, grid=SpaceGrid.from_bounds(-3.0, 3.0, 0.05))
     # du = 2 dx: two interleaved factorizations on each side
     assert len(calls) == 4

@@ -120,6 +120,37 @@ def test_separable_projector_case():
     assert np.abs(pot.values - exact).max() < 1e-8
 
 
+def hirota_two_soliton(xs, taus, weights):
+    """Scalar two-soliton -2 (ln f)'' with f = sum_i w_i exp(-p_i x).
+
+    f f'' - f'^2 = sum_{i<j} w_i w_j (p_i - p_j)^2 exp(-(p_i + p_j) x) has
+    only positive terms, so the closed form is free of cancellation.
+    """
+    (t1, t2), (c1, c2) = taus, weights
+    gamma = ((t1 - t2) / (t1 + t2)) ** 2
+    p = [0.0, 2 * t1, 2 * t2, 2 * (t1 + t2)]
+    w = [1.0, c1 / (2 * t1), c2 / (2 * t2), gamma * c1 * c2 / (4 * t1 * t2)]
+    f = sum(wi * np.exp(-pi * xs) for wi, pi in zip(w, p))
+    num = sum(
+        w[i] * w[j] * (p[i] - p[j]) ** 2 * np.exp(-(p[i] + p[j]) * xs)
+        for i in range(4)
+        for j in range(i + 1, 4)
+    )
+    return -2.0 * num / f**2
+
+
+@pytest.mark.parametrize("direction", [(1.0,), (1.0, 1.0j)])
+def test_separable_two_soliton_matches_hirota(direction):
+    # Q is the scalar two-soliton times the projector onto the direction; for
+    # the rank-one weights the null space sits beside a range block ~e^{4|x|}
+    v = np.array(direction) / np.linalg.norm(direction)
+    proj = np.outer(v, v.conj())
+    grid = SpaceGrid.from_bounds(-8.0, 8.0, 0.02)
+    pot = solitons.separable_glm_solve([(1.0, 2.0 * proj), (2.0, 8.0 * proj)], "right", grid)
+    exact = hirota_two_soliton(grid.xs, (1.0, 2.0), (2.0, 8.0))[:, None, None] * proj
+    assert np.abs(pot.values - exact).max() < 1e-12
+
+
 def test_separable_left_side_mirrors():
     states = scalar_states((1.0, 2.0))
     grid = SpaceGrid.from_bounds(-8.0, 8.0, 0.02)
