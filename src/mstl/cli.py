@@ -65,11 +65,14 @@ def write_potential_csv(path, potential: SampledPotential) -> None:
 
 def read_potential_csv(path) -> SampledPotential:
     text = Path(path).read_text().strip().splitlines()
-    header = text[0].split(",")
-    m = int(round(np.sqrt((len(header) - 1) / 2)))
-    if 1 + 2 * m * m != len(header):
-        raise ValidationError(f"malformed potential header in {path}")
-    rows = np.array([[float(v) for v in line.split(",")] for line in text[1:]])
+    header = text[0].split(",") if text else []
+    m = int(round(np.sqrt(max(len(header) - 1, 0) / 2)))
+    try:
+        rows = np.array([[float(v) for v in line.split(",")] for line in text[1:]])
+    except ValueError as exc:  # a non-numeric entry or a ragged row
+        raise ValidationError(f"malformed potential row in {path}: {exc}") from exc
+    if m < 1 or 1 + 2 * m * m != len(header) or rows.shape[1:] != (len(header),):
+        raise ValidationError(f"malformed potential header or rows in {path}")
     xs = rows[:, 0]
     dxs = np.diff(xs)
     if len(xs) < 2 or not np.allclose(dxs, dxs[0], rtol=1e-9, atol=1e-12):
@@ -164,7 +167,6 @@ class RunConfig:
     x_min: float = -8.0
     x_max: float = 8.0
     dx: float = 0.02
-    tau_max: float = 5.0
     taus: tuple = ()
     weights: tuple = ()
     direction: str = None
@@ -234,7 +236,7 @@ def _rel_l1_error(q_in: SampledPotential, q_out: SampledPotential) -> float:
 
 def cmd_forward(cfg: RunConfig) -> int:
     potential = _load_potential(cfg)
-    result = forward.full_forward(potential, cfg.rho_grid(), cfg.tau_max)
+    result = forward.full_forward(potential, cfg.rho_grid())
     cfg.out.mkdir(parents=True, exist_ok=True)
     write_potential_csv(cfg.out / "potential.csv", potential)
     write_scattering_json(cfg.out / "scattering_right.json", result.j_plus)
@@ -313,7 +315,7 @@ def cmd_kdv(cfg: RunConfig) -> int:
 
 def cmd_roundtrip(cfg: RunConfig) -> int:
     potential = _load_potential(cfg)
-    fwd = forward.full_forward(potential, cfg.rho_grid(), cfg.tau_max)
+    fwd = forward.full_forward(potential, cfg.rho_grid())
     result = glm.invert(fwd.j_plus, fwd.j_minus, grid=potential.grid)
     err = _rel_l1_error(potential, result.potential)
     cfg.out.mkdir(parents=True, exist_ok=True)
@@ -335,18 +337,11 @@ def cmd_validate(cfg: RunConfig) -> int:
     report_a = conditions.check_condition_A(data)
     payload = {"subcommand": "validate", "condition_A": report_a.as_dict()}
     ok = report_a.passed
-    if data.side == "right":
-        s_max = float(np.abs(data.S).max(initial=0.0))
-        d_of = None
-        if s_max < 1e-8 and data.bound_states:
-            chain = solitons.build_projector_chain([(b.tau, b.weight) for b in data.bound_states])
-            d_of = solitons.reflectionless_D(chain)
-        elif data.m == 1:
-            d_of = conditions.scalar_D(data)
-        if d_of is not None:
-            report_b = conditions.check_condition_B_numeric(d_of, data)
-            payload["condition_B"] = report_b.as_dict()
-            ok = ok and report_b.passed
+    denominator = conditions.right_denominator(data) if data.side == "right" else None
+    if denominator is not None:
+        report_b = conditions.check_condition_B_numeric(denominator[0], data)
+        payload["condition_B"] = report_b.as_dict()
+        ok = ok and report_b.passed
     if cfg.out:
         cfg.out.mkdir(parents=True, exist_ok=True)
         write_report(cfg.out / "report.json", payload)
@@ -367,7 +362,6 @@ def _add_grid_args(p):
 def _add_rho_args(p):
     p.add_argument("--rho-max", type=float, default=40.0)
     p.add_argument("--n-rho", type=int, default=2048)
-    p.add_argument("--tau-max", type=float, default=5.0)
 
 
 def build_parser() -> argparse.ArgumentParser:

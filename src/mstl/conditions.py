@@ -30,6 +30,7 @@ from mstl.domain import (
     hermitian_pseudo_inverse,
     hermitian_rank,
     matrix_operator_norm,
+    operator_norms,
     psd_margin,
     residue_contour_radius,
 )
@@ -72,10 +73,6 @@ class ConditionReport:
         }
 
 
-def _norms(values: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(values, compute_uv=False)[..., 0]
-
-
 def check_condition_A(
     data: ScatteringData, u_span: float = 30.0, du: float = 0.05
 ) -> ConditionReport:
@@ -92,7 +89,7 @@ def check_condition_A(
     u_span = min(u_span, 0.9 * np.pi / data.rho_grid.step)
     items = []
 
-    s_norms = _norms(s)
+    s_norms = operator_norms(s)
     items.append(CheckItem("reflection_norm_below_one", bool(s_norms.max(initial=0.0) < 1.0),
                            float(s_norms.max(initial=0.0)), 1.0))
 
@@ -117,11 +114,11 @@ def check_condition_A(
     herm_tol = 1e-6 * (1.0 + r_scale)
     items.append(CheckItem("kernel_hermitian", r_herm <= herm_tol, r_herm, herm_tol))
 
-    r_norms = _norms(r)
+    r_norms = operator_norms(r)
     half = u >= 0 if data.side == "right" else u <= 0
     integral = float(np.trapezoid(r_norms[half], dx=du))
     dr = np.gradient(r, du, axis=0)
-    integral1 = float(np.trapezoid(((1 + np.abs(u)) * _norms(dr))[half], dx=du))
+    integral1 = float(np.trapezoid(((1 + np.abs(u)) * operator_norms(dr))[half], dx=du))
     finite = np.isfinite(integral) and np.isfinite(integral1)
     items.append(CheckItem("kernel_integrals_finite", bool(finite), integral + integral1, np.inf))
 
@@ -176,21 +173,39 @@ def connect_left_from_right(
         raise ValidationError(f"transmission denominator singular on a real node: {exc}") from exc
     s_minus = -rightmost
 
-    by_tau = {round(r.tau, 9): r for r in residues}
     left_states = []
     for b in j_plus.bound_states:
-        r = by_tau.get(round(b.tau, 9))
-        if r is None:
-            matches = [rr for rr in residues if abs(rr.tau - b.tau) < 1e-6]
-            if not matches:
-                raise ValidationError(f"no residue supplied for tau = {b.tau:g}")
-            r = matches[0]
+        r = min(residues, key=lambda r: abs(r.tau - b.tau), default=None)
+        if r is None or abs(r.tau - b.tau) >= 1e-6:
+            raise ValidationError(f"no residue supplied for tau = {b.tau:g}")
         n_minus = r.R_plus @ hermitian_pseudo_inverse(b.weight) @ r.R_plus.conj().T
         left_states.append(BoundState(tau=b.tau, weight=0.5 * (n_minus + n_minus.conj().T), side="left"))
 
     return ScatteringData(
         side="left", rho_grid=j_plus.rho_grid, S=s_minus, bound_states=tuple(left_states)
     )
+
+
+def right_denominator(j_plus: ScatteringData):
+    """(D evaluator, residue pairs) of right data where D is known, else None.
+
+    Zero reflection (max |S| < 1e-8): D = U^-1 of the bound states' projector
+    chain (I without states), with the chain's exact residues.  m = 1: the
+    scalar reconstruction.  Matrix data with reflection do not fix D alone.
+    """
+    from mstl import solitons
+
+    if float(np.abs(j_plus.S).max(initial=0.0)) < 1e-8:
+        if not j_plus.bound_states:
+            eye = np.eye(j_plus.m, dtype=complex)
+            return lambda rho: np.broadcast_to(eye, np.shape(rho) + eye.shape).copy(), []
+        chain = solitons.build_projector_chain([(b.tau, b.weight) for b in j_plus.bound_states])
+        residues = [ResiduePair(t, -r.conj().T, r) for t, r in solitons.residues_of_U(chain)]
+        return solitons.reflectionless_D(chain), residues
+    if j_plus.m == 1:
+        d_of = scalar_D(j_plus)
+        return d_of, residues_from_evaluator(d_of, j_plus.taus)
+    return None
 
 
 def residues_from_evaluator(d_of, taus, nodes: int = 64):
@@ -378,14 +393,14 @@ def check_condition_B_numeric(
                            float(res_defect), 1e-6))
 
     # |rho| * ||D - I|| bounded at two scales
-    v1 = float(np.max(_norms(d_of(_semicircle(rho_max)) - eye)) * rho_max)
-    v2 = float(np.max(_norms(d_of(_semicircle(2 * rho_max)) - eye)) * 2 * rho_max)
+    v1 = matrix_operator_norm(d_of(_semicircle(rho_max)) - eye) * rho_max
+    v2 = matrix_operator_norm(d_of(_semicircle(2 * rho_max)) - eye) * 2 * rho_max
     items.append(CheckItem("large_rho_identity", v2 <= 1.6 * v1 + 1e-9, v2, 1.6 * v1 + 1e-9))
 
     # ||D^{-1}|| bounded at the two smallest real nodes
     small_idx = np.argsort(np.abs(nodes))[:4]
     d_small = d_of(nodes[small_idx].astype(complex))
-    inv_norm = float(np.max(_norms(np.linalg.inv(d_small))))
+    inv_norm = matrix_operator_norm(np.linalg.inv(d_small))
     items.append(CheckItem("inverse_bounded_near_zero", inv_norm <= 1e6, inv_norm, 1e6))
 
     # modulus identity on the real grid
@@ -424,7 +439,7 @@ def check_condition_B_numeric(
     left = ScatteringData(side="left", rho_grid=j_plus.rho_grid, S=s_minus, bound_states=())
     u = np.arange(-30.0, 30.0 + 0.025, 0.05)
     r_minus = fourier_kernel(left, u)
-    rn = _norms(r_minus)
+    rn = operator_norms(r_minus)
     peak = float(rn.max(initial=0.0))
     tail = float(rn[: max(1, len(u) // 10)].max(initial=0.0))
     tail_tol = max(0.2 * peak, 1e-10)

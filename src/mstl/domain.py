@@ -58,11 +58,16 @@ class ContourGeometryError(ValidationError):
 
 
 def matrix_operator_norm(a: np.ndarray) -> float:
-    """Largest singular value (the norm induced by the Euclidean vector norm)."""
-    a = np.asarray(a)
-    if a.ndim == 2:
-        return float(np.linalg.norm(a, 2))
-    return float(np.max(np.linalg.svd(a, compute_uv=False), initial=0.0))
+    """Largest singular value (the norm induced by the Euclidean vector norm).
+
+    A stack of matrices gives the largest over the stack (0 for an empty one).
+    """
+    return float(np.max(operator_norms(np.asarray(a)), initial=0.0))
+
+
+def operator_norms(a: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix in a stack of shape (..., m, m)."""
+    return np.linalg.norm(a, 2, axis=(-2, -1))
 
 
 def hermitian_defect(n: np.ndarray) -> float:
@@ -159,14 +164,16 @@ class SpaceGrid:
     n: int
 
     def __post_init__(self):
-        if self.dx <= 0:
-            raise ValidationError("dx must be positive")
+        if not (math.isfinite(self.x0) and math.isfinite(self.dx) and self.dx > 0):
+            raise ValidationError("dx must be positive and finite, x0 finite")
         if self.n < 2:
             raise ValidationError("grid needs at least two nodes")
         object.__setattr__(self, "_xs", self.x0 + self.dx * np.arange(self.n))
 
     @classmethod
     def from_bounds(cls, x_min: float, x_max: float, dx: float) -> "SpaceGrid":
+        if not (math.isfinite(x_min) and math.isfinite(x_max) and math.isfinite(dx) and dx > 0):
+            raise ValidationError("grid bounds must be finite and dx positive")
         n = int(round((x_max - x_min) / dx)) + 1
         if n < 2 or not math.isclose(x_min + (n - 1) * dx, x_max, rel_tol=0, abs_tol=1e-9):
             raise ValidationError("bounds are not an integer number of steps apart")
@@ -199,8 +206,8 @@ class RhoGrid:
     n_half: int
 
     def __post_init__(self):
-        if self.rho_max <= 0 or self.n_half < 1:
-            raise ValidationError("rho_max must be positive and n_half >= 1")
+        if not (math.isfinite(self.rho_max) and self.rho_max > 0) or self.n_half < 1:
+            raise ValidationError("rho_max must be positive and finite, n_half >= 1")
         step = self.rho_max / self.n_half
         pos = step * (np.arange(self.n_half) + 0.5)
         object.__setattr__(self, "_nodes", np.concatenate([-pos[::-1], pos]))
@@ -295,7 +302,7 @@ class SampledPotential:
         return self.values.shape[1]
 
     def norms(self) -> np.ndarray:
-        return np.array([matrix_operator_norm(q) for q in self.values])
+        return operator_norms(self.values)
 
     def weighted_l1(self) -> float:
         w = (1.0 + np.abs(self.grid.xs)) * self.norms()
@@ -304,9 +311,6 @@ class SampledPotential:
     def total_integral(self) -> np.ndarray:
         """Trapezoid integral of Q over the whole grid."""
         return np.trapezoid(self.values, dx=self.grid.dx, axis=0)
-
-    def is_zero(self) -> bool:
-        return bool(np.all(self.values == 0))
 
 
 def zero_potential(grid: SpaceGrid, dim: int = 1) -> SampledPotential:

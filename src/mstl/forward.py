@@ -27,11 +27,13 @@ Directions: the "plus" solution equals exp(i rho x) I to the right of the
 support and is integrated right-to-left; "minus" mirrors this.  Row-equation
 solutions needed in brackets are obtained from column solutions at -conj(rho)
 by conjugate transposition, which is valid because Q is Hermitian.  Every
-batch of points used here (the symmetric real grid, the imaginary axis, a
-residue contour ring) is closed under rho -> -conj(rho), so one evaluator,
+batch of points used in brackets (the symmetric real grid, a residue contour
+ring) is closed under rho -> -conj(rho), so one evaluator,
 ``_coefficients``, gets A, B and D from one plus and one minus sweep.
-Bound states are the zeros of det A(i tau): a scan, then a zoom that refines
-every candidate in the same batched sweeps.
+Bound states are counted (``_count``): by the oscillation theorem, the
+number with tau_k > tau is the number of conjugate points of F_-(x, i tau),
+read along one minus sweep.  ``find_bound_states`` multisects the drops of
+the count on [0, sqrt(-min lambda_min(Q))], where every state lies.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ from mstl.domain import (
 BRACKET_SPREAD_RTOL = 1e-6
 _N_CHECKPOINTS = 9
 _BLOCK_ELEMENTS = 2**15  # cell factors per sweep block, in (cell, component, rho) entries
-_ZOOM_POINTS = 33  # determinant samples per bracket in each zoom round
+_WIDTH = 1e-8  # bracket width at which a bound state is located
+_SECTIONS = 16  # count points per bracket in each multisection round
 
 
 @dataclass(frozen=True)
@@ -120,89 +123,100 @@ def _free_step(f, p, rhos, h):
     return ch * f + sl * p, ms * f + ch * p
 
 
+def _sweep(potential: SampledPotential, rhos: np.ndarray, direction: str, substeps: int = 1):
+    """Yield (node, v, t) from the free wave at the swept range's incoming edge on.
+
+    One item per step across the swept cells (the first is the starting node,
+    in the identity basis): ``t`` is the field (F, F') at ``node`` in the
+    eigenbasis ``v`` of the cell just crossed, component-major, t[a, 0, b, n]
+    and t[a, 1, b, n] being entry (a, b) of F and F' at rho_n, so a change of
+    basis is one (m x m) @ (m x 2 m n_rho) product.  Cell factors are made for
+    blocks of at most ``_BLOCK_ELEMENTS`` (cell, component, rho) entries.
+    ``t`` is updated in place; a consumer may right-multiply its columns in
+    place and the sweep goes on from the result.  ``substeps`` splits every
+    cell into equal steps; the items between nodes carry node -1.
+    """
+    grid = potential.grid
+    m = potential.m
+    if np.any(rhos.imag < -1e-12):
+        raise ValidationError("Jost solutions are defined for Im rho >= 0")
+    nr = rhos.size
+    lo, hi = _swept_nodes(potential)
+    if direction == "plus":
+        ikr, start = 1j * rhos, hi
+        cells = np.arange(hi - 1, lo - 1, -1)
+        reached = cells  # stepping from node c+1 down across cell c reaches node c
+        h = -grid.dx
+    elif direction == "minus":
+        ikr, start = -1j * rhos, lo
+        cells = np.arange(lo, hi)
+        reached = cells + 1
+        h = grid.dx
+    else:
+        raise ValidationError(f"unknown direction {direction!r}")
+
+    wave = np.exp(ikr * grid.xs[start])
+    t = np.empty((m, 2, m, nr), dtype=complex)  # C order: reshapes below are views
+    t[:, 0], t[:, 1] = np.eye(m)[..., None] * wave, np.eye(m)[..., None] * (ikr * wave)
+    yield start, np.eye(m), t
+    if not cells.size:
+        return
+
+    w, v = (np.repeat(a, substeps, axis=0) for a in np.linalg.eigh(potential.cell_values[cells]))
+    reached = np.where((np.arange(w.shape[0]) + 1) % substeps, -1, np.repeat(reached, substeps))
+    h /= substeps
+    vh = v.conj().transpose(0, 2, 1)
+    hop = vh[1:] @ v[:-1]  # carries the field from one step's eigenbasis into the next
+    u = (vh[0] @ t.reshape(m, -1)).reshape(t.shape)
+    swapped = u[:, ::-1]  # (F', F)
+    cross = np.empty_like(t)
+    rho2 = rhos**2
+    block = max(1, _BLOCK_ELEMENTS // (m * nr))
+    for b0 in range(0, w.shape[0], block):
+        mu2 = w[b0 : b0 + block, :, None, None] - rho2  # (steps, m, 1, n_rho)
+        ch, sl, ms = _cell_factors(mu2, h)
+        ch, sl_ms = ch[:, :, None], np.stack([sl, ms], axis=2)
+        for i in range(ch.shape[0]):
+            k = b0 + i
+            # F <- cosh F + sinhc F',  F' <- cosh F' + mu^2 sinhc F
+            np.multiply(ch[i], u, out=t)
+            np.multiply(sl_ms[i], swapped, out=cross)
+            t += cross
+            yield int(reached[k]), v[k], t
+            if k + 1 < w.shape[0]:
+                np.matmul(hop[k], t.reshape(m, -1), out=u.reshape(m, -1))
+
+
 def _propagate(potential: SampledPotential, rhos: np.ndarray, direction: str, keep):
     """Jost field (F, F') at the node indices ``keep``.
 
     Output arrays have shape (len(keep), n_rho, m, m).  Only the cells between
-    the first and last nonzero cell are stepped; on the incoming side of that
-    range the field is the free wave exp(+-i rho x) I, and beyond its far edge
-    it is carried from the edge by one exact free step.
-
-    The sweep works in each cell's eigenbasis and holds (F, F')
-    component-major, as one (m, 2 m n_rho) array, so the change of basis from
-    one cell to the next is a single (m x m) @ (m x 2 m n_rho) product; the
-    cell factors cosh, sinhc and mu^2 sinhc are computed for blocks of at most
-    ``_BLOCK_ELEMENTS`` (cell, component, rho) entries.
+    the first and last nonzero cell are stepped (see ``_sweep``); on the
+    incoming side of that range the field is the free wave exp(+-i rho x) I,
+    and beyond its far edge it is carried from the edge by one exact free step.
     """
-    grid = potential.grid
+    xs = potential.grid.xs
     m = potential.m
     rhos = np.atleast_1d(np.asarray(rhos, dtype=complex))
-    if np.any(rhos.imag < -1e-12):
-        raise ValidationError("Jost solutions are defined for Im rho >= 0")
-    nr = rhos.size
-    xs = grid.xs
-    lo, hi = _swept_nodes(potential)
-
     keep = np.asarray(keep, dtype=int)
     slot = {j: k for k, j in enumerate(keep.tolist())}
-    out_f = np.empty((keep.size, nr, m, m), dtype=complex)
-    out_p = np.empty((keep.size, nr, m, m), dtype=complex)
+    out_f = np.empty((keep.size, rhos.size, m, m), dtype=complex)
+    out_p = np.empty((keep.size, rhos.size, m, m), dtype=complex)
 
-    if direction == "plus":
-        ikr = 1j * rhos
-        start, end = hi, lo
-        cells = np.arange(hi - 1, lo - 1, -1)
-        reached = cells  # stepping from node c+1 down across cell c reaches node c
-        h = -grid.dx
-        incoming, beyond = keep >= hi, keep < lo
-    elif direction == "minus":
-        ikr = -1j * rhos
-        start, end = lo, hi
-        cells = np.arange(lo, hi)
-        reached = cells + 1
-        h = grid.dx
-        incoming, beyond = keep <= lo, keep > hi
-    else:
-        raise ValidationError(f"unknown direction {direction!r}")
+    start = None
+    for node, v, t in _sweep(potential, rhos, direction):
+        start = node if start is None else start
+        if node in slot:
+            out_f[slot[node]], out_p[slot[node]] = _to_nodes(v, t)
+    end = node
+    f, p = _to_nodes(v, t)
 
-    eye = np.eye(m, dtype=complex)
+    sign = 1 if direction == "plus" else -1  # the sweep runs toward -sign x
+    incoming, beyond = (keep - start) * sign > 0, (keep - end) * sign < 0
+    ikr = sign * 1j * rhos
     wave = np.exp(ikr * xs[keep[incoming], None])
-    out_f[incoming] = wave[..., None, None] * eye
-    out_p[incoming] = (ikr * wave)[..., None, None] * eye
-
-    eye_wave = np.exp(ikr * xs[start])[:, None, None] * eye
-    f, p = eye_wave, ikr[:, None, None] * eye_wave
-    if cells.size:
-        # visit k works in the eigenbasis of its cell; hop[k] = V_{k+1}^H V_k
-        # carries the field into the next one.  t[a, 0, b, n] and t[a, 1, b, n]
-        # hold row a of F and F' at rho_n, column b, so each hop is one
-        # (m x m) @ (m x 2 m n_rho) product.
-        w, v = np.linalg.eigh(potential.cell_values[cells])
-        vh = v.conj().transpose(0, 2, 1)
-        hop = vh[1:] @ v[:-1]
-        u = np.empty((m, 2, m, nr), dtype=complex)  # C order: reshapes below are views
-        u[:, 0] = vh[0][..., None] * f[:, 0, 0]
-        u[:, 1] = vh[0][..., None] * p[:, 0, 0]
-        t = np.empty(u.shape, dtype=complex)
-        uf, up, tf, tp = u[:, 0], u[:, 1], t[:, 0], t[:, 1]
-        rho2 = rhos**2
-        block = max(1, _BLOCK_ELEMENTS // (m * nr))
-        for b0 in range(0, cells.size, block):
-            mu2 = w[b0 : b0 + block, :, None, None] - rho2  # (cells, m, 1, n_rho)
-            ch, sl, ms = _cell_factors(mu2, h)
-            for i in range(ch.shape[0]):
-                k = b0 + i
-                np.multiply(ch[i], uf, out=tf)
-                tf += sl[i] * up
-                np.multiply(ms[i], uf, out=tp)
-                tp += ch[i] * up
-                node = int(reached[k])
-                if node in slot:
-                    out_f[slot[node]], out_p[slot[node]] = _to_nodes(v[k], t)
-                if k + 1 < cells.size:
-                    np.matmul(hop[k], t.reshape(m, -1), out=u.reshape(m, -1))
-        f, p = _to_nodes(v[-1], t)
-
+    out_f[incoming] = wave[..., None, None] * np.eye(m)
+    out_p[incoming] = (ikr * wave)[..., None, None] * np.eye(m)
     if np.any(beyond):
         out_f[beyond], out_p[beyond] = _free_step(f, p, rhos, xs[keep[beyond]] - xs[end])
     return out_f, out_p
@@ -306,93 +320,94 @@ def jost_asymptotics(potential: SampledPotential) -> JostAsymptotics:
 # bound states
 
 
-def _abs_det_a_on_axis(potential: SampledPotential, taus: np.ndarray) -> np.ndarray:
-    """|det A(i tau)| for a batch of taus; -conj(i tau) = i tau, so the mirror is the identity."""
-    taus = np.asarray(taus, dtype=float)
-    a, _, _, _ = _coefficients(potential, 1j * taus, np.arange(taus.size))
-    return np.abs(np.linalg.det(a))
+def _count(potential: SampledPotential, taus) -> tuple[np.ndarray, np.ndarray]:
+    """Bound states with tau_k > tau, with multiplicity, and the conjugate-point part.
 
+    By the oscillation theorem the count is the number of conjugate points of
+    Y = F_-(x, i tau) (x where Y is singular, with multiplicity).  Inside the
+    swept range they are the crossings of -1 by the eigenvalues of the unitary
+    U = (Y + i Y'/s)(Y - i Y'/s)^-1, which all pass pi downward (at rate 2 s),
+    so they follow from the winding of arg det U and U's eigenphases phi at
+    the last node.  On the free tail beyond it, Y' Y^-1 = s tan(phi/2) and Y
+    vanishes once for each eigenvalue below -tau, i.e. each phi < -2 atan(tau/s).
 
-def find_bound_states(
-    potential: SampledPotential,
-    tau_max: float,
-    n_scan: int = 400,
-    accept_rel: float = 1e-6,
-    refine_tol: float = 1e-8,
-    cluster_tol: float = 1e-3,
-) -> list[float]:
-    """Bound-state parameters: tau > 0 with det A(i tau) = 0.
-
-    The operator bound H >= min over cells of lambda_min(Q) gives
-    tau^2 <= -min lambda_min: a positive semidefinite potential has no bound
-    states and needs no scan, and a ``tau_max`` below the bound warns that
-    states may be missed.  Otherwise scans |det A(i tau)| on a uniform grid
-    and refines every local minimum at once by zooming: each round evaluates
-    the determinant on ``_ZOOM_POINTS`` points inside every bracket in one
-    batch (the modulus need not change sign in the matrix case) and keeps the
-    neighbors of each argmin, until the brackets are narrower than
-    ``refine_tol``.  Refined minima below ``accept_rel`` times the scan
-    maximum are accepted.  Taus closer than ``cluster_tol`` are merged with a
-    warning; degenerate eigenvalues are represented by higher-rank weights,
-    never by repeated taus.
+    det U is invariant under the cell's change of basis and under right
+    multiplication of the frame.  With s^2 the largest |lambda + tau^2| over
+    cells, arg det U moves at most 2 m s per unit length, so it is read often
+    enough (cells split into equal steps if need be) to move less than pi
+    between readings, and each reading resets the frame to ((U + I)/2,
+    s (U - I)/2i), right multiplication by (Y - i Y'/s)^-1, before it can
+    overflow.  Returns the integer arrays (count, conjugate points in range).
     """
-    if tau_max <= 0:
-        raise ValidationError("tau_max must be positive")
-    lam_min = float(np.linalg.eigvalsh(potential.cell_values).min())
-    if lam_min >= 0.0:
+    taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    m = potential.m
+    w = np.linalg.eigvalsh(potential.cell_values)
+    s = np.sqrt(np.abs(np.array([w.min(), w.max(), 0.0])[:, None] + taus**2).max(axis=0))
+    motion = 2 * m * float(s.max()) * potential.grid.dx  # bound on |d arg det U| per cell
+    substeps = int(motion / np.pi) + 1
+    stride = int(np.ceil(np.pi * substeps / motion)) - 1  # steps between readings
+    end = _swept_nodes(potential)[1]
+    phi0 = 2.0 * np.arctan(taus / s)  # U = exp(i phi0) I at the start
+    i_s = (1j / s)[:, None, None]
+
+    winding = m * phi0  # arg det U, lifted
+    for k, (node, _, t) in enumerate(_sweep(potential, 1j * taus, "minus", substeps)):
+        if k % stride and node != end:
+            continue
+        f, p = t[:, 0].T, t[:, 1].T  # transposed fields, (n_rho, m, m)
+        u = np.linalg.solve(f - i_s * p, f + i_s * p)  # U^T
+        det = np.linalg.det(u)
+        winding += np.angle(det / np.exp(1j * winding))
+        t[:, 0], t[:, 1] = (0.5 * (u + np.eye(m))).T, ((u - np.eye(m)) / (2.0 * i_s)).T
+
+    phases = np.angle(np.linalg.eigvals(u))
+    inside = (phases.sum(axis=1) - winding) / (2.0 * np.pi)
+    conjugate = np.rint(inside).astype(int)
+    if np.any(np.abs(inside - conjugate) > 0.25):
+        raise NumericsError("eigenphase winding of the bound-state count is not integral")
+    return conjugate + np.sum(phases < -phi0[:, None], axis=1), conjugate
+
+
+def find_bound_states(potential: SampledPotential) -> list[float]:
+    """Bound-state parameters tau > 0 (rho = i tau), each once, by counting.
+
+    tau_k^2 <= -min lambda_min(Q) = tau_bound^2, so a positive semidefinite
+    potential needs no sweep.  Otherwise the count N of ``_count`` is taken at
+    tau = 0 and ``_SECTIONS`` points inside [0, tau_bound] (N(tau_bound) = 0),
+    and every bracket where N drops is cut into ``_SECTIONS`` + 1 parts, all
+    brackets in one sweep per round, until it is narrower than ``_WIDTH``.  A
+    drop of r is one state of multiplicity r, returned at its midpoint.  The
+    lowest states, which the count at tau = 0 finds only on the free tail, are
+    threshold (half-bound) states of a discretized exceptional potential: they
+    are warned about and not returned.
+    """
+    w_min = float(np.linalg.eigvalsh(potential.cell_values).min())
+    if w_min >= 0.0:
         return []
-    if tau_max**2 < -lam_min:
+    taus = np.sqrt(-w_min) * np.arange(_SECTIONS + 2) / (_SECTIONS + 1)
+    counts, conjugate = _count(potential, taus[:-1])
+    seq = np.append(counts, 0)[None, :]
+    kept = int(conjugate[0])
+    if counts[0] > kept:
         warnings.warn(
-            f"tau_max = {tau_max:g} is below the operator bound sqrt(-min lambda_min(Q)) = "
-            f"{np.sqrt(-lam_min):.6g}; bound states above tau_max may be missed",
+            f"{counts[0] - kept} threshold state(s) below tau = "
+            f"{taus[np.argmax(seq[0] <= kept)]:.3g}, found on the free tail only, are not returned",
             stacklevel=2,
         )
-    taus = np.linspace(tau_max / n_scan, tau_max, n_scan)
-    vals = _abs_det_a_on_axis(potential, taus)
-    vmax = float(vals.max())
-    if vmax == 0.0:
-        raise NumericsError("determinant scan degenerated to zero")
 
-    # a genuine zero dips steeply into its grid neighborhood; requiring real
-    # depth rejects the roundoff-level ripples of a constant determinant
-    brackets = []
-    for j in range(len(taus)):
-        left = vals[j - 1] if j > 0 else np.inf
-        right = vals[j + 1] if j + 1 < len(taus) else np.inf
-        if vals[j] < 0.9 * min(left, right):
-            lo = taus[j - 1] if j > 0 else taus[j] * 0.1
-            hi = taus[j + 1] if j + 1 < len(taus) else taus[j]
-            brackets.append((lo, hi))
-    if not brackets:
-        return []
-
-    brackets = np.array(brackets)
-    frac = np.linspace(0.0, 1.0, _ZOOM_POINTS)
-    rows = np.arange(len(brackets))
+    width, lo = taus[1], taus[None, :-1]  # brackets [lo, lo + width], counts seq
     while True:
-        pts = brackets[:, :1] + (brackets[:, 1:] - brackets[:, :1]) * frac
-        zoom = _abs_det_a_on_axis(potential, pts.ravel()).reshape(pts.shape)
-        j = np.argmin(zoom, axis=1)
-        best, best_val = pts[rows, j], zoom[rows, j]
-        brackets = np.stack(
-            [pts[rows, np.maximum(j - 1, 0)], pts[rows, np.minimum(j + 1, frac.size - 1)]], axis=1
-        )
-        if np.max(brackets[:, 1] - brackets[:, 0]) <= refine_tol:
-            break
-    found = sorted(float(t) for t in best[best_val < accept_rel * vmax])
-
-    merged: list[float] = []
-    for t in found:
-        if merged and t - merged[-1] < cluster_tol:
-            warnings.warn(
-                f"bound states at tau = {merged[-1]:.6g} and {t:.6g} are closer than "
-                f"{cluster_tol:g}; reporting a single state",
-                stacklevel=2,
-            )
-            merged[-1] = 0.5 * (merged[-1] + t)
-        else:
-            merged.append(t)
-    return merged
+        if np.any(np.diff(seq, axis=1) > 0):
+            raise NumericsError("the bound-state count increases with tau")
+        n_lo, n_hi, lo = seq[:, :-1].ravel(), seq[:, 1:].ravel(), lo.ravel()
+        holds = (n_lo > n_hi) & (n_hi < kept)  # a drop that holds a returned state
+        n_lo, n_hi, lo = n_lo[holds], n_hi[holds], lo[holds]
+        if width <= _WIDTH or not lo.size:
+            return sorted(float(t) for t in lo + 0.5 * width)
+        width /= _SECTIONS + 1
+        lo = lo[:, None] + width * np.arange(_SECTIONS + 1)
+        counts, _ = _count(potential, lo[:, 1:].ravel())
+        seq = np.column_stack([n_lo, counts.reshape(-1, _SECTIONS), n_hi])
 
 
 def residue_matrix(
@@ -460,11 +475,9 @@ def weight_matrices(
     return n_minus, n_plus
 
 
-def full_forward(
-    potential: SampledPotential, rho_grid: RhoGrid, tau_max: float
-) -> ForwardResult:
+def full_forward(potential: SampledPotential, rho_grid: RhoGrid) -> ForwardResult:
     """Complete forward map: potential -> (right data, left data, coefficients)."""
-    taus = find_bound_states(potential, tau_max)
+    taus = find_bound_states(potential)
     coeffs = scattering_coefficients(potential, rho_grid)
     s_minus, s_plus = reflection_matrices(coeffs)
 

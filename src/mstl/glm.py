@@ -32,14 +32,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from mstl.domain import (
-    BoundState,
     IllPosedDataError,
     InconsistentDataError,
     SampledPotential,
     ScatteringData,
     SpaceGrid,
     ValidationError,
-    hermitian_pseudo_inverse,
     matrix_operator_norm,
 )
 
@@ -333,41 +331,17 @@ class InversionResult:
 
 
 def _derive_left_data(j_plus: ScatteringData) -> ScatteringData:
-    """Left data from right data alone (reflectionless or scalar case)."""
-    from mstl import conditions, solitons
+    """Left data from right data alone, through ``conditions.right_denominator``."""
+    from mstl import conditions
 
-    s_max = float(np.abs(j_plus.S).max(initial=0.0))
-    if s_max < 1e-8:
-        states = [(b.tau, b.weight) for b in j_plus.bound_states]
-        if states:
-            chain = solitons.build_projector_chain(states)
-            residues = dict(solitons.residues_of_U(chain))
-        else:
-            residues = {}
-        left_states = []
-        for b in j_plus.bound_states:
-            r_plus = residues[b.tau]
-            n_minus = r_plus @ hermitian_pseudo_inverse(b.weight) @ r_plus.conj().T
-            left_states.append(
-                BoundState(tau=b.tau, weight=0.5 * (n_minus + n_minus.conj().T), side="left")
-            )
-        return ScatteringData(
-            side="left",
-            rho_grid=j_plus.rho_grid,
-            S=np.zeros_like(j_plus.S),
-            bound_states=tuple(left_states),
+    denominator = conditions.right_denominator(j_plus)
+    if denominator is None:
+        raise ValidationError(
+            "left scattering data required: no general construction exists for "
+            "matrix data with nonzero reflection"
         )
-    if j_plus.m == 1:
-        d_ev = conditions.scalar_D(j_plus)
-        return conditions.connect_left_from_right(
-            j_plus,
-            d_ev(j_plus.rho_grid.nodes),
-            conditions.residues_from_evaluator(d_ev, j_plus.taus),
-        )
-    raise ValidationError(
-        "left scattering data required: no general construction exists for "
-        "matrix data with nonzero reflection"
-    )
+    d_of, residues = denominator
+    return conditions.connect_left_from_right(j_plus, d_of(j_plus.rho_grid.nodes), residues)
 
 
 def invert(
@@ -425,9 +399,7 @@ def invert(
 
     # agreement of the two reconstructions on the shared window |x| <= 1
     window = has_plus & has_minus & (np.abs(xs) <= 1.0 + 1e-12)
-    overlap_gap = float(max(
-        (matrix_operator_norm(d) for d in q_plus[window] - q_minus[window]), default=0.0
-    ))
+    overlap_gap = matrix_operator_norm(q_plus[window] - q_minus[window])
     scale = float(np.abs(q).max(initial=0.0))
     if overlap_gap > overlap_tol * (0.1 + scale):
         raise InconsistentDataError(

@@ -58,7 +58,7 @@ def box_setup():
 @pytest.fixture(scope="session")
 def box_forward(box_setup):
     _, potential, rho_grid = box_setup
-    return forward.full_forward(potential, rho_grid, 5.0)
+    return forward.full_forward(potential, rho_grid)
 
 
 @pytest.fixture(scope="session")
@@ -72,7 +72,7 @@ def bump_setup():
 @pytest.fixture(scope="session")
 def bump_forward(bump_setup):
     _, potential, rho_grid = bump_setup
-    return forward.full_forward(potential, rho_grid, 5.0)
+    return forward.full_forward(potential, rho_grid)
 
 
 @pytest.fixture(scope="session")

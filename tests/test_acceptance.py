@@ -26,7 +26,7 @@ def test_criterion_01_zero_potential_exactness():
     grid = SpaceGrid.from_bounds(-3.0, 3.0, 0.02)
     zero = domain.zero_potential(grid, dim=2)
     rho_grid = RhoGrid(20.0, 256)
-    fwd = forward.full_forward(zero, rho_grid, 5.0)
+    fwd = forward.full_forward(zero, rho_grid)
     s_max = float(np.abs(fwd.j_plus.S).max() + np.abs(fwd.j_minus.S).max())
     eye = np.eye(2)
     coeff_defect = max(
@@ -101,7 +101,7 @@ def test_criterion_04_one_soliton_closed_form(soliton_data):
 def _bump_roundtrip(dx, rho_max, n_half):
     grid = SpaceGrid.from_bounds(-8.0, 8.0, dx)
     bump = domain.bump_potential(grid)
-    fwd = forward.full_forward(bump, RhoGrid(rho_max, n_half), 5.0)
+    fwd = forward.full_forward(bump, RhoGrid(rho_max, n_half))
     out = glm.invert(fwd.j_plus, fwd.j_minus, grid=grid)
     diff = np.abs(out.potential.values - bump.values).max(axis=(1, 2))
     ref = np.abs(bump.values).max(axis=(1, 2))
@@ -132,7 +132,7 @@ def test_criterion_06_two_soliton_bound_states():
     states = [(1.0, np.array([[2.0 + 0j]])), (2.0, np.array([[8.0 + 0j]]))]
     grid = SpaceGrid.from_bounds(-14.0, 14.0, 0.01)
     pot = solitons.separable_glm_solve(states, "right", grid)
-    fwd = forward.full_forward(pot, RhoGrid(10.0, 256), 5.0)
+    fwd = forward.full_forward(pot, RhoGrid(10.0, 256))
     s_max = float(np.abs(fwd.j_plus.S).max())
     tau_err = max(abs(b.tau - t) for b, (t, _) in zip(fwd.j_plus.bound_states, states))
     w_err = max(
@@ -173,7 +173,7 @@ def test_criterion_08_left_right_connection(box_forward, bump_setup, bump_forwar
     # weight connection exercised on a potential with a bound state
     grid = SpaceGrid.from_bounds(-10.0, 10.0, 0.02)
     well = domain.sech_well(grid, tau=1.0)
-    fwd = forward.full_forward(well, RhoGrid(8.0, 128), 5.0)
+    fwd = forward.full_forward(well, RhoGrid(8.0, 128))
     res = forward.residue_matrix(well, fwd.j_plus.taus[0])
     left = conditions.connect_left_from_right(fwd.j_plus, fwd.coefficients.D, [res])
     n_err = float(
@@ -214,7 +214,7 @@ def test_criterion_10_kdv_flow():
     r1, r2 = residual(0.02, 1e-3), residual(0.01, 5e-4)
     conv_ok = 2.8 <= r1 / r2 <= 5.5
 
-    taus = forward.find_bound_states(traj.potentials[2], 3.0)
+    taus = forward.find_bound_states(traj.potentials[2])
     iso_ok = len(taus) == 1 and abs(taus[0] - 1.0) <= 1e-3
     ok = center_ok and conv_ok and iso_ok
     _report(10, "kdv flow", ok,

@@ -67,7 +67,7 @@ def test_forward_command_zero(tmp_path):
     code = cli.main([
         "forward", "--bundled", "zero", "--dim", "2",
         "--x-min", "-2", "--x-max", "2", "--dx", "0.05",
-        "--rho-max", "8", "--n-rho", "64", "--tau-max", "3",
+        "--rho-max", "8", "--n-rho", "64",
         "--out", str(out),
     ])
     assert code == 0
@@ -82,7 +82,7 @@ def test_forward_outputs_deterministic(tmp_path):
     args = [
         "forward", "--bundled", "random", "--seed", "9", "--dim", "2",
         "--x-min", "-3", "--x-max", "3", "--dx", "0.05",
-        "--rho-max", "12", "--n-rho", "128", "--tau-max", "2",
+        "--rho-max", "12", "--n-rho", "128",
     ]
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert cli.main(args + ["--out", str(out1)]) == 0
@@ -139,7 +139,7 @@ def test_roundtrip_command_zero(tmp_path):
     code = cli.main([
         "roundtrip", "--bundled", "zero", "--dim", "1",
         "--x-min", "-2", "--x-max", "2", "--dx", "0.05",
-        "--rho-max", "6", "--n-rho", "64", "--tau-max", "2",
+        "--rho-max", "6", "--n-rho", "64",
         "--out", str(out),
     ])
     assert code == 0
@@ -219,6 +219,27 @@ def test_malformed_scattering_json_is_a_validation_error(tmp_path, soliton_data,
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["validate", "--data", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("potential, options", [
+    ("x,Re_Q_11,Im_Q_11\n0,0,0\n0.1,abc,0\n", []),  # non-numeric cell
+    ("x,Re_Q_11,Im_Q_11\n0,0,0\n0.1,0\n", []),  # ragged row
+    ("x,Re_Q_11,Im_Q_11\n", []),  # header only
+    (None, ["--dx", "0"]),
+    (None, ["--dx", "nan"]),
+    (None, ["--rho-max", "nan"]),
+])
+def test_malformed_input_is_a_validation_error(tmp_path, capsys, potential, options):
+    source = ["--bundled", "bump"]
+    if potential is not None:
+        path = tmp_path / "potential.csv"
+        path.write_text(potential)
+        source = ["--potential", str(path)]
+    code = cli.main(["forward", *source, "--x-min", "-2", "--x-max", "2", *options,
+                     "--n-rho", "64", "--out", str(tmp_path / "out")])
+    assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("validation error:") and err.count("\n") == 1
 

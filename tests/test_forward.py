@@ -235,13 +235,13 @@ def test_asymptotics_omega():
 
 
 def test_find_bound_states_zero(zero_pot):
-    assert forward.find_bound_states(zero_pot, 5.0) == []
+    assert forward.find_bound_states(zero_pot) == []
 
 
 def test_find_bound_states_sech_well():
     grid = SpaceGrid.from_bounds(-10.0, 10.0, 0.02)
     well = domain.sech_well(grid, tau=1.0)
-    taus = forward.find_bound_states(well, 5.0)
+    taus = forward.find_bound_states(well)
     assert len(taus) == 1
     assert abs(taus[0] - 1.0) < 1e-3
 
@@ -256,58 +256,95 @@ def two_soliton():
 
 
 def _count_sweeps(monkeypatch):
-    """List that gets one entry (the direction) per ``_propagate`` call."""
+    """List that gets one entry (the direction) per sweep."""
     calls = []
-    propagate = forward._propagate
+    sweep = forward._sweep
 
-    def counting(potential, rhos, direction, keep):
+    def counting(potential, rhos, direction, substeps=1):
         calls.append(direction)
-        return propagate(potential, rhos, direction, keep)
+        return sweep(potential, rhos, direction, substeps)
 
-    monkeypatch.setattr(forward, "_propagate", counting)
+    monkeypatch.setattr(forward, "_sweep", counting)
     return calls
 
 
-def test_refined_taus_are_local_minima(two_soliton):
-    refine_tol = 1e-8
-    taus = forward.find_bound_states(two_soliton, 5.0, refine_tol=refine_tol)
+def test_refined_taus_bracket_a_count_drop(two_soliton):
+    taus = forward.find_bound_states(two_soliton)
     assert len(taus) == 2
     for tau in taus:
-        left, mid, right = forward._abs_det_a_on_axis(
-            two_soliton, np.array([tau - refine_tol, tau, tau + refine_tol])
-        )
-        # a local minimum of |det A(i tau)| lies within refine_tol of tau
-        assert mid <= left and mid <= right
+        counts, _ = forward._count(two_soliton, [tau - 1e-8, tau + 1e-8])
+        # the state lies within 1e-8 of the returned tau
+        assert counts[0] > counts[1]
 
 
 def test_full_forward_sweep_count(two_soliton, monkeypatch):
     calls = _count_sweeps(monkeypatch)
-    result = forward.full_forward(two_soliton, RhoGrid(10.0, 64), 5.0)
+    result = forward.full_forward(two_soliton, RhoGrid(10.0, 64))
     assert len(result.j_plus.bound_states) == 2
-    # scan and six zoom rounds (14), real grid (2), and per state the residue
-    # ring (2) and the weight fields (2)
-    assert len(calls) == 24
+    # seven count rounds (7), real grid (2), and per state the residue ring (2)
+    # and the weight fields (2); the determinant scan and zoom made it 24
+    assert len(calls) == 17
 
 
 def test_positive_semidefinite_potential_needs_no_scan(bump_setup, monkeypatch):
     _, bump, _ = bump_setup
     calls = _count_sweeps(monkeypatch)
-    assert forward.find_bound_states(bump, 5.0) == []
+    assert forward.find_bound_states(bump) == []
     assert calls == []
 
 
-def test_tau_max_below_operator_bound_warns():
+def test_count_deep_well_and_threshold_state():
     grid = SpaceGrid.from_bounds(-10.0, 10.0, 0.02)
     well = domain.sech_well(grid, tau=6.0)
-    # min Q = -72, so bound states may reach tau = sqrt(72) > 5
-    with pytest.warns(UserWarning, match="operator bound"):
-        forward.find_bound_states(well, 5.0)
+    counts, _ = forward._count(well, [0.0, 0.01, 6.1])
+    assert counts.tolist() == [2, 1, 0]
+    # the state at tau ~ 6 lies above sqrt(-min Q) / 2 and is found without a
+    # search bound; the near-zero state is the discretized threshold state
+    with pytest.warns(UserWarning, match="threshold"):
+        taus = forward.find_bound_states(well)
+    assert len(taus) == 1
+    assert abs(taus[0] - 6.0) < 5e-3
+
+
+def test_count_multiplicity_of_identity_well():
+    grid = SpaceGrid.from_bounds(-10.0, 10.0, 0.02)
+    well = domain.sech_well(grid, tau=1.0, matrix=np.eye(2))
+    counts, _ = forward._count(well, [0.5, 1.5])
+    assert counts.tolist() == [2, 0]
+    with pytest.warns(UserWarning, match="threshold"):
+        taus = forward.find_bound_states(well)
+    assert len(taus) == 1
+    assert abs(taus[0] - 1.0) < 1e-3
+
+
+def test_count_rank_two_and_rank_one_weights():
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    rank2 = q[:, :2] @ np.diag([2.0, 3.0]) @ q[:, :2].conj().T
+    rank1 = 8.0 * np.outer(q[:, 2] + q[:, 0], (q[:, 2] + q[:, 0]).conj()) / 2.0
+    grid = SpaceGrid.from_bounds(-6.0, 6.0, 0.02)
+    pot = solitons.separable_glm_solve([(1.0, rank2), (2.0, rank1)], "right", grid)
+    counts, _ = forward._count(pot, [0.5, 1.5, 2.5])
+    assert counts.tolist() == [3, 1, 0]
+
+
+def test_count_substeps_a_deep_well_on_a_coarse_grid():
+    # a box of depth 400 on dx = 0.1: each eigenphase of U can move 2 s dx ~ 4
+    # per cell, more than pi, so the count must split the cells; the well
+    # holds as many states as the zeros of the zero-energy interior solution
+    grid = SpaceGrid.from_bounds(-3.0, 3.0, 0.1)
+    box = domain.box_potential(grid, height=-400.0, half_width=1.0)
+    k = np.sqrt(400.0)
+    expected = int(np.ceil(2.0 * k / np.pi))  # even and odd states of the finite well
+    counts, _ = forward._count(box, [0.0, k - 1e-3])
+    assert counts[0] == expected
+    assert counts[1] == 0
 
 
 def test_residue_matrix_sech_well():
     grid = SpaceGrid.from_bounds(-10.0, 10.0, 0.02)
     well = domain.sech_well(grid, tau=1.0)
-    (tau,) = forward.find_bound_states(well, 5.0)
+    (tau,) = forward.find_bound_states(well)
     res = forward.residue_matrix(well, tau)
     assert abs(res.R_minus[0, 0] - 2.0j) < 5e-3
     assert np.abs(res.R_minus + res.R_plus.conj().T).max() < 1e-6
@@ -325,7 +362,7 @@ def test_residue_contour_geometry_guard():
 def test_weights_sech_well():
     grid = SpaceGrid.from_bounds(-10.0, 10.0, 0.02)
     well = domain.sech_well(grid, tau=1.0)
-    (tau,) = forward.find_bound_states(well, 5.0)
+    (tau,) = forward.find_bound_states(well)
     res = forward.residue_matrix(well, tau)
     n_minus, n_plus = forward.weight_matrices(well, tau, res)
     assert abs(n_plus[0, 0] - 2.0) < 1e-3
@@ -337,7 +374,7 @@ def test_weights_projector_soliton():
     proj = np.outer(v, v.conj())
     grid = SpaceGrid.from_bounds(-10.0, 10.0, 0.02)
     well = domain.sech_well(grid, tau=1.0, matrix=proj)
-    (tau,) = forward.find_bound_states(well, 5.0)
+    (tau,) = forward.find_bound_states(well)
     res = forward.residue_matrix(well, tau)
     n_minus, n_plus = forward.weight_matrices(well, tau, res)
     assert np.abs(n_plus - 2.0 * proj).max() < 2e-3
@@ -347,7 +384,7 @@ def test_weights_projector_soliton():
 
 
 def test_full_forward_zero(zero_pot):
-    result = forward.full_forward(zero_pot, RhoGrid(8.0, 32), 5.0)
+    result = forward.full_forward(zero_pot, RhoGrid(8.0, 32))
     assert np.abs(result.j_plus.S).max() < 1e-12
     assert result.j_plus.bound_states == ()
     assert result.j_minus.bound_states == ()
@@ -356,7 +393,7 @@ def test_full_forward_zero(zero_pot):
 def test_full_forward_one_soliton():
     grid = SpaceGrid.from_bounds(-12.0, 12.0, 0.01)
     pot = solitons.separable_glm_solve([(1.0, np.array([[2.0 + 0j]]))], "right", grid)
-    result = forward.full_forward(pot, RhoGrid(8.0, 128), 5.0)
+    result = forward.full_forward(pot, RhoGrid(8.0, 128))
     assert np.abs(result.j_plus.S).max() < 3e-4
     assert len(result.j_plus.bound_states) == 1
     state = result.j_plus.bound_states[0]

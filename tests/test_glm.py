@@ -255,7 +255,7 @@ def test_roundtrip_matrix_with_reflection_and_bound_state():
     from mstl.domain import SampledPotential
 
     q = SampledPotential.from_profile(grid, profile)
-    fwd = forward.full_forward(q, RhoGrid(30.0, 512), 5.0)
+    fwd = forward.full_forward(q, RhoGrid(30.0, 512))
     assert len(fwd.j_plus.taus) == 1
     out = glm.invert(fwd.j_plus, fwd.j_minus, grid=grid)
     diff = np.abs(out.potential.values - q.values).max(axis=(1, 2))

@@ -117,7 +117,7 @@ def test_pde_terms_arity_guard():
 def test_isospectrality_under_evolution():
     grid = SpaceGrid.from_bounds(-8.0, 20.0, 0.02)
     traj = kdv.soliton_trajectory(one_soliton_states(), [0.0, 1.0], grid)
-    taus = forward.find_bound_states(traj.potentials[1], 3.0)
+    taus = forward.find_bound_states(traj.potentials[1])
     assert len(taus) == 1
     assert abs(taus[0] - 1.0) <= 1e-3
     # reflectionless stays reflectionless
