@@ -184,6 +184,8 @@ class RunConfig:
 
 
 def _load_potential(cfg: RunConfig) -> SampledPotential:
+    if cfg.dim < 1:
+        raise ValidationError(f"--dim must be at least 1, got {cfg.dim}")
     if cfg.potential:
         return read_potential_csv(cfg.potential)
     grid = cfg.space_grid()

@@ -73,20 +73,38 @@ class ConditionReport:
         }
 
 
+def _kernel_samples(data: ScatteringData, u_span: float, du: float):
+    """(u, Fourier kernel at u) on |u| <= u_span, capped at 0.9 pi / drho.
+
+    Beyond the sampling limit pi / drho of the spectral grid the Fourier
+    quadrature aliases and says nothing about the data.
+    """
+    from mstl.glm import fourier_kernel
+
+    u_span = min(u_span, 0.9 * np.pi / data.rho_grid.step)
+    u = np.arange(-u_span, u_span + du / 2, du)
+    return u, fourier_kernel(data, u)
+
+
+def _kernel_tail_item(name: str, side: str, r_norms: np.ndarray) -> CheckItem:
+    """The outer tenth of the kernel norms on the side's half-line stays below
+    a fifth of their peak (or below 1e-10)."""
+    n10 = max(1, len(r_norms) // 10)
+    tail = float((r_norms[-n10:] if side == "right" else r_norms[:n10]).max(initial=0.0))
+    tail_tol = max(0.2 * float(r_norms.max(initial=0.0)), 1e-10)
+    return CheckItem(name, tail <= tail_tol, tail, tail_tol)
+
+
 def check_condition_A(
     data: ScatteringData, u_span: float = 30.0, du: float = 0.05
 ) -> ConditionReport:
     """Per-side admissibility report for one set of scattering data.
 
     The kernel checks are confined to |u| below the sampling limit pi / drho
-    of the spectral grid; beyond it the Fourier quadrature aliases and says
-    nothing about the data.
+    of the spectral grid.
     """
-    from mstl.glm import fourier_kernel
-
     s = data.S
     nodes = data.rho_grid.nodes
-    u_span = min(u_span, 0.9 * np.pi / data.rho_grid.step)
     items = []
 
     s_norms = operator_norms(s)
@@ -107,8 +125,7 @@ def check_condition_A(
     decay_ok = outer <= max(mid, floor)
     items.append(CheckItem("reflection_tail_decay", bool(decay_ok), outer, max(mid, floor)))
 
-    u = np.arange(-u_span, u_span + du / 2, du)
-    r = fourier_kernel(data, u)
+    u, r = _kernel_samples(data, u_span, du)
     r_herm = float(np.abs(r - r.conj().transpose(0, 2, 1)).max(initial=0.0))
     r_scale = float(np.abs(r).max(initial=0.0))
     herm_tol = 1e-6 * (1.0 + r_scale)
@@ -122,12 +139,7 @@ def check_condition_A(
     finite = np.isfinite(integral) and np.isfinite(integral1)
     items.append(CheckItem("kernel_integrals_finite", bool(finite), integral + integral1, np.inf))
 
-    n10 = max(1, int(0.1 * len(u)))
-    tail_band = r_norms[-n10:] if data.side == "right" else r_norms[:n10]
-    peak = float(r_norms.max(initial=0.0))
-    tail = float(tail_band.max(initial=0.0))
-    tail_tol = max(0.2 * peak, 1e-10)
-    items.append(CheckItem("kernel_tail_decay", tail <= tail_tol, tail, tail_tol))
+    items.append(_kernel_tail_item("kernel_tail_decay", data.side, r_norms))
 
     taus = np.array(data.taus)
     tau_ok = bool(np.all(taus > 0)) and (len(taus) < 2 or float(np.diff(np.sort(taus)).min()) > 1e-6)
@@ -151,6 +163,20 @@ def check_condition_A(
 # left data from right data
 
 
+def _connected_reflection(d: np.ndarray, s_plus: np.ndarray) -> np.ndarray:
+    """S_-(rho) = -D(rho)^* S_+(rho)^* (D(-rho)^*)^{-1} at every node.
+
+    ``d`` and ``s_plus`` are samples on the symmetric grid, so reversing the
+    node axis maps rho to -rho.  One batched solve gives the conjugate
+    transpose D(-rho)^{-1} S_+(rho) D(rho).
+    """
+    try:
+        x = np.linalg.solve(d[::-1], s_plus @ d)
+    except np.linalg.LinAlgError as exc:
+        raise ValidationError(f"transmission denominator singular on a real node: {exc}") from exc
+    return -x.conj().transpose(0, 2, 1)
+
+
 def connect_left_from_right(
     j_plus: ScatteringData, d_on_grid: np.ndarray, residues
 ) -> ScatteringData:
@@ -162,16 +188,7 @@ def connect_left_from_right(
     d = np.asarray(d_on_grid, dtype=complex)
     if d.shape != j_plus.S.shape:
         raise ValidationError("D grid values must match the reflection sample shape")
-    dh = d.conj().transpose(0, 2, 1)
-    dh_flip = d[::-1].conj().transpose(0, 2, 1)
-    sh = j_plus.S.conj().transpose(0, 2, 1)
-    try:
-        rightmost = np.linalg.solve(
-            dh_flip.conj().transpose(0, 2, 1), (dh @ sh).conj().transpose(0, 2, 1)
-        ).conj().transpose(0, 2, 1)
-    except np.linalg.LinAlgError as exc:
-        raise ValidationError(f"transmission denominator singular on a real node: {exc}") from exc
-    s_minus = -rightmost
+    s_minus = _connected_reflection(d, j_plus.S)
 
     left_states = []
     for b in j_plus.bound_states:
@@ -348,8 +365,6 @@ def check_condition_B_numeric(
     (a finite test, not a proof); residues, asymptotics, the modulus identity
     and the connected left kernel are measured directly.
     """
-    from mstl.glm import fourier_kernel
-
     nodes = j_plus.rho_grid.nodes
     rho_max = j_plus.rho_grid.rho_max
     m = j_plus.m
@@ -421,14 +436,8 @@ def check_condition_B_numeric(
     items.append(CheckItem("zero_limit", b6_ok, v_small, max(v_next * 1.2, 1e-9)))
 
     # secondary probe (recorded, non-gating): rho (S_- - I) A with A = D(-rho)^*
-    d_flip = d_real[::-1]
-    a_real = d_flip.conj().transpose(0, 2, 1)
-    s_minus = -np.einsum(
-        "nab,nbc,ncd->nad",
-        d_real.conj().transpose(0, 2, 1),
-        j_plus.S.conj().transpose(0, 2, 1),
-        np.linalg.inv(d_flip.conj().transpose(0, 2, 1)),
-    )
+    a_real = d_real[::-1].conj().transpose(0, 2, 1)
+    s_minus = _connected_reflection(d_real, j_plus.S)
     j_small = order[0]
     v_minus = float(matrix_operator_norm(
         nodes[j_small] * (s_minus[j_small] - eye) @ a_real[j_small]
@@ -437,12 +446,7 @@ def check_condition_B_numeric(
 
     # connected left kernel integrability
     left = ScatteringData(side="left", rho_grid=j_plus.rho_grid, S=s_minus, bound_states=())
-    u = np.arange(-30.0, 30.0 + 0.025, 0.05)
-    r_minus = fourier_kernel(left, u)
-    rn = operator_norms(r_minus)
-    peak = float(rn.max(initial=0.0))
-    tail = float(rn[: max(1, len(u) // 10)].max(initial=0.0))
-    tail_tol = max(0.2 * peak, 1e-10)
-    items.append(CheckItem("connected_left_kernel_tail", tail <= tail_tol, tail, tail_tol))
+    _, r_minus = _kernel_samples(left, 30.0, 0.05)
+    items.append(_kernel_tail_item("connected_left_kernel_tail", "left", operator_norms(r_minus)))
 
     return ConditionReport(condition="B", items=tuple(items))

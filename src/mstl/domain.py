@@ -235,17 +235,10 @@ class SampledPotential:
 
     ``values`` holds Q(x_j); ``cell_values`` holds the piecewise-constant cell
     representation used by the propagator (defaults to endpoint averages).
-    ``support`` is the inclusive range of node indices whose values are
-    nonzero (relative to the largest entry); an identically zero potential
-    gets (0, 0) by convention, so it does not mean "nonzero at node 0".  It
-    describes node values only: midpoint-sampled cells can be nonzero next to
-    a zero node, so the propagator decides which cells are free from
-    ``cell_values`` instead.
     """
 
     grid: SpaceGrid
     values: np.ndarray
-    support: tuple[int, int] = None
     cell_values: np.ndarray = None
 
     def __post_init__(self):
@@ -270,18 +263,11 @@ class SampledPotential:
             cells = 0.5 * (cells + cells.conj().transpose(0, 2, 1))
         object.__setattr__(self, "cell_values", cells)
 
-        if self.support is None:
-            norms = np.abs(values).max(axis=(1, 2))
-            nz = np.flatnonzero(norms > 1e-14 * max(scale, 1e-300))
-            if nz.size == 0:
-                object.__setattr__(self, "support", (0, 0))
-            else:
-                object.__setattr__(self, "support", (int(nz[0]), int(nz[-1])))
         if not np.isfinite(self.weighted_l1()):
             raise ValidationError("(1 + |x|) * ||Q|| is not integrable on the grid")
 
     @classmethod
-    def from_profile(cls, grid: SpaceGrid, profile, support=None) -> "SampledPotential":
+    def from_profile(cls, grid: SpaceGrid, profile) -> "SampledPotential":
         """Sample an analytic profile at the nodes and at cell midpoints.
 
         ``profile`` maps a float x to an (m, m) array (or a scalar for m = 1).
@@ -295,7 +281,7 @@ class SampledPotential:
 
         nodes = np.array([at(x) for x in grid.xs])
         cells = np.array([at(x) for x in grid.midpoints])
-        return cls(grid, nodes, support=support, cell_values=cells)
+        return cls(grid, nodes, cell_values=cells)
 
     @property
     def m(self) -> int:
@@ -315,7 +301,7 @@ class SampledPotential:
 
 def zero_potential(grid: SpaceGrid, dim: int = 1) -> SampledPotential:
     z = np.zeros((grid.n, dim, dim), dtype=complex)
-    return SampledPotential(grid, z, support=(0, 0), cell_values=np.zeros((grid.n - 1, dim, dim), complex))
+    return SampledPotential(grid, z, cell_values=np.zeros((grid.n - 1, dim, dim), complex))
 
 
 def box_potential(

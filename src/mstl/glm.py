@@ -1,8 +1,8 @@
 """Inverse scattering through the Gelfand-Levitan-Marchenko equation.
 
 Pipeline: reflection samples are Fourier-transformed on the symmetric
-spectral grid, combined with the analytic bound-state exponentials into the
-kernel function M, and the integral equation
+spectral grid and combined with the analytic bound-state exponentials into
+samples of the kernel M, and the integral equation
 
     M(x + y) + K(x, y) + int_x^inf K(x, t) M(t + y) dt = 0,   y > x,
 
@@ -15,8 +15,17 @@ diagonal K(x, x) at every node x + k du, each through a three-node Schur
 correction for its own Gregory weights.  With du = 2 dx two interleaved
 factorizations cover the target grid, and the potential is
 Q(x) = -2 d/dx K(x, x) by fourth-order central differences, trusted on the
-right half-line; the left half-line uses the mirrored equation, solved by
-reflecting the data through u -> -u and reusing the same machinery.
+right half-line; the left half-line uses the mirrored equation on the
+reflected nodes.
+
+The kernel is one array per side: right-form samples at the Hankel arguments
+u_j = 2 x_0 + j du of the first node, M_+(u) for right data and M_-(-u) for
+left data, which the mirrored equation has in the same form.  The Fourier
+part is sampled to just past the slowest bound-state tail and is zero beyond;
+the bound-state part is exact at every sample.  Interleave r reads the
+contiguous block from u_r.  No kernel window or dense system above
+MAX_ENTRIES complex entries is allocated: ``IllPosedDataError`` names the
+bound state whose tail asks for it.
 
 The discretized operator inherits Hermitian positive definiteness from the
 continuous one (after symmetrization by the square-root quadrature weights),
@@ -43,6 +52,7 @@ from mstl.domain import (
 
 RCOND_FLOOR = 1e-12
 TAIL_REL = 1e-10
+MAX_ENTRIES = 2**27  # complex entries of the kernel window or of the dense GLM system
 _GREGORY_HEAD = np.array([3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0])
 
 
@@ -60,111 +70,23 @@ def fourier_kernel(data: ScatteringData, u_grid: np.ndarray) -> np.ndarray:
     return np.tensordot(phases, data.S, axes=(1, 0))
 
 
-@dataclass(frozen=True)
-class GLMKernelFunction:
-    """Kernel M(u): sampled continuous part plus analytic bound-state part.
+def _bound_part(data: ScatteringData, u: np.ndarray) -> np.ndarray:
+    """Bound-state part of the right-form kernel: sum_k N_k exp(-tau_k u)."""
+    out = np.zeros(u.shape + (data.m, data.m), dtype=complex)
+    for b in data.bound_states:
+        out += np.exp(-b.tau * u)[:, None, None] * b.weight
+    return out
 
-    The continuous part is interpolated linearly between samples and treated
-    as zero outside the sample window; the bound-state exponentials are exact.
+
+def assemble_M(data: ScatteringData, u: np.ndarray) -> np.ndarray:
+    """Right-form GLM kernel samples at ``u``, shape (len(u), m, m).
+
+    Right data give M_+(u).  Left data give M_-(-u), the kernel of the
+    mirrored left equation: the Fourier part at -u plus N_k exp(-tau_k u).
     """
-
-    side: str
-    u_grid: np.ndarray
-    R: np.ndarray
-    states: tuple  # of (tau, weight) pairs
-
-    def __post_init__(self):
-        if self.side not in ("right", "left"):
-            raise ValidationError(f"unknown side {self.side!r}")
-        u = np.asarray(self.u_grid, dtype=float)
-        r = np.asarray(self.R, dtype=complex)
-        if r.shape[0] != u.size:
-            raise ValidationError("R sample count disagrees with u grid")
-        if u.size > 1:
-            steps = np.diff(u)
-            if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
-                raise ValidationError("kernel sample grid must be uniform")
-        object.__setattr__(self, "u_grid", u)
-        object.__setattr__(self, "R", r)
-        object.__setattr__(self, "states", tuple((float(t), np.asarray(n, complex)) for t, n in self.states))
-
-    @property
-    def m(self) -> int:
-        return self.R.shape[1]
-
-    def continuous_part(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        shape = u.shape
-        if not np.any(self.R):
-            return np.zeros(shape + self.R.shape[1:], dtype=complex)
-        flat = u.ravel()
-        grid = self.u_grid
-        step = (grid[-1] - grid[0]) / (grid.size - 1)
-        idx = np.clip(((flat - grid[0]) / step).astype(int), 0, grid.size - 2)
-        frac = (flat - grid[idx]) / step
-        vals = (1.0 - frac)[:, None, None] * self.R[idx] + frac[:, None, None] * self.R[idx + 1]
-        inside = (flat >= grid[0]) & (flat <= grid[-1])
-        vals[~inside] = 0.0
-        return vals.reshape(shape + self.R.shape[1:])
-
-    def bound_part(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        sign = -1.0 if self.side == "right" else 1.0
-        out = np.zeros(u.shape + (self.m, self.m), dtype=complex)
-        for tau, weight in self.states:
-            out += np.exp(sign * tau * u)[..., None, None] * weight
-        return out
-
-    def __call__(self, u) -> np.ndarray:
-        return self.continuous_part(u) + self.bound_part(u)
-
-    def mirrored(self) -> "GLMKernelFunction":
-        """Kernel u -> M(-u) in right-side form (used for the left equation)."""
-        return GLMKernelFunction(
-            side="right" if self.side == "left" else "left",
-            u_grid=-self.u_grid[::-1],
-            R=self.R[::-1],
-            states=self.states,
-        )
-
-    def local_tail_cut(self, u_ref: float) -> float:
-        """Smallest u0 >= u_ref past which ||M|| stays below TAIL_REL times its scale.
-
-        The scale is the running maximum of ||M|| from u_ref rightward: the
-        kernel can grow without bound toward -inf (bound-state part), so a
-        globally-relative threshold would truncate solves at large x far too
-        early; the equation at x only meets arguments u >= u_ref = 2x.
-        Accounts for the analytic bound-state tail beyond the sample window.
-        """
-        if self.side != "right":
-            raise ValidationError("tail cuts apply to right-form kernels; mirror first")
-        running = getattr(self, "_running_max", None)
-        if running is None:
-            samples = self(self.u_grid)
-            norms = np.abs(samples).max(axis=(1, 2))
-            running = np.maximum.accumulate(norms[::-1])[::-1]
-            object.__setattr__(self, "_running_max", running)
-        i0 = int(np.clip(np.searchsorted(self.u_grid, u_ref), 0, len(running) - 1))
-        peak = float(running[i0])
-        if peak == 0.0:
-            return u_ref
-        ok = running[i0:] <= TAIL_REL * peak
-        if ok.any():
-            u0 = float(self.u_grid[i0 + int(np.argmax(ok))])
-        else:
-            u0 = float(self.u_grid[-1])
-        for tau, weight in self.states:
-            scale = matrix_operator_norm(weight)
-            if scale > 0:
-                u0 = max(u0, float(np.log(scale / (TAIL_REL * peak)) / tau))
-        return max(u0, u_ref)
-
-
-def assemble_M(data: ScatteringData, u_grid: np.ndarray) -> GLMKernelFunction:
-    """Build the GLM kernel for one side's data on a uniform u grid."""
-    r = fourier_kernel(data, u_grid)
-    states = tuple((b.tau, b.weight) for b in data.bound_states)
-    return GLMKernelFunction(side=data.side, u_grid=np.asarray(u_grid, float), R=r, states=states)
+    u = np.asarray(u, dtype=float)
+    sign = 1.0 if data.side == "right" else -1.0
+    return fourier_kernel(data, sign * u) + _bound_part(data, u)
 
 
 # ---------------------------------------------------------------------------
@@ -216,27 +138,29 @@ def _hankel_product(h: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.fft.ifft(spectrum, axis=0)[n - 1 : 2 * n - 1]
 
 
-def nested_diagonal(kernel, x0: float, du: float, count: int, y_end: float) -> DiagonalSolve:
-    """K(x_k, x_k) at x_k = x0 + k du, k < count, from one reverse Cholesky.
+def nested_diagonal(h: np.ndarray, du: float, count: int) -> DiagonalSolve:
+    """K(x_k, x_k) at x_k = x_0 + k du, k < count, from one reverse Cholesky.
 
-    ``kernel`` maps u arrays to (..., m, m) values in right-side form.  The
-    system at x_k has the nodes x_k + j du up to the first node at or past
-    ``y_end``, with at least eight nodes for the last x, so all of them end
-    on the same node.  Its symmetrized matrix is D (B_k + F) D: B_k is the
-    trailing block of the x0 system A from node k, D^2 the ratio of the
-    Gregory weights of its first three nodes to A's weights there, and
-    F = D^-2 - I.  With A = U U^H (U upper triangular), the first three
-    nodes of (B_k + F)^-1 are (T T^H + F)^-1 with T = U's 3 x 3 node block at
-    k, and K(x_k, x_k) = ((A_k^-1)_00 - I) / w_0 (Dyson's diagonal identity).
+    ``h`` holds the right-form kernel at the Hankel arguments 2 x_0 + j du,
+    j < 2n - 1, with n = (len(h) + 1) // 2.  The system at x_k has the nodes
+    x_k + j du up to x_0 + (n - 1) du, so all of them end on the same node;
+    the last needs at least eight nodes (n >= count + 7).  Its symmetrized
+    matrix is D (B_k + F) D: B_k is the trailing block of the x_0 system A
+    from node k, D^2 the ratio of the Gregory weights of its first three
+    nodes to A's weights there, and F = D^-2 - I.  With A = U U^H (U upper
+    triangular), the first three nodes of (B_k + F)^-1 are (T T^H + F)^-1
+    with T = U's 3 x 3 node block at k, and K(x_k, x_k) = ((A_k^-1)_00 - I) / w_0
+    (Dyson's diagonal identity).
 
     A factorization failure or an estimated reciprocal condition below
-    1e-12 raises ``IllPosedDataError``.  The residual is that of the x0 row,
+    1e-12 raises ``IllPosedDataError``.  The residual is that of the x_0 row,
     solved through the factor and checked against the Hankel form.
     """
     from scipy.linalg import lapack  # loaded on first use: it dominates start-up
 
-    n = max(count + 7, int(np.ceil((y_end - x0) / du - 1e-9)) + 1)
-    h = np.asarray(kernel(2.0 * x0 + du * np.arange(2 * n - 1)))
+    n = (len(h) + 1) // 2
+    if n < count + 7:
+        raise ValueError(f"{len(h)} kernel samples give {n} nodes, fewer than count + 7 = {count + 7}")
     m = h.shape[-1]
     if not np.any(h):
         return DiagonalSolve(np.zeros((count, m, m), dtype=complex), 1.0, 0.0)
@@ -251,10 +175,10 @@ def nested_diagonal(kernel, x0: float, du: float, count: int, y_end: float) -> D
     anorm = float(np.abs(a_rev).sum(axis=0).max())
     r_fac, info = lapack.zpotrf(a_rev.T, lower=0, overwrite_a=1, clean=1)
     if info:
-        raise IllPosedDataError(f"GLM operator not positive definite at x = {x0:.6g} (info {info})")
+        raise IllPosedDataError(f"GLM operator not positive definite (info {info})")
     rcond, _ = lapack.zpocon(r_fac, anorm)
     if rcond < RCOND_FLOOR:
-        raise IllPosedDataError(f"GLM system at x = {x0:.6g} has reciprocal condition {rcond:.3e}")
+        raise IllPosedDataError(f"GLM system has reciprocal condition {rcond:.3e}")
     u = r_fac.T[::-1, ::-1]
 
     k = np.arange(count)
@@ -267,7 +191,7 @@ def nested_diagonal(kernel, x0: float, du: float, count: int, y_end: float) -> D
     inv00 = np.linalg.inv(g)[:, :m, :m] * d_inv2[:, 0, None, None]
     diag = (inv00 - np.eye(m)) / head[0]
 
-    # x0 row in column form, A v = -b^H, solved with the reversed factor
+    # x_0 row in column form, A v = -b^H, solved with the reversed factor
     rhs = -(h[:n].conj().transpose(0, 2, 1) * sw[:, None, None])
     sol, _ = lapack.zpotrs(r_fac, rhs.reshape(n * m, m)[::-1].conj())
     v = sol.conj()[::-1].reshape(n, m, m)
@@ -284,30 +208,71 @@ def _derivative(values: np.ndarray, dx: float) -> np.ndarray:
     return (-values[4:] + 8 * values[3:-1] - 8 * values[1:-3] + values[:-4]) / (12 * dx)
 
 
+def _check_size(entries: float, what: str, slowest) -> None:
+    """Raise ``IllPosedDataError`` when one array would exceed MAX_ENTRIES."""
+    if entries > MAX_ENTRIES:
+        cause = f" (slowest bound-state tail: tau = {slowest:.4g})" if slowest is not None else ""
+        raise IllPosedDataError(
+            f"GLM {what} needs {entries:.3g} complex entries, over the budget of 2^27{cause}"
+        )
+
+
 def _half_line_potential(data: ScatteringData, xs: np.ndarray, dx: float):
     """Q = -2 dK/dx on ascending nodes ``xs`` from one side's data.
 
     Right data give the plus equation; left data give the mirrored equation,
     whose nodes are the reflected ones.  The diagonal is solved on xs plus
-    two nodes past each end, so every node gets the central stencil; with
-    du = 2 dx, two interleaved factorizations cover those nodes.  Returns
+    two nodes past each end, so every node gets the central stencil.  With
+    du = 2 dx, node i of those nodes has the Hankel argument
+    u_i = 2 ext_0 + i du, so two interleaved factorizations cover them, the
+    r-th reading the kernel samples from u_r.  Returns
     (q values (len(xs), m, m), min sigma estimate, max residual).
     """
     du = 2.0 * dx
     ext = xs[0] + dx * np.arange(-2, xs.size + 2)
+    taus = np.array(data.taus)
+    scales = np.array([matrix_operator_norm(b.weight) for b in data.bound_states])
 
-    # continuous part sampled at the Hankel arguments 2 ext[0] + j du
-    tail = max((np.log(max(matrix_operator_norm(b.weight), 1e-30) / TAIL_REL) / b.tau
-                for b in data.bound_states), default=0.0)
-    u_hi = max(2 * ext[-1] + 2.0, tail + 2.0)
-    u_grid = 2 * ext[0] + du * np.arange(int(np.ceil((u_hi - 2 * ext[0]) / du)) + 1)
-    if data.side == "right":
-        kernel = assemble_M(data, u_grid)
-    else:
-        kernel = assemble_M(data, -u_grid[::-1]).mirrored()
+    # the continuous part is sampled up to u_hi, past the slowest bound-state
+    # tail, and is zero beyond it; the bound part is exact everywhere
+    tails = np.log(np.maximum(scales, 1e-30) / TAIL_REL) / taus
+    slowest = float(taus[np.argmax(tails)]) if taus.size else None
+    u_hi = max(2 * ext[-1] + 2.0, max(tails, default=0.0) + 2.0)
+    n_u = int(np.ceil((u_hi - 2 * ext[0]) / du)) + 1
 
-    y_end = max(kernel.local_tail_cut(2 * x) - x for x in ext)
-    solves = [nested_diagonal(kernel, ext[r], du, ext[r::2].size, y_end) for r in (0, 1)]
+    # Both sizes are checked before either array exists.  The system size is
+    # bounded below through the largest value |M| can take on u >= u_0.
+    _check_size(n_u * data.rho_grid.n, "kernel window", slowest)
+    m_max = (np.abs(data.S).max(axis=(1, 2)).sum() * data.rho_grid.step / (2 * np.pi)
+             + np.sum(scales * np.exp(-2 * taus * ext[0])))
+    reach = max((np.log(w / (TAIL_REL * m_max)) / t for t, w in zip(taus, scales) if w > 0),
+                default=2 * ext[0])
+    _check_size((max(reach - 2 * ext[0], 0.0) / du * data.m) ** 2, "system", slowest)
+
+    u = 2 * ext[0] + du * np.arange(n_u)
+    h = assemble_M(data, u)
+
+    # The system at x = ext_i meets u >= u_i.  It ends where |M| has fallen
+    # below TAIL_REL times its running max from u_i, and past every
+    # bound-state tail on that scale; all systems end on one node.
+    running = np.maximum.accumulate(np.abs(h).max(axis=(1, 2))[::-1])[::-1]
+    peak = running[: ext.size]
+    cut = u[np.minimum(np.searchsorted(-running, -TAIL_REL * peak), n_u - 1)]
+    with np.errstate(divide="ignore"):
+        for tau, w in zip(taus, scales):
+            if w > 0:
+                cut = np.maximum(cut, np.log(w / (TAIL_REL * peak)) / tau)
+    y_end = float(np.max(np.where(peak > 0, np.maximum(cut, 2 * ext), 2 * ext) - ext))
+
+    counts = [ext[0::2].size, ext[1::2].size]
+    sizes = [max(c + 7, int(np.ceil((y_end - ext[r]) / du - 1e-9)) + 1) for r, c in enumerate(counts)]
+    _check_size((max(sizes) * data.m) ** 2, "system", slowest)
+    end = max(r + 2 * n - 1 for r, n in enumerate(sizes))
+    if end > n_u:
+        h = np.concatenate([h, _bound_part(data, 2 * ext[0] + du * np.arange(n_u, end))])
+
+    solves = [nested_diagonal(h[r : r + 2 * n - 1], du, c)
+              for r, (n, c) in enumerate(zip(sizes, counts))]
     diag = np.empty((ext.size, data.m, data.m), dtype=complex)
     diag[0::2], diag[1::2] = solves[0].diag, solves[1].diag
     return (

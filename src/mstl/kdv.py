@@ -16,7 +16,6 @@ import numpy as np
 
 from mstl.domain import (
     BoundState,
-    RhoGrid,
     SampledPotential,
     ScatteringData,
     SpaceGrid,
@@ -49,45 +48,25 @@ def evolve_scattering_data(data: ScatteringData, t: float) -> ScatteringData:
 class KdVTrajectory:
     times: tuple
     potentials: tuple
-    data_per_t: tuple
 
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
 
-def soliton_trajectory(
-    states, t_grid, x_grid: SpaceGrid, rho_grid: RhoGrid = None, store_data: bool = True
-) -> KdVTrajectory:
+def soliton_trajectory(states, t_grid, x_grid: SpaceGrid) -> KdVTrajectory:
     """Reflectionless trajectory: evolve the discrete data, rebuild Q per t.
 
     ``states`` is the right-side list of (tau, weight).  Weight growth is
-    applied as log scales inside the separable solve; scattering-data
-    snapshots are materialized only while exp(8 tau^3 t) is representable.
+    applied as log scales inside the separable solve.
     """
     times = tuple(float(t) for t in t_grid)
-    if rho_grid is None:
-        rho_grid = RhoGrid(8.0, 64)
     taus = [float(t) for t, _ in states]
-
-    potentials = []
-    snapshots = []
-    base = ScatteringData(
-        side="right",
-        rho_grid=rho_grid,
-        S=np.zeros((rho_grid.n,) + np.asarray(states[0][1]).shape, dtype=complex),
-        bound_states=tuple(BoundState(tau=t, weight=np.asarray(n, complex), side="right")
-                           for t, n in states),
+    potentials = tuple(
+        separable_glm_solve(states, "right", x_grid, log_scales=[8.0 * tau**3 * t for tau in taus])
+        for t in times
     )
-    for t in times:
-        log_scales = [8.0 * tau**3 * t for tau in taus]
-        potential = separable_glm_solve(states, "right", x_grid, log_scales=log_scales)
-        potentials.append(potential)
-        if store_data and max(log_scales) <= _EXP_LIMIT:
-            snapshots.append(evolve_scattering_data(base, t))
-        else:
-            snapshots.append(None)
-    return KdVTrajectory(times=times, potentials=tuple(potentials), data_per_t=tuple(snapshots))
+    return KdVTrajectory(times=times, potentials=potentials)
 
 
 def pde_terms(traj: KdVTrajectory, t_index: int) -> dict:

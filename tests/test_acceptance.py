@@ -208,7 +208,7 @@ def test_criterion_10_kdv_flow():
 
     def residual(dx, dt):
         g = SpaceGrid.from_bounds(-8.0, 10.0, dx)
-        tr = kdv.soliton_trajectory(states, [0.2 - dt, 0.2, 0.2 + dt], g, store_data=False)
+        tr = kdv.soliton_trajectory(states, [0.2 - dt, 0.2, 0.2 + dt], g)
         return kdv.kdv_residual(tr, 1)
 
     r1, r2 = residual(0.02, 1e-3), residual(0.01, 5e-4)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mstl import cli, domain
+from mstl import cli, domain, glm
 from mstl.domain import BoundState, RhoGrid, ScatteringData, SpaceGrid
 
 
@@ -190,6 +190,39 @@ def test_validate_command(tmp_path, soliton_data):
     assert cli.main(["validate", "--data", str(bad_path)]) == 2
 
 
+def test_weakly_bound_state_is_a_numeric_failure(tmp_path, capsys, monkeypatch):
+    # tau = 1e-3 puts the kernel tail near u = 2e4: the GLM system would hold
+    # about 5e10 entries, so the size budget refuses it before any sampling
+    rg = RhoGrid(8.0, 32)
+    data = ScatteringData(
+        side="right", rho_grid=rg, S=np.zeros((rg.n, 1, 1), complex),
+        bound_states=(BoundState(tau=1e-3, weight=np.array([[2e-3 + 0j]]), side="right"),),
+    )
+    path = tmp_path / "weak.json"
+    cli.write_scattering_json(path, data)
+    sampled = []
+    monkeypatch.setattr(glm, "assemble_M", lambda *args: sampled.append(args))
+    code = cli.main(["invert", "--data", str(path), "--x-min", "-2", "--x-max", "2",
+                     "--dx", "0.05", "--out", str(tmp_path / "out")])
+    assert code == 3 and not sampled
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:") and err.count("\n") == 1
+    assert "tau = 0.001" in err
+
+
+def test_perfbench_layers_resolve():
+    # perfbench/run.py --trace 1 wraps these bindings; a refactor that drops
+    # one of them fails here instead of in the benchmark
+    import importlib
+    import runpy
+    from pathlib import Path
+
+    spans = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"))
+    for bindings in spans["LAYERS"].values():
+        for module_name, attr in bindings:
+            assert callable(getattr(importlib.import_module(module_name), attr, None)), attr
+
+
 def test_exit_codes(tmp_path):
     # missing input file -> i/o error
     assert cli.main(["invert", "--data", str(tmp_path / "nope.json"),
@@ -230,6 +263,8 @@ def test_malformed_scattering_json_is_a_validation_error(tmp_path, soliton_data,
     (None, ["--dx", "0"]),
     (None, ["--dx", "nan"]),
     (None, ["--rho-max", "nan"]),
+    (None, ["--bundled", "random", "--dim", "0"]),
+    (None, ["--bundled", "zero", "--dim", "-1"]),
 ])
 def test_malformed_input_is_a_validation_error(tmp_path, capsys, potential, options):
     source = ["--bundled", "bump"]

@@ -13,16 +13,19 @@ from mstl.domain import (
 
 
 def soliton_kernel(tau=1.0, weight=2.0, m=1, direction=None):
+    """u -> weight P exp(-tau u), the right-form kernel of one reflectionless state."""
     proj = np.eye(m, dtype=complex)
     if direction is not None:
         v = np.asarray(direction, dtype=complex)
         v = v / np.linalg.norm(v)
         proj = np.outer(v, v.conj())
-    u = np.linspace(-4.0, 30.0, 18)
-    return glm.GLMKernelFunction(
-        side="right", u_grid=u, R=np.zeros((18, m, m), complex),
-        states=((tau, weight * proj),),
-    )
+    return lambda u: np.exp(-tau * np.asarray(u))[..., None, None] * (weight * proj)
+
+
+def hankel_samples(kernel, x0, du, y_end):
+    """Kernel at 2 x0 + j du for the nodes x0 + j du up to the first at or past y_end."""
+    n = int(np.ceil((y_end - x0) / du - 1e-9)) + 1
+    return kernel(2.0 * x0 + du * np.arange(2 * n - 1))
 
 
 def test_fourier_kernel_zero(soliton_data):
@@ -65,26 +68,31 @@ def test_fourier_kernel_hermitian_and_oracle(box_setup, box_forward):
 
 def test_assemble_M_pure_bound_state(soliton_data):
     u = np.arange(-2.0, 25.0, 0.1)
-    kern = glm.assemble_M(soliton_data, u)
     expect = 2.0 * np.exp(-u)
-    assert np.abs(kern(u)[:, 0, 0] - expect).max() < 1e-12
+    assert np.abs(glm.assemble_M(soliton_data, u)[:, 0, 0] - expect).max() < 1e-12
 
 
 def test_assemble_M_without_states_is_fourier(bump_forward):
     u = np.arange(-4.0, 4.0, 0.1)
-    kern = glm.assemble_M(bump_forward.j_plus, u)
-    assert np.allclose(kern(u), glm.fourier_kernel(bump_forward.j_plus, u))
+    assert np.allclose(glm.assemble_M(bump_forward.j_plus, u), glm.fourier_kernel(bump_forward.j_plus, u))
 
 
 def test_mirrored_kernel():
-    u = np.arange(-3.0, 10.0, 0.5)
-    left = glm.GLMKernelFunction(
-        side="left", u_grid=u, R=np.exp(u)[:, None, None] + 0j,
-        states=((1.0, np.array([[2.0 + 0j]])),),
-    )
-    mir = left.mirrored()
-    probe = np.array([-1.3, 0.4, 2.0])
-    assert np.abs(mir(probe) - left(-probe)).max() < 1e-12
+    # left data with reflection and a state give M_-(-u) in right form, where
+    # M_-(v) = (1/2pi) int S_-(rho) exp(-i rho v) drho + N exp(tau v)
+    rg = RhoGrid(20.0, 128)
+    mix = np.array([[1.0, 0.4j], [0.2, -0.5]])
+    s = (0.05 / (rg.nodes + 1j))[:, None, None] * mix
+    weight = np.array([[2.0, 0.5j], [-0.5j, 1.0]])
+    left = ScatteringData(side="left", rho_grid=rg, S=s,
+                          bound_states=(BoundState(tau=1.3, weight=weight, side="left"),))
+
+    def m_minus(v):
+        phases = np.exp(-1j * np.outer(v, rg.nodes)) * (rg.step / (2 * np.pi))
+        return np.einsum("vr,rab->vab", phases, s) + np.exp(1.3 * v)[:, None, None] * weight
+
+    u = np.array([-1.3, 0.4, 2.0])
+    assert np.abs(glm.assemble_M(left, u) - m_minus(-u)).max() < 1e-12
 
 
 def test_gregory_weights_integrate_exactly():
@@ -114,12 +122,13 @@ def test_nested_diagonal_matches_dense(m):
     # reflection part and two bound states, one of them rank one for m = 2
     v = np.array([1.0, 0.5j])[:m]
     proj = np.outer(v, v.conj()) / np.vdot(v, v)
-    u = np.linspace(-4.0, 30.0, 341)
-    r = 0.05 * np.exp(-((u - 1.0) ** 2))[:, None, None] * (proj + 0.3 * np.eye(m))
-    kern = glm.GLMKernelFunction(side="right", u_grid=u, R=r,
-                                 states=((1.0, 2.0 * proj), (1.7, 0.5 * np.eye(m))))
+
+    def kern(u):
+        r = 0.05 * np.exp(-((u - 1.0) ** 2))[:, None, None] * (proj + 0.3 * np.eye(m))
+        return r + soliton_kernel(1.0, 2.0, m, v)(u) + soliton_kernel(1.7, 0.5, m)(u)
+
     x0, du, count, y_end = -0.5, 0.05, 60, 20.0
-    out = glm.nested_diagonal(kern, x0, du, count, y_end)
+    out = glm.nested_diagonal(hankel_samples(kern, x0, du, y_end), du, count)
     n = int(round((y_end - x0) / du)) + 1
     # k = 0..3 need the head-weight correction cases; k = 50 is a late x
     for k in (0, 1, 2, 3, 50):
@@ -129,9 +138,7 @@ def test_nested_diagonal_matches_dense(m):
 
 
 def test_solve_zero_kernel():
-    kern = glm.GLMKernelFunction(side="right", u_grid=np.linspace(-1, 10, 12),
-                                 R=np.zeros((12, 1, 1), complex), states=())
-    out = glm.nested_diagonal(kern, 0.0, 0.05, 20, 5.0)
+    out = glm.nested_diagonal(np.zeros((201, 1, 1), complex), 0.05, 20)
     assert out.diag.shape == (20, 1, 1)
     assert np.abs(out.diag).max() == 0.0
     assert out.sigma_min_est == 1.0
@@ -140,7 +147,7 @@ def test_solve_zero_kernel():
 def test_solve_soliton_row():
     kern = soliton_kernel()
     du = 0.05
-    out = glm.nested_diagonal(kern, 0.0, du, 1, 29.0)
+    out = glm.nested_diagonal(hankel_samples(kern, 0.0, du, 29.0), du, 1)
     assert np.abs(out.diag[0, 0, 0] + 1.0) < 1e-5
     assert out.residual < 1e-10
     # estimated smallest singular value against the exact spectrum of the x = 0 system
@@ -155,7 +162,7 @@ def test_solve_soliton_row():
 
 def test_solve_rank_one_matrix_case():
     kern = soliton_kernel(m=2, direction=[1.0, 1.0])
-    out = glm.nested_diagonal(kern, 0.0, 0.05, 1, 25.0)
+    out = glm.nested_diagonal(hankel_samples(kern, 0.0, 0.05, 25.0), 0.05, 1)
     proj = np.full((2, 2), 0.5)
     assert np.abs(out.diag[0] + proj).max() < 1e-5
 
@@ -163,7 +170,7 @@ def test_solve_rank_one_matrix_case():
 def test_separable_equals_nystrom():
     states = [(1.0, np.array([[2.0 + 0j]]))]
     x0, du, count = 0.3, 0.0125, 40
-    out = glm.nested_diagonal(soliton_kernel(), x0, du, count, 28.3)
+    out = glm.nested_diagonal(hankel_samples(soliton_kernel(), x0, du, 28.3), du, count)
     _, diag = solitons.separable_potential_values(states, x0 + du * np.arange(count))
     assert np.abs(out.diag - diag).max() < 1e-8
 
@@ -171,7 +178,7 @@ def test_separable_equals_nystrom():
 def test_transform_kernel_and_recover(soliton_data):
     kern = soliton_kernel()
     xs = np.arange(0.0, 4.0 + 1e-9, 0.05)
-    out = glm.nested_diagonal(kern, 0.0, 0.05, xs.size, 29.0)
+    out = glm.nested_diagonal(hankel_samples(kern, 0.0, 0.05, 29.0), 0.05, xs.size)
     # closed form K(x, x) = -2 exp(-2x) / (1 + exp(-2x)) of the unit soliton
     expect_diag = -2.0 * np.exp(-2 * xs) / (1 + np.exp(-2 * xs))
     assert np.abs(out.diag[:, 0, 0] - expect_diag).max() < 1e-5

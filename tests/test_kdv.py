@@ -61,7 +61,7 @@ def test_two_solitons_separate_with_speeds_4_and_16():
     states = [(1.0, np.array([[2.0 + 0j]])), (2.0, np.array([[8.0 + 0j]]))]
     grid = SpaceGrid.from_bounds(-6.0, 46.0, 0.02)
     t0, t1 = 2.0, 2.5
-    traj = kdv.soliton_trajectory(states, [t0, t1], grid, store_data=False)
+    traj = kdv.soliton_trajectory(states, [t0, t1], grid)
 
     def centers(potential):
         q = potential.values[:, 0, 0].real
@@ -84,15 +84,13 @@ def test_two_solitons_separate_with_speeds_4_and_16():
 def test_kdv_residual_zero_trajectory():
     grid = SpaceGrid.from_bounds(-2.0, 2.0, 0.1)
     zero = domain.zero_potential(grid)
-    traj = kdv.KdVTrajectory(times=(0.0, 0.1, 0.2), potentials=(zero, zero, zero),
-                             data_per_t=(None, None, None))
+    traj = kdv.KdVTrajectory(times=(0.0, 0.1, 0.2), potentials=(zero, zero, zero))
     assert kdv.kdv_residual(traj, 1) == 0.0
 
 
 def residual_at(dx, dt, t0=0.2):
     grid = SpaceGrid.from_bounds(-8.0, 10.0, dx)
-    traj = kdv.soliton_trajectory(one_soliton_states(), [t0 - dt, t0, t0 + dt], grid,
-                                  store_data=False)
+    traj = kdv.soliton_trajectory(one_soliton_states(), [t0 - dt, t0, t0 + dt], grid)
     return traj, kdv.kdv_residual(traj, 1)
 
 
@@ -109,7 +107,7 @@ def test_kdv_residual_small_and_second_order():
 def test_pde_terms_arity_guard():
     grid = SpaceGrid.from_bounds(-2.0, 2.0, 0.1)
     zero = domain.zero_potential(grid)
-    traj = kdv.KdVTrajectory(times=(0.0, 0.1), potentials=(zero, zero), data_per_t=(None, None))
+    traj = kdv.KdVTrajectory(times=(0.0, 0.1), potentials=(zero, zero))
     with pytest.raises(ValidationError):
         kdv.pde_terms(traj, 1)
 
