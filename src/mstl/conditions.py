@@ -35,6 +35,9 @@ from mstl.domain import (
     residue_contour_radius,
 )
 
+KERNEL_SPAN = 30.0  # |u| range of the Fourier-kernel checks of conditions A and B
+KERNEL_DU = 0.05  # their u step
+
 
 @dataclass(frozen=True)
 class CheckItem:
@@ -73,16 +76,16 @@ class ConditionReport:
         }
 
 
-def _kernel_samples(data: ScatteringData, u_span: float, du: float):
-    """(u, Fourier kernel at u) on |u| <= u_span, capped at 0.9 pi / drho.
+def _kernel_samples(data: ScatteringData):
+    """(u, Fourier kernel at u) on |u| <= KERNEL_SPAN, capped at 0.9 pi / drho.
 
     Beyond the sampling limit pi / drho of the spectral grid the Fourier
     quadrature aliases and says nothing about the data.
     """
     from mstl.glm import fourier_kernel
 
-    u_span = min(u_span, 0.9 * np.pi / data.rho_grid.step)
-    u = np.arange(-u_span, u_span + du / 2, du)
+    u_span = min(KERNEL_SPAN, 0.9 * np.pi / data.rho_grid.step)
+    u = np.arange(-u_span, u_span + KERNEL_DU / 2, KERNEL_DU)
     return u, fourier_kernel(data, u)
 
 
@@ -95,9 +98,7 @@ def _kernel_tail_item(name: str, side: str, r_norms: np.ndarray) -> CheckItem:
     return CheckItem(name, tail <= tail_tol, tail, tail_tol)
 
 
-def check_condition_A(
-    data: ScatteringData, u_span: float = 30.0, du: float = 0.05
-) -> ConditionReport:
+def check_condition_A(data: ScatteringData) -> ConditionReport:
     """Per-side admissibility report for one set of scattering data.
 
     The kernel checks are confined to |u| below the sampling limit pi / drho
@@ -125,7 +126,7 @@ def check_condition_A(
     decay_ok = outer <= max(mid, floor)
     items.append(CheckItem("reflection_tail_decay", bool(decay_ok), outer, max(mid, floor)))
 
-    u, r = _kernel_samples(data, u_span, du)
+    u, r = _kernel_samples(data)
     r_herm = float(np.abs(r - r.conj().transpose(0, 2, 1)).max(initial=0.0))
     r_scale = float(np.abs(r).max(initial=0.0))
     herm_tol = 1e-6 * (1.0 + r_scale)
@@ -133,9 +134,9 @@ def check_condition_A(
 
     r_norms = operator_norms(r)
     half = u >= 0 if data.side == "right" else u <= 0
-    integral = float(np.trapezoid(r_norms[half], dx=du))
-    dr = np.gradient(r, du, axis=0)
-    integral1 = float(np.trapezoid(((1 + np.abs(u)) * operator_norms(dr))[half], dx=du))
+    integral = float(np.trapezoid(r_norms[half], dx=KERNEL_DU))
+    dr = np.gradient(r, KERNEL_DU, axis=0)
+    integral1 = float(np.trapezoid(((1 + np.abs(u)) * operator_norms(dr))[half], dx=KERNEL_DU))
     finite = np.isfinite(integral) and np.isfinite(integral1)
     items.append(CheckItem("kernel_integrals_finite", bool(finite), integral + integral1, np.inf))
 
@@ -446,7 +447,7 @@ def check_condition_B_numeric(
 
     # connected left kernel integrability
     left = ScatteringData(side="left", rho_grid=j_plus.rho_grid, S=s_minus, bound_states=())
-    _, r_minus = _kernel_samples(left, 30.0, 0.05)
+    _, r_minus = _kernel_samples(left)
     items.append(_kernel_tail_item("connected_left_kernel_tail", "left", operator_norms(r_minus)))
 
     return ConditionReport(condition="B", items=tuple(items))

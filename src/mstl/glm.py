@@ -1,14 +1,16 @@
 """Inverse scattering through the Gelfand-Levitan-Marchenko equation.
 
 Pipeline: reflection samples are Fourier-transformed on the symmetric
-spectral grid and combined with the analytic bound-state exponentials into
-samples of the kernel M, and the integral equation
+spectral grid into samples of the Fourier part of the kernel M, the
+bound-state exponentials enter through their separable form, and the
+integral equation
 
     M(x + y) + K(x, y) + int_x^inf K(x, t) M(t + y) dt = 0,   y > x,
 
 is discretized by an endpoint-corrected (Gregory order-4) trapezoid rule on
-the uniform y-grid y_j = x + j du.  Its Hankel arguments 2x + du (i + j) make
-the system at x + k du the trailing principal block of the system at x, up to
+the uniform y-grid y_j = x + j du.  Its Hankel arguments 2x + du (i + j) (and
+a rank-r tail term that depends on the nodes alone) make the system at
+x + k du the trailing principal block of the system at x, up to
 the quadrature weights of the block's first three nodes.  So one reverse (UL)
 Cholesky factorization A = U U^H of the largest system gives the kernel
 diagonal K(x, x) at every node x + k du, each through a three-node Schur
@@ -18,14 +20,20 @@ Q(x) = -2 d/dx K(x, x) by fourth-order central differences, trusted on the
 right half-line; the left half-line uses the mirrored equation on the
 reflected nodes.
 
-The kernel is one array per side: right-form samples at the Hankel arguments
-u_j = 2 x_0 + j du of the first node, M_+(u) for right data and M_-(-u) for
-left data, which the mirrored equation has in the same form.  The Fourier
-part is sampled to just past the slowest bound-state tail and is zero beyond;
-the bound-state part is exact at every sample.  Interleave r reads the
-contiguous block from u_r.  No kernel window or dense system above
-MAX_ENTRIES complex entries is allocated: ``IllPosedDataError`` names the
-bound state whose tail asks for it.
+The Fourier part F of the kernel is one array per side: right-form samples
+at the Hankel arguments u_j = 2 x_0 + j du of the first node, R(u) for right
+data and R(-u) for left data, which the mirrored equation has in the same
+form.  It is sampled to just past the slowest bound-state tail and is zero
+beyond.  The dense window is set by F alone: it ends where |F| has fallen
+below TAIL_REL times its running max (at least count + 7 nodes).  Past its
+last node L the bound-state part sum_k N_k exp(-tau_k (t + y)) = E(t) E(y)^H
+is eliminated in closed form, which leaves the window kernel
+F(t + y) + E(t) W E(y)^H (see ``_tail_factor``): the exact Schur complement
+of the tail, so it stays positive definite with a smallest eigenvalue at
+least that of the whole operator.  W depends on L alone, so the nesting
+holds, and interleave r reads the contiguous block of F from u_r.  No kernel
+window or dense system above MAX_ENTRIES complex entries is allocated:
+``IllPosedDataError`` names the bound state whose tail sets the sampling.
 
 The discretized operator inherits Hermitian positive definiteness from the
 continuous one (after symmetrization by the square-root quadrature weights),
@@ -49,10 +57,12 @@ from mstl.domain import (
     ValidationError,
     matrix_operator_norm,
 )
+from mstl.solitons import range_factors
 
 RCOND_FLOOR = 1e-12
 TAIL_REL = 1e-10
 MAX_ENTRIES = 2**27  # complex entries of the kernel window or of the dense GLM system
+_BLOCK_ELEMENTS = 2**16  # (u, rho) phase entries per block of the Fourier kernel
 _GREGORY_HEAD = np.array([3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0])
 
 
@@ -62,12 +72,24 @@ def fourier_kernel(data: ScatteringData, u_grid: np.ndarray) -> np.ndarray:
     The sign in the exponent is + for right data and - for left data.  The
     quadrature is the uniform midpoint rule native to the half-offset
     spectral grid; Hermiticity of the result is exact on the symmetric grid.
+    The phases are formed in blocks of u of at most ``_BLOCK_ELEMENTS``
+    entries, so the transients stay small whatever the grid sizes.
     """
-    u = np.asarray(u_grid, dtype=float)
+    u = np.asarray(u_grid, dtype=float).ravel()
     nodes = data.rho_grid.nodes
     sign = 1.0 if data.side == "right" else -1.0
-    phases = np.exp(1j * sign * np.outer(u, nodes)) * (data.rho_grid.step / (2.0 * np.pi))
-    return np.tensordot(phases, data.S, axes=(1, 0))
+    scale = data.rho_grid.step / (2.0 * np.pi)
+    out = np.empty((u.size, data.m, data.m), dtype=complex)
+    rows = max(1, _BLOCK_ELEMENTS // nodes.size)
+    for lo in range(0, u.size, rows):
+        phases = np.exp(1j * sign * np.outer(u[lo : lo + rows], nodes)) * scale
+        out[lo : lo + rows] = np.tensordot(phases, data.S, axes=(1, 0))
+    return out
+
+
+def _right_form_fourier(data: ScatteringData, u: np.ndarray) -> np.ndarray:
+    """Fourier part of the right-form kernel: R(u) for right data, R(-u) for left."""
+    return fourier_kernel(data, u if data.side == "right" else -u)
 
 
 def _bound_part(data: ScatteringData, u: np.ndarray) -> np.ndarray:
@@ -85,8 +107,29 @@ def assemble_M(data: ScatteringData, u: np.ndarray) -> np.ndarray:
     mirrored left equation: the Fourier part at -u plus N_k exp(-tau_k u).
     """
     u = np.asarray(u, dtype=float)
-    sign = 1.0 if data.side == "right" else -1.0
-    return fourier_kernel(data, sign * u) + _bound_part(data, u)
+    return _right_form_fourier(data, u) + _bound_part(data, u)
+
+
+def _tail_factor(data: ScatteringData, ys: np.ndarray):
+    """P at the nodes ``ys`` with P(t) P(y)^H = E(t) W E(y)^H, or None without states.
+
+    The bound-state part of the right-form kernel is separable,
+    sum_k N_k exp(-tau_k (t + y)) = E(t) E(y)^H with E(y) = [B_k exp(-tau_k y)]
+    and N_k = B_k B_k^H.  Past the last node L the Fourier part is zero, so
+    K(x, t) = -c(x) E(t)^H there, and eliminating c leaves the kernel
+    F(t + y) + E(t) W E(y)^H on [x, L]: the Schur complement of the tail, with
+    W = (I + G_L)^-1 and G_L = int_L^inf E^H E = [B_k^H B_l exp(-(tau_k + tau_l) L)
+    / (tau_k + tau_l)].  W depends on L alone, so the systems at later nodes
+    remain trailing blocks.
+    """
+    if not data.bound_states:
+        return None
+    b, index = range_factors([s.weight for s in data.bound_states])
+    tau = np.array(data.taus)[index]
+    e = b * np.exp(-np.outer(ys, tau))[:, None, :]
+    g = e[-1].conj().T @ e[-1] / (tau[:, None] + tau[None, :])
+    chol = np.linalg.cholesky(np.eye(tau.size) + g)  # I + G_L = C C^H, so P = E C^-H
+    return np.linalg.solve(chol, e.conj().transpose(0, 2, 1)).conj().transpose(0, 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -138,13 +181,15 @@ def _hankel_product(h: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.fft.ifft(spectrum, axis=0)[n - 1 : 2 * n - 1]
 
 
-def nested_diagonal(h: np.ndarray, du: float, count: int) -> DiagonalSolve:
+def nested_diagonal(h: np.ndarray, du: float, count: int, tail: np.ndarray = None) -> DiagonalSolve:
     """K(x_k, x_k) at x_k = x_0 + k du, k < count, from one reverse Cholesky.
 
-    ``h`` holds the right-form kernel at the Hankel arguments 2 x_0 + j du,
-    j < 2n - 1, with n = (len(h) + 1) // 2.  The system at x_k has the nodes
-    x_k + j du up to x_0 + (n - 1) du, so all of them end on the same node;
-    the last needs at least eight nodes (n >= count + 7).  Its symmetrized
+    ``h`` holds the Hankel part of the kernel at the Hankel arguments
+    2 x_0 + j du, j < 2n - 1, with n = (len(h) + 1) // 2.  ``tail`` (n, m, r),
+    if given, adds P_i P_j^H to the kernel block of nodes i and j (the
+    closed-form bound-state tail of ``_tail_factor``).  The system at x_k has
+    the nodes x_k + j du up to x_0 + (n - 1) du, so all of them end on the
+    same node; the last needs at least eight nodes (n >= count + 7).  Its symmetrized
     matrix is D (B_k + F) D: B_k is the trailing block of the x_0 system A
     from node k, D^2 the ratio of the Gregory weights of its first three
     nodes to A's weights there, and F = D^-2 - I.  With A = U U^H (U upper
@@ -154,15 +199,17 @@ def nested_diagonal(h: np.ndarray, du: float, count: int) -> DiagonalSolve:
 
     A factorization failure or an estimated reciprocal condition below
     1e-12 raises ``IllPosedDataError``.  The residual is that of the x_0 row,
-    solved through the factor and checked against the Hankel form.
+    solved through the factor and checked against the kernel applied by FFT
+    and through the tail factor.
     """
-    from scipy.linalg import lapack  # loaded on first use: it dominates start-up
+    from scipy.linalg import blas, lapack  # loaded on first use: they dominate start-up
 
     n = (len(h) + 1) // 2
     if n < count + 7:
         raise ValueError(f"{len(h)} kernel samples give {n} nodes, fewer than count + 7 = {count + 7}")
     m = h.shape[-1]
-    if not np.any(h):
+    p = np.zeros((n, m, 0), dtype=complex) if tail is None else tail
+    if not (np.any(h) or np.any(p)):
         return DiagonalSolve(np.zeros((count, m, m), dtype=complex), 1.0, 0.0)
     w = gregory_weights(n, du)
     sw = np.sqrt(w)
@@ -172,6 +219,10 @@ def nested_diagonal(h: np.ndarray, du: float, count: int) -> DiagonalSolve:
     # conjugate, so LAPACK factors it in place as R^H R.  Then the reversed
     # system is L L^H with L = R^T, and A = U U^H with U = L reversed.
     a_rev = _hankel_system(h[::-1, ::-1, ::-1], sw[::-1])
+    if p.shape[-1]:
+        # the tail term (D P)(D P)^H, added in place to the transpose
+        dp_rev = (sw[:, None, None] * p).reshape(n * m, -1)[::-1].conj()
+        a_rev = blas.zgemm(1.0, dp_rev, dp_rev, beta=1.0, c=a_rev.T, trans_b=2, overwrite_c=1).T
     anorm = float(np.abs(a_rev).sum(axis=0).max())
     r_fac, info = lapack.zpotrf(a_rev.T, lower=0, overwrite_a=1, clean=1)
     if info:
@@ -192,10 +243,12 @@ def nested_diagonal(h: np.ndarray, du: float, count: int) -> DiagonalSolve:
     diag = (inv00 - np.eye(m)) / head[0]
 
     # x_0 row in column form, A v = -b^H, solved with the reversed factor
-    rhs = -(h[:n].conj().transpose(0, 2, 1) * sw[:, None, None])
+    p_h = p.conj().transpose(0, 2, 1)
+    rhs = -((h[:n].conj().transpose(0, 2, 1) + p @ p_h[0]) * sw[:, None, None])
     sol, _ = lapack.zpotrs(r_fac, rhs.reshape(n * m, m)[::-1].conj())
     v = sol.conj()[::-1].reshape(n, m, m)
-    av = v + sw[:, None, None] * _hankel_product(h, sw[:, None, None] * v)
+    z = sw[:, None, None] * v
+    av = v + sw[:, None, None] * (_hankel_product(h, z) + p @ (p_h @ z).sum(axis=0))
     return DiagonalSolve(diag, float(rcond * anorm), float(np.abs(av - rhs).max()))
 
 
@@ -234,44 +287,30 @@ def _half_line_potential(data: ScatteringData, xs: np.ndarray, dx: float):
     scales = np.array([matrix_operator_norm(b.weight) for b in data.bound_states])
 
     # the continuous part is sampled up to u_hi, past the slowest bound-state
-    # tail, and is zero beyond it; the bound part is exact everywhere
+    # tail, and is zero beyond it
     tails = np.log(np.maximum(scales, 1e-30) / TAIL_REL) / taus
     slowest = float(taus[np.argmax(tails)]) if taus.size else None
     u_hi = max(2 * ext[-1] + 2.0, max(tails, default=0.0) + 2.0)
     n_u = int(np.ceil((u_hi - 2 * ext[0]) / du)) + 1
-
-    # Both sizes are checked before either array exists.  The system size is
-    # bounded below through the largest value |M| can take on u >= u_0.
     _check_size(n_u * data.rho_grid.n, "kernel window", slowest)
-    m_max = (np.abs(data.S).max(axis=(1, 2)).sum() * data.rho_grid.step / (2 * np.pi)
-             + np.sum(scales * np.exp(-2 * taus * ext[0])))
-    reach = max((np.log(w / (TAIL_REL * m_max)) / t for t, w in zip(taus, scales) if w > 0),
-                default=2 * ext[0])
-    _check_size((max(reach - 2 * ext[0], 0.0) / du * data.m) ** 2, "system", slowest)
-
     u = 2 * ext[0] + du * np.arange(n_u)
-    h = assemble_M(data, u)
+    f = _right_form_fourier(data, u)
 
-    # The system at x = ext_i meets u >= u_i.  It ends where |M| has fallen
-    # below TAIL_REL times its running max from u_i, and past every
-    # bound-state tail on that scale; all systems end on one node.
-    running = np.maximum.accumulate(np.abs(h).max(axis=(1, 2))[::-1])[::-1]
-    peak = running[: ext.size]
-    cut = u[np.minimum(np.searchsorted(-running, -TAIL_REL * peak), n_u - 1)]
-    with np.errstate(divide="ignore"):
-        for tau, w in zip(taus, scales):
-            if w > 0:
-                cut = np.maximum(cut, np.log(w / (TAIL_REL * peak)) / tau)
-    y_end = float(np.max(np.where(peak > 0, np.maximum(cut, 2 * ext), 2 * ext) - ext))
+    # The system at x = ext_i meets u >= u_i.  It ends where |F| has fallen
+    # below TAIL_REL times its running max from u_i; all systems end on one
+    # node, and the bound-state part past it is exact (``_tail_factor``).
+    running = np.maximum.accumulate(np.abs(f).max(axis=(1, 2))[::-1])[::-1]
+    cut = u[np.minimum(np.searchsorted(-running, -TAIL_REL * running[: ext.size]), n_u - 1)]
+    y_end = float(np.max(np.maximum(cut, 2 * ext) - ext))
 
     counts = [ext[0::2].size, ext[1::2].size]
     sizes = [max(c + 7, int(np.ceil((y_end - ext[r]) / du - 1e-9)) + 1) for r, c in enumerate(counts)]
     _check_size((max(sizes) * data.m) ** 2, "system", slowest)
     end = max(r + 2 * n - 1 for r, n in enumerate(sizes))
-    if end > n_u:
-        h = np.concatenate([h, _bound_part(data, 2 * ext[0] + du * np.arange(n_u, end))])
+    if end > n_u:  # F is zero past u_hi
+        f = np.concatenate([f, np.zeros((end - n_u, data.m, data.m), dtype=complex)])
 
-    solves = [nested_diagonal(h[r : r + 2 * n - 1], du, c)
+    solves = [nested_diagonal(f[r : r + 2 * n - 1], du, c, _tail_factor(data, ext[r] + du * np.arange(n)))
               for r, (n, c) in enumerate(zip(sizes, counts))]
     diag = np.empty((ext.size, data.m, data.m), dtype=complex)
     diag[0::2], diag[1::2] = solves[0].diag, solves[1].diag

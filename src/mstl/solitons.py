@@ -60,6 +60,13 @@ def _range_and_kernel(n: np.ndarray, cutoff: float = EIG_CUTOFF_REL):
     return v[:, keep] * np.sqrt(w[keep]), v[:, ~keep]
 
 
+def range_factors(weights):
+    """B = [B_1 ... B_n] with B_k B_k^H = N_k, and the state index k of each column."""
+    factors = [_range_and_kernel(np.asarray(n, dtype=complex))[0] for n in weights]
+    index = np.repeat(np.arange(len(factors)), [f.shape[1] for f in factors])
+    return np.concatenate(factors, axis=1), index
+
+
 def checked_states(states) -> tuple[list, list]:
     """Taus and weights of (tau, weight) pairs, as floats and complex matrices.
 
@@ -201,19 +208,15 @@ def separable_potential_values(states, xs, log_scales=None, side: str = "right")
     Y = G^{-1} B^H.  Null directions of the weights never enter.
     Returns (q, diag) arrays of shape (len(xs), m, m).
     """
-    taus = [float(t) for t, _ in states]
-    if log_scales is None:
-        log_scales = [0.0] * len(taus)
-    factors = [_range_and_kernel(np.asarray(n, dtype=complex))[0] for _, n in states]
-    ranks = [f.shape[1] for f in factors]
-    b = np.concatenate(factors, axis=1)
-    tau = np.repeat(taus, ranks)
+    b, index = range_factors([n for _, n in states])
+    tau = np.array([float(t) for t, _ in states])[index]
+    shift = 0.0 if log_scales is None else np.asarray(log_scales, dtype=float)[index]
     xs = np.asarray(xs, dtype=float)
     solve_xs = -xs[::-1] if side == "left" else xs
 
     # past the clamp a state is fully decayed to roundoff (its rows of Y are
     # below e^-460), and exp stays finite however far right x or the flow goes
-    exponent = 2.0 * tau * solve_xs[:, None] - np.repeat(log_scales, ranks)
+    exponent = 2.0 * tau * solve_xs[:, None] - shift
     e = np.exp(np.minimum(exponent, _EXP_CLAMP))
     cauchy = (b.conj().T @ b) / (tau[:, None] + tau[None, :])
     g = cauchy + e[:, :, None] * np.eye(tau.size)

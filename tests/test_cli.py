@@ -190,24 +190,43 @@ def test_validate_command(tmp_path, soliton_data):
     assert cli.main(["validate", "--data", str(bad_path)]) == 2
 
 
-def test_weakly_bound_state_is_a_numeric_failure(tmp_path, capsys, monkeypatch):
-    # tau = 1e-3 puts the kernel tail near u = 2e4: the GLM system would hold
-    # about 5e10 entries, so the size budget refuses it before any sampling
+def one_state_data(tmp_path, tau):
+    """Right data of the scalar one-soliton centred at 0 (weight 2 tau), S = 0."""
     rg = RhoGrid(8.0, 32)
     data = ScatteringData(
         side="right", rho_grid=rg, S=np.zeros((rg.n, 1, 1), complex),
-        bound_states=(BoundState(tau=1e-3, weight=np.array([[2e-3 + 0j]]), side="right"),),
+        bound_states=(BoundState(tau=tau, weight=np.array([[2 * tau + 0j]]), side="right"),),
     )
     path = tmp_path / "weak.json"
     cli.write_scattering_json(path, data)
+    return path
+
+
+def test_weakly_bound_state_inverts(tmp_path):
+    # tau = 1e-3 puts the kernel tail near u = 2e4, but past the reflection
+    # window it is closed-form: the systems stay count + 7 nodes long
+    out = tmp_path / "out"
+    code = cli.main(["invert", "--data", str(one_state_data(tmp_path, 1e-3)), "--x-min", "-2",
+                     "--x-max", "2", "--dx", "0.05", "--out", str(out)])
+    assert code == 0
+    pot = cli.read_potential_csv(out / "potential.csv")
+    exact = -2e-6 / np.cosh(1e-3 * pot.grid.xs) ** 2
+    assert np.abs(pot.values[:, 0, 0] - exact).max() < 1e-6 * 2e-6
+
+
+def test_weakly_bound_state_is_a_numeric_failure(tmp_path, capsys, monkeypatch):
+    # tau = 1e-6 would need the Fourier part sampled out to u = 1e7: the
+    # kernel window budget refuses it before any sampling
+    path = one_state_data(tmp_path, 1e-6)
     sampled = []
     monkeypatch.setattr(glm, "assemble_M", lambda *args: sampled.append(args))
+    monkeypatch.setattr(glm, "fourier_kernel", lambda *args: sampled.append(args))
     code = cli.main(["invert", "--data", str(path), "--x-min", "-2", "--x-max", "2",
                      "--dx", "0.05", "--out", str(tmp_path / "out")])
     assert code == 3 and not sampled
     err = capsys.readouterr().err
     assert err.startswith("numeric failure:") and err.count("\n") == 1
-    assert "tau = 0.001" in err
+    assert "kernel window" in err and "tau = 1e-06" in err
 
 
 def test_perfbench_layers_resolve():

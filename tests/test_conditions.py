@@ -151,3 +151,19 @@ def test_forward_data_pass_both_conditions(box_forward):
     assert conditions.check_condition_A(box_forward.j_plus).passed
     d_ev = conditions.scalar_D(box_forward.j_plus)
     assert conditions.check_condition_B_numeric(d_ev, box_forward.j_plus).passed
+
+
+def test_condition_A_kernel_memory_is_bounded():
+    # the Fourier kernel of 2048 rho-nodes on the |u| <= 30 grid is formed in
+    # blocks: the dense phase array alone would take 39 MB
+    import tracemalloc
+
+    rg = RhoGrid(20.0, 1024)
+    data = ScatteringData(side="right", rho_grid=rg, S=np.zeros((rg.n, 2, 2), complex))
+    tracemalloc.start()
+    try:
+        conditions.check_condition_A(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

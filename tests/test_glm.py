@@ -66,6 +66,21 @@ def test_fourier_kernel_hermitian_and_oracle(box_setup, box_forward):
     assert np.abs(r - dense).max() < 1e-4
 
 
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_fourier_kernel_blocks(side, monkeypatch):
+    # several blocks of u, the last one partial, give the unblocked formula
+    rg = RhoGrid(10.0, 64)
+    rng = np.random.default_rng(3)
+    s = rng.normal(size=(rg.n, 2, 2)) + 1j * rng.normal(size=(rg.n, 2, 2))
+    data = ScatteringData(side=side, rho_grid=rg, S=s)
+    u = np.linspace(-7.0, 9.0, 53)
+    sign = 1.0 if side == "right" else -1.0
+    phases = np.exp(1j * sign * np.outer(u, rg.nodes)) * (rg.step / (2 * np.pi))
+    whole = np.tensordot(phases, s, axes=(1, 0))
+    monkeypatch.setattr(glm, "_BLOCK_ELEMENTS", 5 * rg.n)
+    assert np.abs(glm.fourier_kernel(data, u) - whole).max() < 1e-13
+
+
 def test_assemble_M_pure_bound_state(soliton_data):
     u = np.arange(-2.0, 25.0, 0.1)
     expect = 2.0 * np.exp(-u)
@@ -245,10 +260,11 @@ def test_invert_flags_inconsistent_sides(soliton_data):
         glm.invert(soliton_data, bad_left, grid=grid)
 
 
-def test_roundtrip_matrix_with_reflection_and_bound_state():
-    # reflection and a bound state in one 2x2 potential: the kernel mixes the
-    # Fourier part with the bound-state exponentials on both sides
+@pytest.fixture(scope="module")
+def mixed_forward():
+    """2x2 potential with reflection and one bound state, and its forward data."""
     from mstl import forward
+    from mstl.domain import SampledPotential
 
     grid = SpaceGrid.from_bounds(-8.0, 8.0, 0.04)
     v = np.array([1.0, 0.5j])
@@ -259,16 +275,94 @@ def test_roundtrip_matrix_with_reflection_and_bound_state():
         bump = 0.6 * np.exp(-((x - 0.8) ** 2) / 0.8) * np.array([[1.0, 0.3], [0.3, 0.5]])
         return bump - 1.8 / np.cosh(1.2 * (x + 0.5)) ** 2 * proj
 
-    from mstl.domain import SampledPotential
-
     q = SampledPotential.from_profile(grid, profile)
-    fwd = forward.full_forward(q, RhoGrid(30.0, 512))
+    return q, forward.full_forward(q, RhoGrid(30.0, 512))
+
+
+def test_roundtrip_matrix_with_reflection_and_bound_state(mixed_forward):
+    # reflection and a bound state in one 2x2 potential: the kernel mixes the
+    # Fourier part with the bound-state exponentials on both sides
+    q, fwd = mixed_forward
+    grid = q.grid
     assert len(fwd.j_plus.taus) == 1
     out = glm.invert(fwd.j_plus, fwd.j_minus, grid=grid)
     diff = np.abs(out.potential.values - q.values).max(axis=(1, 2))
     ref = np.abs(q.values).max(axis=(1, 2))
     rel = np.trapezoid(diff, dx=grid.dx) / np.trapezoid(ref, dx=grid.dx)
     assert rel <= 5e-3
+
+
+def long_window_potential(data, xs, dx, y_end):
+    """Q on ``xs`` from the right-form equation with the whole kernel, bound-state
+    tails included, discretized node by node out to ``y_end`` (no closed-form tail)."""
+    du = 2.0 * dx
+    ext = xs[0] + dx * np.arange(-2, xs.size + 2)
+    diag = np.empty((ext.size, data.m, data.m), dtype=complex)
+    for r in (0, 1):
+        n = int(np.ceil((y_end - ext[r]) / du)) + 1
+        h = glm.assemble_M(data, 2.0 * ext[r] + du * np.arange(2 * n - 1))
+        diag[r::2] = glm.nested_diagonal(h, du, ext[r::2].size).diag
+    dk = (-diag[4:] + 8 * diag[3:-1] - 8 * diag[1:-3] + diag[:-4]) / (12 * dx)
+    q = -2.0 * dk
+    return 0.5 * (q + q.conj().transpose(0, 2, 1))
+
+
+def sech_well_forward():
+    # -tau (tau + 1) sech^2 x with tau = 0.7: one state at tau and nonzero reflection
+    from mstl import forward
+    from mstl.domain import SampledPotential
+
+    grid = SpaceGrid.from_bounds(-6.0, 6.0, 0.04)
+    q = SampledPotential.from_profile(grid, lambda x: -0.7 * 1.7 / np.cosh(x) ** 2 * np.ones((1, 1)))
+    return q, forward.full_forward(q, RhoGrid(30.0, 512))
+
+
+@pytest.mark.parametrize("case", ["mixed", "sech"])
+def test_closed_form_tail_matches_long_window(case, mixed_forward):
+    # eliminating the bound-state tail past the reflection window is exact:
+    # the plus side agrees with the tail discretized out to |M| ~ 1e-13
+    q, fwd = mixed_forward if case == "mixed" else sech_well_forward()
+    assert len(fwd.j_plus.taus) == 1
+    grid = q.grid
+    out = glm.invert(fwd.j_plus, fwd.j_minus, grid=grid)
+    plus = grid.xs >= -1.0 - 1e-12
+    y_end = 30.0 / min(fwd.j_plus.taus)
+    ref = long_window_potential(fwd.j_plus, grid.xs[plus], grid.dx, y_end)
+    right = grid.xs[plus] > 2 * grid.dx  # past the cross-fade the output is the plus side
+    assert np.abs(out.potential.values[plus][right] - ref[right]).max() < 1e-8
+
+
+def test_soliton_systems_end_with_the_targets(monkeypatch):
+    # S = 0: the kernel window holds no Fourier part, so every factorization
+    # is count + 7 nodes long, and Q is the Hirota two-soliton times the projector
+    from scipy.linalg import lapack
+
+    from tests.test_solitons import hirota_two_soliton
+
+    v = np.array([1.0, 1j]) / np.sqrt(2.0)
+    proj = np.outer(v, v.conj())
+    rg = RhoGrid(20.0, 256)
+    data = ScatteringData(
+        side="right", rho_grid=rg, S=np.zeros((rg.n, 2, 2), complex),
+        bound_states=(BoundState(1.0, 2.0 * proj, "right"), BoundState(2.0, 8.0 * proj, "right")),
+    )
+    shapes = []
+    zpotrf = lapack.zpotrf
+
+    def recording(*args, **kwargs):
+        shapes.append(args[0].shape[0])
+        return zpotrf(*args, **kwargs)
+
+    monkeypatch.setattr(lapack, "zpotrf", recording)
+    grid = SpaceGrid.from_bounds(-2.0, 2.0, 0.02)
+    out = glm.invert(data, grid=grid)
+    # each side solves the 151 nodes within the overlap plus two past each end
+    ext = int(np.sum(grid.xs >= -1.0 - 1e-12)) + 4
+    counts = [(ext + 1) // 2, ext // 2]
+    assert shapes == [2 * (c + 7) for c in counts] * 2
+    exact = hirota_two_soliton(grid.xs, (1.0, 2.0), (2.0, 8.0))[:, None, None] * proj
+    assert np.abs(out.potential.values - exact).max() < 1e-4 * np.abs(exact).max()
+    assert out.residual_max < 1e-12
 
 
 def test_roundtrip_box(box_setup, box_forward):
