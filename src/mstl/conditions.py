@@ -85,8 +85,8 @@ def _kernel_samples(data: ScatteringData):
     from mstl.glm import fourier_kernel
 
     u_span = min(KERNEL_SPAN, 0.9 * np.pi / data.rho_grid.step)
-    u = np.arange(-u_span, u_span + KERNEL_DU / 2, KERNEL_DU)
-    return u, fourier_kernel(data, u)
+    count = int(2 * u_span / KERNEL_DU + 0.5) + 1
+    return -u_span + KERNEL_DU * np.arange(count), fourier_kernel(data, -u_span, KERNEL_DU, count)
 
 
 def _kernel_tail_item(name: str, side: str, r_norms: np.ndarray) -> CheckItem:

@@ -1,9 +1,9 @@
 """Inverse scattering through the Gelfand-Levitan-Marchenko equation.
 
 Pipeline: reflection samples are Fourier-transformed on the symmetric
-spectral grid into samples of the Fourier part of the kernel M, the
-bound-state exponentials enter through their separable form, and the
-integral equation
+spectral grid into samples of the Fourier part of the kernel M (a blocked
+chirp-z FFT, see ``_transform``), the bound-state exponentials enter through
+their separable form, and the integral equation
 
     M(x + y) + K(x, y) + int_x^inf K(x, t) M(t + y) dt = 0,   y > x,
 
@@ -23,11 +23,13 @@ reflected nodes.
 The Fourier part F of the kernel is one array per side: right-form samples
 at the Hankel arguments u_j = 2 x_0 + j du of the first node, R(u) for right
 data and R(-u) for left data, which the mirrored equation has in the same
-form.  It is sampled to just past the slowest bound-state tail and is zero
-beyond.  The dense window is set by F alone: it ends where |F| has fallen
-below TAIL_REL times its running max (at least count + 7 nodes).  Past its
-last node L the bound-state part sum_k N_k exp(-tau_k (t + y)) = E(t) E(y)^H
-is eliminated in closed form, which leaves the window kernel
+form; both are the + transform of the side's S, taken on the exact grid
+(2 x_0, du, count).  It is sampled to just past the slowest bound-state tail
+and is zero beyond.  The dense window is set by F alone: it ends where |F|
+has fallen below TAIL_REL times its running max (at least count + 7 nodes).
+Past its last node L the bound-state part
+sum_k N_k exp(-tau_k (t + y)) = E(t) E(y)^H is eliminated in closed form,
+which leaves the window kernel
 F(t + y) + E(t) W E(y)^H (see ``_tail_factor``): the exact Schur complement
 of the tail, so it stays positive definite with a smallest eigenvalue at
 least that of the whole operator.  W depends on L alone, so the nesting
@@ -43,6 +45,7 @@ smallest-eigenvalue margin doubles as a uniqueness probe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,34 +65,73 @@ from mstl.solitons import range_factors
 RCOND_FLOOR = 1e-12
 TAIL_REL = 1e-10
 MAX_ENTRIES = 2**27  # complex entries of the kernel window or of the dense GLM system
-_BLOCK_ELEMENTS = 2**16  # (u, rho) phase entries per block of the Fourier kernel
+_BLOCK_U = 2**12  # u samples per chirp-z block of the Fourier kernel
 _GREGORY_HEAD = np.array([3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0])
 
 
-def fourier_kernel(data: ScatteringData, u_grid: np.ndarray) -> np.ndarray:
-    """Continuous kernel part: R(u) = (1/2pi) int S(rho) exp(+-i rho u) drho.
+def _chirp(turns: float, q: np.ndarray) -> np.ndarray:
+    """exp(2 pi i turns q^2) for integers ``q``, reduced to a fraction of a turn.
 
-    The sign in the exponent is + for right data and - for left data.  The
-    quadrature is the uniform midpoint rule native to the half-offset
-    spectral grid; Hermiticity of the result is exact on the symmetric grid.
-    The phases are formed in blocks of u of at most ``_BLOCK_ELEMENTS``
-    entries, so the transients stay small whatever the grid sizes.
+    ``turns`` is split so that its leading 20 bits times q^2 (< 2^33) are
+    exact: the phase keeps full precision however many turns it spans.
     """
-    u = np.asarray(u_grid, dtype=float).ravel()
-    nodes = data.rho_grid.nodes
-    sign = 1.0 if data.side == "right" else -1.0
-    scale = data.rho_grid.step / (2.0 * np.pi)
-    out = np.empty((u.size, data.m, data.m), dtype=complex)
-    rows = max(1, _BLOCK_ELEMENTS // nodes.size)
-    for lo in range(0, u.size, rows):
-        phases = np.exp(1j * sign * np.outer(u[lo : lo + rows], nodes)) * scale
-        out[lo : lo + rows] = np.tensordot(phases, data.S, axes=(1, 0))
+    q2 = np.asarray(q, dtype=float) ** 2
+    _, e = math.frexp(turns)
+    hi = math.ldexp(round(math.ldexp(turns, 20 - e)), e - 20)
+    whole = hi * q2
+    frac = whole - np.rint(whole) + (turns - hi) * q2
+    return np.exp(2j * np.pi * frac)
+
+
+def _transform(data: ScatteringData, sign: float, u0: float, du: float, count: int) -> np.ndarray:
+    """(drho / 2pi) sum_k S(rho_k) exp(i sign rho_k u_j) at u_j = u0 + j du, j < count.
+
+    A blocked chirp-z transform.  With centred indices (rho_k = k~ drho, and
+    u_j = u_c + j~ du about the centre u_c of a block of B samples),
+    rho_k u_j = rho_k u_c + a k~ j~ with a = drho du, and
+    k~ j~ = (k~^2 + j~^2 - (j~ - k~)^2) / 2.  So each block is one FFT
+    convolution of the pre-chirped, re-anchored S with the chirp
+    exp(-i sign a d^2 / 2), of length at least n + B - 1; the chirps and the
+    filter's FFT are formed once per call.  Re-anchoring u_c per block keeps
+    every chirp phase bounded by the block and grid sizes.
+    """
+    nodes, step = data.rho_grid.nodes, data.rho_grid.step
+    n = nodes.size
+    block = min(count, _BLOCK_U)
+    size = 1 << (n + block - 2).bit_length()  # FFT length >= n + block - 1
+    turns = sign * step * du / (16.0 * np.pi)  # a d^2 / 2 radians = turns q^2 with q = 2 d
+    lag = np.arange(-(n - 1), block)  # j - j0 - k
+    filt = np.zeros(size, dtype=complex)
+    filt[lag] = _chirp(-turns, 2 * lag + n - block)
+    filt = np.fft.fft(filt)[:, None, None]
+    pre = (_chirp(turns, 2 * np.arange(n) - n + 1) * (step / (2.0 * np.pi)))[:, None, None] * data.S
+    post = _chirp(turns, 2 * np.arange(block) - block + 1)[:, None, None]
+    out = np.empty((count, data.m, data.m), dtype=complex)
+    for lo in range(0, count, block):
+        u_c = u0 + (lo + 0.5 * (block - 1)) * du
+        a = np.exp(1j * sign * u_c * nodes)[:, None, None] * pre
+        conv = np.fft.ifft(np.fft.fft(a, size, axis=0) * filt, axis=0)
+        out[lo : lo + block] = (post * conv[:block])[: count - lo]
     return out
 
 
-def _right_form_fourier(data: ScatteringData, u: np.ndarray) -> np.ndarray:
-    """Fourier part of the right-form kernel: R(u) for right data, R(-u) for left."""
-    return fourier_kernel(data, u if data.side == "right" else -u)
+def fourier_kernel(data: ScatteringData, u0: float, du: float, count: int) -> np.ndarray:
+    """Continuous kernel part: R(u) = (1/2pi) int S(rho) exp(+-i rho u) drho.
+
+    Sampled at u_j = u0 + j du, j < count; the caller gives the grid exactly.
+    The sign in the exponent is + for right data and - for left data.  The
+    quadrature is the uniform midpoint rule native to the half-offset
+    spectral grid, evaluated by the blocked chirp-z transform of
+    ``_transform`` in blocks of at most ``_BLOCK_U`` samples: O((n + count)
+    log) work and no (u, rho) array.  S = 0 gives exact zeros.
+    """
+    return _transform(data, 1.0 if data.side == "right" else -1.0, u0, du, count)
+
+
+def _right_form_fourier(data: ScatteringData, u0: float, du: float, count: int) -> np.ndarray:
+    """Fourier part of the right-form kernel: R(u) for right data, R(-u) for left,
+    both the + transform of the side's S."""
+    return _transform(data, 1.0, u0, du, count)
 
 
 def _bound_part(data: ScatteringData, u: np.ndarray) -> np.ndarray:
@@ -100,14 +142,13 @@ def _bound_part(data: ScatteringData, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def assemble_M(data: ScatteringData, u: np.ndarray) -> np.ndarray:
-    """Right-form GLM kernel samples at ``u``, shape (len(u), m, m).
+def assemble_M(data: ScatteringData, u0: float, du: float, count: int) -> np.ndarray:
+    """Right-form GLM kernel samples at u_j = u0 + j du, shape (count, m, m).
 
     Right data give M_+(u).  Left data give M_-(-u), the kernel of the
     mirrored left equation: the Fourier part at -u plus N_k exp(-tau_k u).
     """
-    u = np.asarray(u, dtype=float)
-    return _right_form_fourier(data, u) + _bound_part(data, u)
+    return _right_form_fourier(data, u0, du, count) + _bound_part(data, u0 + du * np.arange(count))
 
 
 def _tail_factor(data: ScatteringData, ys: np.ndarray):
@@ -294,7 +335,7 @@ def _half_line_potential(data: ScatteringData, xs: np.ndarray, dx: float):
     n_u = int(np.ceil((u_hi - 2 * ext[0]) / du)) + 1
     _check_size(n_u * data.rho_grid.n, "kernel window", slowest)
     u = 2 * ext[0] + du * np.arange(n_u)
-    f = _right_form_fourier(data, u)
+    f = _right_form_fourier(data, 2 * ext[0], du, n_u)
 
     # The system at x = ext_i meets u >= u_i.  It ends where |F| has fallen
     # below TAIL_REL times its running max from u_i; all systems end on one

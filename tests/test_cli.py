@@ -221,6 +221,7 @@ def test_weakly_bound_state_is_a_numeric_failure(tmp_path, capsys, monkeypatch):
     sampled = []
     monkeypatch.setattr(glm, "assemble_M", lambda *args: sampled.append(args))
     monkeypatch.setattr(glm, "fourier_kernel", lambda *args: sampled.append(args))
+    monkeypatch.setattr(glm, "_transform", lambda *args: sampled.append(args))
     code = cli.main(["invert", "--data", str(path), "--x-min", "-2", "--x-max", "2",
                      "--dx", "0.05", "--out", str(tmp_path / "out")])
     assert code == 3 and not sampled
@@ -324,9 +325,15 @@ def test_import_leaves_spline_and_optimizer_unloaded():
 
     src = os.path.dirname(os.path.dirname(mstl.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    probe = ("import sys, mstl.cli; print(sorted(m for m in "
-             "('scipy.interpolate', 'scipy.optimize', 'scipy.special', 'scipy.linalg') "
-             "if m in sys.modules))")
+    # the Fourier kernel of condition A is numpy's FFT alone: one call loads
+    # neither scipy.signal nor scipy.fft
+    probe = ("import sys, numpy as np, mstl.cli; print(sorted(m for m in "
+             "('scipy.interpolate', 'scipy.optimize', 'scipy.special', 'scipy.linalg', "
+             "'scipy.signal', 'scipy.fft') if m in sys.modules)); "
+             "from mstl.domain import RhoGrid, ScatteringData; rg = RhoGrid(10.0, 64); "
+             "mstl.conditions.check_condition_A(ScatteringData(side='right', rho_grid=rg, "
+             "S=(0.1 / (rg.nodes + 1j))[:, None, None])); "
+             "print(sorted(m for m in ('scipy.signal', 'scipy.fft') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]", "[]"]

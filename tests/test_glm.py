@@ -31,8 +31,7 @@ def hankel_samples(kernel, x0, du, y_end):
 def test_fourier_kernel_zero(soliton_data):
     zero = ScatteringData(side="right", rho_grid=soliton_data.rho_grid,
                           S=np.zeros_like(soliton_data.S))
-    u = np.linspace(-5, 5, 41)
-    assert np.abs(glm.fourier_kernel(zero, u)).max() == 0.0
+    assert np.abs(glm.fourier_kernel(zero, -5.0, 0.25, 41)).max() == 0.0
 
 
 def test_fourier_kernel_single_pole():
@@ -42,7 +41,7 @@ def test_fourier_kernel_single_pole():
     s = (c / (rg.nodes - 1j * a))[:, None, None]
     data = ScatteringData(side="right", rho_grid=rg, S=s)
     u = np.array([0.5, 1.0, 2.0])
-    r = glm.fourier_kernel(data, u)[:, 0, 0]
+    r = glm.fourier_kernel(data, 0.5, 0.5, 4)[[0, 1, 3], 0, 0]
     expect = 1j * c * np.exp(-a * u)
     # window truncation bounds the quadrature error by ~ c / (pi rho_max u)
     assert np.abs(r - expect).max() < 1.5e-4
@@ -50,8 +49,8 @@ def test_fourier_kernel_single_pole():
 
 def test_fourier_kernel_hermitian_and_oracle(box_setup, box_forward):
     _, _, rho_grid = box_setup
-    u = np.arange(-6.0, 6.0, 0.05)
-    r = glm.fourier_kernel(box_forward.j_plus, u)
+    u = -6.0 + 0.05 * np.arange(240)
+    r = glm.fourier_kernel(box_forward.j_plus, -6.0, 0.05, 240)
     assert np.abs(r - r.conj().transpose(0, 2, 1)).max() < 1e-12
     # dense-quadrature oracle: same integral on a twice-refined spectral grid
     rg2 = RhoGrid(rho_grid.rho_max, 2 * rho_grid.n_half)
@@ -73,23 +72,62 @@ def test_fourier_kernel_blocks(side, monkeypatch):
     rng = np.random.default_rng(3)
     s = rng.normal(size=(rg.n, 2, 2)) + 1j * rng.normal(size=(rg.n, 2, 2))
     data = ScatteringData(side=side, rho_grid=rg, S=s)
-    u = np.linspace(-7.0, 9.0, 53)
+    du = 16.0 / 52
+    u = -7.0 + du * np.arange(53)
     sign = 1.0 if side == "right" else -1.0
     phases = np.exp(1j * sign * np.outer(u, rg.nodes)) * (rg.step / (2 * np.pi))
     whole = np.tensordot(phases, s, axes=(1, 0))
-    monkeypatch.setattr(glm, "_BLOCK_ELEMENTS", 5 * rg.n)
-    assert np.abs(glm.fourier_kernel(data, u) - whole).max() < 1e-13
+    monkeypatch.setattr(glm, "_BLOCK_U", 16)
+    assert np.abs(glm.fourier_kernel(data, -7.0, du, 53) - whole).max() < 1e-13
+
+
+def hermitian_reflection(rg, m, seed):
+    """Random S on ``rg`` with S(-rho) = S(rho)^H."""
+    rng = np.random.default_rng(seed)
+    s = rng.normal(size=(rg.n, m, m)) + 1j * rng.normal(size=(rg.n, m, m))
+    return 0.5 * (s + s[::-1].conj().transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_fourier_kernel_matches_direct_sum_far_out(side):
+    # three blocks, the last partial, on |u| up to 1.2e3 (a weakly bound
+    # state's window reaches that far); du = 1/4 makes every u exact
+    rg = RhoGrid(10.0, 128)
+    data = ScatteringData(side=side, rho_grid=rg, S=hermitian_reflection(rg, 2, 11))
+    u0, du, count = -1100.0, 0.25, 2 * glm._BLOCK_U + 1001
+    r = glm.fourier_kernel(data, u0, du, count)
+    sign = 1.0 if side == "right" else -1.0
+    direct = np.concatenate([
+        np.tensordot(np.exp(1j * sign * np.outer(u0 + du * j, rg.nodes)), data.S, axes=(1, 0))
+        for j in np.array_split(np.arange(count), 8)
+    ]) * (rg.step / (2 * np.pi))
+    assert np.abs(r - direct).max() <= 1e-12 * np.abs(direct).max()
+
+
+def test_fourier_kernel_memory_is_its_output():
+    # 2e5 u samples on 512 rho-nodes: a (u, rho) phase array would take 1.6 GB
+    import tracemalloc
+
+    rg = RhoGrid(20.0, 256)
+    data = ScatteringData(side="right", rho_grid=rg, S=hermitian_reflection(rg, 2, 5))
+    tracemalloc.start()
+    try:
+        out = glm.fourier_kernel(data, -5000.0, 0.05, 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes + 4 * 2**20
 
 
 def test_assemble_M_pure_bound_state(soliton_data):
-    u = np.arange(-2.0, 25.0, 0.1)
+    u = -2.0 + 0.1 * np.arange(270)
     expect = 2.0 * np.exp(-u)
-    assert np.abs(glm.assemble_M(soliton_data, u)[:, 0, 0] - expect).max() < 1e-12
+    assert np.abs(glm.assemble_M(soliton_data, -2.0, 0.1, 270)[:, 0, 0] - expect).max() < 1e-12
 
 
 def test_assemble_M_without_states_is_fourier(bump_forward):
-    u = np.arange(-4.0, 4.0, 0.1)
-    assert np.allclose(glm.assemble_M(bump_forward.j_plus, u), glm.fourier_kernel(bump_forward.j_plus, u))
+    grid = (-4.0, 0.1, 80)
+    assert np.allclose(glm.assemble_M(bump_forward.j_plus, *grid), glm.fourier_kernel(bump_forward.j_plus, *grid))
 
 
 def test_mirrored_kernel():
@@ -106,8 +144,8 @@ def test_mirrored_kernel():
         phases = np.exp(-1j * np.outer(v, rg.nodes)) * (rg.step / (2 * np.pi))
         return np.einsum("vr,rab->vab", phases, s) + np.exp(1.3 * v)[:, None, None] * weight
 
-    u = np.array([-1.3, 0.4, 2.0])
-    assert np.abs(glm.assemble_M(left, u) - m_minus(-u)).max() < 1e-12
+    u = -1.3 + 0.1 * np.arange(34)  # holds -1.3, 0.4 and 2.0
+    assert np.abs(glm.assemble_M(left, -1.3, 0.1, 34) - m_minus(-u)).max() < 1e-12
 
 
 def test_gregory_weights_integrate_exactly():
@@ -300,7 +338,7 @@ def long_window_potential(data, xs, dx, y_end):
     diag = np.empty((ext.size, data.m, data.m), dtype=complex)
     for r in (0, 1):
         n = int(np.ceil((y_end - ext[r]) / du)) + 1
-        h = glm.assemble_M(data, 2.0 * ext[r] + du * np.arange(2 * n - 1))
+        h = glm.assemble_M(data, 2.0 * ext[r], du, 2 * n - 1)
         diag[r::2] = glm.nested_diagonal(h, du, ext[r::2].size).diag
     dk = (-diag[4:] + 8 * diag[3:-1] - 8 * diag[1:-3] + diag[:-4]) / (12 * dx)
     q = -2.0 * dk
