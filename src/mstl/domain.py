@@ -118,21 +118,11 @@ def psd_margin(n: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(0.5 * (n + n.conj().T)).min())
 
 
-def residue_contour_radius(tau: float, neighbor_taus, radius: float = None) -> float:
-    """Radius of the residue contour around rho = i tau.
-
-    The default is min(tau/2, gap/2, 0.2), where gap is the distance to the
-    nearest other tau in ``neighbor_taus``.  A given radius that reaches the
-    real axis or a neighboring pole raises ``ContourGeometryError``.
-    """
+def residue_contour_radius(tau: float, neighbor_taus) -> float:
+    """Residue contour radius around rho = i tau: min(tau/2, gap/2, 0.2), gap the
+    distance to the nearest other tau, so the ring misses the axis and other poles."""
     gap = min((abs(tau - t) for t in neighbor_taus if t != tau), default=np.inf)
-    if radius is None:
-        return min(tau / 2.0, gap / 2.0, 0.2)
-    if radius >= tau or radius >= gap:
-        raise ContourGeometryError(
-            f"contour radius {radius:g} reaches the real axis or a neighboring pole"
-        )
-    return radius
+    return min(tau / 2.0, gap / 2.0, 0.2)
 
 
 def contour_residue(f, center: complex, radius: float, nodes: int = 64) -> np.ndarray:
@@ -293,10 +283,6 @@ class SampledPotential:
     def weighted_l1(self) -> float:
         w = (1.0 + np.abs(self.grid.xs)) * self.norms()
         return float(np.trapezoid(w, dx=self.grid.dx))
-
-    def total_integral(self) -> np.ndarray:
-        """Trapezoid integral of Q over the whole grid."""
-        return np.trapezoid(self.values, dx=self.grid.dx, axis=0)
 
 
 def zero_potential(grid: SpaceGrid, dim: int = 1) -> SampledPotential:

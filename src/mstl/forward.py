@@ -26,14 +26,15 @@ swept node on the other.  An identically zero potential needs no sweep.
 Directions: the "plus" solution equals exp(i rho x) I to the right of the
 support and is integrated right-to-left; "minus" mirrors this.  Row-equation
 solutions needed in brackets are obtained from column solutions at -conj(rho)
-by conjugate transposition, which is valid because Q is Hermitian.  Every
-batch of points used in brackets (the symmetric real grid, a residue contour
-ring) is closed under rho -> -conj(rho), so one evaluator,
+by conjugate transposition, which is valid because Q is Hermitian.  The
+symmetric real grid is closed under rho -> -conj(rho), so one evaluator,
 ``_coefficients``, gets A, B and D from one plus and one minus sweep.
 Bound states are counted (``_count``): by the oscillation theorem, the
 number with tau_k > tau is the number of conjugate points of F_-(x, i tau),
 read along one minus sweep.  ``find_bound_states`` multisects the drops of
-the count on [0, sqrt(-min lambda_min(Q))], where every state lies.
+the count on [0, sqrt(-min lambda_min(Q))], where every state lies.  The
+weights come from the eigenfunctions, a plus and a minus sweep at i tau
+matched at one node and normalized (``_norming_factors``).
 """
 
 from __future__ import annotations
@@ -54,8 +55,6 @@ from mstl.domain import (
     SampledPotential,
     ScatteringData,
     ValidationError,
-    contour_residue,
-    residue_contour_radius,
 )
 
 BRACKET_SPREAD_RTOL = 1e-6
@@ -63,6 +62,7 @@ _N_CHECKPOINTS = 9
 _BLOCK_ELEMENTS = 2**15  # cell factors per sweep block, in (cell, component, rho) entries
 _WIDTH = 1e-8  # bracket width at which a bound state is located
 _SECTIONS = 16  # count points per bracket in each multisection round
+_NULL_GAP = 1e-3  # a null singular value of the matching matrix lies below this times the next
 
 
 @dataclass(frozen=True)
@@ -248,11 +248,11 @@ def _checkpoints(potential: SampledPotential) -> np.ndarray:
 def _coefficients(potential: SampledPotential, z: np.ndarray, mirror: np.ndarray):
     """A(z), B(z), D(z) and the bracket drift of A, from one plus and one minus sweep.
 
-    The batch ``z`` (closed upper half-plane) must be closed under
-    z -> -conj(z), with ``z[mirror] = -conj(z)``: the row solutions of each
-    bracket are the column fields at -conj(z), which the same two sweeps
-    provide.  B is the matching coefficient on the real axis.  The drift is
-    the RMS deviation of A's bracket across the checkpoints, per point.
+    The batch ``z`` (the real grid, or points i tau, each its own mirror) must
+    be closed under z -> -conj(z), with ``z[mirror] = -conj(z)``: the row
+    solutions of each bracket are the column fields at -conj(z), which the
+    same two sweeps provide.  B is the matching coefficient on the real axis.
+    The drift is the RMS deviation of A's bracket across the checkpoints.
     """
     z = np.asarray(z, dtype=complex)
     cps = _checkpoints(potential)
@@ -369,7 +369,12 @@ def _count(potential: SampledPotential, taus) -> tuple[np.ndarray, np.ndarray]:
 
 
 def find_bound_states(potential: SampledPotential) -> list[float]:
-    """Bound-state parameters tau > 0 (rho = i tau), each once, by counting.
+    """Bound-state parameters tau > 0 (rho = i tau), each once, by counting."""
+    return [tau for tau, _ in _bound_states(potential)]
+
+
+def _bound_states(potential: SampledPotential) -> list[tuple[float, int]]:
+    """Bound states (tau, multiplicity), tau > 0 (rho = i tau), by counting.
 
     tau_k^2 <= -min lambda_min(Q) = tau_bound^2, so a positive semidefinite
     potential needs no sweep.  Otherwise the count N of ``_count`` is taken at
@@ -392,7 +397,7 @@ def find_bound_states(potential: SampledPotential) -> list[float]:
         warnings.warn(
             f"{counts[0] - kept} threshold state(s) below tau = "
             f"{taus[np.argmax(seq[0] <= kept)]:.3g}, found on the free tail only, are not returned",
-            stacklevel=2,
+            stacklevel=3,
         )
 
     width, lo = taus[1], taus[None, :-1]  # brackets [lo, lo + width], counts seq
@@ -403,89 +408,99 @@ def find_bound_states(potential: SampledPotential) -> list[float]:
         holds = (n_lo > n_hi) & (n_hi < kept)  # a drop that holds a returned state
         n_lo, n_hi, lo = n_lo[holds], n_hi[holds], lo[holds]
         if width <= _WIDTH or not lo.size:
-            return sorted(float(t) for t in lo + 0.5 * width)
+            ranks = np.minimum(n_lo, kept) - n_hi  # threshold states are not counted
+            return sorted(zip((lo + 0.5 * width).tolist(), ranks.tolist()))
         width /= _SECTIONS + 1
         lo = lo[:, None] + width * np.arange(_SECTIONS + 1)
         counts, _ = _count(potential, lo[:, 1:].ravel())
         seq = np.column_stack([n_lo, counts.reshape(-1, _SECTIONS), n_hi])
 
 
-def residue_matrix(
-    potential: SampledPotential,
-    tau: float,
-    contour_radius: float = None,
-    neighbor_taus=(),
-    nodes: int = 64,
-) -> ResiduePair:
-    """Residues of A^{-1} and D^{-1} at rho = i tau by contour integration.
+def _cell_integral(potential: SampledPotential, phi, dphi, tau: float) -> np.ndarray:
+    """Exact int Phi^H Phi dx over the cells for -Phi'' + Q Phi = -tau^2 Phi.
 
-    The radius follows ``domain.residue_contour_radius``; the contour must
-    stay clear of the real axis and of other poles.  The ring nodes
-    theta_k = 2 pi (k + 1/2)/nodes are closed under z -> -conj(z)
-    (k -> nodes/2 - 1 - k), so one plus and one minus sweep give both A and D.
+    ``phi``, ``dphi``: (Phi, Phi') at the nodes, shape (n, m, r).  On a cell
+    each eigencomponent of Q is psi_0 cosh(mu s) + psi_0' sinh(mu s)/mu, with
+    real mu^2 = lambda + tau^2; with ch = cosh(mu h), sl = sinh(mu h)/mu the
+    integrals of cosh^2, cosh sinh/mu and (sinh/mu)^2 are (h + ch sl)/2,
+    sl^2/2 and (ch sl - h)/(2 mu^2), the last by its series for small mu h.
     """
-    contour_radius = residue_contour_radius(tau, neighbor_taus, contour_radius)
-    if nodes % 2:
-        raise ValidationError("the residue contour needs an even number of nodes")
-    mirror = (nodes // 2 - 1 - np.arange(nodes)) % nodes
+    h = potential.grid.dx
+    lam, vecs = np.linalg.eigh(potential.cell_values)
+    mu2 = lam + tau**2
+    ch, sl = (c.real for c in _cell_factors(mu2.astype(complex), h)[:2])
+    z2 = mu2 * h * h
+    small = np.abs(z2) < 1e-2
+    series = h**3 * (1 / 3 + z2 * (1 / 15 + z2 * (2 / 315 + z2 / 2835)))
+    ss = np.where(small, series, 0.5 * (ch * sl - h) / np.where(small, 1.0, mu2))
+    cs = 0.5 * sl * sl
+    quad = np.stack([np.stack([0.5 * (h + ch * sl), cs], -1), np.stack([cs, ss], -1)], -1)
+    vh = vecs.conj().transpose(0, 2, 1)
+    psi = np.stack([vh @ phi[:-1], vh @ dphi[:-1]], axis=2)  # (cell, component, 2, r)
+    return np.einsum("caki,cakl,calj->ij", psi.conj(), quad, psi)
 
-    def inverses(z):
-        a, _, d, _ = _coefficients(potential, z, mirror)
-        return np.stack([np.linalg.inv(a), np.linalg.inv(d)], axis=1)
 
-    r_minus, r_plus = contour_residue(inverses, 1j * tau, contour_radius, nodes)
-    return ResiduePair(tau=float(tau), R_minus=r_minus, R_plus=r_plus)
+def _norming_factors(potential: SampledPotential, tau: float, rank: int):
+    """(B, V) with N_- = B B^H, N_+ = V V^H and residue R_+ = i B V^H at i tau.
 
-
-def weight_matrices(
-    potential: SampledPotential, tau: float, residues: ResiduePair, cond_max: float = 1e6
-):
-    """Weight matrices from the bound-state residues.
-
-    The defining relations F_- R_+ = i F_+ N_+ and F_+ R_- = i F_- N_- hold at
-    every x, but the detected tau carries jitter that excites the growing mode
-    of each field; the excitation grows away from the eigenfunction's
-    localization point, toward one end per field.  The product
-    ||F_- R_+|| * ||F_+ R_-|| peaks at that point and stays small wherever
-    either factor is contaminated (each field is exact at its own boundary
-    end), so both relations are evaluated at its argmax.
+    The states are the null space [V; B] of [[F_+, -F_-], [F_+', -F_-']] at
+    the node x* maximizing sigma_min(F_+) sigma_min(F_-), away from where
+    the jitter of tau excites either field's growing mode; the ``rank``
+    smallest singular values must lie below ``_NULL_GAP`` times the next.
+    Phi is F_+ V from x* on and F_- B before it; G = int Phi^H Phi dx is
+    exact over the cells and the free tails (Phi^H Phi / (2 tau) per end).
+    Then N_+ = V G^-1 V^H, N_- = B G^-1 B^H (N = (int f^2 dx)^-1 in matrix
+    form) and R_+ = i F_-^-1 F_+ N_+ = i B G^-1 V^H at x*, so [V; B] C^-H is
+    returned, G = C C^H.
     """
-    grid = potential.grid
-    fp, _ = _propagate(potential, np.array([1j * tau]), "plus", range(grid.n))
-    fm, _ = _propagate(potential, np.array([1j * tau]), "minus", range(grid.n))
-    f_plus = fp[:, 0]
-    f_minus = fm[:, 0]
+    m, nodes = potential.m, range(potential.grid.n)
+    fp, pp = (a[:, 0] for a in _propagate(potential, 1j * tau, "plus", nodes))
+    fm, pm = (a[:, 0] for a in _propagate(potential, 1j * tau, "minus", nodes))
+    sigma = np.linalg.svd(fp, compute_uv=False)[:, -1] * np.linalg.svd(fm, compute_uv=False)[:, -1]
+    star = int(np.argmax(sigma))
+    _, s, vh = np.linalg.svd(np.block([[fp[star], -fm[star]], [pp[star], -pm[star]]]))
+    if not s[-rank] <= _NULL_GAP * s[-rank - 1]:
+        raise NumericsError(
+            f"no bound state of multiplicity {rank} at tau = {tau:.6g}: the {rank} smallest "
+            f"singular values of the matching matrix do not stand apart "
+            f"({s[-rank] / s[-rank - 1]:.2e} of the next)"
+        )
+    null = vh[-rank:].conj().T
+    v, b = null[:m], null[m:]
+    phi = np.concatenate([fm[:star] @ b, fp[star:] @ v])
+    dphi = np.concatenate([pm[:star] @ b, pp[star:] @ v])
+    ends = phi[[0, -1]].conj().transpose(0, 2, 1) @ phi[[0, -1]]
+    gram = _cell_integral(potential, phi, dphi, tau) + ends.sum(axis=0) / (2.0 * tau)
+    null = np.linalg.solve(np.linalg.cholesky(gram), null.conj().T).conj().T
+    return null[m:], null[:m]
 
-    profile = np.linalg.norm(f_minus @ residues.R_plus, axis=(1, 2)) * np.linalg.norm(
-        f_plus @ residues.R_minus, axis=(1, 2)
-    )
-    order = np.argsort(profile)[::-1]
-    star = None
-    for j in order[: max(8, grid.n // 50)]:
-        if np.linalg.cond(f_plus[j]) < cond_max and np.linalg.cond(f_minus[j]) < cond_max:
-            star = int(j)
-            break
-    if star is None:
-        raise NumericsError("Jost matrices ill-conditioned at every candidate node")
 
-    n_minus = -1j * np.linalg.solve(f_minus[star], f_plus[star] @ residues.R_minus)
-    n_plus = -1j * np.linalg.solve(f_plus[star], f_minus[star] @ residues.R_plus)
-    n_minus = 0.5 * (n_minus + n_minus.conj().T)
-    n_plus = 0.5 * (n_plus + n_plus.conj().T)
-    return n_minus, n_plus
+def weight_matrices(potential: SampledPotential, tau: float, rank: int):
+    """Weights (N_-, N_+) of the state i tau of multiplicity ``rank``, else NumericsError."""
+    b, v = _norming_factors(potential, tau, rank)
+    return b @ b.conj().T, v @ v.conj().T
+
+
+def residue_matrix(potential: SampledPotential, tau: float) -> ResiduePair:
+    """Residues R_- = -R_+^H of A^-1 and D^-1 at i tau; the count across tau gives the rank."""
+    counts, _ = _count(potential, [max(tau - _WIDTH, 0.0), tau + _WIDTH])
+    if counts[0] <= counts[1]:
+        raise NumericsError(f"no bound state at tau = {tau:.6g}")
+    b, v = _norming_factors(potential, tau, int(counts[0] - counts[1]))
+    r_plus = 1j * b @ v.conj().T
+    return ResiduePair(tau=float(tau), R_minus=-r_plus.conj().T, R_plus=r_plus)
 
 
 def full_forward(potential: SampledPotential, rho_grid: RhoGrid) -> ForwardResult:
     """Complete forward map: potential -> (right data, left data, coefficients)."""
-    taus = find_bound_states(potential)
+    states = _bound_states(potential)
     coeffs = scattering_coefficients(potential, rho_grid)
     s_minus, s_plus = reflection_matrices(coeffs)
 
     right_states = []
     left_states = []
-    for tau in taus:
-        res = residue_matrix(potential, tau, neighbor_taus=[t for t in taus if t != tau])
-        n_minus, n_plus = weight_matrices(potential, tau, res)
+    for tau, rank in states:
+        n_minus, n_plus = weight_matrices(potential, tau, rank)
         right_states.append(BoundState(tau=tau, weight=n_plus, side="right"))
         left_states.append(BoundState(tau=tau, weight=n_minus, side="left"))
 

@@ -128,12 +128,6 @@ def fourier_kernel(data: ScatteringData, u0: float, du: float, count: int) -> np
     return _transform(data, 1.0 if data.side == "right" else -1.0, u0, du, count)
 
 
-def _right_form_fourier(data: ScatteringData, u0: float, du: float, count: int) -> np.ndarray:
-    """Fourier part of the right-form kernel: R(u) for right data, R(-u) for left,
-    both the + transform of the side's S."""
-    return _transform(data, 1.0, u0, du, count)
-
-
 def _bound_part(data: ScatteringData, u: np.ndarray) -> np.ndarray:
     """Bound-state part of the right-form kernel: sum_k N_k exp(-tau_k u)."""
     out = np.zeros(u.shape + (data.m, data.m), dtype=complex)
@@ -148,7 +142,7 @@ def assemble_M(data: ScatteringData, u0: float, du: float, count: int) -> np.nda
     Right data give M_+(u).  Left data give M_-(-u), the kernel of the
     mirrored left equation: the Fourier part at -u plus N_k exp(-tau_k u).
     """
-    return _right_form_fourier(data, u0, du, count) + _bound_part(data, u0 + du * np.arange(count))
+    return _transform(data, 1.0, u0, du, count) + _bound_part(data, u0 + du * np.arange(count))
 
 
 def _tail_factor(data: ScatteringData, ys: np.ndarray):
@@ -327,15 +321,16 @@ def _half_line_potential(data: ScatteringData, xs: np.ndarray, dx: float):
     taus = np.array(data.taus)
     scales = np.array([matrix_operator_norm(b.weight) for b in data.bound_states])
 
-    # the continuous part is sampled up to u_hi, past the slowest bound-state
-    # tail, and is zero beyond it
+    # the continuous part, the + transform of either side's S in right form,
+    # is sampled up to u_hi, past the slowest bound-state tail, and is zero
+    # beyond it
     tails = np.log(np.maximum(scales, 1e-30) / TAIL_REL) / taus
     slowest = float(taus[np.argmax(tails)]) if taus.size else None
     u_hi = max(2 * ext[-1] + 2.0, max(tails, default=0.0) + 2.0)
     n_u = int(np.ceil((u_hi - 2 * ext[0]) / du)) + 1
     _check_size(n_u * data.rho_grid.n, "kernel window", slowest)
     u = 2 * ext[0] + du * np.arange(n_u)
-    f = _right_form_fourier(data, 2 * ext[0], du, n_u)
+    f = _transform(data, 1.0, 2 * ext[0], du, n_u)
 
     # The system at x = ext_i meets u >= u_i.  It ends where |F| has fallen
     # below TAIL_REL times its running max from u_i; all systems end on one

@@ -3,7 +3,7 @@ import pytest
 
 from mstl import domain, forward, solitons
 from mstl.domain import (
-    ContourGeometryError,
+    NumericsError,
     RhoGrid,
     SpaceGrid,
     ValidationError,
@@ -227,7 +227,8 @@ def test_asymptotics_omega():
     grid = SpaceGrid.from_bounds(-8.0, 8.0, 0.02)
     bump = domain.bump_potential(grid)
     asym = forward.jost_asymptotics(bump)
-    assert np.abs(asym.omega - 0.5 * bump.total_integral()).max() < 1e-12
+    total = np.trapezoid(bump.values, dx=grid.dx, axis=0)
+    assert np.abs(asym.omega - 0.5 * total).max() < 1e-12
     # both one-sided integrals reach -omega at the far end of the grid
     assert np.abs(asym.omega_minus[-1] + asym.omega).max() < 1e-12
     assert np.abs(asym.omega_plus[0] + asym.omega).max() < 1e-12
@@ -256,12 +257,12 @@ def two_soliton():
 
 
 def _count_sweeps(monkeypatch):
-    """List that gets one entry (the direction) per sweep."""
+    """List that gets one entry (the batch of rho) per sweep."""
     calls = []
     sweep = forward._sweep
 
     def counting(potential, rhos, direction, substeps=1):
-        calls.append(direction)
+        calls.append(np.asarray(rhos))
         return sweep(potential, rhos, direction, substeps)
 
     monkeypatch.setattr(forward, "_sweep", counting)
@@ -281,9 +282,21 @@ def test_full_forward_sweep_count(two_soliton, monkeypatch):
     calls = _count_sweeps(monkeypatch)
     result = forward.full_forward(two_soliton, RhoGrid(10.0, 64))
     assert len(result.j_plus.bound_states) == 2
-    # seven count rounds (7), real grid (2), and per state the residue ring (2)
-    # and the weight fields (2); the determinant scan and zoom made it 24
-    assert len(calls) == 17
+    # seven count rounds (7), real grid (2), and per state the weight fields
+    # (2); the residue ring made it 17, the determinant scan and zoom 24
+    assert len(calls) == 13
+
+
+def test_full_forward_sweeps_have_real_rho_squared(two_soliton, bump_setup, monkeypatch):
+    # every batch is real rho or rho = i tau, so lambda - rho^2 is real at
+    # every step: the premise of real cell factors
+    calls = _count_sweeps(monkeypatch)
+    _, bump, _ = bump_setup
+    for pot in (two_soliton, bump):
+        forward.full_forward(pot, RhoGrid(10.0, 64))
+    assert len(calls) == 13 + 2
+    for rhos in calls:
+        assert np.all((rhos**2).imag == 0)
 
 
 def test_positive_semidefinite_potential_needs_no_scan(bump_setup, monkeypatch):
@@ -352,19 +365,11 @@ def test_residue_matrix_sech_well():
     assert matrix_operator_norm(a_at @ res.R_minus) < 1e-6
 
 
-def test_residue_contour_geometry_guard():
-    grid = SpaceGrid.from_bounds(-10.0, 10.0, 0.05)
-    well = domain.sech_well(grid, tau=1.0)
-    with pytest.raises(ContourGeometryError):
-        forward.residue_matrix(well, 1.0, contour_radius=1.5)
-
-
 def test_weights_sech_well():
     grid = SpaceGrid.from_bounds(-10.0, 10.0, 0.02)
     well = domain.sech_well(grid, tau=1.0)
     (tau,) = forward.find_bound_states(well)
-    res = forward.residue_matrix(well, tau)
-    n_minus, n_plus = forward.weight_matrices(well, tau, res)
+    n_minus, n_plus = forward.weight_matrices(well, tau, 1)
     assert abs(n_plus[0, 0] - 2.0) < 1e-3
     assert abs(n_minus[0, 0] - 2.0) < 1e-3
 
@@ -375,12 +380,54 @@ def test_weights_projector_soliton():
     grid = SpaceGrid.from_bounds(-10.0, 10.0, 0.02)
     well = domain.sech_well(grid, tau=1.0, matrix=proj)
     (tau,) = forward.find_bound_states(well)
-    res = forward.residue_matrix(well, tau)
-    n_minus, n_plus = forward.weight_matrices(well, tau, res)
+    n_minus, n_plus = forward.weight_matrices(well, tau, 1)
     assert np.abs(n_plus - 2.0 * proj).max() < 2e-3
     assert np.abs(n_plus - n_plus.conj().T).max() < 1e-8
     assert domain.psd_margin(n_plus) > -1e-8
     assert domain.hermitian_rank(n_plus, cutoff=1e-6) == domain.hermitian_rank(n_minus, cutoff=1e-6) == 1
+
+
+def test_weights_of_multiplicity_two_and_of_the_two_soliton(two_soliton):
+    grid = SpaceGrid.from_bounds(-10.0, 10.0, 0.02)
+    well = domain.sech_well(grid, tau=1.0, matrix=np.eye(2))
+    with pytest.warns(UserWarning, match="threshold"):
+        ((tau, rank),) = forward._bound_states(well)
+    assert rank == 2
+    for n in forward.weight_matrices(well, tau, rank):
+        assert np.abs(n - 2.0 * np.eye(2)).max() < 2e-3
+
+    v = np.array([1.0, 1.0j]) / np.sqrt(2)
+    proj = np.outer(v, v.conj())
+    result = forward.full_forward(two_soliton, RhoGrid(10.0, 64))
+    for b, w in zip(result.j_plus.bound_states, (2.0, 8.0)):
+        assert np.abs(b.weight - w * proj).max() < 1e-3 * w
+
+
+def test_weights_deep_box_on_a_coarse_grid():
+    # the sampled box is the exact box, and each cell's integral of the
+    # eigenfunction is exact, so every weight matches 1 / int f_+^2 dx of the
+    # closed-form field although the well's interior wave has k dx ~ 2
+    height, grid = -400.0, SpaceGrid.from_bounds(-3.0, 3.0, 0.1)
+    box = domain.box_potential(grid, height=height, half_width=1.0)
+    states = forward._bound_states(box)
+    assert len(states) == 13
+    x = np.linspace(-1.0, 1.0, 200001)
+    for tau, rank in states:
+        f = box_oracle_field(x, 1j * tau, height).real
+        norm = np.trapezoid(f**2, x) + (f[0] ** 2 + f[-1] ** 2) / (2.0 * tau)
+        _, n_plus = forward.weight_matrices(box, tau, rank)
+        assert abs(n_plus[0, 0] * norm - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("tau", [1.5, 1.05])
+def test_weights_refuse_a_tau_without_a_state(tau):
+    # the ring of radius 0.2 around 1.05 still enclosed the pole at 1
+    grid = SpaceGrid.from_bounds(-10.0, 10.0, 0.02)
+    well = domain.sech_well(grid, tau=1.0)
+    with pytest.raises(NumericsError, match=f"tau = {tau:g}"):
+        forward.weight_matrices(well, tau, 1)
+    with pytest.raises(NumericsError, match=f"tau = {tau:g}"):
+        forward.residue_matrix(well, tau)
 
 
 def test_full_forward_zero(zero_pot):
