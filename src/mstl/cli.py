@@ -2,11 +2,16 @@
 
 Formats
 -------
+The bytes of every file are part of the contract.
+
 * Potential CSV: header ``x,Re_Q_11,Im_Q_11,...,Re_Q_mm,Im_Q_mm`` with entries
-  in row-major order, floats at 17 significant digits.
-* Scattering JSON: ``{m, side, rho, S, bound_states}`` with complex numbers
-  as [re, im] pairs.
-* Trajectory CSV: long form ``x,t,j,k,Re,Im``.
+  in row-major order, floats as ``%.17g``.
+* Scattering JSON: ``json.dumps(doc, sort_keys=True, indent=1)`` and a newline,
+  floats as their ``repr``, for ``{m, side, rho, S, bound_states}`` with complex
+  numbers as [re, im] pairs: S of shape (len(rho), m, m, 2), each N (m, m, 2).
+  ``repr`` and ``json`` spell NaN and infinity differently, so a non-finite S,
+  N or tau is refused when written (exit 3) and when read (exit 2).
+* Trajectory CSV: long form ``x,t,j,k,Re,Im``, floats as ``%.17g``.
 
 Exit codes: 0 success, 2 validation failure, 3 numeric failure, 4 I/O error.
 """
@@ -36,15 +41,22 @@ from mstl.domain import (
     zero_potential,
 )
 
-_FMT = "%.17g"
-
-
-def fmt(v: float) -> str:
-    return _FMT % v
-
-
 # ---------------------------------------------------------------------------
 # file formats
+
+
+def _float_pairs(a) -> np.ndarray:
+    """A complex array as floats, its [re, im] pairs along a new last axis."""
+    a = np.ascontiguousarray(a, dtype=complex)
+    return a.view(float).reshape(a.shape + (2,))
+
+
+def _write_rows(path, header: str, row: str, tables: list) -> None:
+    """The header, then one line per row of each table, filled into the ``%`` template ``row``."""
+    with open(path, "w") as f:  # a table at a time: its floats as objects outweigh its text
+        f.write(header + "\n")
+        for table in tables:
+            f.write((row + "\n") * len(table) % tuple(table.ravel().tolist()))
 
 
 def write_potential_csv(path, potential: SampledPotential) -> None:
@@ -53,14 +65,8 @@ def write_potential_csv(path, potential: SampledPotential) -> None:
     for j in range(1, m + 1):
         for k in range(1, m + 1):
             header += [f"Re_Q_{j}{k}", f"Im_Q_{j}{k}"]
-    lines = [",".join(header)]
-    for x, q in zip(potential.grid.xs, potential.values):
-        row = [fmt(x)]
-        for j in range(m):
-            for k in range(m):
-                row += [fmt(q[j, k].real), fmt(q[j, k].imag)]
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    table = np.column_stack([potential.grid.xs, _float_pairs(potential.values).reshape(potential.grid.n, -1)])
+    _write_rows(path, ",".join(header), ",".join(["%.17g"] * len(header)), [table])
 
 
 def read_potential_csv(path) -> SampledPotential:
@@ -82,27 +88,29 @@ def read_potential_csv(path) -> SampledPotential:
     return SampledPotential(grid, q.reshape(len(xs), m, m))
 
 
-def _complex_to_pairs(a: np.ndarray):
-    return [[[float(a[j, k].real), float(a[j, k].imag)] for k in range(a.shape[1])]
-            for j in range(a.shape[0])]
-
-
-def _pairs_to_complex(pairs) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=float)
-    return arr[..., 0] + 1j * arr[..., 1]
+def _json_array(a: np.ndarray, depth: int) -> str:
+    """``json.dumps(a.tolist(), indent=1)`` nested ``depth`` levels deep, for finite floats."""
+    text = "%r"  # json writes a float as float.__repr__, which %r matches unless non-finite
+    for axis in reversed(range(a.ndim)):
+        pad = "\n" + " " * (depth + axis)
+        text = "[" + ",".join([pad + " " + text] * a.shape[axis]) + pad + "]" if a.shape[axis] else "[]"
+    return text % tuple(a.ravel().tolist())
 
 
 def write_scattering_json(path, data: ScatteringData) -> None:
-    doc = {
-        "m": data.m,
-        "side": data.side,
-        "rho": [float(r) for r in data.rho_grid.nodes],
-        "S": [_complex_to_pairs(s) for s in data.S],
-        "bound_states": [
-            {"tau": float(b.tau), "N": _complex_to_pairs(b.weight)} for b in data.bound_states
-        ],
-    }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    s = _float_pairs(data.S)
+    taus = [float(b.tau) for b in data.bound_states]
+    weights = [_float_pairs(b.weight) for b in data.bound_states]
+    if not all(np.isfinite(a).all() for a in [s, taus, *weights]):
+        raise NumericsError(f"{data.side} scattering data has non-finite entries")
+    doc = {"m": data.m, "side": data.side, "rho": "@rho", "S": "@S",
+           "bound_states": [{"tau": tau, "N": f"@N{i}"} for i, tau in enumerate(taus)]}
+    text = json.dumps(doc, sort_keys=True, indent=1)
+    blocks = {"rho": _json_array(data.rho_grid.nodes, 1), "S": _json_array(s, 1)}
+    blocks.update((f"N{i}", _json_array(w, 3)) for i, w in enumerate(weights))
+    for key, block in blocks.items():
+        text = text.replace(f'"@{key}"', block)
+    Path(path).write_text(text + "\n")
 
 
 def read_scattering_json(path) -> ScatteringData:
@@ -115,35 +123,44 @@ def read_scattering_json(path) -> ScatteringData:
         raise ValidationError(f"malformed scattering data in {path}: {exc!r}") from exc
 
 
+def _complex_from_pairs(pairs, shape: tuple, what: str) -> np.ndarray:
+    """Finite [re, im] pairs of the given leading shape, read bit-exactly as complex."""
+    a = np.asarray(pairs, dtype=float)
+    if a.shape != shape + (2,):
+        raise ValidationError(f"{what} must have shape {shape + (2,)}, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{what} has non-finite entries")
+    return a.view(complex)[..., 0]
+
+
 def _scattering_from_doc(doc) -> ScatteringData:
     rho = np.asarray(doc["rho"], dtype=float)
     n_half = len(rho) // 2
     if n_half < 1 or len(rho) != 2 * n_half:
         raise ValidationError("rho grid must have an even node count")
-    step = rho[-1] - rho[-2] if len(rho) > 1 else 2 * rho[-1]
+    step = rho[-1] - rho[-2]
     grid = RhoGrid(rho_max=float(rho[-1] + step / 2), n_half=n_half)
     if not np.allclose(grid.nodes, rho, rtol=1e-9, atol=1e-12):
         raise ValidationError("rho nodes are not a symmetric half-offset grid")
-    s = np.stack([_pairs_to_complex(p) for p in doc["S"]]) if doc["S"] else np.zeros((0, 1, 1))
-    states = tuple(
-        BoundState(tau=float(b["tau"]), weight=_pairs_to_complex(b["N"]), side=doc["side"])
-        for b in doc["bound_states"]
-    )
-    return ScatteringData(side=doc["side"], rho_grid=grid, S=s, bound_states=states)
+    m = doc["m"]
+    s = _complex_from_pairs(doc["S"], (len(rho), m, m), "S")
+    states = []
+    for b in doc["bound_states"]:
+        tau = float(b["tau"])
+        if not np.isfinite(tau):
+            raise ValidationError(f"bound-state tau must be finite, got {tau}")
+        weight = _complex_from_pairs(b["N"], (m, m), "bound-state weight N")
+        states.append(BoundState(tau=tau, weight=weight, side=doc["side"]))
+    return ScatteringData(side=doc["side"], rho_grid=grid, S=s, bound_states=tuple(states))
 
 
 def write_trajectory_csv(path, traj: kdv.KdVTrajectory) -> None:
-    lines = ["x,t,j,k,Re,Im"]
+    blocks = []
     for t, pot in zip(traj.times, traj.potentials):
-        m = pot.m
-        for x, q in zip(pot.grid.xs, pot.values):
-            for j in range(m):
-                for k in range(m):
-                    lines.append(
-                        ",".join([fmt(x), fmt(t), str(j + 1), str(k + 1),
-                                  fmt(q[j, k].real), fmt(q[j, k].imag)])
-                    )
-    Path(path).write_text("\n".join(lines) + "\n")
+        x, j, k = np.broadcast_arrays(pot.grid.xs[:, None, None], *np.indices((pot.m, pot.m)) + 1)
+        blocks.append(np.column_stack([x.ravel(), np.full(x.size, t), j.ravel(), k.ravel(),
+                                       _float_pairs(pot.values).reshape(-1, 2)]))
+    _write_rows(path, "x,t,j,k,Re,Im", "%.17g,%.17g,%d,%d,%.17g,%.17g", blocks)
 
 
 def write_report(path, payload: dict) -> None:
@@ -300,6 +317,10 @@ def cmd_soliton(cfg: RunConfig) -> int:
 
 
 def cmd_kdv(cfg: RunConfig) -> int:
+    if cfg.n_t < 1:
+        raise ValidationError(f"--n-t must be at least 1, got {cfg.n_t}")
+    if not np.isfinite(cfg.t_max):
+        raise ValidationError(f"--t-max must be finite, got {cfg.t_max}")
     states = _soliton_states(cfg)
     times = np.linspace(0.0, cfg.t_max, cfg.n_t)
     traj = kdv.soliton_trajectory(states, times, cfg.space_grid())

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from mstl import cli, domain, glm
-from mstl.domain import BoundState, RhoGrid, ScatteringData, SpaceGrid
+from mstl import cli, domain, glm, kdv
+from mstl.domain import BoundState, NumericsError, RhoGrid, ScatteringData, SpaceGrid
 
 
 @pytest.fixture()
@@ -44,6 +44,140 @@ def test_scattering_json_roundtrip(tmp_path):
     assert np.allclose(back.rho_grid.nodes, rg.nodes)
     assert back.bound_states[0].tau == 1.5
     assert np.array_equal(back.bound_states[0].weight, data.bound_states[0].weight)
+
+
+# The writers before templating: the byte contract they are held to.
+
+
+def _fmt(v):
+    return "%.17g" % v
+
+
+def _complex_to_pairs(a):
+    return [[[float(a[j, k].real), float(a[j, k].imag)] for k in range(a.shape[1])]
+            for j in range(a.shape[0])]
+
+
+def oracle_scattering_json(data):
+    doc = {
+        "m": data.m,
+        "side": data.side,
+        "rho": [float(r) for r in data.rho_grid.nodes],
+        "S": [_complex_to_pairs(s) for s in data.S],
+        "bound_states": [
+            {"tau": float(b.tau), "N": _complex_to_pairs(b.weight)} for b in data.bound_states
+        ],
+    }
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+def oracle_potential_csv(potential):
+    m = potential.m
+    header = ["x"]
+    for j in range(1, m + 1):
+        for k in range(1, m + 1):
+            header += [f"Re_Q_{j}{k}", f"Im_Q_{j}{k}"]
+    lines = [",".join(header)]
+    for x, q in zip(potential.grid.xs, potential.values):
+        row = [_fmt(x)]
+        for j in range(m):
+            for k in range(m):
+                row += [_fmt(q[j, k].real), _fmt(q[j, k].imag)]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def oracle_trajectory_csv(traj):
+    lines = ["x,t,j,k,Re,Im"]
+    for t, pot in zip(traj.times, traj.potentials):
+        m = pot.m
+        for x, q in zip(pot.grid.xs, pot.values):
+            for j in range(m):
+                for k in range(m):
+                    lines.append(",".join([_fmt(x), _fmt(t), str(j + 1), str(k + 1),
+                                           _fmt(q[j, k].real), _fmt(q[j, k].imag)]))
+    return "\n".join(lines) + "\n"
+
+
+_SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1e-300,
+            -1e-300, 0.1, 1e16, 1e17, 123456789.0]
+
+
+def _awkward_complex(rng, shape):
+    """Seeded complex entries over many decades, a third of them from _SPECIAL."""
+    pairs = rng.normal(size=(*shape, 2)) * 10.0 ** rng.integers(-40, 40, size=(*shape, 2))
+    mask = rng.random(pairs.shape) < 1 / 3
+    pairs[mask] = rng.choice(_SPECIAL, size=mask.sum())
+    return pairs.view(complex)[..., 0]  # re + 1j * im would turn a real -0.0 into 0.0
+
+
+def _awkward_potential(rng, grid, m):
+    """Hermitian at every node, entries copied from _awkward_complex without arithmetic."""
+    # clipped: entries near 1e300 overflow the potential's weighted L1 norm check
+    q = np.clip(_awkward_complex(rng, (grid.n, m, m)).view(float), -1e100, 1e100).view(complex)
+    q = np.where(np.triu(np.ones((m, m), bool)), q, q.conj().transpose(0, 2, 1))
+    diagonal = np.arange(m)
+    q[:, diagonal, diagonal] = q[:, diagonal, diagonal].real
+    return domain.SampledPotential(grid, q)
+
+
+def assert_same_text(got, want):
+    # pytest's own diff of two long strings is quadratic: name the first difference instead
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(map(len, (got, want))))
+        pytest.fail(f"first difference at char {at}: {got[at - 40:at + 40]!r} != {want[at - 40:at + 40]!r}")
+
+
+@pytest.mark.parametrize("n_states", [0, 2])
+@pytest.mark.parametrize("n_rho", [2, 1024])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_scattering_json_bytes_match_the_json_oracle(tmp_path, m, n_rho, n_states):
+    rng = np.random.default_rng(100 * m + n_rho + n_states)
+    data = ScatteringData(
+        side="left", rho_grid=RhoGrid(float(rng.uniform(1.0, 50.0)), n_rho // 2),
+        S=_awkward_complex(rng, (n_rho, m, m)),
+        bound_states=tuple(
+            BoundState(tau=float(rng.choice([5e-324, 1e-300, 0.7, 1e300])),
+                       weight=_awkward_complex(rng, (m, m)), side="left")
+            for _ in range(n_states)),
+    )
+    path = tmp_path / "data.json"
+    cli.write_scattering_json(path, data)
+    assert_same_text(path.read_text(), oracle_scattering_json(data))
+    back = cli.read_scattering_json(path)
+    assert back.S.tobytes() == data.S.tobytes()
+    for b, a in zip(back.bound_states, data.bound_states, strict=True):
+        assert b.tau == a.tau and b.weight.tobytes() == a.weight.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_csv_bytes_match_the_format_oracle(tmp_path, m):
+    rng = np.random.default_rng(m)
+    grid = SpaceGrid(float(rng.normal()), float(rng.uniform(1e-3, 1.0)), 41)
+    potential = _awkward_potential(rng, grid, m)
+    cli.write_potential_csv(tmp_path / "potential.csv", potential)
+    assert_same_text((tmp_path / "potential.csv").read_text(), oracle_potential_csv(potential))
+    traj = kdv.KdVTrajectory(times=np.array([0.0, 0.1, 1e-310]),
+                             potentials=tuple(_awkward_potential(rng, grid, m) for _ in range(3)))
+    cli.write_trajectory_csv(tmp_path / "trajectory.csv", traj)
+    assert_same_text((tmp_path / "trajectory.csv").read_text(), oracle_trajectory_csv(traj))
+
+
+@pytest.mark.parametrize("where", ["S", "N", "tau"])
+def test_non_finite_scattering_data_is_not_written(tmp_path, soliton_data, where):
+    # json would spell NaN where the %r template spells nan: refused, not written
+    s, weight, tau = soliton_data.S.copy(), np.array([[2.0 + 0j]]), 1.0
+    if where == "S":
+        s[3, 0, 0] = complex(0.0, np.nan)
+    elif where == "N":
+        weight[0, 0] = np.nan
+    else:
+        tau = np.inf
+    data = ScatteringData(side="right", rho_grid=soliton_data.rho_grid, S=s,
+                          bound_states=(BoundState(tau=tau, weight=weight, side="right"),))
+    with pytest.raises(NumericsError, match="non-finite"):
+        cli.write_scattering_json(tmp_path / "data.json", data)
+    assert not (tmp_path / "data.json").exists()
 
 
 def test_soliton_command_writes_closed_form(tmp_path):
@@ -265,6 +399,12 @@ def _scattering_doc(soliton_data, tmp_path):
     lambda doc: doc.update(rho=None),
     lambda doc: doc.update(bound_states=[{"tau": "one", "N": [[[2.0, 0.0]]]}]),
     lambda doc: doc.update(bound_states=[{"tau": 1.0}]),
+    lambda doc: doc["S"][0][0].__setitem__(0, [0.1, 0.2, 0.7]),  # a pair of three numbers
+    lambda doc: doc.update(m=3),  # m disagrees with the 1x1 matrices
+    lambda doc: doc["S"][1][0].__setitem__(0, [0.1]),  # ragged S
+    lambda doc: doc["S"][2][0][0].__setitem__(1, float("nan")),
+    lambda doc: doc["bound_states"][0].update(tau=float("inf")),
+    lambda doc: doc["bound_states"][0]["N"][0][0].__setitem__(0, float("nan")),
 ])
 def test_malformed_scattering_json_is_a_validation_error(tmp_path, soliton_data, capsys, edit):
     doc = _scattering_doc(soliton_data, tmp_path)
@@ -314,6 +454,20 @@ def test_bad_soliton_states_are_validation_errors(tmp_path, capsys, command, sta
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("validation error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("options, option", [
+    (["--n-t", "-2"], "--n-t"),
+    (["--n-t", "0"], "--n-t"),
+    (["--t-max", "nan"], "--t-max"),
+    (["--t-max", "inf"], "--t-max"),
+])
+def test_bad_kdv_times_are_validation_errors(tmp_path, capsys, options, option):
+    code = cli.main(["kdv", "--tau", "1", "--weight", "2", *options, "--x-min", "-2",
+                     "--x-max", "2", "--dx", "0.1", "--out", str(tmp_path / "out")])
+    assert code == 2 and not (tmp_path / "out").exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: {option}") and err.count("\n") == 1
 
 
 def test_import_leaves_spline_and_optimizer_unloaded():
