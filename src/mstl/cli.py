@@ -13,7 +13,8 @@ The bytes of every file are part of the contract.
   N or tau is refused when written (exit 3) and when read (exit 2).
 * Trajectory CSV: long form ``x,t,j,k,Re,Im``, floats as ``%.17g``.
 
-Exit codes: 0 success, 2 validation failure, 3 numeric failure, 4 I/O error.
+Exit codes: 0 success, 2 validation failure (malformed input files and JSON
+included), 3 numeric failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -114,12 +114,11 @@ def write_scattering_json(path, data: ScatteringData) -> None:
 
 
 def read_scattering_json(path) -> ScatteringData:
-    doc = json.loads(Path(path).read_text())
     try:
-        return _scattering_from_doc(doc)
+        return _scattering_from_doc(json.loads(Path(path).read_text()))
     except ValidationError:
         raise
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError) as exc:  # undecodable text and JSON too
         raise ValidationError(f"malformed scattering data in {path}: {exc!r}") from exc
 
 
@@ -168,76 +167,53 @@ def write_report(path, payload: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# configuration
+# inputs from the parsed options
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    out: Path
-    potential: str = None
-    bundled: str = None
-    data: str = None
-    data_left: str = None
-    rho_max: float = 40.0
-    n_rho: int = 2048
-    x_min: float = -8.0
-    x_max: float = 8.0
-    dx: float = 0.02
-    taus: tuple = ()
-    weights: tuple = ()
-    direction: str = None
-    t_max: float = 1.0
-    n_t: int = 5
-    tol: float = 0.02
-    seed: int = 0
-    dim: int = 2
-
-    def space_grid(self) -> SpaceGrid:
-        return SpaceGrid.from_bounds(self.x_min, self.x_max, self.dx)
-
-    def rho_grid(self) -> RhoGrid:
-        return RhoGrid(self.rho_max, self.n_rho // 2)
+def space_grid(args: argparse.Namespace) -> SpaceGrid:
+    return SpaceGrid.from_bounds(args.x_min, args.x_max, args.dx)
 
 
-def _load_potential(cfg: RunConfig) -> SampledPotential:
-    if cfg.dim < 1:
-        raise ValidationError(f"--dim must be at least 1, got {cfg.dim}")
-    if cfg.potential:
-        return read_potential_csv(cfg.potential)
-    grid = cfg.space_grid()
-    name = cfg.bundled or "zero"
-    if name == "zero":
-        return zero_potential(grid, dim=cfg.dim)
-    if name == "box":
+def rho_grid(args: argparse.Namespace) -> RhoGrid:
+    if args.n_rho < 2 or args.n_rho % 2:
+        raise ValidationError(f"--n-rho must be a positive even count, got {args.n_rho}")
+    return RhoGrid(args.rho_max, args.n_rho // 2)
+
+
+def _load_potential(args: argparse.Namespace) -> SampledPotential:
+    if args.dim < 1:
+        raise ValidationError(f"--dim must be at least 1, got {args.dim}")
+    if args.potential:
+        return read_potential_csv(args.potential)
+    grid = space_grid(args)
+    if args.bundled == "box":
         return box_potential(grid)
-    if name == "bump":
+    if args.bundled == "bump":
         return bump_potential(grid)
-    if name == "random":
-        return random_potential(grid, dim=cfg.dim, seed=cfg.seed)
-    raise ValidationError(f"unknown bundled potential {name!r}")
+    if args.bundled == "random":
+        return random_potential(grid, dim=args.dim, seed=args.seed)
+    return zero_potential(grid, dim=args.dim)  # --bundled zero, or no source given
 
 
-def _soliton_states(cfg: RunConfig):
-    if not cfg.taus:
+def _soliton_states(args: argparse.Namespace):
+    if not args.taus:
         raise ValidationError("at least one --tau is required")
-    if len(cfg.weights) != len(cfg.taus):
+    if len(args.weights) != len(args.taus):
         raise ValidationError("--tau and --weight counts must match")
-    if cfg.direction:
-        try:
-            v = np.array([complex(part) for part in cfg.direction.split(",")])
-        except ValueError as exc:
-            raise ValidationError(f"--direction {cfg.direction!r}: {exc}") from exc
-        norm = np.linalg.norm(v)
-        if not norm > 0:
-            raise ValidationError("--direction must be a nonzero vector")
-        v = v / norm
-        proj = np.outer(v, v.conj())
-        states = [(t, w * proj) for t, w in zip(cfg.taus, cfg.weights)]
-    else:
-        states = [(t, np.array([[complex(w)]])) for t, w in zip(cfg.taus, cfg.weights)]
-    solitons.checked_states(states)
-    return states
+    states = [(t, np.array([[complex(w)]])) for t, w in zip(args.taus, args.weights)]
+    solitons.checked_states(states)  # a direction scales each weight by a projector, which keeps it PSD
+    if not args.direction:
+        return states
+    try:
+        v = np.array([complex(part) for part in args.direction.split(",")])
+    except ValueError as exc:
+        raise ValidationError(f"--direction {args.direction!r}: {exc}") from exc
+    norm = np.linalg.norm(v)
+    if not (np.isfinite(norm) and norm > 0):
+        raise ValidationError("--direction must be a finite nonzero vector")
+    v = v / norm
+    proj = np.outer(v, v.conj())
+    return [(t, w * proj) for t, w in zip(args.taus, args.weights)]
 
 
 def _rel_l1_error(q_in: SampledPotential, q_out: SampledPotential) -> float:
@@ -253,16 +229,16 @@ def _rel_l1_error(q_in: SampledPotential, q_out: SampledPotential) -> float:
 # subcommands
 
 
-def cmd_forward(cfg: RunConfig) -> int:
-    potential = _load_potential(cfg)
-    result = forward.full_forward(potential, cfg.rho_grid())
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    write_potential_csv(cfg.out / "potential.csv", potential)
-    write_scattering_json(cfg.out / "scattering_right.json", result.j_plus)
-    write_scattering_json(cfg.out / "scattering_left.json", result.j_minus)
+def cmd_forward(args: argparse.Namespace) -> int:
+    potential = _load_potential(args)
+    result = forward.full_forward(potential, rho_grid(args))
+    args.out.mkdir(parents=True, exist_ok=True)
+    write_potential_csv(args.out / "potential.csv", potential)
+    write_scattering_json(args.out / "scattering_right.json", result.j_plus)
+    write_scattering_json(args.out / "scattering_left.json", result.j_minus)
     rep_plus = conditions.check_condition_A(result.j_plus)
     rep_minus = conditions.check_condition_A(result.j_minus)
-    write_report(cfg.out / "report.json", {
+    write_report(args.out / "report.json", {
         "subcommand": "forward",
         "bound_states": [float(t) for t in result.j_plus.taus],
         "condition_A_plus": rep_plus.as_dict(),
@@ -271,19 +247,19 @@ def cmd_forward(cfg: RunConfig) -> int:
     if not (rep_plus.passed and rep_minus.passed):
         print("forward data failed an admissibility check", file=sys.stderr)
         return 2
-    print(f"forward: {len(result.j_plus.taus)} bound state(s); outputs in {cfg.out}")
+    print(f"forward: {len(result.j_plus.taus)} bound state(s); outputs in {args.out}")
     return 0
 
 
-def cmd_invert(cfg: RunConfig) -> int:
-    j_plus = read_scattering_json(cfg.data)
+def cmd_invert(args: argparse.Namespace) -> int:
+    j_plus = read_scattering_json(args.data)
     if j_plus.side != "right":
         raise ValidationError("--data must hold right-side scattering data")
-    j_minus = read_scattering_json(cfg.data_left) if cfg.data_left else None
-    result = glm.invert(j_plus, j_minus, grid=cfg.space_grid())
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    write_potential_csv(cfg.out / "potential.csv", result.potential)
-    write_report(cfg.out / "report.json", {
+    j_minus = read_scattering_json(args.data_left) if args.data_left else None
+    result = glm.invert(j_plus, j_minus, grid=space_grid(args))
+    args.out.mkdir(parents=True, exist_ok=True)
+    write_potential_csv(args.out / "potential.csv", result.potential)
+    write_report(args.out / "report.json", {
         "subcommand": "invert",
         "overlap_gap": result.overlap_gap,
         "sigma_min_est": result.sigma_min_est,
@@ -291,60 +267,62 @@ def cmd_invert(cfg: RunConfig) -> int:
         "hermiticity_defect": result.hermiticity_defect,
         "condition_A_plus": conditions.check_condition_A(j_plus).as_dict(),
     })
-    print(f"invert: overlap gap {result.overlap_gap:.3e}; outputs in {cfg.out}")
+    print(f"invert: overlap gap {result.overlap_gap:.3e}; outputs in {args.out}")
     return 0
 
 
-def cmd_soliton(cfg: RunConfig) -> int:
-    states = _soliton_states(cfg)
-    potential = solitons.separable_glm_solve(states, "right", cfg.space_grid())
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    write_potential_csv(cfg.out / "potential.csv", potential)
+def cmd_soliton(args: argparse.Namespace) -> int:
+    states = _soliton_states(args)
+    rho = rho_grid(args)
+    potential = solitons.separable_glm_solve(states, space_grid(args))
+    args.out.mkdir(parents=True, exist_ok=True)
+    write_potential_csv(args.out / "potential.csv", potential)
     m = states[0][1].shape[0]
     data = ScatteringData(
-        side="right", rho_grid=cfg.rho_grid(),
-        S=np.zeros((cfg.rho_grid().n, m, m), dtype=complex),
+        side="right", rho_grid=rho, S=np.zeros((rho.n, m, m), dtype=complex),
         bound_states=tuple(BoundState(tau=t, weight=n, side="right") for t, n in states),
     )
-    write_scattering_json(cfg.out / "scattering_right.json", data)
-    write_report(cfg.out / "report.json", {
+    write_scattering_json(args.out / "scattering_right.json", data)
+    write_report(args.out / "report.json", {
         "subcommand": "soliton",
         "taus": [float(t) for t, _ in states],
         "condition_A_plus": conditions.check_condition_A(data).as_dict(),
     })
-    print(f"soliton: potential on [{cfg.x_min}, {cfg.x_max}] written to {cfg.out}")
+    print(f"soliton: potential on [{args.x_min}, {args.x_max}] written to {args.out}")
     return 0
 
 
-def cmd_kdv(cfg: RunConfig) -> int:
-    if cfg.n_t < 1:
-        raise ValidationError(f"--n-t must be at least 1, got {cfg.n_t}")
-    if not np.isfinite(cfg.t_max):
-        raise ValidationError(f"--t-max must be finite, got {cfg.t_max}")
-    states = _soliton_states(cfg)
-    times = np.linspace(0.0, cfg.t_max, cfg.n_t)
-    traj = kdv.soliton_trajectory(states, times, cfg.space_grid())
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(cfg.out / "trajectory.csv", traj)
+def cmd_kdv(args: argparse.Namespace) -> int:
+    if args.n_t < 1:
+        raise ValidationError(f"--n-t must be at least 1, got {args.n_t}")
+    if not np.isfinite(args.t_max):
+        raise ValidationError(f"--t-max must be finite, got {args.t_max}")
+    states = _soliton_states(args)
+    times = np.linspace(0.0, args.t_max, args.n_t)
+    traj = kdv.soliton_trajectory(states, times, space_grid(args))
+    args.out.mkdir(parents=True, exist_ok=True)
+    write_trajectory_csv(args.out / "trajectory.csv", traj)
     centers = [kdv.estimate_center(p) for p in traj.potentials]
-    write_report(cfg.out / "report.json", {
+    write_report(args.out / "report.json", {
         "subcommand": "kdv",
         "times": [float(t) for t in times],
         "centers": centers,
     })
-    print(f"kdv: {cfg.n_t} snapshots written to {cfg.out}")
+    print(f"kdv: {args.n_t} snapshots written to {args.out}")
     return 0
 
 
-def cmd_roundtrip(cfg: RunConfig) -> int:
-    potential = _load_potential(cfg)
-    fwd = forward.full_forward(potential, cfg.rho_grid())
+def cmd_roundtrip(args: argparse.Namespace) -> int:
+    if not (np.isfinite(args.tol) and args.tol >= 0):
+        raise ValidationError(f"--tol must be finite and non-negative, got {args.tol}")
+    potential = _load_potential(args)
+    fwd = forward.full_forward(potential, rho_grid(args))
     result = glm.invert(fwd.j_plus, fwd.j_minus, grid=potential.grid)
     err = _rel_l1_error(potential, result.potential)
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    write_potential_csv(cfg.out / "potential_in.csv", potential)
-    write_potential_csv(cfg.out / "potential_out.csv", result.potential)
-    write_report(cfg.out / "report.json", {
+    args.out.mkdir(parents=True, exist_ok=True)
+    write_potential_csv(args.out / "potential_in.csv", potential)
+    write_potential_csv(args.out / "potential_out.csv", result.potential)
+    write_report(args.out / "report.json", {
         "subcommand": "roundtrip",
         "relative_l1_error": err,
         "overlap_gap": result.overlap_gap,
@@ -352,11 +330,11 @@ def cmd_roundtrip(cfg: RunConfig) -> int:
         "condition_A_minus": conditions.check_condition_A(fwd.j_minus).as_dict(),
     })
     print(f"roundtrip: relative L1 error = {err:.6g}")
-    return 0 if err <= cfg.tol else 2
+    return 0 if err <= args.tol else 2
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    data = read_scattering_json(cfg.data)
+def cmd_validate(args: argparse.Namespace) -> int:
+    data = read_scattering_json(args.data)
     report_a = conditions.check_condition_A(data)
     payload = {"subcommand": "validate", "condition_A": report_a.as_dict()}
     ok = report_a.passed
@@ -365,9 +343,9 @@ def cmd_validate(cfg: RunConfig) -> int:
         report_b = conditions.check_condition_B_numeric(denominator[0], data)
         payload["condition_B"] = report_b.as_dict()
         ok = ok and report_b.passed
-    if cfg.out:
-        cfg.out.mkdir(parents=True, exist_ok=True)
-        write_report(cfg.out / "report.json", payload)
+    if args.out:
+        args.out.mkdir(parents=True, exist_ok=True)
+        write_report(args.out / "report.json", payload)
     print("validate: PASS" if ok else "validate: FAIL")
     return 0 if ok else 2
 
@@ -376,102 +354,71 @@ def cmd_validate(cfg: RunConfig) -> int:
 # argument parsing
 
 
-def _add_grid_args(p):
-    p.add_argument("--x-min", type=float, default=-8.0)
-    p.add_argument("--x-max", type=float, default=8.0)
-    p.add_argument("--dx", type=float, default=0.02)
+def _source_options(bundled) -> argparse.ArgumentParser:
+    """The input potential: a CSV file or a bundled profile, ``bundled`` if neither is given.
 
-
-def _add_rho_args(p):
-    p.add_argument("--rho-max", type=float, default=40.0)
-    p.add_argument("--n-rho", type=int, default=2048)
+    A new parser per call: subcommands share the action objects of a parent
+    parser, so one command's default cannot be changed on a shared parent.
+    """
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--potential")
+    p.add_argument("--bundled", choices=["zero", "box", "bump", "random"], default=bundled)
+    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--seed", type=int, default=0)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--x-min", type=float, default=-8.0)
+    grid.add_argument("--x-max", type=float, default=8.0)
+    grid.add_argument("--dx", type=float, default=0.02)
+    rho = argparse.ArgumentParser(add_help=False)
+    rho.add_argument("--rho-max", type=float, default=40.0)
+    rho.add_argument("--n-rho", type=int, default=2048)
+    states = argparse.ArgumentParser(add_help=False)
+    states.add_argument("--tau", type=float, action="append", default=[], dest="taus")
+    states.add_argument("--weight", type=float, action="append", default=[], dest="weights")
+    states.add_argument("--direction", help="comma-separated complex vector for rank-1 weights")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", required=True, type=Path)
+
     parser = argparse.ArgumentParser(prog="mstl", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("forward", help="potential -> scattering data")
-    p.add_argument("--potential")
-    p.add_argument("--bundled", choices=["zero", "box", "bump", "random"])
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    _add_grid_args(p)
-    _add_rho_args(p)
-    p.add_argument("--out", required=True, type=Path)
+    def command(name, run, help, parents):
+        p = sub.add_parser(name, help=help, parents=parents)
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("invert", help="scattering data -> potential")
+    command("forward", cmd_forward, "potential -> scattering data", [_source_options(None), grid, rho, out])
+    p = command("invert", cmd_invert, "scattering data -> potential", [grid, out])
     p.add_argument("--data", required=True)
     p.add_argument("--data-left")
-    _add_grid_args(p)
-    p.add_argument("--out", required=True, type=Path)
-
-    p = sub.add_parser("soliton", help="closed-form reflectionless potential")
-    p.add_argument("--tau", type=float, action="append", default=[], dest="taus")
-    p.add_argument("--weight", type=float, action="append", default=[], dest="weights")
-    p.add_argument("--direction", help="comma-separated complex vector for rank-1 weights")
-    _add_grid_args(p)
-    _add_rho_args(p)
-    p.add_argument("--out", required=True, type=Path)
-
-    p = sub.add_parser("kdv", help="reflectionless KdV trajectory")
-    p.add_argument("--tau", type=float, action="append", default=[], dest="taus")
-    p.add_argument("--weight", type=float, action="append", default=[], dest="weights")
-    p.add_argument("--direction")
+    command("soliton", cmd_soliton, "closed-form reflectionless potential", [states, grid, rho, out])
+    p = command("kdv", cmd_kdv, "reflectionless KdV trajectory", [states, grid, out])
     p.add_argument("--t-max", type=float, default=1.0)
     p.add_argument("--n-t", type=int, default=5)
-    _add_grid_args(p)
-    p.add_argument("--out", required=True, type=Path)
-
-    p = sub.add_parser("roundtrip", help="forward then invert, report the error")
-    p.add_argument("--potential")
-    p.add_argument("--bundled", choices=["zero", "box", "bump", "random"], default="bump")
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p = command("roundtrip", cmd_roundtrip, "forward then invert, report the error",
+                [_source_options("bump"), grid, rho, out])
     p.add_argument("--tol", type=float, default=0.02)
-    _add_grid_args(p)
-    _add_rho_args(p)
-    p.add_argument("--out", required=True, type=Path)
-
-    p = sub.add_parser("validate", help="admissibility checks on a data file")
+    p = command("validate", cmd_validate, "admissibility checks on a data file", [])
     p.add_argument("--data", required=True)
     p.add_argument("--out", type=Path)
     return parser
 
 
-_COMMANDS = {
-    "forward": cmd_forward,
-    "invert": cmd_invert,
-    "soliton": cmd_soliton,
-    "kdv": cmd_kdv,
-    "roundtrip": cmd_roundtrip,
-    "validate": cmd_validate,
-}
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {f for f in RunConfig.__dataclass_fields__}
-    kwargs = {k: v for k, v in vars(args).items() if k in fields and v is not None}
-    kwargs.setdefault("out", None)
-    if "taus" in kwargs:
-        kwargs["taus"] = tuple(kwargs["taus"])
-    if "weights" in kwargs:
-        kwargs["weights"] = tuple(kwargs["weights"])
-    return RunConfig(**kwargs)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = config_from_args(args)
     try:
-        return _COMMANDS[cfg.subcommand](cfg)
+        return args.run(args)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
 

@@ -226,13 +226,13 @@ def right_denominator(j_plus: ScatteringData):
     return None
 
 
-def residues_from_evaluator(d_of, taus, nodes: int = 64):
+def residues_from_evaluator(d_of, taus):
     """Residue pairs of a transmission-denominator evaluator at each i tau."""
     taus = sorted(float(t) for t in taus)
     pairs = []
     for k, tau in enumerate(taus):
         radius = residue_contour_radius(tau, taus)
-        r_plus = contour_residue(lambda z: np.linalg.inv(d_of(z)), 1j * tau, radius, nodes)
+        r_plus = contour_residue(lambda z: np.linalg.inv(d_of(z)), 1j * tau, radius)
         pairs.append(ResiduePair(tau=tau, R_minus=-r_plus.conj().T, R_plus=r_plus))
     return pairs
 
@@ -357,9 +357,7 @@ def _semicircle(radius: float, n: int = 33) -> np.ndarray:
     return radius * np.exp(1j * theta)
 
 
-def check_condition_B_numeric(
-    d_of, j_plus: ScatteringData, contour_nodes: int = 64
-) -> ConditionReport:
+def check_condition_B_numeric(d_of, j_plus: ScatteringData) -> ConditionReport:
     """Numeric report on a candidate transmission denominator for right data.
 
     Analyticity is probed by Cauchy-integral self-consistency on a rectangle
@@ -398,7 +396,7 @@ def check_condition_B_numeric(
     rank_ok = True
     for b in j_plus.bound_states:
         radius = residue_contour_radius(b.tau, taus)
-        r_hat = contour_residue(lambda z: np.linalg.inv(d_of(z)), 1j * b.tau, radius, contour_nodes)
+        r_hat = contour_residue(lambda z: np.linalg.inv(d_of(z)), 1j * b.tau, radius)
         proj = hermitian_pseudo_inverse(b.weight) @ b.weight
         defect = matrix_operator_norm(r_hat - r_hat @ proj) / max(matrix_operator_norm(r_hat), 1e-30)
         res_defect = max(res_defect, defect)

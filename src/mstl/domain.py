@@ -27,6 +27,8 @@ EIG_CUTOFF_REL = 1e-10
 # Hermiticity tolerance: defect <= HERMITICITY_RTOL * (1 + ||N||) is repaired
 # by symmetrization, anything above is rejected.
 HERMITICITY_RTOL = 1e-8
+# Trapezoid nodes on a residue contour.
+_CONTOUR_NODES = 64
 
 
 class ValidationError(ValueError):
@@ -89,19 +91,17 @@ def _checked_hermitian(n: np.ndarray, what: str = "matrix") -> np.ndarray:
     return 0.5 * (n + n.conj().T)
 
 
-def hermitian_pseudo_inverse(n: np.ndarray, cutoff: float = EIG_CUTOFF_REL) -> np.ndarray:
+def hermitian_pseudo_inverse(n: np.ndarray) -> np.ndarray:
     """Spectral pseudo-inverse of a Hermitian PSD matrix.
 
-    Eigenvalues at or below ``cutoff`` times the largest one are treated as an
-    exact null space and mapped to zero; the rest are inverted.  Inputs within
-    the Hermiticity tolerance are symmetrized first, anything worse is
-    rejected with the defect magnitude.
+    Eigenvalues at or below ``EIG_CUTOFF_REL`` times the largest one are
+    treated as an exact null space and mapped to zero; the rest are inverted.
+    Inputs within the Hermiticity tolerance are symmetrized first, anything
+    worse is rejected with the defect magnitude.
     """
-    if cutoff <= 0:
-        raise ValidationError("cutoff must be positive")
     n = _checked_hermitian(n, "pseudo-inverse input")
     w, u = np.linalg.eigh(n)
-    thresh = cutoff * max(float(w.max(initial=0.0)), 0.0)
+    thresh = EIG_CUTOFF_REL * max(float(w.max(initial=0.0)), 0.0)
     inv = np.where(w > thresh, 1.0 / np.where(w > thresh, w, 1.0), 0.0)
     return (u * inv) @ u.conj().T
 
@@ -125,20 +125,21 @@ def residue_contour_radius(tau: float, neighbor_taus) -> float:
     return min(tau / 2.0, gap / 2.0, 0.2)
 
 
-def contour_residue(f, center: complex, radius: float, nodes: int = 64) -> np.ndarray:
+def contour_residue(f, center: complex, radius: float) -> np.ndarray:
     """Residue of a matrix function at ``center`` by a circular trapezoid contour.
 
-    ``f`` must accept a complex array of shape (nodes,) and return values of
-    shape (nodes, ...), for instance (nodes, m, m); the residue has the
-    trailing shape.  Trapezoid on a circle converges exponentially for
-    integrands that are analytic apart from the enclosed simple pole.
+    ``f`` must accept a complex array of shape (n,), the ``_CONTOUR_NODES``
+    nodes of the ring, and return values of shape (n, ...), for instance
+    (n, m, m); the residue has the trailing shape.  Trapezoid on a circle
+    converges exponentially for integrands that are analytic apart from the
+    enclosed simple pole.
     """
     if radius <= 0:
         raise ContourGeometryError("contour radius must be positive")
-    theta = 2.0 * np.pi * (np.arange(nodes) + 0.5) / nodes
+    theta = 2.0 * np.pi * (np.arange(_CONTOUR_NODES) + 0.5) / _CONTOUR_NODES
     ring = np.exp(1j * theta)
     values = np.asarray(f(center + radius * ring))
-    return (radius / nodes) * np.tensordot(ring, values, axes=(0, 0))
+    return (radius / _CONTOUR_NODES) * np.tensordot(ring, values, axes=(0, 0))
 
 
 # ---------------------------------------------------------------------------

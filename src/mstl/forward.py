@@ -368,13 +368,8 @@ def _count(potential: SampledPotential, taus) -> tuple[np.ndarray, np.ndarray]:
     return conjugate + np.sum(phases < -phi0[:, None], axis=1), conjugate
 
 
-def find_bound_states(potential: SampledPotential) -> list[float]:
-    """Bound-state parameters tau > 0 (rho = i tau), each once, by counting."""
-    return [tau for tau, _ in _bound_states(potential)]
-
-
-def _bound_states(potential: SampledPotential) -> list[tuple[float, int]]:
-    """Bound states (tau, multiplicity), tau > 0 (rho = i tau), by counting.
+def find_bound_states(potential: SampledPotential) -> list[tuple[float, int]]:
+    """Bound states (tau, multiplicity), tau > 0 (rho = i tau), each once, by counting.
 
     tau_k^2 <= -min lambda_min(Q) = tau_bound^2, so a positive semidefinite
     potential needs no sweep.  Otherwise the count N of ``_count`` is taken at
@@ -493,7 +488,7 @@ def residue_matrix(potential: SampledPotential, tau: float) -> ResiduePair:
 
 def full_forward(potential: SampledPotential, rho_grid: RhoGrid) -> ForwardResult:
     """Complete forward map: potential -> (right data, left data, coefficients)."""
-    states = _bound_states(potential)
+    states = find_bound_states(potential)
     coeffs = scattering_coefficients(potential, rho_grid)
     s_minus, s_plus = reflection_matrices(coeffs)
 

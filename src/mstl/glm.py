@@ -66,6 +66,8 @@ RCOND_FLOOR = 1e-12
 TAIL_REL = 1e-10
 MAX_ENTRIES = 2**27  # complex entries of the kernel window or of the dense GLM system
 _BLOCK_U = 2**12  # u samples per chirp-z block of the Fourier kernel
+_OVERLAP = 1.0  # each side is solved past x = 0 to |x| = _OVERLAP, where the two must agree
+_OVERLAP_TOL = 0.05  # largest overlap gap, relative to 0.1 + max |Q|
 _GREGORY_HEAD = np.array([3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0])
 
 
@@ -384,17 +386,11 @@ def _derive_left_data(j_plus: ScatteringData) -> ScatteringData:
     return conditions.connect_left_from_right(j_plus, d_of(j_plus.rho_grid.nodes), residues)
 
 
-def invert(
-    j_plus: ScatteringData,
-    j_minus: ScatteringData = None,
-    grid: SpaceGrid = None,
-    overlap: float = 1.0,
-    overlap_tol: float = 0.05,
-) -> InversionResult:
-    """Reconstruct the potential from scattering data.
+def invert(j_plus: ScatteringData, j_minus: ScatteringData = None, *, grid: SpaceGrid) -> InversionResult:
+    """Reconstruct the potential on ``grid`` from scattering data.
 
-    Runs the plus-side equation for x >= -overlap and the minus side for
-    x <= overlap (each from two interleaved factorizations on the solve grid
+    Runs the plus-side equation for x >= -_OVERLAP and the minus side for
+    x <= _OVERLAP (each from two interleaved factorizations on the solve grid
     du = 2 dx), checks agreement on the shared window and stitches with a
     linear cross-fade across one cell at x = 0.  A side without target nodes
     is not solved, and with no shared window the overlap gap is 0.  When
@@ -402,14 +398,11 @@ def invert(
     the right data (zero reflection, or the scalar reconstruction of the
     transmission denominator); matrix data with reflection requires it.
     """
-    if grid is None:
-        raise ValidationError("a target SpaceGrid is required")
-
     dx = grid.dx
     xs = grid.xs
     m = j_plus.m
-    has_plus = xs >= -overlap - 1e-12
-    has_minus = xs <= overlap + 1e-12
+    has_plus = xs >= -_OVERLAP - 1e-12
+    has_minus = xs <= _OVERLAP + 1e-12
     q_plus = np.zeros((grid.n, m, m), dtype=complex)
     q_minus = np.zeros((grid.n, m, m), dtype=complex)
     sigmas, residuals = [], []
@@ -437,11 +430,11 @@ def invert(
     w = np.where(has_plus & has_minus, fade, has_plus.astype(float))[:, None, None]
     q = (1 - w) * q_minus + w * q_plus
 
-    # agreement of the two reconstructions on the shared window |x| <= 1
-    window = has_plus & has_minus & (np.abs(xs) <= 1.0 + 1e-12)
+    # agreement of the two reconstructions on the shared window
+    window = has_plus & has_minus
     overlap_gap = matrix_operator_norm(q_plus[window] - q_minus[window])
     scale = float(np.abs(q).max(initial=0.0))
-    if overlap_gap > overlap_tol * (0.1 + scale):
+    if overlap_gap > _OVERLAP_TOL * (0.1 + scale):
         raise InconsistentDataError(
             f"left/right reconstructions disagree by {overlap_gap:.3e} on the overlap window"
         )

@@ -63,7 +63,7 @@ def soliton_trajectory(states, t_grid, x_grid: SpaceGrid) -> KdVTrajectory:
     times = tuple(float(t) for t in t_grid)
     taus = [float(t) for t, _ in states]
     potentials = tuple(
-        separable_glm_solve(states, "right", x_grid, log_scales=[8.0 * tau**3 * t for tau in taus])
+        separable_glm_solve(states, x_grid, log_scales=[8.0 * tau**3 * t for tau in taus])
         for t in times
     )
     return KdVTrajectory(times=times, potentials=potentials)

@@ -49,14 +49,15 @@ class ProjectorChain:
         return len(self.taus)
 
 
-def _range_and_kernel(n: np.ndarray, cutoff: float = EIG_CUTOFF_REL):
+def _range_and_kernel(n: np.ndarray):
     """Range factor B with B B^H = n, and an orthonormal basis of Ker n.
 
-    One eigen-split of a Hermitian PSD matrix: eigenvalues above ``cutoff``
-    times the largest magnitude span the range, the rest the kernel.
+    One eigen-split of a Hermitian PSD matrix: eigenvalues above
+    ``EIG_CUTOFF_REL`` times the largest magnitude span the range, the rest
+    the kernel.
     """
     w, v = np.linalg.eigh(0.5 * (n + n.conj().T))
-    keep = w > cutoff * float(np.abs(w).max(initial=0.0))
+    keep = w > EIG_CUTOFF_REL * float(np.abs(w).max(initial=0.0))
     return v[:, keep] * np.sqrt(w[keep]), v[:, ~keep]
 
 
@@ -71,12 +72,18 @@ def checked_states(states) -> tuple[list, list]:
     """Taus and weights of (tau, weight) pairs, as floats and complex matrices.
 
     Raises ``ValidationError`` unless there is at least one state, the taus
-    are positive and distinct, and the weights are Hermitian PSD.
+    and weights are finite, the taus are positive and distinct, and the
+    weights are Hermitian PSD.
     """
     taus = [float(t) for t, _ in states]
     weights = [np.asarray(n, dtype=complex) for _, n in states]
     if not taus:
         raise ValidationError("at least one bound state is required")
+    for tau, n in zip(taus, weights):
+        if not np.isfinite(tau):
+            raise ValidationError(f"taus must be finite, got {tau}")
+        if not np.isfinite(n).all():
+            raise ValidationError(f"the weight of tau = {tau:g} has non-finite entries")
     if min(taus) <= 0:
         raise ValidationError("taus must be positive")
     gaps = [abs(a - b) for i, a in enumerate(taus) for b in taus[i + 1 :]]
@@ -195,7 +202,7 @@ def reflectionless_D(chain: ProjectorChain):
 # separable GLM solve
 
 
-def separable_potential_values(states, xs, log_scales=None, side: str = "right"):
+def separable_potential_values(states, xs, log_scales=None):
     """Q and the kernel diagonal at arbitrary points, by one batched solve.
 
     ``states`` is a sequence of (tau, weight); optional ``log_scales`` carry
@@ -212,11 +219,10 @@ def separable_potential_values(states, xs, log_scales=None, side: str = "right")
     tau = np.array([float(t) for t, _ in states])[index]
     shift = 0.0 if log_scales is None else np.asarray(log_scales, dtype=float)[index]
     xs = np.asarray(xs, dtype=float)
-    solve_xs = -xs[::-1] if side == "left" else xs
 
     # past the clamp a state is fully decayed to roundoff (its rows of Y are
     # below e^-460), and exp stays finite however far right x or the flow goes
-    exponent = 2.0 * tau * solve_xs[:, None] - shift
+    exponent = 2.0 * tau * xs[:, None] - shift
     e = np.exp(np.minimum(exponent, _EXP_CLAMP))
     cauchy = (b.conj().T @ b) / (tau[:, None] + tau[None, :])
     g = cauchy + e[:, :, None] * np.eye(tau.size)
@@ -227,22 +233,17 @@ def separable_potential_values(states, xs, log_scales=None, side: str = "right")
     z = np.sqrt(tau * e)[:, :, None] * y  # Q = -4 z^H z, Hermitian to roundoff
     q = -4.0 * z.conj().transpose(0, 2, 1) @ z
     diag = -b @ y
-    if side == "left":
-        q = q[::-1]
-        diag = diag[::-1]
     return q, diag
 
 
-def separable_glm_solve(states, side: str, x_grid: SpaceGrid, log_scales=None) -> SampledPotential:
-    """Exact reflectionless solve: the potential on ``x_grid``.
+def separable_glm_solve(states, x_grid: SpaceGrid, log_scales=None) -> SampledPotential:
+    """Exact reflectionless solve: the potential of right-side states on ``x_grid``.
 
     The potential is sampled at nodes and cell midpoints from the closed-form
     expression, so downstream propagation sees it at full accuracy.
     """
-    if side not in ("right", "left"):
-        raise ValidationError(f"unknown side {side!r}")
-    q_nodes, _ = separable_potential_values(states, x_grid.xs, log_scales, side)
-    q_cells, _ = separable_potential_values(states, x_grid.midpoints, log_scales, side)
+    q_nodes, _ = separable_potential_values(states, x_grid.xs, log_scales)
+    q_cells, _ = separable_potential_values(states, x_grid.midpoints, log_scales)
     return SampledPotential(x_grid, q_nodes, cell_values=q_cells)
 
 

@@ -131,7 +131,7 @@ def test_criterion_05_bump_roundtrip(bump_setup, bump_forward):
 def test_criterion_06_two_soliton_bound_states():
     states = [(1.0, np.array([[2.0 + 0j]])), (2.0, np.array([[8.0 + 0j]]))]
     grid = SpaceGrid.from_bounds(-14.0, 14.0, 0.01)
-    pot = solitons.separable_glm_solve(states, "right", grid)
+    pot = solitons.separable_glm_solve(states, grid)
     fwd = forward.full_forward(pot, RhoGrid(10.0, 256))
     s_max = float(np.abs(fwd.j_plus.S).max())
     tau_err = max(abs(b.tau - t) for b, (t, _) in zip(fwd.j_plus.bound_states, states))
@@ -214,7 +214,7 @@ def test_criterion_10_kdv_flow():
     r1, r2 = residual(0.02, 1e-3), residual(0.01, 5e-4)
     conv_ok = 2.8 <= r1 / r2 <= 5.5
 
-    taus = forward.find_bound_states(traj.potentials[2])
+    taus = [tau for tau, _ in forward.find_bound_states(traj.potentials[2])]
     iso_ok = len(taus) == 1 and abs(taus[0] - 1.0) <= 1e-3
     ok = center_ok and conv_ok and iso_ok
     _report(10, "kdv flow", ok,

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -405,12 +406,17 @@ def _scattering_doc(soliton_data, tmp_path):
     lambda doc: doc["S"][2][0][0].__setitem__(1, float("nan")),
     lambda doc: doc["bound_states"][0].update(tau=float("inf")),
     lambda doc: doc["bound_states"][0]["N"][0][0].__setitem__(0, float("nan")),
+    b'{"m": 1,',  # truncated: not JSON
+    b'\xff\xfe{"m": 1}',  # not UTF-8 text
 ])
 def test_malformed_scattering_json_is_a_validation_error(tmp_path, soliton_data, capsys, edit):
-    doc = _scattering_doc(soliton_data, tmp_path)
-    edit(doc)
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
+    if isinstance(edit, bytes):  # the whole file
+        path.write_bytes(edit)
+    else:
+        doc = _scattering_doc(soliton_data, tmp_path)
+        edit(doc)
+        path.write_text(json.dumps(doc))
     assert cli.main(["validate", "--data", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("validation error:") and err.count("\n") == 1
@@ -447,6 +453,11 @@ def test_malformed_input_is_a_validation_error(tmp_path, capsys, potential, opti
     ["--tau", "-1", "--weight", "2"],  # negative tau
     ["--tau", "1", "--weight", "2", "--direction", "1,x"],  # malformed direction
     ["--tau", "1", "--weight", "2", "--direction", "0,0"],  # zero direction
+    ["--tau", "1", "--weight", "2", "--direction", "inf,1"],  # infinite direction
+    ["--tau", "1", "--weight", "nan"],
+    ["--tau", "1", "--weight", "inf"],
+    ["--tau", "nan", "--weight", "2"],
+    ["--tau", "inf", "--weight", "2"],
 ])
 def test_bad_soliton_states_are_validation_errors(tmp_path, capsys, command, states):
     code = cli.main([*command, *states, "--x-min", "-2", "--x-max", "2",
@@ -468,6 +479,48 @@ def test_bad_kdv_times_are_validation_errors(tmp_path, capsys, options, option):
     assert code == 2 and not (tmp_path / "out").exists()
     err = capsys.readouterr().err
     assert err.startswith(f"validation error: {option}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, options", [
+    (["forward"], ["--n-rho", "65"]),
+    (["forward"], ["--n-rho", "0"]),
+    (["soliton", "--tau", "1", "--weight", "2"], ["--n-rho", "65"]),
+    (["roundtrip"], ["--n-rho", "-2"]),
+    (["roundtrip"], ["--tol", "nan"]),
+    (["roundtrip"], ["--tol", "inf"]),
+    (["roundtrip"], ["--tol", "-0.1"]),
+])
+def test_bad_rho_and_tolerance_options_are_validation_errors(tmp_path, capsys, command, options):
+    code = cli.main([*command, *options, "--x-min", "-2", "--x-max", "2", "--dx", "0.1",
+                     "--out", str(tmp_path / "out")])
+    assert code == 2 and not (tmp_path / "out").exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: {options[0]}") and err.count("\n") == 1
+
+
+_GRID = {"--x-min": (-8.0, False, "float"), "--x-max": (8.0, False, "float"), "--dx": (0.02, False, "float")}
+_RHO = {"--rho-max": (40.0, False, "float"), "--n-rho": (2048, False, "int")}
+_STATES = {"--tau": ([], False, "float"), "--weight": ([], False, "float"), "--direction": (None, False, None)}
+_OUT = {"--out": (None, True, "Path")}
+_SOURCE = {"--potential": (None, False, None), "--dim": (2, False, "int"), "--seed": (0, False, "int")}
+
+
+def test_cli_options_and_defaults():
+    # (default, required, type) of every option, as each subcommand declared them
+    # one by one before the shared groups became parent parsers
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {name: {a.option_strings[-1]: (a.default, a.required, getattr(a.type, "__name__", None))
+                      for a in p._actions if a.option_strings != ["-h", "--help"]}
+               for name, p in sub.choices.items()}
+    assert surface == {
+        "forward": {**_SOURCE, "--bundled": (None, False, None), **_GRID, **_RHO, **_OUT},
+        "invert": {"--data": (None, True, None), "--data-left": (None, False, None), **_GRID, **_OUT},
+        "soliton": {**_STATES, **_GRID, **_RHO, **_OUT},
+        "kdv": {**_STATES, "--t-max": (1.0, False, "float"), "--n-t": (5, False, "int"), **_GRID, **_OUT},
+        "roundtrip": {**_SOURCE, "--bundled": ("bump", False, None), "--tol": (0.02, False, "float"),
+                      **_GRID, **_RHO, **_OUT},
+        "validate": {"--data": (None, True, None), "--out": (None, False, "Path")},
+    }
 
 
 def test_import_leaves_spline_and_optimizer_unloaded():

@@ -217,7 +217,7 @@ def test_reflection_norm_and_unitarity_identity(box_forward):
 
 def test_reflectionless_potential_has_tiny_reflection():
     grid = SpaceGrid.from_bounds(-10.0, 10.0, 0.005)
-    pot = solitons.separable_glm_solve([(1.0, np.array([[2.0 + 0j]]))], "right", grid)
+    pot = solitons.separable_glm_solve([(1.0, np.array([[2.0 + 0j]]))], grid)
     coeffs = forward.scattering_coefficients(pot, RhoGrid(8.0, 64))
     _, s_plus = forward.reflection_matrices(coeffs)
     assert np.abs(s_plus).max() <= 1e-4
@@ -242,9 +242,8 @@ def test_find_bound_states_zero(zero_pot):
 def test_find_bound_states_sech_well():
     grid = SpaceGrid.from_bounds(-10.0, 10.0, 0.02)
     well = domain.sech_well(grid, tau=1.0)
-    taus = forward.find_bound_states(well)
-    assert len(taus) == 1
-    assert abs(taus[0] - 1.0) < 1e-3
+    ((tau, rank),) = forward.find_bound_states(well)
+    assert abs(tau - 1.0) < 1e-3 and rank == 1
 
 
 @pytest.fixture(scope="module")
@@ -253,7 +252,7 @@ def two_soliton():
     v = np.array([1.0, 1.0j]) / np.sqrt(2)
     proj = np.outer(v, v.conj())
     grid = SpaceGrid.from_bounds(-4.0, 4.0, 0.025)
-    return solitons.separable_glm_solve([(1.0, 2.0 * proj), (2.0, 8.0 * proj)], "right", grid)
+    return solitons.separable_glm_solve([(1.0, 2.0 * proj), (2.0, 8.0 * proj)], grid)
 
 
 def _count_sweeps(monkeypatch):
@@ -270,9 +269,9 @@ def _count_sweeps(monkeypatch):
 
 
 def test_refined_taus_bracket_a_count_drop(two_soliton):
-    taus = forward.find_bound_states(two_soliton)
-    assert len(taus) == 2
-    for tau in taus:
+    states = forward.find_bound_states(two_soliton)
+    assert [rank for _, rank in states] == [1, 1]
+    for tau, _ in states:
         counts, _ = forward._count(two_soliton, [tau - 1e-8, tau + 1e-8])
         # the state lies within 1e-8 of the returned tau
         assert counts[0] > counts[1]
@@ -314,9 +313,8 @@ def test_count_deep_well_and_threshold_state():
     # the state at tau ~ 6 lies above sqrt(-min Q) / 2 and is found without a
     # search bound; the near-zero state is the discretized threshold state
     with pytest.warns(UserWarning, match="threshold"):
-        taus = forward.find_bound_states(well)
-    assert len(taus) == 1
-    assert abs(taus[0] - 6.0) < 5e-3
+        ((tau, _),) = forward.find_bound_states(well)
+    assert abs(tau - 6.0) < 5e-3
 
 
 def test_count_multiplicity_of_identity_well():
@@ -325,9 +323,8 @@ def test_count_multiplicity_of_identity_well():
     counts, _ = forward._count(well, [0.5, 1.5])
     assert counts.tolist() == [2, 0]
     with pytest.warns(UserWarning, match="threshold"):
-        taus = forward.find_bound_states(well)
-    assert len(taus) == 1
-    assert abs(taus[0] - 1.0) < 1e-3
+        ((tau, _),) = forward.find_bound_states(well)
+    assert abs(tau - 1.0) < 1e-3
 
 
 def test_count_rank_two_and_rank_one_weights():
@@ -336,7 +333,7 @@ def test_count_rank_two_and_rank_one_weights():
     rank2 = q[:, :2] @ np.diag([2.0, 3.0]) @ q[:, :2].conj().T
     rank1 = 8.0 * np.outer(q[:, 2] + q[:, 0], (q[:, 2] + q[:, 0]).conj()) / 2.0
     grid = SpaceGrid.from_bounds(-6.0, 6.0, 0.02)
-    pot = solitons.separable_glm_solve([(1.0, rank2), (2.0, rank1)], "right", grid)
+    pot = solitons.separable_glm_solve([(1.0, rank2), (2.0, rank1)], grid)
     counts, _ = forward._count(pot, [0.5, 1.5, 2.5])
     assert counts.tolist() == [3, 1, 0]
 
@@ -357,7 +354,7 @@ def test_count_substeps_a_deep_well_on_a_coarse_grid():
 def test_residue_matrix_sech_well():
     grid = SpaceGrid.from_bounds(-10.0, 10.0, 0.02)
     well = domain.sech_well(grid, tau=1.0)
-    (tau,) = forward.find_bound_states(well)
+    ((tau, _),) = forward.find_bound_states(well)
     res = forward.residue_matrix(well, tau)
     assert abs(res.R_minus[0, 0] - 2.0j) < 5e-3
     assert np.abs(res.R_minus + res.R_plus.conj().T).max() < 1e-6
@@ -368,7 +365,7 @@ def test_residue_matrix_sech_well():
 def test_weights_sech_well():
     grid = SpaceGrid.from_bounds(-10.0, 10.0, 0.02)
     well = domain.sech_well(grid, tau=1.0)
-    (tau,) = forward.find_bound_states(well)
+    ((tau, _),) = forward.find_bound_states(well)
     n_minus, n_plus = forward.weight_matrices(well, tau, 1)
     assert abs(n_plus[0, 0] - 2.0) < 1e-3
     assert abs(n_minus[0, 0] - 2.0) < 1e-3
@@ -379,7 +376,7 @@ def test_weights_projector_soliton():
     proj = np.outer(v, v.conj())
     grid = SpaceGrid.from_bounds(-10.0, 10.0, 0.02)
     well = domain.sech_well(grid, tau=1.0, matrix=proj)
-    (tau,) = forward.find_bound_states(well)
+    ((tau, _),) = forward.find_bound_states(well)
     n_minus, n_plus = forward.weight_matrices(well, tau, 1)
     assert np.abs(n_plus - 2.0 * proj).max() < 2e-3
     assert np.abs(n_plus - n_plus.conj().T).max() < 1e-8
@@ -391,7 +388,7 @@ def test_weights_of_multiplicity_two_and_of_the_two_soliton(two_soliton):
     grid = SpaceGrid.from_bounds(-10.0, 10.0, 0.02)
     well = domain.sech_well(grid, tau=1.0, matrix=np.eye(2))
     with pytest.warns(UserWarning, match="threshold"):
-        ((tau, rank),) = forward._bound_states(well)
+        ((tau, rank),) = forward.find_bound_states(well)
     assert rank == 2
     for n in forward.weight_matrices(well, tau, rank):
         assert np.abs(n - 2.0 * np.eye(2)).max() < 2e-3
@@ -409,7 +406,7 @@ def test_weights_deep_box_on_a_coarse_grid():
     # closed-form field although the well's interior wave has k dx ~ 2
     height, grid = -400.0, SpaceGrid.from_bounds(-3.0, 3.0, 0.1)
     box = domain.box_potential(grid, height=height, half_width=1.0)
-    states = forward._bound_states(box)
+    states = forward.find_bound_states(box)
     assert len(states) == 13
     x = np.linspace(-1.0, 1.0, 200001)
     for tau, rank in states:
@@ -439,7 +436,7 @@ def test_full_forward_zero(zero_pot):
 
 def test_full_forward_one_soliton():
     grid = SpaceGrid.from_bounds(-12.0, 12.0, 0.01)
-    pot = solitons.separable_glm_solve([(1.0, np.array([[2.0 + 0j]]))], "right", grid)
+    pot = solitons.separable_glm_solve([(1.0, np.array([[2.0 + 0j]]))], grid)
     result = forward.full_forward(pot, RhoGrid(8.0, 128))
     assert np.abs(result.j_plus.S).max() < 3e-4
     assert len(result.j_plus.bound_states) == 1

@@ -97,7 +97,7 @@ def test_reflectionless_D_is_inverse_of_U():
 
 def test_separable_one_soliton_closed_form():
     grid = SpaceGrid.from_bounds(-8.0, 8.0, 0.02)
-    pot = solitons.separable_glm_solve(scalar_states((1.0, 2.0)), "right", grid)
+    pot = solitons.separable_glm_solve(scalar_states((1.0, 2.0)), grid)
     exact = -2.0 / np.cosh(grid.xs) ** 2
     assert np.abs(pot.values[:, 0, 0] - exact).max() < 1e-12
 
@@ -105,7 +105,7 @@ def test_separable_one_soliton_closed_form():
 @pytest.mark.parametrize("tau,c", [(1.0, 5.0), (1.5, 0.7)])
 def test_separable_center_formula(tau, c):
     grid = SpaceGrid.from_bounds(-10.0, 10.0, 0.02)
-    pot = solitons.separable_glm_solve(scalar_states((tau, c)), "right", grid)
+    pot = solitons.separable_glm_solve(scalar_states((tau, c)), grid)
     x0 = solitons.soliton_center(tau, c)
     exact = -2.0 * tau**2 / np.cosh(tau * (grid.xs - x0)) ** 2
     assert np.abs(pot.values[:, 0, 0] - exact).max() < 1e-12
@@ -115,7 +115,7 @@ def test_separable_projector_case():
     v = np.array([1.0, 1.0]) / np.sqrt(2)
     proj = np.outer(v, v)
     grid = SpaceGrid.from_bounds(-8.0, 8.0, 0.02)
-    pot = solitons.separable_glm_solve([(1.0, 2.0 * proj)], "right", grid)
+    pot = solitons.separable_glm_solve([(1.0, 2.0 * proj)], grid)
     exact = (-2.0 / np.cosh(grid.xs) ** 2)[:, None, None] * proj
     assert np.abs(pot.values - exact).max() < 1e-8
 
@@ -146,17 +146,9 @@ def test_separable_two_soliton_matches_hirota(direction):
     v = np.array(direction) / np.linalg.norm(direction)
     proj = np.outer(v, v.conj())
     grid = SpaceGrid.from_bounds(-8.0, 8.0, 0.02)
-    pot = solitons.separable_glm_solve([(1.0, 2.0 * proj), (2.0, 8.0 * proj)], "right", grid)
+    pot = solitons.separable_glm_solve([(1.0, 2.0 * proj), (2.0, 8.0 * proj)], grid)
     exact = hirota_two_soliton(grid.xs, (1.0, 2.0), (2.0, 8.0))[:, None, None] * proj
     assert np.abs(pot.values - exact).max() < 1e-12
-
-
-def test_separable_left_side_mirrors():
-    states = scalar_states((1.0, 2.0))
-    grid = SpaceGrid.from_bounds(-8.0, 8.0, 0.02)
-    right = solitons.separable_glm_solve(states, "right", grid)
-    left = solitons.separable_glm_solve(states, "left", grid)
-    assert np.abs(left.values - right.values[::-1]).max() < 1e-12
 
 
 def test_separable_log_scales_no_overflow():
