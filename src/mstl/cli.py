@@ -70,13 +70,13 @@ def write_potential_csv(path, potential: SampledPotential) -> None:
 
 
 def read_potential_csv(path) -> SampledPotential:
-    text = Path(path).read_text().strip().splitlines()
+    try:
+        text = Path(path).read_text().strip().splitlines()
+        rows = np.array([[float(v) for v in line.split(",")] for line in text[1:]])
+    except ValueError as exc:  # undecodable text, a non-numeric entry or a ragged row
+        raise ValidationError(f"malformed potential data in {path}: {exc}") from exc
     header = text[0].split(",") if text else []
     m = int(round(np.sqrt(max(len(header) - 1, 0) / 2)))
-    try:
-        rows = np.array([[float(v) for v in line.split(",")] for line in text[1:]])
-    except ValueError as exc:  # a non-numeric entry or a ragged row
-        raise ValidationError(f"malformed potential row in {path}: {exc}") from exc
     if m < 1 or 1 + 2 * m * m != len(header) or rows.shape[1:] != (len(header),):
         raise ValidationError(f"malformed potential header or rows in {path}")
     xs = rows[:, 0]

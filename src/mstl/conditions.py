@@ -329,17 +329,14 @@ class ScalarD:
         return out
 
     def __call__(self, rho) -> np.ndarray:
-        rho = np.asarray(rho, dtype=complex)
-        scalar = rho.ndim == 0
-        z = np.atleast_1d(rho)
+        """D at a 1-d array of points, shape (n, 1, 1)."""
+        z = np.asarray(rho, dtype=complex)
         if np.any(z.imag < -1e-12):
             raise ValidationError("evaluator defined on the closed upper half-plane")
         blaschke = np.ones(z.shape, dtype=complex)
         for tau in self.taus:
             blaschke *= (z - 1j * tau) / (z + 1j * tau)
-        d = blaschke * np.exp(self._gamma(z))
-        d = d[..., None, None]
-        return d[0] if scalar else d
+        return (blaschke * np.exp(self._gamma(z)))[..., None, None]
 
 
 def scalar_D(j_plus: ScatteringData) -> ScalarD:
@@ -352,8 +349,8 @@ def scalar_D(j_plus: ScatteringData) -> ScalarD:
 # Condition B
 
 
-def _semicircle(radius: float, n: int = 33) -> np.ndarray:
-    theta = np.linspace(0.05, np.pi - 0.05, n)
+def _semicircle(radius: float) -> np.ndarray:
+    theta = np.linspace(0.05, np.pi - 0.05, 33)
     return radius * np.exp(1j * theta)
 
 

@@ -29,6 +29,9 @@ EIG_CUTOFF_REL = 1e-10
 HERMITICITY_RTOL = 1e-8
 # Trapezoid nodes on a residue contour.
 _CONTOUR_NODES = 64
+# Gaussian bumps of the bundled random potential, and the norm of each.
+_RANDOM_BUMPS = 3
+_RANDOM_AMPLITUDE = 0.4
 
 
 class ValidationError(ValueError):
@@ -326,28 +329,26 @@ def bump_potential(grid: SpaceGrid) -> SampledPotential:
     return SampledPotential.from_profile(grid, profile)
 
 
-def sech_well(grid: SpaceGrid, tau: float = 1.0, center: float = 0.0, matrix=None) -> SampledPotential:
-    """-2 tau^2 sech^2(tau (x - center)) times an orthogonal projector."""
+def sech_well(grid: SpaceGrid, tau: float = 1.0, matrix=None) -> SampledPotential:
+    """-2 tau^2 sech^2(tau x) times an orthogonal projector."""
     mat = np.eye(1, dtype=complex) if matrix is None else np.asarray(matrix, dtype=complex)
 
     def profile(x):
-        return -2.0 * tau**2 / math.cosh(tau * (x - center)) ** 2 * mat
+        return -2.0 * tau**2 / math.cosh(tau * x) ** 2 * mat
 
     return SampledPotential.from_profile(grid, profile)
 
 
-def random_potential(
-    grid: SpaceGrid, dim: int = 2, seed: int = 0, bumps: int = 3, amplitude: float = 0.4
-) -> SampledPotential:
+def random_potential(grid: SpaceGrid, dim: int = 2, seed: int = 0) -> SampledPotential:
     """Seeded random smooth compactly supported Hermitian potential."""
     rng = np.random.default_rng(seed)
-    centers = rng.uniform(-1.5, 1.5, size=bumps)
-    widths = rng.uniform(0.5, 1.0, size=bumps)
+    centers = rng.uniform(-1.5, 1.5, size=_RANDOM_BUMPS)
+    widths = rng.uniform(0.5, 1.0, size=_RANDOM_BUMPS)
     mats = []
-    for _ in range(bumps):
+    for _ in range(_RANDOM_BUMPS):
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         h = 0.5 * (g + g.conj().T)
-        mats.append(amplitude * h / max(matrix_operator_norm(h), 1e-12))
+        mats.append(_RANDOM_AMPLITUDE * h / max(matrix_operator_norm(h), 1e-12))
 
     def profile(x):
         q = np.zeros((dim, dim), dtype=complex)

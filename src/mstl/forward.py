@@ -3,12 +3,14 @@
 The second-order system -F'' + Q F = rho^2 F is integrated cell by cell.  On
 each cell the potential is constant (see ``SampledPotential.cell_values``), so
 the exact solution operator is available from the eigendecomposition of the
-cell matrix: in the eigenbasis each component propagates with cosh/sinh of
-mu = sqrt(lambda - rho^2), which is branch-free because both cosh(mu h) and
-sinh(mu h)/mu are even in mu.  This keeps the step error O(dx^2) uniformly in
-rho (free cells and step potentials are propagated exactly), and it preserves
-every Wronskian identity to roundoff, because the computed fields solve the
-cellwise equation exactly.
+cell matrix: in the eigenbasis each component propagates with cosh(mu h) and
+sinh(mu h)/mu, mu^2 = lambda - rho^2.  Sweeps run only on the two axes, real
+rho and rho = i tau, so mu^2 is real and so are the factors (one real rule,
+``_cell_factors``): cosh and sinh of z = sqrt(mu^2) |h| where mu^2 > 0, cos
+and sin of z = sqrt(-mu^2) |h| where mu^2 <= 0.  This keeps the step error
+O(dx^2) uniformly in rho (free cells and step potentials are propagated
+exactly), and it preserves every Wronskian identity to roundoff, because the
+computed fields solve the cellwise equation exactly.
 
 A sweep is vectorized over its batch of spectral points.  It stays in the
 eigenbasis of the current cell and holds (F, F') component-major, as one
@@ -27,8 +29,8 @@ Directions: the "plus" solution equals exp(i rho x) I to the right of the
 support and is integrated right-to-left; "minus" mirrors this.  Row-equation
 solutions needed in brackets are obtained from column solutions at -conj(rho)
 by conjugate transposition, which is valid because Q is Hermitian.  The
-symmetric real grid is closed under rho -> -conj(rho), so one evaluator,
-``_coefficients``, gets A, B and D from one plus and one minus sweep.
+symmetric real grid is closed under rho -> -conj(rho), so
+``scattering_coefficients`` gets A, B and D from one plus and one minus sweep.
 Bound states are counted (``_count``): by the oscillation theorem, the
 number with tau_k > tau is the number of conjugate points of F_-(x, i tau),
 read along one minus sweep.  ``find_bound_states`` multisects the drops of
@@ -79,23 +81,23 @@ class ForwardResult:
 
 
 def _cell_factors(mu2: np.ndarray, h: float | np.ndarray):
-    """cosh(mu h), sinh(mu h)/mu and mu^2 sinh(mu h)/mu for mu = sqrt(mu2).
+    """cosh(mu h), sinh(mu h)/mu and mu^2 sinh(mu h)/mu for real mu2 = mu^2.
 
-    Complex cosh and sinh are assembled from cosh, sinh, cos and sin of the
-    real and imaginary parts of mu h, which costs a fraction of numpy's
-    complex versions.  sinh(mu h)/mu is evaluated stably through mu = 0 by its
-    series; it and cosh(mu h) are even in mu, so the branch of the square root
-    does not matter.
+    The factors are even in mu, so for real mu2 they are real: with
+    z = sqrt(|mu2|) |h| they are cosh z and h sinh(z)/z where mu2 > 0, and
+    cos z and h sin(z)/z where mu2 <= 0.  sinh(mu h)/mu is taken through z = 0
+    by its series in mu2 h^2.
     """
-    z = np.sqrt(mu2) * h
-    cx, sx, cy, sy = np.cosh(z.real), np.sinh(z.real), np.cos(z.imag), np.sin(z.imag)
-    ch = np.empty(z.shape, dtype=complex)
-    ch.real, ch.imag = cx * cy, sx * sy
-    sl = np.empty(z.shape, dtype=complex)
-    sl.real, sl.imag = sx * cy, cx * sy
-    small = np.abs(z) < 1e-6
-    np.divide(sl, z, out=sl, where=~small)
-    z2 = z[small] ** 2
+    z = np.sqrt(np.abs(mu2)) * np.abs(h)
+    grows = mu2 > 0
+    ch, sl = np.empty_like(z), np.empty_like(z)
+    np.cosh(z, out=ch, where=grows)
+    np.sinh(z, out=sl, where=grows)
+    np.cos(z, out=ch, where=~grows)
+    np.sin(z, out=sl, where=~grows)
+    small = z < 1e-6
+    sl *= 1.0 / np.where(small, 1.0, z)
+    z2 = (mu2 * h * h)[small]
     sl[small] = 1.0 + z2 / 6.0 + z2 * z2 / 120.0
     sl *= h
     return ch, sl, mu2 * sl
@@ -119,7 +121,7 @@ def _free_step(f, p, rhos, h):
     ``f`` and ``p`` have shape (n_rho, m, m); the result has a leading axis
     over ``h``.  The free propagator is scalar, so no basis change is needed.
     """
-    ch, sl, ms = (c[..., None, None] for c in _cell_factors(-(rhos**2), h[:, None]))
+    ch, sl, ms = (c[..., None, None] for c in _cell_factors(-(rhos**2).real, h[:, None]))
     return ch * f + sl * p, ms * f + ch * p
 
 
@@ -135,11 +137,14 @@ def _sweep(potential: SampledPotential, rhos: np.ndarray, direction: str, subste
     ``t`` is updated in place; a consumer may right-multiply its columns in
     place and the sweep goes on from the result.  ``substeps`` splits every
     cell into equal steps; the items between nodes carry node -1.
+
+    Every rho must be real or i tau with tau >= 0, so that mu^2 = lambda - rho^2
+    is real and ``_cell_factors`` applies.
     """
     grid = potential.grid
     m = potential.m
-    if np.any(rhos.imag < -1e-12):
-        raise ValidationError("Jost solutions are defined for Im rho >= 0")
+    if not np.all((rhos.imag == 0) | ((rhos.real == 0) & (rhos.imag >= 0))):
+        raise ValidationError("Jost solutions are swept at real rho or at rho = i tau, tau >= 0")
     nr = rhos.size
     lo, hi = _swept_nodes(potential)
     if direction == "plus":
@@ -170,7 +175,7 @@ def _sweep(potential: SampledPotential, rhos: np.ndarray, direction: str, subste
     u = (vh[0] @ t.reshape(m, -1)).reshape(t.shape)
     swapped = u[:, ::-1]  # (F', F)
     cross = np.empty_like(t)
-    rho2 = rhos**2
+    rho2 = (rhos**2).real
     block = max(1, _BLOCK_ELEMENTS // (m * nr))
     for b0 in range(0, w.shape[0], block):
         mu2 = w[b0 : b0 + block, :, None, None] - rho2  # (steps, m, 1, n_rho)
@@ -245,39 +250,27 @@ def _checkpoints(potential: SampledPotential) -> np.ndarray:
     return np.unique(np.linspace(lo, hi, _N_CHECKPOINTS).astype(int))
 
 
-def _coefficients(potential: SampledPotential, z: np.ndarray, mirror: np.ndarray):
-    """A(z), B(z), D(z) and the bracket drift of A, from one plus and one minus sweep.
+def scattering_coefficients(potential: SampledPotential, rho_grid: RhoGrid) -> CoefficientSet:
+    """Matching coefficients A, B, C, D on the real grid, from one plus and one minus sweep.
 
-    The batch ``z`` (the real grid, or points i tau, each its own mirror) must
-    be closed under z -> -conj(z), with ``z[mirror] = -conj(z)``: the row
-    solutions of each bracket are the column fields at -conj(z), which the
-    same two sweeps provide.  B is the matching coefficient on the real axis.
-    The drift is the RMS deviation of A's bracket across the checkpoints.
+    The row solutions of each bracket are the column fields at -conj(rho) =
+    -rho, the reversed node of the symmetric grid, which the same two sweeps
+    provide.  B is the matching coefficient; C follows from the real-axis
+    symmetry C(rho) = -B(rho)^*.  The drift, the RMS deviation of A's bracket
+    across the checkpoints, beyond tolerance raises
+    ``IntegrationAccuracyError`` naming the worst node.
     """
-    z = np.asarray(z, dtype=complex)
+    nodes = rho_grid.nodes
     cps = _checkpoints(potential)
-    fp, pp = _propagate(potential, z, "plus", cps)
-    fm, pm = _propagate(potential, z, "minus", cps)
-    two_iz = 2j * z[:, None, None]
-    br_a = _bracket(fm[:, mirror], pm[:, mirror], fp, pp)
+    fp, pp = _propagate(potential, nodes, "plus", cps)
+    fm, pm = _propagate(potential, nodes, "minus", cps)
+    two_iz = 2j * nodes[:, None, None]
+    br_a = _bracket(fm[:, ::-1], pm[:, ::-1], fp, pp)
     mean_a = br_a.mean(axis=0)
     drift = np.sqrt(np.mean(np.abs(br_a - mean_a) ** 2, axis=(0, 2, 3)))
     a = -mean_a / two_iz
     b = _bracket(fm, pm, fp, pp).mean(axis=0) / two_iz
-    d = _bracket(fp[:, mirror], pp[:, mirror], fm, pm).mean(axis=0) / two_iz
-    return a, b, d, drift
-
-
-def scattering_coefficients(potential: SampledPotential, rho_grid: RhoGrid) -> CoefficientSet:
-    """Matching coefficients A, B, C, D on the real grid.
-
-    The grid is symmetric, so -conj(rho) = -rho is the reversed node; C
-    follows from the real-axis symmetry C(rho) = -B(rho)^*.  Bracket
-    non-constancy across x beyond tolerance raises
-    ``IntegrationAccuracyError`` naming the worst node.
-    """
-    nodes = rho_grid.nodes
-    a, b, d, drift = _coefficients(potential, nodes, np.arange(nodes.size)[::-1])
+    d = _bracket(fp[:, ::-1], pp[:, ::-1], fm, pm).mean(axis=0) / two_iz
     scale = 1.0 + float(np.abs(2.0 * nodes[:, None, None] * a).max())
     j = int(np.argmax(drift))
     if drift[j] > BRACKET_SPREAD_RTOL * scale * 2 * max(1.0, float(np.abs(nodes).max())):
@@ -423,7 +416,7 @@ def _cell_integral(potential: SampledPotential, phi, dphi, tau: float) -> np.nda
     h = potential.grid.dx
     lam, vecs = np.linalg.eigh(potential.cell_values)
     mu2 = lam + tau**2
-    ch, sl = (c.real for c in _cell_factors(mu2.astype(complex), h)[:2])
+    ch, sl = _cell_factors(mu2, h)[:2]
     z2 = mu2 * h * h
     small = np.abs(z2) < 1e-2
     series = h**3 * (1 / 3 + z2 * (1 / 15 + z2 * (2 / 315 + z2 / 2835)))

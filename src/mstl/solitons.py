@@ -73,7 +73,7 @@ def checked_states(states) -> tuple[list, list]:
 
     Raises ``ValidationError`` unless there is at least one state, the taus
     and weights are finite, the taus are positive and distinct, and the
-    weights are Hermitian PSD.
+    weights are nonzero and Hermitian PSD.
     """
     taus = [float(t) for t, _ in states]
     weights = [np.asarray(n, dtype=complex) for _, n in states]
@@ -84,6 +84,8 @@ def checked_states(states) -> tuple[list, list]:
             raise ValidationError(f"taus must be finite, got {tau}")
         if not np.isfinite(n).all():
             raise ValidationError(f"the weight of tau = {tau:g} has non-finite entries")
+        if not n.any():
+            raise ValidationError(f"the weight of tau = {tau:g} is zero")
     if min(taus) <= 0:
         raise ValidationError("taus must be positive")
     gaps = [abs(a - b) for i, a in enumerate(taus) for b in taus[i + 1 :]]
@@ -185,15 +187,13 @@ def reflectionless_D(chain: ProjectorChain):
     m = chain.m
     eye = np.eye(m, dtype=complex)
 
-    def d_of(rho):
-        rho = np.asarray(rho, dtype=complex)
-        scalar = rho.ndim == 0
-        z = np.atleast_1d(rho)
+    def d_of(rho):  # a 1-d array of points -> (n, m, m)
+        z = np.asarray(rho, dtype=complex)
         out = np.broadcast_to(eye, z.shape + (m, m)).copy()
         for k in range(len(chain)):
             c = (-2j * chain.taus[k]) / (z + 1j * chain.taus[k])
             out = out @ (eye + c[:, None, None] * chain.projectors[k])
-        return out[0] if scalar else out
+        return out
 
     return d_of
 

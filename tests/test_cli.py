@@ -431,12 +431,13 @@ def test_malformed_scattering_json_is_a_validation_error(tmp_path, soliton_data,
     (None, ["--rho-max", "nan"]),
     (None, ["--bundled", "random", "--dim", "0"]),
     (None, ["--bundled", "zero", "--dim", "-1"]),
+    (b"x,Re_Q_11,Im_Q_11\n0,0,0\n0.1,\xff,0\n", []),  # not UTF-8 text
 ])
 def test_malformed_input_is_a_validation_error(tmp_path, capsys, potential, options):
     source = ["--bundled", "bump"]
     if potential is not None:
         path = tmp_path / "potential.csv"
-        path.write_text(potential)
+        path.write_bytes(potential if isinstance(potential, bytes) else potential.encode())
         source = ["--potential", str(path)]
     code = cli.main(["forward", *source, "--x-min", "-2", "--x-max", "2", *options,
                      "--n-rho", "64", "--out", str(tmp_path / "out")])
@@ -458,6 +459,7 @@ def test_malformed_input_is_a_validation_error(tmp_path, capsys, potential, opti
     ["--tau", "1", "--weight", "inf"],
     ["--tau", "nan", "--weight", "2"],
     ["--tau", "inf", "--weight", "2"],
+    ["--tau", "1", "--weight", "0"],  # zero weight
 ])
 def test_bad_soliton_states_are_validation_errors(tmp_path, capsys, command, states):
     code = cli.main([*command, *states, "--x-min", "-2", "--x-max", "2",

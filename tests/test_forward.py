@@ -48,6 +48,26 @@ def test_jost_rejects_lower_half_plane(zero_pot):
         _field(zero_pot, 1.0 - 0.5j, "plus")
 
 
+@pytest.mark.parametrize("rho", [0.8 + 0.6j, -0.5j])
+def test_jost_rejects_rho_off_the_two_axes(zero_pot, rho):
+    # sweeps run at real rho and at rho = i tau, tau >= 0, where mu^2 is real
+    with pytest.raises(ValidationError, match="real rho or at rho = i tau"):
+        forward._propagate(zero_pot, np.array([1.0, rho]), "minus", [0])
+
+
+def test_cell_factors_match_complex_reference():
+    # +-1e-9 at h = +-0.02 is on the series branch where its mu2 h^2 term shows
+    mu2 = np.array([-400.0, -1.0, -1e-9, -1e-13, 0.0, 1e-13, 1e-9, 1.0, 400.0])
+    h = np.array([0.02, -0.02, 0.1, -0.1])[:, None]
+    got = forward._cell_factors(mu2, h)
+    mu = np.sqrt(mu2.astype(complex))
+    # sinh(mu h)/mu at mu = 0 is its limit h
+    sl = np.where(mu2 == 0, h, np.sinh(mu * h) / np.where(mu2 == 0, 1.0, mu))
+    for value, ref in zip(got, (np.cosh(mu * h), sl, mu2 * sl)):
+        assert value.dtype == float and value.shape == (4, 9)
+        assert np.all(np.abs(value - ref) <= 1e-14 * np.abs(ref))
+
+
 def test_jost_box_field_matches_oracle():
     grid = SpaceGrid.from_bounds(-2.0, 2.0, 0.02)
     box = domain.box_potential(grid)
@@ -154,7 +174,7 @@ def test_propagate_matches_expm_reference(direction):
     pot = domain.SampledPotential(grid, nodes, cell_values=cells)
     assert np.abs(np.linalg.eigvalsh(pot.cell_values[17]) - 1.5**2).min() < 1e-12
 
-    rhos = np.array([1.3, 0.8 + 0.6j, 1.5])
+    rhos = np.array([1.3, 0.6j, 1.5])
     f, p = forward._propagate(pot, rhos, direction, range(grid.n))
     for k, rho in enumerate(rhos):
         f_ref, p_ref = _expm_reference(pot, rho, direction)
@@ -358,7 +378,9 @@ def test_residue_matrix_sech_well():
     res = forward.residue_matrix(well, tau)
     assert abs(res.R_minus[0, 0] - 2.0j) < 5e-3
     assert np.abs(res.R_minus + res.R_plus.conj().T).max() < 1e-6
-    a_at = forward._coefficients(well, np.array([1j * tau]), np.array([0]))[0][0]
+    # A(i tau) = -[F_-, F_+] / (2 i rho) at rho = i tau, its own -conj(rho)
+    bracket, _ = _bracket_with_spread(_field(well, 1j * tau, "minus"), _field(well, 1j * tau, "plus"))
+    a_at = bracket / (2.0 * tau)
     assert matrix_operator_norm(a_at @ res.R_minus) < 1e-6
 
 

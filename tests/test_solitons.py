@@ -91,7 +91,7 @@ def test_reflectionless_D_is_inverse_of_U():
     # scalar closed form and the large-rho limit
     one = solitons.build_projector_chain(scalar_states((1.0, 2.0)))
     d_one = solitons.reflectionless_D(one)
-    assert abs(d_one(0.7 + 0j)[0, 0] - (0.7 - 1j) / (0.7 + 1j)) < 1e-14
+    assert abs(d_one(np.array([0.7 + 0j]))[0, 0, 0] - (0.7 - 1j) / (0.7 + 1j)) < 1e-14
     assert np.abs(d_of(np.array([1e7 + 0j]))[0] - np.eye(1)).max() < 1e-6
 
 
