@@ -274,7 +274,9 @@ def cmd_invert(args: argparse.Namespace) -> int:
 def cmd_soliton(args: argparse.Namespace) -> int:
     states = _soliton_states(args)
     rho = rho_grid(args)
-    potential = solitons.separable_glm_solve(states, space_grid(args))
+    grid = space_grid(args)
+    solitons.check_on_grid(states, grid)
+    potential = solitons.separable_glm_solve(states, grid)
     args.out.mkdir(parents=True, exist_ok=True)
     write_potential_csv(args.out / "potential.csv", potential)
     m = states[0][1].shape[0]

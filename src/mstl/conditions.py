@@ -22,7 +22,6 @@ import numpy as np
 
 from mstl.domain import (
     BoundState,
-    ResiduePair,
     ScatteringData,
     ValidationError,
     contour_residue,
@@ -77,14 +76,11 @@ class ConditionReport:
 
 
 def _kernel_samples(data: ScatteringData):
-    """(u, Fourier kernel at u) on |u| <= KERNEL_SPAN, capped at 0.9 pi / drho.
-
-    Beyond the sampling limit pi / drho of the spectral grid the Fourier
-    quadrature aliases and says nothing about the data.
-    """
+    """(u, Fourier kernel at u) on |u| <= KERNEL_SPAN, capped at ``RhoGrid.u_limit``,
+    past which the Fourier quadrature aliases and says nothing about the data."""
     from mstl.glm import fourier_kernel
 
-    u_span = min(KERNEL_SPAN, 0.9 * np.pi / data.rho_grid.step)
+    u_span = min(KERNEL_SPAN, data.rho_grid.u_limit)
     count = int(2 * u_span / KERNEL_DU + 0.5) + 1
     return -u_span + KERNEL_DU * np.arange(count), fourier_kernel(data, -u_span, KERNEL_DU, count)
 
@@ -183,20 +179,20 @@ def connect_left_from_right(
 ) -> ScatteringData:
     """Left scattering data from right data and the transmission denominator.
 
-    Nodewise S_-(rho) = -D(rho)^* S_+(rho)^* (D(-rho)^*)^{-1}; each left
-    weight is R_+ N_+^{-1} R_+^* with the spectral pseudo-inverse.
+    Nodewise S_-(rho) = -D(rho)^* S_+(rho)^* (D(-rho)^*)^{-1}; ``residues``
+    holds R_+ = Res D^-1 at each i tau in the order of ``j_plus.bound_states``,
+    and each left weight is R_+ N_+^{-1} R_+^* with the spectral pseudo-inverse.
     """
     d = np.asarray(d_on_grid, dtype=complex)
     if d.shape != j_plus.S.shape:
         raise ValidationError("D grid values must match the reflection sample shape")
+    if len(residues) != len(j_plus.bound_states):
+        raise ValidationError(f"{len(residues)} residues for {len(j_plus.bound_states)} bound states")
     s_minus = _connected_reflection(d, j_plus.S)
 
     left_states = []
-    for b in j_plus.bound_states:
-        r = min(residues, key=lambda r: abs(r.tau - b.tau), default=None)
-        if r is None or abs(r.tau - b.tau) >= 1e-6:
-            raise ValidationError(f"no residue supplied for tau = {b.tau:g}")
-        n_minus = r.R_plus @ hermitian_pseudo_inverse(b.weight) @ r.R_plus.conj().T
+    for b, r in zip(j_plus.bound_states, residues):
+        n_minus = r @ hermitian_pseudo_inverse(b.weight) @ r.conj().T
         left_states.append(BoundState(tau=b.tau, weight=0.5 * (n_minus + n_minus.conj().T), side="left"))
 
     return ScatteringData(
@@ -205,11 +201,12 @@ def connect_left_from_right(
 
 
 def right_denominator(j_plus: ScatteringData):
-    """(D evaluator, residue pairs) of right data where D is known, else None.
+    """(D evaluator, residues R_+ of D^-1 in bound-state order) where right data fix D, else None.
 
     Zero reflection (max |S| < 1e-8): D = U^-1 of the bound states' projector
     chain (I without states), with the chain's exact residues.  m = 1: the
-    scalar reconstruction.  Matrix data with reflection do not fix D alone.
+    scalar reconstruction, with its residues in closed form.  Matrix data
+    with reflection do not fix D alone.
     """
     from mstl import solitons
 
@@ -218,23 +215,11 @@ def right_denominator(j_plus: ScatteringData):
             eye = np.eye(j_plus.m, dtype=complex)
             return lambda rho: np.broadcast_to(eye, np.shape(rho) + eye.shape).copy(), []
         chain = solitons.build_projector_chain([(b.tau, b.weight) for b in j_plus.bound_states])
-        residues = [ResiduePair(t, -r.conj().T, r) for t, r in solitons.residues_of_U(chain)]
-        return solitons.reflectionless_D(chain), residues
+        return solitons.reflectionless_D(chain), list(chain.residues)
     if j_plus.m == 1:
         d_of = scalar_D(j_plus)
-        return d_of, residues_from_evaluator(d_of, j_plus.taus)
+        return d_of, d_of.residues()
     return None
-
-
-def residues_from_evaluator(d_of, taus):
-    """Residue pairs of a transmission-denominator evaluator at each i tau."""
-    taus = sorted(float(t) for t in taus)
-    pairs = []
-    for k, tau in enumerate(taus):
-        radius = residue_contour_radius(tau, taus)
-        r_plus = contour_residue(lambda z: np.linalg.inv(d_of(z)), 1j * tau, radius)
-        pairs.append(ResiduePair(tau=tau, R_minus=-r_plus.conj().T, R_plus=r_plus))
-    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +322,21 @@ class ScalarD:
         for tau in self.taus:
             blaschke *= (z - 1j * tau) / (z + 1j * tau)
         return (blaschke * np.exp(self._gamma(z)))[..., None, None]
+
+    def residues(self) -> list:
+        """Res D^-1 at each i tau_k, in the order of ``taus``, as (1, 1) arrays.
+
+        D^-1 = prod_j (rho + i tau_j) / (rho - i tau_j) exp(-gamma), so the
+        residue is 2 i tau_k prod_{j != k} (tau_k + tau_j) / (tau_k - tau_j)
+        exp(-gamma(i tau_k)) in closed form.
+        """
+        taus = np.array(self.taus)
+        outer = np.exp(-self._gamma(1j * taus))
+        out = []
+        for k, tau in enumerate(taus):
+            rest = np.delete(taus, k)
+            out.append(np.array([[2j * tau * np.prod((tau + rest) / (tau - rest)) * outer[k]]]))
+        return out
 
 
 def scalar_D(j_plus: ScatteringData) -> ScalarD:

@@ -94,25 +94,40 @@ def _checked_hermitian(n: np.ndarray, what: str = "matrix") -> np.ndarray:
     return 0.5 * (n + n.conj().T)
 
 
-def hermitian_pseudo_inverse(n: np.ndarray) -> np.ndarray:
-    """Spectral pseudo-inverse of a Hermitian PSD matrix.
+def range_split(n: np.ndarray):
+    """The one rank decision: (w, V, K) with n = V diag(w) V^H on its range, K a basis of the rest.
 
-    Eigenvalues at or below ``EIG_CUTOFF_REL`` times the largest one are
-    treated as an exact null space and mapped to zero; the rest are inverted.
+    The range holds the eigenvalues of the symmetrized n above ``EIG_CUTOFF_REL``
+    times the largest magnitude, so a negative eigenvalue is never in it.
+    """
+    w, v = np.linalg.eigh(0.5 * (n + n.conj().T))
+    keep = w > EIG_CUTOFF_REL * float(np.abs(w).max(initial=0.0))
+    return w[keep], v[:, keep], v[:, ~keep]
+
+
+def range_factors(weights):
+    """B = [B_1 ... B_n] with B_k B_k^H = N_k on its range, and the state index k of each column."""
+    factors = []
+    for n in weights:
+        w, v, _ = range_split(np.asarray(n, dtype=complex))
+        factors.append(v * np.sqrt(w))
+    index = np.repeat(np.arange(len(factors)), [f.shape[1] for f in factors])
+    return np.concatenate(factors, axis=1), index
+
+
+def hermitian_pseudo_inverse(n: np.ndarray) -> np.ndarray:
+    """Spectral pseudo-inverse of a Hermitian PSD matrix over its range (``range_split``).
+
     Inputs within the Hermiticity tolerance are symmetrized first, anything
     worse is rejected with the defect magnitude.
     """
-    n = _checked_hermitian(n, "pseudo-inverse input")
-    w, u = np.linalg.eigh(n)
-    thresh = EIG_CUTOFF_REL * max(float(w.max(initial=0.0)), 0.0)
-    inv = np.where(w > thresh, 1.0 / np.where(w > thresh, w, 1.0), 0.0)
-    return (u * inv) @ u.conj().T
+    w, v, _ = range_split(_checked_hermitian(n, "pseudo-inverse input"))
+    return (v * (1.0 / w)) @ v.conj().T
 
 
-def hermitian_rank(n: np.ndarray, cutoff: float = EIG_CUTOFF_REL) -> int:
-    n = _checked_hermitian(n, "rank input")
-    w = np.linalg.eigvalsh(n)
-    return int(np.sum(np.abs(w) > cutoff * max(float(np.abs(w).max(initial=0.0)), 0.0)))
+def hermitian_rank(n: np.ndarray) -> int:
+    """Dimension of the range of a Hermitian matrix (``range_split``)."""
+    return range_split(_checked_hermitian(n, "rank input"))[0].size
 
 
 def psd_margin(n: np.ndarray) -> float:
@@ -178,10 +193,6 @@ class SpaceGrid:
         return self._xs
 
     @property
-    def x_max(self) -> float:
-        return float(self._xs[-1])
-
-    @property
     def midpoints(self) -> np.ndarray:
         return self._xs[:-1] + 0.5 * self.dx
 
@@ -217,6 +228,11 @@ class RhoGrid:
     @property
     def n(self) -> int:
         return 2 * self.n_half
+
+    @property
+    def u_limit(self) -> float:
+        """Largest |u| where the midpoint Fourier sum is used: 0.9 of pi / step, past which it aliases."""
+        return 0.9 * np.pi / self.step
 
 
 # ---------------------------------------------------------------------------
@@ -420,19 +436,6 @@ class CoefficientSet:
     B: np.ndarray
     C: np.ndarray
     D: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return self.A.shape[1]
-
-
-@dataclass(frozen=True)
-class ResiduePair:
-    """Residues of the two transmission matrices at rho = i*tau."""
-
-    tau: float
-    R_minus: np.ndarray
-    R_plus: np.ndarray
 
 
 @dataclass(frozen=True)

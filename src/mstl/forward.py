@@ -52,7 +52,6 @@ from mstl.domain import (
     IntegrationAccuracyError,
     JostAsymptotics,
     NumericsError,
-    ResiduePair,
     RhoGrid,
     SampledPotential,
     ScatteringData,
@@ -469,14 +468,13 @@ def weight_matrices(potential: SampledPotential, tau: float, rank: int):
     return b @ b.conj().T, v @ v.conj().T
 
 
-def residue_matrix(potential: SampledPotential, tau: float) -> ResiduePair:
-    """Residues R_- = -R_+^H of A^-1 and D^-1 at i tau; the count across tau gives the rank."""
+def residue_matrix(potential: SampledPotential, tau: float) -> np.ndarray:
+    """Residue R_+ of D^-1 at i tau (A^-1 has R_- = -R_+^H); the count across tau gives the rank."""
     counts, _ = _count(potential, [max(tau - _WIDTH, 0.0), tau + _WIDTH])
     if counts[0] <= counts[1]:
         raise NumericsError(f"no bound state at tau = {tau:.6g}")
     b, v = _norming_factors(potential, tau, int(counts[0] - counts[1]))
-    r_plus = 1j * b @ v.conj().T
-    return ResiduePair(tau=float(tau), R_minus=-r_plus.conj().T, R_plus=r_plus)
+    return 1j * b @ v.conj().T
 
 
 def full_forward(potential: SampledPotential, rho_grid: RhoGrid) -> ForwardResult:

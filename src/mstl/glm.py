@@ -25,7 +25,8 @@ at the Hankel arguments u_j = 2 x_0 + j du of the first node, R(u) for right
 data and R(-u) for left data, which the mirrored equation has in the same
 form; both are the + transform of the side's S, taken on the exact grid
 (2 x_0, du, count).  It is sampled to just past the slowest bound-state tail
-and is zero beyond.  The dense window is set by F alone: it ends where |F|
+and is zero beyond, and also past |u| = ``RhoGrid.u_limit``, where the
+midpoint sum aliases.  The dense window is set by F alone: it ends where |F|
 has fallen below TAIL_REL times its running max (at least count + 7 nodes).
 Past its last node L the bound-state part
 sum_k N_k exp(-tau_k (t + y)) = E(t) E(y)^H is eliminated in closed form,
@@ -59,8 +60,8 @@ from mstl.domain import (
     SpaceGrid,
     ValidationError,
     matrix_operator_norm,
+    range_factors,
 )
-from mstl.solitons import range_factors
 
 RCOND_FLOOR = 1e-12
 TAIL_REL = 1e-10
@@ -325,7 +326,7 @@ def _half_line_potential(data: ScatteringData, xs: np.ndarray, dx: float):
 
     # the continuous part, the + transform of either side's S in right form,
     # is sampled up to u_hi, past the slowest bound-state tail, and is zero
-    # beyond it
+    # beyond it, and past |u| = u_limit, where the midpoint sum aliases
     tails = np.log(np.maximum(scales, 1e-30) / TAIL_REL) / taus
     slowest = float(taus[np.argmax(tails)]) if taus.size else None
     u_hi = max(2 * ext[-1] + 2.0, max(tails, default=0.0) + 2.0)
@@ -333,6 +334,7 @@ def _half_line_potential(data: ScatteringData, xs: np.ndarray, dx: float):
     _check_size(n_u * data.rho_grid.n, "kernel window", slowest)
     u = 2 * ext[0] + du * np.arange(n_u)
     f = _transform(data, 1.0, 2 * ext[0], du, n_u)
+    f[np.abs(u) > data.rho_grid.u_limit] = 0.0
 
     # The system at x = ext_i meets u >= u_i.  It ends where |F| has fallen
     # below TAIL_REL times its running max from u_i; all systems end on one
@@ -397,10 +399,15 @@ def invert(j_plus: ScatteringData, j_minus: ScatteringData = None, *, grid: Spac
     ``j_minus`` is omitted and the minus side is solved, it is derived from
     the right data (zero reflection, or the scalar reconstruction of the
     transmission denominator); matrix data with reflection requires it.
+    Given left data must be left-side and of the right data's m.
     """
     dx = grid.dx
     xs = grid.xs
     m = j_plus.m
+    if j_minus is not None and (j_minus.side != "left" or j_minus.m != m):
+        raise ValidationError(
+            f"left data must be left-side data of m = {m}, got {j_minus.side}-side data of m = {j_minus.m}"
+        )
     has_plus = xs >= -_OVERLAP - 1e-12
     has_minus = xs <= _OVERLAP + 1e-12
     q_plus = np.zeros((grid.n, m, m), dtype=complex)

@@ -49,10 +49,6 @@ class KdVTrajectory:
     times: tuple
     potentials: tuple
 
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
 
 def soliton_trajectory(states, t_grid, x_grid: SpaceGrid) -> KdVTrajectory:
     """Reflectionless trajectory: evolve the discrete data, rebuild Q per t.

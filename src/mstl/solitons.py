@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from mstl.domain import (
-    EIG_CUTOFF_REL,
     NumericsError,
     SampledPotential,
     SpaceGrid,
@@ -29,43 +28,28 @@ from mstl.domain import (
     hermitian_pseudo_inverse,
     matrix_operator_norm,
     psd_margin,
+    range_factors,
+    range_split,
 )
 
 _EXP_CLAMP = 460.0  # largest exponent 2 tau x - s in the separable solve
+# least share of its mass a state must have on the grid of ``mstl soliton``;
+# below it the state's potential there is under about 4e-10 of its peak
+_MIN_GRID_SHARE = 1e-10
 
 
 @dataclass(frozen=True)
 class ProjectorChain:
-    """Ordered Blaschke factors (tau_k, P_k); factor k = 1 is applied first."""
+    """Ordered Blaschke factors (tau_k, P_k), factor k = 1 applied first, and
+    the residues R_+ = Res U = Res D^-1 at each i tau_k."""
 
     taus: tuple
     projectors: tuple
+    residues: tuple
 
     @property
     def m(self) -> int:
         return self.projectors[0].shape[0]
-
-    def __len__(self) -> int:
-        return len(self.taus)
-
-
-def _range_and_kernel(n: np.ndarray):
-    """Range factor B with B B^H = n, and an orthonormal basis of Ker n.
-
-    One eigen-split of a Hermitian PSD matrix: eigenvalues above
-    ``EIG_CUTOFF_REL`` times the largest magnitude span the range, the rest
-    the kernel.
-    """
-    w, v = np.linalg.eigh(0.5 * (n + n.conj().T))
-    keep = w > EIG_CUTOFF_REL * float(np.abs(w).max(initial=0.0))
-    return v[:, keep] * np.sqrt(w[keep]), v[:, ~keep]
-
-
-def range_factors(weights):
-    """B = [B_1 ... B_n] with B_k B_k^H = N_k, and the state index k of each column."""
-    factors = [_range_and_kernel(np.asarray(n, dtype=complex))[0] for n in weights]
-    index = np.repeat(np.arange(len(factors)), [f.shape[1] for f in factors])
-    return np.concatenate(factors, axis=1), index
 
 
 def checked_states(states) -> tuple[list, list]:
@@ -73,7 +57,7 @@ def checked_states(states) -> tuple[list, list]:
 
     Raises ``ValidationError`` unless there is at least one state, the taus
     and weights are finite, the taus are positive and distinct, and the
-    weights are nonzero and Hermitian PSD.
+    weights are Hermitian PSD with a nonempty range (``range_split``).
     """
     taus = [float(t) for t, _ in states]
     weights = [np.asarray(n, dtype=complex) for _, n in states]
@@ -84,16 +68,16 @@ def checked_states(states) -> tuple[list, list]:
             raise ValidationError(f"taus must be finite, got {tau}")
         if not np.isfinite(n).all():
             raise ValidationError(f"the weight of tau = {tau:g} has non-finite entries")
-        if not n.any():
-            raise ValidationError(f"the weight of tau = {tau:g} is zero")
     if min(taus) <= 0:
         raise ValidationError("taus must be positive")
     gaps = [abs(a - b) for i, a in enumerate(taus) for b in taus[i + 1 :]]
     if gaps and min(gaps) < 1e-8 * max(taus):
         raise ValidationError("taus must be distinct")
-    for n in weights:
+    for tau, n in zip(taus, weights):
         if psd_margin(n) < -1e-8 * (1.0 + matrix_operator_norm(n)):
             raise ValidationError("weights must be Hermitian positive semidefinite")
+        if not range_split(n)[0].size:
+            raise ValidationError(f"the weight of tau = {tau:g} has an empty range")
     return taus, weights
 
 
@@ -104,59 +88,36 @@ def build_projector_chain(states) -> ProjectorChain:
     Hermitian PSD weights (see ``checked_states``).  I - P_1 projects onto
     Ker N_1; for k > 1, I - P_k projects onto the image of Ker N_k under the
     partial product of the earlier factors at rho_k (orthonormalized before
-    projecting).
+    projecting).  The residues, in the order of ``states``, are checked and kept.
     """
     taus, weights = checked_states(states)
-    m = weights[0].shape[0]
-
-    projectors: list[np.ndarray] = []
-    eye = np.eye(m, dtype=complex)
+    eye = np.eye(weights[0].shape[0], dtype=complex)
+    projectors, rights = [], []
     for k in range(len(taus)):
-        _, ker = _range_and_kernel(weights[k])
-        if ker.shape[1] == 0:
-            projectors.append(eye.copy())
-            continue
         # partial product of the earlier factors at rho_k, factor 1 rightmost
-        v_k = eye
-        for j in range(k - 1, -1, -1):
-            c = 2.0 * taus[j] / (taus[k] - taus[j])
-            v_k = v_k @ (eye + c * projectors[j])
-        image = v_k @ ker
-        onb, _ = np.linalg.qr(image)
+        rights.append(_factors_at(eye, taus, projectors, k, range(k - 1, -1, -1)))
+        onb, _ = np.linalg.qr(rights[k] @ range_split(weights[k])[2])
         projectors.append(eye - onb @ onb.conj().T)
 
-    chain = ProjectorChain(taus=tuple(taus), projectors=tuple(projectors))
+    residues = []
     for k, (tau, n) in enumerate(zip(taus, weights)):
-        res = _residue_of_chain(chain, k)
-        pinv_n = hermitian_pseudo_inverse(n)
-        proj_rows = res @ pinv_n @ n
-        defect = matrix_operator_norm(res - proj_rows)
+        left = _factors_at(eye, taus, projectors, k, range(len(taus) - 1, k, -1))
+        res = left @ (2j * tau * projectors[k]) @ rights[k]
+        defect = matrix_operator_norm(res - res @ hermitian_pseudo_inverse(n) @ n)
         if defect > 1e-8 * (1.0 + matrix_operator_norm(res)):
             raise NumericsError(
                 f"residue at tau = {tau:g} is not a multiple of the weight (defect {defect:.3e})"
             )
-    return chain
+        residues.append(res)
+    return ProjectorChain(taus=tuple(taus), projectors=tuple(projectors), residues=tuple(residues))
 
 
-def _residue_of_chain(chain: ProjectorChain, k: int) -> np.ndarray:
-    """Residue of U at rho_k from the factored form."""
-    taus, projectors = chain.taus, chain.projectors
-    m = chain.m
-    eye = np.eye(m, dtype=complex)
-    left = eye
-    for j in range(len(taus) - 1, k, -1):
-        c = 2.0 * taus[j] / (taus[k] - taus[j])
-        left = left @ (eye + c * projectors[j])
-    right = eye
-    for j in range(k - 1, -1, -1):
-        c = 2.0 * taus[j] / (taus[k] - taus[j])
-        right = right @ (eye + c * projectors[j])
-    return left @ (2j * taus[k] * projectors[k]) @ right
-
-
-def residues_of_U(chain: ProjectorChain):
-    """[(tau_k, Res U at i tau_k)] in chain order; these are the R_k^+ values."""
-    return [(chain.taus[k], _residue_of_chain(chain, k)) for k in range(len(chain))]
+def _factors_at(eye, taus, projectors, k: int, order) -> np.ndarray:
+    """The product of the factors j in ``order``, left to right, at rho = i tau_k."""
+    out = eye
+    for j in order:
+        out = out @ (eye + 2.0 * taus[j] / (taus[k] - taus[j]) * projectors[j])
+    return out
 
 
 def evaluate_U(chain: ProjectorChain, rho) -> np.ndarray:
@@ -170,10 +131,8 @@ def evaluate_U(chain: ProjectorChain, rho) -> np.ndarray:
     m = chain.m
     eye = np.eye(m, dtype=complex)
     out = np.broadcast_to(eye, z.shape + (m, m)).copy()
-    for k in range(len(chain) - 1, -1, -1):
-        c = (2j * chain.taus[k]) / (z - 1j * chain.taus[k])
-        factor = eye + c[:, None, None] * chain.projectors[k]
-        out = out @ factor
+    for tau, p in zip(chain.taus[::-1], chain.projectors[::-1]):
+        out = out @ (eye + ((2j * tau) / (z - 1j * tau))[:, None, None] * p)
     return out[0] if scalar else out
 
 
@@ -190,9 +149,8 @@ def reflectionless_D(chain: ProjectorChain):
     def d_of(rho):  # a 1-d array of points -> (n, m, m)
         z = np.asarray(rho, dtype=complex)
         out = np.broadcast_to(eye, z.shape + (m, m)).copy()
-        for k in range(len(chain)):
-            c = (-2j * chain.taus[k]) / (z + 1j * chain.taus[k])
-            out = out @ (eye + c[:, None, None] * chain.projectors[k])
+        for tau, p in zip(chain.taus, chain.projectors):
+            out = out @ (eye + ((-2j * tau) / (z + 1j * tau))[:, None, None] * p)
         return out
 
     return d_of
@@ -200,6 +158,21 @@ def reflectionless_D(chain: ProjectorChain):
 
 # ---------------------------------------------------------------------------
 # separable GLM solve
+
+
+def _separable_system(states, xs, log_scales=None):
+    """B, tau and state index per column, e = exp(2 tau x - s) and G = C + diag(e) at ``xs``."""
+    b, index = range_factors([n for _, n in states])
+    tau = np.array([float(t) for t, _ in states])[index]
+    shift = 0.0 if log_scales is None else np.asarray(log_scales, dtype=float)[index]
+    xs = np.asarray(xs, dtype=float)
+
+    # past the clamp a state is fully decayed to roundoff (its rows of Y are
+    # below e^-460), and exp stays finite however far right x or the flow goes
+    exponent = 2.0 * tau * xs[:, None] - shift
+    e = np.exp(np.minimum(exponent, _EXP_CLAMP))
+    cauchy = (b.conj().T @ b) / (tau[:, None] + tau[None, :])
+    return b, tau, index, e, cauchy + e[:, :, None] * np.eye(tau.size)
 
 
 def separable_potential_values(states, xs, log_scales=None):
@@ -215,17 +188,7 @@ def separable_potential_values(states, xs, log_scales=None):
     Y = G^{-1} B^H.  Null directions of the weights never enter.
     Returns (q, diag) arrays of shape (len(xs), m, m).
     """
-    b, index = range_factors([n for _, n in states])
-    tau = np.array([float(t) for t, _ in states])[index]
-    shift = 0.0 if log_scales is None else np.asarray(log_scales, dtype=float)[index]
-    xs = np.asarray(xs, dtype=float)
-
-    # past the clamp a state is fully decayed to roundoff (its rows of Y are
-    # below e^-460), and exp stays finite however far right x or the flow goes
-    exponent = 2.0 * tau * xs[:, None] - shift
-    e = np.exp(np.minimum(exponent, _EXP_CLAMP))
-    cauchy = (b.conj().T @ b) / (tau[:, None] + tau[None, :])
-    g = cauchy + e[:, :, None] * np.eye(tau.size)
+    b, tau, _, e, g = _separable_system(states, xs, log_scales)
     try:
         y = np.linalg.solve(g, b.conj().T)
     except np.linalg.LinAlgError as exc:
@@ -234,6 +197,24 @@ def separable_potential_values(states, xs, log_scales=None):
     q = -4.0 * z.conj().transpose(0, 2, 1) @ z
     diag = -b @ y
     return q, diag
+
+
+def check_on_grid(states, x_grid: SpaceGrid) -> np.ndarray:
+    """Share of each state's mass 4 tau_k rank_k on ``x_grid``; raises below ``_MIN_GRID_SHARE``.
+
+    Column c of the separable solve carries the mass int 4 |z_c|^2 dx = 4 tau_c,
+    and |z_c|^2 = tau_c d/dx (E G^-1)_cc with E = diag(e), so (E G^-1)_cc
+    rises from 0 to 1 and its rise across the grid is the share there.
+    """
+    _, _, index, e, g = _separable_system(states, x_grid.xs[[0, -1]])
+    left, right = e * np.diagonal(np.linalg.inv(g), axis1=1, axis2=2).real
+    shares = np.array([np.mean((right - left)[index == k]) for k in range(len(states))])
+    for (tau, _), share in zip(states, shares):
+        if not share >= _MIN_GRID_SHARE:
+            raise ValidationError(
+                f"the state tau = {tau:g} has no mass on the grid ({share:.1e} of it lies there)"
+            )
+    return shares
 
 
 def separable_glm_solve(states, x_grid: SpaceGrid, log_scales=None) -> SampledPotential:

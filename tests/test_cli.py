@@ -325,6 +325,70 @@ def test_validate_command(tmp_path, soliton_data):
     assert cli.main(["validate", "--data", str(bad_path)]) == 2
 
 
+def test_validate_takes_one_rank_for_a_weight_and_its_residue(tmp_path):
+    # N = diag(2, -1e-9) has a range of rank 1, and so has its chain residue
+    rg = RhoGrid(8.0, 32)
+    data = ScatteringData(
+        side="right", rho_grid=rg, S=np.zeros((rg.n, 2, 2), complex),
+        bound_states=(BoundState(tau=1.0, weight=np.diag([2.0, -1e-9]).astype(complex), side="right"),),
+    )
+    path = tmp_path / "data.json"
+    cli.write_scattering_json(path, data)
+    assert cli.main(["validate", "--data", str(path)]) == 0
+
+
+@pytest.mark.parametrize("weight", ["1e-300", "1e300"])
+def test_soliton_refuses_a_state_off_the_grid(tmp_path, capsys, weight):
+    # the one-soliton centre ln(N / 2 tau) / 2 tau lies near x = -345 (+345)
+    out = tmp_path / "out"
+    code = cli.main(["soliton", "--tau", "1", "--weight", weight, "--x-min", "-2", "--x-max", "2",
+                     "--n-rho", "8", "--rho-max", "4", "--out", str(out)])
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and "no mass on the grid" in err
+
+
+@pytest.mark.parametrize("left_side, left_m, weight", [
+    ("right", 1, 8.0),  # right data as the left file, off-centre soliton
+    ("right", 1, 2.0),  # the same for a soliton centred at 0
+    ("left", 2, 2.0),  # left data of another m
+])
+def test_invert_refuses_mismatched_left_data(tmp_path, capsys, left_side, left_m, weight):
+    rg = RhoGrid(8.0, 32)
+
+    def write(name, side, m):
+        data = ScatteringData(
+            side=side, rho_grid=rg, S=np.zeros((rg.n, m, m), complex),
+            bound_states=(BoundState(tau=1.0, weight=weight * np.eye(m, dtype=complex), side=side),),
+        )
+        cli.write_scattering_json(tmp_path / name, data)
+        return str(tmp_path / name)
+
+    code = cli.main(["invert", "--data", write("right.json", "right", 1),
+                     "--data-left", write("left.json", left_side, left_m),
+                     "--x-min", "-2", "--x-max", "2", "--dx", "0.05", "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and err.count("\n") == 1
+
+
+def test_invert_zeroes_the_fourier_part_past_the_sampling_limit(tmp_path):
+    # the state at tau = 0.409 stretches the kernel window to u ~ 52, past
+    # pi / drho = 20.1 of this rho grid, where the midpoint sum aliases
+    fwd, inv = tmp_path / "fwd", tmp_path / "inv"
+    assert cli.main(["forward", "--bundled", "random", "--dim", "1", "--seed", "3", "--x-min", "-4",
+                     "--x-max", "4", "--n-rho", "256", "--rho-max", "20", "--out", str(fwd)]) == 0
+    (tau,) = cli.read_scattering_json(fwd / "scattering_right.json").taus
+    assert abs(tau - 0.409) < 1e-3
+    assert cli.main(["invert", "--data", str(fwd / "scattering_right.json"),
+                     "--data-left", str(fwd / "scattering_left.json"),
+                     "--x-min", "-3", "--x-max", "3", "--out", str(inv)]) == 0
+    q_in = cli.read_potential_csv(fwd / "potential.csv")
+    q_out = cli.read_potential_csv(inv / "potential.csv")
+    on = np.abs(q_in.grid.xs) <= 3.0 + 1e-9
+    assert np.abs(q_in.values[on] - q_out.values).max() < 1e-4 * np.abs(q_in.values).max()
+
+
 def one_state_data(tmp_path, tau):
     """Right data of the scalar one-soliton centred at 0 (weight 2 tau), S = 0."""
     rg = RhoGrid(8.0, 32)
@@ -460,6 +524,7 @@ def test_malformed_input_is_a_validation_error(tmp_path, capsys, potential, opti
     ["--tau", "nan", "--weight", "2"],
     ["--tau", "inf", "--weight", "2"],
     ["--tau", "1", "--weight", "0"],  # zero weight
+    ["--tau", "1", "--weight=-1e-9"],  # within the PSD tolerance, but an empty range
 ])
 def test_bad_soliton_states_are_validation_errors(tmp_path, capsys, command, states):
     code = cli.main([*command, *states, "--x-min", "-2", "--x-max", "2",

@@ -55,13 +55,47 @@ def test_connect_reflectionless():
     )
     chain = solitons.build_projector_chain([(1.0, weight)])
     d_of = solitons.reflectionless_D(chain)
-    residues = conditions.residues_from_evaluator(d_of, [1.0])
     # scalar: R_+ = 2i, so N_- = (2i) (1/2) (-2i) = 2
-    assert np.abs(residues[0].R_plus - 2j).max() < 1e-10
-    left = conditions.connect_left_from_right(data, d_of(rg.nodes.astype(complex)), residues)
+    assert np.abs(chain.residues[0] - 2j).max() < 1e-10
+    left = conditions.connect_left_from_right(data, d_of(rg.nodes.astype(complex)), chain.residues)
     assert np.abs(left.S).max() < 1e-14
     assert abs(left.bound_states[0].weight[0, 0] - 2.0) < 1e-9
     assert domain.psd_margin(left.bound_states[0].weight) >= -1e-12
+
+
+@pytest.mark.parametrize("reflection", [0.0, 1e-6])
+def test_connect_takes_the_residues_in_bound_state_order(reflection):
+    # a scalar two-soliton listed with the larger tau first; zero reflection
+    # takes the chain's residues, a small one the scalar closed form.  With
+    # R_+ = 2 i tau_k (tau_k + tau_j) / (tau_k - tau_j), N_- = |R_+|^2 / N_+
+    # is 144 / 8 at tau = 2 and 36 / 4 at tau = 1
+    rg = RhoGrid(8.0, 32)
+    states = tuple(BoundState(tau=t, weight=np.array([[w + 0j]]), side="right") for t, w in ((2.0, 8.0), (1.0, 4.0)))
+    data = ScatteringData(side="right", rho_grid=rg, S=np.full((rg.n, 1, 1), reflection, complex),
+                          bound_states=states)
+    d_of, residues = conditions.right_denominator(data)
+    d_grid = d_of(rg.nodes.astype(complex))
+    left = conditions.connect_left_from_right(data, d_grid, residues)
+    assert left.taus == (2.0, 1.0)
+    assert np.abs(np.array([b.weight[0, 0] for b in left.bound_states]) - [18.0, 9.0]).max() < 1e-9
+    with pytest.raises(domain.ValidationError, match="1 residues for 2 bound states"):
+        conditions.connect_left_from_right(data, d_grid, residues[:1])
+
+
+def test_scalar_D_residues_match_the_contour_oracle():
+    # a box of depth 6 holds two states and reflects; the closed-form residues
+    # of D^-1 = prod (rho + i tau_j) / (rho - i tau_j) exp(-gamma) against a
+    # ring around each pole
+    grid = domain.SpaceGrid.from_bounds(-3.0, 3.0, 0.02)
+    data = forward.full_forward(domain.box_potential(grid, height=-6.0), RhoGrid(10.0, 128)).j_plus
+    d_of = conditions.scalar_D(data)
+    taus = list(data.taus)
+    assert len(taus) == 2
+    for tau, r in zip(taus, d_of.residues()):
+        ring = domain.contour_residue(
+            lambda z: np.linalg.inv(d_of(z)), 1j * tau, domain.residue_contour_radius(tau, taus)
+        )
+        assert np.abs(r - ring).max() <= 1e-12 * np.abs(r).max()
 
 
 def test_connect_matches_measured_left_box(box_forward):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mstl import domain
+from mstl import domain, solitons
 from mstl.domain import (
     RhoGrid,
     SampledPotential,
@@ -50,6 +50,23 @@ def test_pinv_properties_random_psd(seed):
     assert matrix_operator_norm(hermitian_pseudo_inverse(pinv) - n) <= 1e-8 * (
         1 + matrix_operator_norm(n)
     )
+
+
+@pytest.mark.parametrize("small", [-1e-9, 1e-11])
+def test_one_rank_rule_for_weights(small):
+    # an eigenvalue at or below 1e-10 of the largest magnitude, of either sign,
+    # is outside the range for the rank, the pseudo-inverse, the range
+    # factors and the projector chain's kernel alike
+    n = np.diag([2.0, small]).astype(complex)
+    w, _, ker = domain.range_split(n)
+    assert hermitian_rank(n) == w.size == 1
+    assert np.allclose(hermitian_pseudo_inverse(n), np.diag([0.5, 0.0]), rtol=0, atol=1e-15)
+    b, index = domain.range_factors([n])
+    assert np.allclose(b @ b.conj().T, np.diag([2.0, 0.0]), rtol=0, atol=1e-15)
+    assert index.tolist() == [0]
+    assert np.allclose(np.abs(ker[:, 0]), [0.0, 1.0])
+    chain = solitons.build_projector_chain([(1.0, n)])
+    assert np.allclose(chain.projectors[0], np.diag([1.0, 0.0]), rtol=0, atol=1e-15)
 
 
 def test_operator_norm_examples():

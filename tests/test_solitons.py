@@ -66,7 +66,7 @@ def test_residues_match_contour_oracle():
     chain = solitons.build_projector_chain(
         [(1.0, 3.0 * np.outer(v, v.conj())), (2.0, np.eye(2, dtype=complex))]
     )
-    for tau, analytic in solitons.residues_of_U(chain):
+    for tau, analytic in zip(chain.taus, chain.residues):
         by_contour = contour_residue(lambda z: solitons.evaluate_U(chain, z), 1j * tau, 0.2)
         assert np.abs(by_contour - analytic).max() < 1e-10
 
@@ -75,7 +75,7 @@ def test_residues_are_weight_multiples():
     v = np.array([1.0, 1.0]) / np.sqrt(2)
     weight = 2.0 * np.outer(v, v)
     chain = solitons.build_projector_chain([(1.0, weight)])
-    tau, res = solitons.residues_of_U(chain)[0]
+    (res,) = chain.residues
     # rows of the residue live in the row space of the weight
     proj = domain.hermitian_pseudo_inverse(weight) @ weight
     assert np.abs(res - res @ proj).max() < 1e-12
@@ -160,6 +160,21 @@ def test_separable_log_scales_no_overflow():
     assert np.all(np.isfinite(q))
     # the soliton has moved far to the right; the window sees its tail only
     assert np.abs(q).max() < 1e-3
+
+
+def test_grid_shares_are_the_mass_on_the_grid():
+    # int over the grid of -tr Q = sum_k 4 tau_k rank_k share_k, and every
+    # share is 1 on a grid that holds the whole potential
+    v = np.array([1.0, 1.0j]) / np.sqrt(2)
+    states = [(1.0, 2.0 * np.outer(v, v.conj())), (2.0, 8.0 * np.eye(2)), (0.5, np.diag([3.0, 0.0]))]
+    grid = SpaceGrid.from_bounds(-1.0, 1.5, 0.001)
+    q, _ = solitons.separable_potential_values(states, grid.xs)
+    mass = np.trapezoid(-np.trace(q, axis1=1, axis2=2).real, grid.xs)
+    shares = solitons.check_on_grid(states, grid)
+    assert np.all((shares > 0.01) & (shares < 0.99))
+    assert abs(mass - np.dot([4.0, 16.0, 2.0], shares)) < 1e-6 * mass
+    wide = solitons.check_on_grid(states, SpaceGrid.from_bounds(-80.0, 80.0, 1.0))
+    assert np.abs(wide - 1.0).max() < 1e-12
 
 
 def test_separable_kernel_diagonal():
