@@ -21,17 +21,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from mstl.domain import (
+    HERMITICITY_RTOL,
     BoundState,
     ScatteringData,
     ValidationError,
     contour_residue,
-    hermitian_defect,
     hermitian_pseudo_inverse,
     hermitian_rank,
     matrix_operator_norm,
     operator_norms,
-    psd_margin,
     residue_contour_radius,
+    weight_check,
 )
 
 KERNEL_SPAN = 30.0  # |u| range of the Fourier-kernel checks of conditions A and B
@@ -142,15 +142,12 @@ def check_condition_A(data: ScatteringData) -> ConditionReport:
     tau_ok = bool(np.all(taus > 0)) and (len(taus) < 2 or float(np.diff(np.sort(taus)).min()) > 1e-6)
     items.append(CheckItem("bound_state_taus", tau_ok, float(taus.min(initial=1.0)), 0.0))
 
-    margin = 0.0
-    herm = 0.0
-    for b in data.bound_states:
-        margin = min(margin, psd_margin(b.weight))
-        herm = max(herm, hermitian_defect(b.weight))
-    w_scale = max((matrix_operator_norm(b.weight) for b in data.bound_states), default=0.0)
-    psd_tol = -1e-8 * (1.0 + w_scale)
-    items.append(CheckItem("bound_state_psd", margin >= psd_tol, margin, psd_tol))
-    items.append(CheckItem("bound_state_hermitian", herm <= 1e-6 * (1 + w_scale), herm, 1e-6 * (1 + w_scale)))
+    # the weight whose margin and defect lie closest to (or furthest past) its own tolerance
+    checks = [weight_check(b.weight) for b in data.bound_states] or [(0.0, 0.0, HERMITICITY_RTOL)]
+    margin, _, psd_tol = min(checks, key=lambda c: c[0] / c[2])
+    _, herm, herm_tol = max(checks, key=lambda c: c[1] / c[2])
+    items.append(CheckItem("bound_state_psd", margin >= -psd_tol, margin, -psd_tol))
+    items.append(CheckItem("bound_state_hermitian", herm <= herm_tol, herm, herm_tol))
 
     condition = "A_plus" if data.side == "right" else "A_minus"
     return ConditionReport(condition=condition, items=tuple(items))

@@ -19,13 +19,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 # Relative eigenvalue cutoff for all rank decisions.
 EIG_CUTOFF_REL = 1e-10
 # Hermiticity tolerance: defect <= HERMITICITY_RTOL * (1 + ||N||) is repaired
-# by symmetrization, anything above is rejected.
+# by symmetrization, anything above is rejected.  A weight's PSD margin may
+# fall as far below zero (``weight_check``).
 HERMITICITY_RTOL = 1e-8
 # Trapezoid nodes on a residue contour.
 _CONTOUR_NODES = 64
@@ -71,12 +73,39 @@ def matrix_operator_norm(a: np.ndarray) -> float:
 
 
 def operator_norms(a: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix in a stack of shape (..., m, m)."""
-    return np.linalg.norm(a, 2, axis=(-2, -1))
+    """Largest singular value of each matrix in a stack of shape (..., m, m).
+
+    sqrt(lambda_max(A^H A)), not an SVD per matrix: |a| for m = 1; for m = 2
+    the larger root of the Gram's characteristic polynomial, a sum of
+    nonnegative terms, from the column norms p, q and inner product b; one
+    batched ``eigvalsh`` otherwise.  Each matrix is scaled by its largest
+    entry first, so the Gram neither overflows nor underflows.
+    """
+    a = np.asarray(a)
+    if a.shape[-1] == 1:
+        return np.abs(a[..., 0, 0])
+    scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
+    a = a / np.where(scale > 0, scale, 1.0)[..., None, None]
+    if a.shape[-1] == 2:
+        p, q = np.moveaxis((a.real**2 + a.imag**2).sum(axis=-2), -1, 0)
+        b = np.abs(np.sum(a[..., :, 0].conj() * a[..., :, 1], axis=-1))
+        return scale * np.sqrt(0.5 * (p + q) + np.hypot(0.5 * (p - q), b))
+    return scale * np.sqrt(np.linalg.eigvalsh(a.conj().swapaxes(-2, -1) @ a)[..., -1])
 
 
 def hermitian_defect(n: np.ndarray) -> float:
     return matrix_operator_norm(n - n.conj().T)
+
+
+def weight_check(n: np.ndarray) -> tuple[float, float, float]:
+    """(PSD margin, Hermiticity defect, tolerance) of one weight: the one rule for weights.
+
+    A weight passes when margin >= -tol and defect <= tol, with
+    tol = ``HERMITICITY_RTOL`` (1 + ||N||) scaled by its own norm, so that a
+    state's verdict does not change when an unrelated state is added.
+    """
+    n = np.asarray(n, dtype=complex)
+    return psd_margin(n), hermitian_defect(n), HERMITICITY_RTOL * (1.0 + matrix_operator_norm(n))
 
 
 def _checked_hermitian(n: np.ndarray, what: str = "matrix") -> np.ndarray:
@@ -85,8 +114,7 @@ def _checked_hermitian(n: np.ndarray, what: str = "matrix") -> np.ndarray:
         raise ValidationError(f"{what} must be square, got shape {n.shape}")
     if not np.all(np.isfinite(n)):
         raise ValidationError(f"{what} has non-finite entries")
-    defect = hermitian_defect(n)
-    tol = HERMITICITY_RTOL * (1.0 + matrix_operator_norm(n))
+    _, defect, tol = weight_check(n)
     if defect > tol:
         raise ValidationError(
             f"{what} is not Hermitian: defect {defect:.3e} exceeds tolerance {tol:.3e}"
@@ -296,6 +324,11 @@ class SampledPotential:
     @property
     def m(self) -> int:
         return self.values.shape[1]
+
+    @cached_property
+    def cell_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """``np.linalg.eigh`` of every cell value, computed once and shared by all sweeps."""
+        return np.linalg.eigh(self.cell_values)
 
     def norms(self) -> np.ndarray:
         return operator_norms(self.values)

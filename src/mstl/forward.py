@@ -17,7 +17,9 @@ eigenbasis of the current cell and holds (F, F') component-major, as one
 (m, 2 m n_rho) array, so the change of basis from one cell to the next is one
 (m x m) matrix product over the whole batch; the cell factors cosh(mu h),
 sinh(mu h)/mu and mu sinh(mu h) are computed for a bounded block of cells at
-a time, so memory does not grow with the grid.
+a time, so memory does not grow with the grid, and on the symmetric real grid
+for rho > 0 only (mu^2 is even in rho).  The cell eigendecomposition is made
+once per potential (``SampledPotential.cell_eigh``) and shared by every sweep.
 
 Only the cells from the first to the last nonzero cell value are stepped.
 Free cells outside that range (cell values exactly zero; node values do not
@@ -31,18 +33,29 @@ solutions needed in brackets are obtained from column solutions at -conj(rho)
 by conjugate transposition, which is valid because Q is Hermitian.  The
 symmetric real grid is closed under rho -> -conj(rho), so
 ``scattering_coefficients`` gets A, B and D from one plus and one minus sweep.
+
 Bound states are counted (``_count``): by the oscillation theorem, the
 number with tau_k > tau is the number of conjugate points of F_-(x, i tau),
-read along one minus sweep.  ``find_bound_states`` multisects the drops of
-the count on [0, sqrt(-min lambda_min(Q))], where every state lies.  The
-weights come from the eigenfunctions, a plus and a minus sweep at i tau
-matched at one node and normalized (``_norming_factors``).
+read along one minus sweep of Cayley frames U = (Y + i Y'/s)(Y - i Y'/s)^-1.
+``find_bound_states`` takes the count on [0, sqrt(-min lambda_min(Q))], where
+every state lies; the count alone certifies how many states each bracket
+holds.  Each state is then located where the plus and minus Jost planes meet
+at one matching node (the matching-point scheme of the multichannel CP
+solvers): W = U_+^H U_- has the eigenvalue 1 there, so one of its
+eigenphases, all of which rise with tau, crosses 0.  Newton on that
+eigenphase, safeguarded by the bracket, needs a plus half sweep from the
+right and a minus half sweep from the left per round, the cells of one
+sweep, for all brackets at once.  Brackets whose drop the eigenphase
+crossings do not explain are multisected by the count instead.  The weights
+of all states come from one plus and one minus sweep over all nodes at every
+state's i tau, matched at one node and normalized (``_norming_factors``).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,8 +74,10 @@ from mstl.domain import (
 BRACKET_SPREAD_RTOL = 1e-6
 _N_CHECKPOINTS = 9
 _BLOCK_ELEMENTS = 2**15  # cell factors per sweep block, in (cell, component, rho) entries
-_WIDTH = 1e-8  # bracket width at which a bound state is located
+_WIDTH = 1e-8  # a Newton step or bracket width this short locates a bound state
 _SECTIONS = 16  # count points per bracket in each multisection round
+_PASS = 4  # matching-node sections per count bracket in the first pass
+_STEP = 1e-7  # tau offset of the forward differences that give the eigenphase slopes
 _NULL_GAP = 1e-3  # a null singular value of the matching matrix lies below this times the next
 
 
@@ -124,18 +139,21 @@ def _free_step(f, p, rhos, h):
     return ch * f + sl * p, ms * f + ch * p
 
 
-def _sweep(potential: SampledPotential, rhos: np.ndarray, direction: str, substeps: int = 1):
+def _sweep(potential: SampledPotential, rhos: np.ndarray, direction: str, substeps: int = 1, stop=None):
     """Yield (node, v, t) from the free wave at the swept range's incoming edge on.
 
     One item per step across the swept cells (the first is the starting node,
     in the identity basis): ``t`` is the field (F, F') at ``node`` in the
     eigenbasis ``v`` of the cell just crossed, component-major, t[a, 0, b, n]
     and t[a, 1, b, n] being entry (a, b) of F and F' at rho_n, so a change of
-    basis is one (m x m) @ (m x 2 m n_rho) product.  Cell factors are made for
-    blocks of at most ``_BLOCK_ELEMENTS`` (cell, component, rho) entries.
-    ``t`` is updated in place; a consumer may right-multiply its columns in
-    place and the sweep goes on from the result.  ``substeps`` splits every
-    cell into equal steps; the items between nodes carry node -1.
+    basis is one (m x m) @ (m x 2 m n_rho) product.  The sweep ends at the far
+    edge of the swept range, or at node ``stop`` inside it (a half sweep).
+    Cell factors are made for blocks of at most ``_BLOCK_ELEMENTS`` (cell,
+    component, rho) entries; mu^2 is even in rho, so on a symmetric batch
+    (the real grid) they are made for its upper half and mirrored.  ``t`` is
+    updated in place; a consumer may right-multiply its columns in place and
+    the sweep goes on from the result.  ``substeps`` splits every cell into
+    equal steps; the items between nodes carry node -1.
 
     Every rho must be real or i tau with tau >= 0, so that mu^2 = lambda - rho^2
     is real and ``_cell_factors`` applies.
@@ -148,12 +166,12 @@ def _sweep(potential: SampledPotential, rhos: np.ndarray, direction: str, subste
     lo, hi = _swept_nodes(potential)
     if direction == "plus":
         ikr, start = 1j * rhos, hi
-        cells = np.arange(hi - 1, lo - 1, -1)
+        cells = np.arange(hi - 1, (lo if stop is None else stop) - 1, -1)
         reached = cells  # stepping from node c+1 down across cell c reaches node c
         h = -grid.dx
     elif direction == "minus":
         ikr, start = -1j * rhos, lo
-        cells = np.arange(lo, hi)
+        cells = np.arange(lo, hi if stop is None else stop)
         reached = cells + 1
         h = grid.dx
     else:
@@ -166,7 +184,7 @@ def _sweep(potential: SampledPotential, rhos: np.ndarray, direction: str, subste
     if not cells.size:
         return
 
-    w, v = (np.repeat(a, substeps, axis=0) for a in np.linalg.eigh(potential.cell_values[cells]))
+    w, v = (np.repeat(a[cells], substeps, axis=0) for a in potential.cell_eigh)
     reached = np.where((np.arange(w.shape[0]) + 1) % substeps, -1, np.repeat(reached, substeps))
     h /= substeps
     vh = v.conj().transpose(0, 2, 1)
@@ -175,10 +193,14 @@ def _sweep(potential: SampledPotential, rhos: np.ndarray, direction: str, subste
     swapped = u[:, ::-1]  # (F', F)
     cross = np.empty_like(t)
     rho2 = (rhos**2).real
-    block = max(1, _BLOCK_ELEMENTS // (m * nr))
+    mirrored = nr % 2 == 0 and np.array_equal(rho2, rho2[::-1])
+    block = max(1, _BLOCK_ELEMENTS // (m * max(nr, 1)))
     for b0 in range(0, w.shape[0], block):
-        mu2 = w[b0 : b0 + block, :, None, None] - rho2  # (steps, m, 1, n_rho)
-        ch, sl, ms = _cell_factors(mu2, h)
+        mu2 = w[b0 : b0 + block, :, None, None] - (rho2[nr // 2 :] if mirrored else rho2)
+        factors = _cell_factors(mu2, h)  # (steps, m, 1, n_rho), or its upper half
+        if mirrored:
+            factors = [np.concatenate([f[..., ::-1], f], axis=-1) for f in factors]
+        ch, sl, ms = factors
         ch, sl_ms = ch[:, :, None], np.stack([sl, ms], axis=2)
         for i in range(ch.shape[0]):
             k = b0 + i
@@ -312,45 +334,65 @@ def jost_asymptotics(potential: SampledPotential) -> JostAsymptotics:
 # bound states
 
 
+def _frame_scale(potential: SampledPotential, taus) -> float:
+    """s of the Cayley frames: s >= tau and s^2 >= |lambda + tau^2| on every cell.
+
+    It holds for every tau up to the larger of max(taus) and tau_bound =
+    sqrt(-min lambda), so one s serves all the sweeps of one search.
+    """
+    w = potential.cell_eigh[0]
+    top = max(float(np.max(taus, initial=0.0)), float(np.sqrt(max(-w.min(), 0.0))))
+    return float(np.sqrt(max(float(w.max()), 0.0) + top * top))
+
+
+def _cayley_frames(potential: SampledPotential, taus: np.ndarray, s: float, direction: str, stop=None):
+    """Yield (node, v, u) at the readings of U = (Y + i Y'/s)(Y - i Y'/s)^-1, Y = F(x, i tau).
+
+    ``u`` is U^T in the eigenbasis ``v`` of the cell just crossed, shape
+    (n_tau, m, m), along the sweep of ``_sweep`` in ``direction`` up to
+    ``stop``.  U is unitary, a function of the span of Y's columns only, and
+    det U is invariant under a change of basis.  With s from ``_frame_scale``
+    arg det U moves at most 2 m s per unit length, so it is read often enough
+    (cells split into equal steps if need be) to move less than pi between
+    readings, and at the last node.  Each reading resets the frame to
+    ((U + I)/2, s (U - I)/2i), right multiplication by (Y - i Y'/s)^-1,
+    before it can overflow.
+    """
+    m = potential.m
+    lo, hi = _swept_nodes(potential)
+    end = (hi if direction == "minus" else lo) if stop is None else stop
+    motion = 2 * m * s * potential.grid.dx  # bound on |d arg det U| per cell
+    substeps = int(motion / np.pi) + 1
+    stride = int(np.ceil(np.pi * substeps / motion)) - 1  # steps between readings
+    i_s, eye = 1j / s, np.eye(m)
+    for k, (node, v, t) in enumerate(_sweep(potential, 1j * taus, direction, substeps, stop)):
+        if k % stride and node != end:
+            continue
+        f, p = t[:, 0].T, t[:, 1].T  # transposed fields, (n_tau, m, m)
+        u = np.linalg.solve(f - i_s * p, f + i_s * p)  # U^T
+        yield node, v, u
+        t[:, 0], t[:, 1] = (0.5 * (u + eye)).T, ((u - eye) / (2.0 * i_s)).T
+
+
 def _count(potential: SampledPotential, taus) -> tuple[np.ndarray, np.ndarray]:
     """Bound states with tau_k > tau, with multiplicity, and the conjugate-point part.
 
     By the oscillation theorem the count is the number of conjugate points of
     Y = F_-(x, i tau) (x where Y is singular, with multiplicity).  Inside the
-    swept range they are the crossings of -1 by the eigenvalues of the unitary
-    U = (Y + i Y'/s)(Y - i Y'/s)^-1, which all pass pi downward (at rate 2 s),
-    so they follow from the winding of arg det U and U's eigenphases phi at
-    the last node.  On the free tail beyond it, Y' Y^-1 = s tan(phi/2) and Y
-    vanishes once for each eigenvalue below -tau, i.e. each phi < -2 atan(tau/s).
-
-    det U is invariant under the cell's change of basis and under right
-    multiplication of the frame.  With s^2 the largest |lambda + tau^2| over
-    cells, arg det U moves at most 2 m s per unit length, so it is read often
-    enough (cells split into equal steps if need be) to move less than pi
-    between readings, and each reading resets the frame to ((U + I)/2,
-    s (U - I)/2i), right multiplication by (Y - i Y'/s)^-1, before it can
-    overflow.  Returns the integer arrays (count, conjugate points in range).
+    swept range they are the crossings of -1 by the eigenvalues of the
+    unitary U of ``_cayley_frames``, which all pass pi downward (at rate 2 s),
+    so they follow from the winding of arg det U along one minus sweep and
+    U's eigenphases phi at the last node.  On the free tail beyond it,
+    Y' Y^-1 = s tan(phi/2) and Y vanishes once for each eigenvalue below
+    -tau, i.e. each phi < -2 atan(tau/s).  Returns the integer arrays
+    (count, conjugate points in range).
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    m = potential.m
-    w = np.linalg.eigvalsh(potential.cell_values)
-    s = np.sqrt(np.abs(np.array([w.min(), w.max(), 0.0])[:, None] + taus**2).max(axis=0))
-    motion = 2 * m * float(s.max()) * potential.grid.dx  # bound on |d arg det U| per cell
-    substeps = int(motion / np.pi) + 1
-    stride = int(np.ceil(np.pi * substeps / motion)) - 1  # steps between readings
-    end = _swept_nodes(potential)[1]
+    s = _frame_scale(potential, taus)
     phi0 = 2.0 * np.arctan(taus / s)  # U = exp(i phi0) I at the start
-    i_s = (1j / s)[:, None, None]
-
-    winding = m * phi0  # arg det U, lifted
-    for k, (node, _, t) in enumerate(_sweep(potential, 1j * taus, "minus", substeps)):
-        if k % stride and node != end:
-            continue
-        f, p = t[:, 0].T, t[:, 1].T  # transposed fields, (n_rho, m, m)
-        u = np.linalg.solve(f - i_s * p, f + i_s * p)  # U^T
-        det = np.linalg.det(u)
-        winding += np.angle(det / np.exp(1j * winding))
-        t[:, 0], t[:, 1] = (0.5 * (u + np.eye(m))).T, ((u - np.eye(m)) / (2.0 * i_s)).T
+    winding = potential.m * phi0  # arg det U, lifted
+    for _, _, u in _cayley_frames(potential, taus, s, "minus"):
+        winding += np.angle(np.linalg.det(u) / np.exp(1j * winding))
 
     phases = np.angle(np.linalg.eigvals(u))
     inside = (phases.sum(axis=1) - winding) / (2.0 * np.pi)
@@ -360,20 +402,193 @@ def _count(potential: SampledPotential, taus) -> tuple[np.ndarray, np.ndarray]:
     return conjugate + np.sum(phases < -phi0[:, None], axis=1), conjugate
 
 
+class _Phases(NamedTuple):
+    """Eigenphases of W = U_+^H U_- at one tau, their slopes d theta / d tau, and det W."""
+
+    tau: float
+    theta: np.ndarray
+    slope: np.ndarray
+    det: complex
+
+
+def _matching_node(potential: SampledPotential) -> int:
+    """The node where the plus and minus half sweeps meet: the middle of the swept range."""
+    lo, hi = _swept_nodes(potential)
+    return (lo + hi) // 2
+
+
+def _eigenphases(potential: SampledPotential, taus, s: float, node: int) -> list:
+    """``_Phases`` at each tau, from a plus half sweep hi -> node and a minus half sweep lo -> node.
+
+    U_+ and U_- are the Cayley frames of F_+ and F_- at ``node``; W = U_+^H U_-
+    has the eigenvalue 1 exactly where the spans of (F_+, F_+') and (F_-, F_-')
+    meet, i.e. at a bound state, with its multiplicity.  At a fixed s every
+    eigenphase of W rises with tau.  The slopes are forward differences over
+    ``_STEP`` by first-order perturbation: Im(x^H W(tau)^H W(tau + step) x)
+    / step for each unit eigenvector x of the unitary W(tau).
+    """
+    taus = np.asarray(taus, dtype=float)
+    both = np.concatenate([taus, taus + _STEP])
+
+    def at_node(direction):
+        for _, v, u in _cayley_frames(potential, both, s, direction, node):
+            pass
+        return v @ u.transpose(0, 2, 1) @ v.conj().T  # U in the basis of the nodes
+
+    w = at_node("plus").conj().transpose(0, 2, 1) @ at_node("minus")
+    here, ahead = w[: taus.size], w[taus.size :]
+    lam, x = np.linalg.eig(here)
+    moved = np.einsum("nai,nab,nbi->ni", x.conj(), here.conj().transpose(0, 2, 1) @ ahead, x)
+    dets = np.linalg.det(here)
+    return [_Phases(*args) for args in zip(taus.tolist(), np.angle(lam), moved.imag / _STEP, dets)]
+
+
+def _crossings(a: _Phases, b: _Phases) -> int:
+    """Upward crossings of 0 by the eigenphases of W between a.tau < b.tau.
+
+    The phases only rise, so arg det W rises by their total motion; read in
+    [0, 2 pi), that rise fixes how many phases wrapped past pi, and with the
+    change in the number of negative phases it gives the crossings of 0.  A
+    total motion of 2 pi or more is undercounted, which the callers detect
+    by comparing with the count's drop.
+    """
+    rise = np.angle(b.det / a.det) % (2.0 * np.pi)
+    wraps = np.rint((rise - (b.theta.sum() - a.theta.sum())) / (2.0 * np.pi))
+    return int(np.sum(a.theta < 0) - np.sum(b.theta < 0) + wraps)
+
+
+def _newton(a: _Phases, b: _Phases):
+    """(tau, step, multiplicity) of the shortest Newton step of any eigenphase into [a.tau, b.tau].
+
+    The steps start from both evaluated ends; the multiplicity counts the
+    steps from the chosen end that stop within ``_WIDTH`` of tau.  None when
+    no step lands inside.
+    """
+    best = None
+    for p in (a, b):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            stops = p.tau - p.theta / p.slope
+        stops = stops[(p.slope > 0) & (stops >= a.tau) & (stops <= b.tau)]
+        if stops.size:
+            tau = float(stops[np.argmin(np.abs(stops - p.tau))])
+            if best is None or abs(tau - p.tau) < abs(best[1]):
+                best = (tau, tau - p.tau, int(np.sum(np.abs(stops - tau) <= _WIDTH)))
+    return best
+
+
+def _locate(potential: SampledPotential, brackets: list, kept: int, s: float, states: list) -> list:
+    """Locate the states of count brackets (lo, hi, n_lo, n_hi) by Newton on the eigenphases of W.
+
+    A first pass takes the eigenphases at ``_PASS`` + 1 points across each
+    bracket.  The bracket is explained when it holds no threshold state
+    (n_lo <= kept) and its eigenphases cross 0 exactly n_lo - n_hi times
+    (``_crossings``); the others are returned for multisection.  Then in
+    each round every open part gets one new tau, all in one batch of half
+    sweeps: the shortest Newton step into it from its two ends, or its
+    midpoint when there is none or the step is not half the last one.  The
+    crossings on either side of the new tau split the part, and must add up
+    to its own.  A Newton step shorter than ``_WIDTH`` locates a state of
+    the part's multiplicity when as many eigenphases stop there; otherwise
+    the next tau lies just past it, and the crossings up to there give its
+    multiplicity.  Located states are appended to ``states``.
+    """
+    node = _matching_node(potential)
+    passes = [np.linspace(lo, hi, _PASS + 1).tolist() for lo, hi, _, _ in brackets]
+    taus = sorted({tau for points in passes for tau in points})
+    at = dict(zip(taus, _eigenphases(potential, taus, s, node)))
+    unexplained, parts = [], []
+    for (lo, hi, n_lo, n_hi), points in zip(brackets, passes):
+        phases = [at[tau] for tau in points]
+        crossed = [_crossings(p, q) for p, q in zip(phases, phases[1:])]
+        if n_lo > kept or min(crossed) < 0 or sum(crossed) != n_lo - n_hi:
+            unexplained.append((lo, hi, n_lo, n_hi))
+            continue
+        for p, q, k in zip(phases, phases[1:], crossed):
+            if k:
+                parts.append((p, q, n_lo, n_lo - k, None))
+                n_lo -= k
+
+    while parts:
+        trials = []
+        for a, b, n_lo, n_hi, last in parts:
+            rank, middle = n_lo - n_hi, 0.5 * (a.tau + b.tau)
+            newton = _newton(a, b)
+            if newton is not None and abs(newton[1]) <= _WIDTH:
+                tau, step, multiplicity = newton
+                past = tau + np.copysign(_WIDTH, step)
+                if multiplicity >= rank or not a.tau < past < b.tau:
+                    states.append((tau, rank))
+                else:
+                    trials.append(((a, b, n_lo, n_hi), past, None, tau))
+            elif b.tau - a.tau <= _WIDTH:
+                states.append((middle, rank))
+            elif newton is None or (last is not None and abs(newton[1]) > 0.5 * abs(last)):
+                trials.append(((a, b, n_lo, n_hi), middle, None, None))
+            else:
+                trials.append(((a, b, n_lo, n_hi), newton[0], newton[1], None))
+        if not trials:
+            break
+        parts = []
+        for ((a, b, n_lo, n_hi), _, step, located), p in zip(
+            trials, _eigenphases(potential, [t[1] for t in trials], s, node)
+        ):
+            left, right = _crossings(a, p), _crossings(p, b)
+            if min(left, right) < 0 or left + right != n_lo - n_hi:
+                unexplained.append((a.tau, b.tau, n_lo, n_hi))
+                continue
+            for lo, hi, k, n in ((a, p, left, n_lo), (p, b, right, n_lo - left)):
+                if k and located is not None and lo.tau < located < hi.tau:
+                    states.append((located, k))
+                elif k:
+                    parts.append((lo, hi, n, n - k, step))
+    return unexplained
+
+
+def _multisect(potential: SampledPotential, brackets: list, kept: int, states: list) -> list:
+    """Cut each bracket (lo, hi, n_lo, n_hi) into ``_SECTIONS`` + 1 parts by one count sweep.
+
+    Returns the parts where the count drops below ``kept`` (a returned state
+    is inside); a part narrower than ``_WIDTH`` is a state at its midpoint,
+    appended to ``states``, whose multiplicity is the drop (threshold states
+    not counted).
+    """
+    lo, hi, n_lo, n_hi = (np.array(c) for c in zip(*brackets))
+    cuts = lo[:, None] + (hi - lo)[:, None] * np.arange(_SECTIONS + 2) / (_SECTIONS + 1)
+    cuts[:, -1] = hi
+    counts, _ = _count(potential, cuts[:, 1:-1].ravel())
+    seq = np.column_stack([n_lo, counts.reshape(-1, _SECTIONS), n_hi])
+    return _drops(cuts, seq, kept, states)
+
+
+def _drops(cuts: np.ndarray, seq: np.ndarray, kept: int, states: list) -> list:
+    """The parts [cuts[i, k], cuts[i, k + 1]] of counted brackets that hold a returned state."""
+    if np.any(np.diff(seq, axis=1) > 0):
+        raise NumericsError("the bound-state count increases with tau")
+    out = []
+    for i, k in zip(*np.nonzero((seq[:, :-1] > seq[:, 1:]) & (seq[:, 1:] < kept))):
+        lo, hi, n_lo, n_hi = float(cuts[i, k]), float(cuts[i, k + 1]), int(seq[i, k]), int(seq[i, k + 1])
+        if hi - lo <= _WIDTH:
+            states.append((0.5 * (lo + hi), min(n_lo, kept) - n_hi))
+        else:
+            out.append((lo, hi, n_lo, n_hi))
+    return out
+
+
 def find_bound_states(potential: SampledPotential) -> list[tuple[float, int]]:
     """Bound states (tau, multiplicity), tau > 0 (rho = i tau), each once, by counting.
 
     tau_k^2 <= -min lambda_min(Q) = tau_bound^2, so a positive semidefinite
     potential needs no sweep.  Otherwise the count N of ``_count`` is taken at
-    tau = 0 and ``_SECTIONS`` points inside [0, tau_bound] (N(tau_bound) = 0),
-    and every bracket where N drops is cut into ``_SECTIONS`` + 1 parts, all
-    brackets in one sweep per round, until it is narrower than ``_WIDTH``.  A
-    drop of r is one state of multiplicity r, returned at its midpoint.  The
-    lowest states, which the count at tau = 0 finds only on the free tail, are
-    threshold (half-bound) states of a discretized exceptional potential: they
-    are warned about and not returned.
+    tau = 0 and ``_SECTIONS`` points inside [0, tau_bound] (N(tau_bound) = 0);
+    it certifies how many states each bracket between them holds.  Brackets
+    whose drop the eigenphases at the matching node explain are refined by
+    Newton there (``_locate``); the others are multisected by the count until
+    they are, or are narrower than ``_WIDTH``.  The lowest states, which the
+    count at tau = 0 finds only on the free tail, are threshold (half-bound)
+    states of a discretized exceptional potential: they are warned about and
+    not returned.
     """
-    w_min = float(np.linalg.eigvalsh(potential.cell_values).min())
+    w_min = float(potential.cell_eigh[0].min())
     if w_min >= 0.0:
         return []
     taus = np.sqrt(-w_min) * np.arange(_SECTIONS + 2) / (_SECTIONS + 1)
@@ -387,20 +602,14 @@ def find_bound_states(potential: SampledPotential) -> list[tuple[float, int]]:
             stacklevel=3,
         )
 
-    width, lo = taus[1], taus[None, :-1]  # brackets [lo, lo + width], counts seq
-    while True:
-        if np.any(np.diff(seq, axis=1) > 0):
-            raise NumericsError("the bound-state count increases with tau")
-        n_lo, n_hi, lo = seq[:, :-1].ravel(), seq[:, 1:].ravel(), lo.ravel()
-        holds = (n_lo > n_hi) & (n_hi < kept)  # a drop that holds a returned state
-        n_lo, n_hi, lo = n_lo[holds], n_hi[holds], lo[holds]
-        if width <= _WIDTH or not lo.size:
-            ranks = np.minimum(n_lo, kept) - n_hi  # threshold states are not counted
-            return sorted(zip((lo + 0.5 * width).tolist(), ranks.tolist()))
-        width /= _SECTIONS + 1
-        lo = lo[:, None] + width * np.arange(_SECTIONS + 1)
-        counts, _ = _count(potential, lo[:, 1:].ravel())
-        seq = np.column_stack([n_lo, counts.reshape(-1, _SECTIONS), n_hi])
+    s = _frame_scale(potential, taus)
+    states = []
+    brackets = _drops(taus[None, :], seq, kept, states)
+    while brackets:
+        brackets = _locate(potential, brackets, kept, s, states)
+        if brackets:
+            brackets = _multisect(potential, brackets, kept, states)
+    return sorted(states)
 
 
 def _cell_integral(potential: SampledPotential, phi, dphi, tau: float) -> np.ndarray:
@@ -413,7 +622,7 @@ def _cell_integral(potential: SampledPotential, phi, dphi, tau: float) -> np.nda
     sl^2/2 and (ch sl - h)/(2 mu^2), the last by its series for small mu h.
     """
     h = potential.grid.dx
-    lam, vecs = np.linalg.eigh(potential.cell_values)
+    lam, vecs = potential.cell_eigh
     mu2 = lam + tau**2
     ch, sl = _cell_factors(mu2, h)[:2]
     z2 = mu2 * h * h
@@ -427,9 +636,10 @@ def _cell_integral(potential: SampledPotential, phi, dphi, tau: float) -> np.nda
     return np.einsum("caki,cakl,calj->ij", psi.conj(), quad, psi)
 
 
-def _norming_factors(potential: SampledPotential, tau: float, rank: int):
-    """(B, V) with N_- = B B^H, N_+ = V V^H and residue R_+ = i B V^H at i tau.
+def _norming_factors(potential: SampledPotential, states) -> list:
+    """(B, V) for each state (tau, rank): N_- = B B^H, N_+ = V V^H, residue R_+ = i B V^H at i tau.
 
+    One plus and one minus sweep over all nodes carry every state's tau.
     The states are the null space [V; B] of [[F_+, -F_-], [F_+', -F_-']] at
     the node x* maximizing sigma_min(F_+) sigma_min(F_-), away from where
     the jitter of tau excites either field's growing mode; the ``rank``
@@ -441,31 +651,33 @@ def _norming_factors(potential: SampledPotential, tau: float, rank: int):
     returned, G = C C^H.
     """
     m, nodes = potential.m, range(potential.grid.n)
-    fp, pp = (a[:, 0] for a in _propagate(potential, 1j * tau, "plus", nodes))
-    fm, pm = (a[:, 0] for a in _propagate(potential, 1j * tau, "minus", nodes))
-    sigma = np.linalg.svd(fp, compute_uv=False)[:, -1] * np.linalg.svd(fm, compute_uv=False)[:, -1]
-    star = int(np.argmax(sigma))
-    _, s, vh = np.linalg.svd(np.block([[fp[star], -fm[star]], [pp[star], -pm[star]]]))
-    if not s[-rank] <= _NULL_GAP * s[-rank - 1]:
-        raise NumericsError(
-            f"no bound state of multiplicity {rank} at tau = {tau:.6g}: the {rank} smallest "
-            f"singular values of the matching matrix do not stand apart "
-            f"({s[-rank] / s[-rank - 1]:.2e} of the next)"
-        )
-    null = vh[-rank:].conj().T
-    v, b = null[:m], null[m:]
-    phi = np.concatenate([fm[:star] @ b, fp[star:] @ v])
-    dphi = np.concatenate([pm[:star] @ b, pp[star:] @ v])
-    ends = phi[[0, -1]].conj().transpose(0, 2, 1) @ phi[[0, -1]]
-    gram = _cell_integral(potential, phi, dphi, tau) + ends.sum(axis=0) / (2.0 * tau)
-    null = np.linalg.solve(np.linalg.cholesky(gram), null.conj().T).conj().T
-    return null[m:], null[:m]
+    taus = np.array([tau for tau, _ in states], dtype=float)
+    fp, pp = _propagate(potential, 1j * taus, "plus", nodes)
+    fm, pm = _propagate(potential, 1j * taus, "minus", nodes)
+    sigma = np.linalg.svd(fp, compute_uv=False)[..., -1] * np.linalg.svd(fm, compute_uv=False)[..., -1]
+    out = []
+    for i, ((tau, rank), star) in enumerate(zip(states, np.argmax(sigma, axis=0))):
+        _, s, vh = np.linalg.svd(np.block([[fp[star, i], -fm[star, i]], [pp[star, i], -pm[star, i]]]))
+        if not s[-rank] <= _NULL_GAP * s[-rank - 1]:
+            raise NumericsError(
+                f"no bound state of multiplicity {rank} at tau = {tau:.6g}: the {rank} smallest "
+                f"singular values of the matching matrix do not stand apart "
+                f"({s[-rank] / s[-rank - 1]:.2e} of the next)"
+            )
+        null = vh[-rank:].conj().T
+        v, b = null[:m], null[m:]
+        phi = np.concatenate([fm[:star, i] @ b, fp[star:, i] @ v])
+        dphi = np.concatenate([pm[:star, i] @ b, pp[star:, i] @ v])
+        ends = phi[[0, -1]].conj().transpose(0, 2, 1) @ phi[[0, -1]]
+        gram = _cell_integral(potential, phi, dphi, tau) + ends.sum(axis=0) / (2.0 * tau)
+        null = np.linalg.solve(np.linalg.cholesky(gram), null.conj().T).conj().T
+        out.append((null[m:], null[:m]))
+    return out
 
 
-def weight_matrices(potential: SampledPotential, tau: float, rank: int):
-    """Weights (N_-, N_+) of the state i tau of multiplicity ``rank``, else NumericsError."""
-    b, v = _norming_factors(potential, tau, rank)
-    return b @ b.conj().T, v @ v.conj().T
+def weight_matrices(potential: SampledPotential, states) -> list:
+    """Weights (N_-, N_+) of each state (tau, multiplicity), in order, else NumericsError."""
+    return [(b @ b.conj().T, v @ v.conj().T) for b, v in _norming_factors(potential, states)]
 
 
 def residue_matrix(potential: SampledPotential, tau: float) -> np.ndarray:
@@ -473,7 +685,7 @@ def residue_matrix(potential: SampledPotential, tau: float) -> np.ndarray:
     counts, _ = _count(potential, [max(tau - _WIDTH, 0.0), tau + _WIDTH])
     if counts[0] <= counts[1]:
         raise NumericsError(f"no bound state at tau = {tau:.6g}")
-    b, v = _norming_factors(potential, tau, int(counts[0] - counts[1]))
+    ((b, v),) = _norming_factors(potential, [(tau, int(counts[0] - counts[1]))])
     return 1j * b @ v.conj().T
 
 
@@ -482,11 +694,8 @@ def full_forward(potential: SampledPotential, rho_grid: RhoGrid) -> ForwardResul
     states = find_bound_states(potential)
     coeffs = scattering_coefficients(potential, rho_grid)
     s_minus, s_plus = reflection_matrices(coeffs)
-
-    right_states = []
-    left_states = []
-    for tau, rank in states:
-        n_minus, n_plus = weight_matrices(potential, tau, rank)
+    right_states, left_states = [], []
+    for (tau, _), (n_minus, n_plus) in zip(states, weight_matrices(potential, states) if states else []):
         right_states.append(BoundState(tau=tau, weight=n_plus, side="right"))
         left_states.append(BoundState(tau=tau, weight=n_minus, side="left"))
 

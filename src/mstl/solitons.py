@@ -27,9 +27,9 @@ from mstl.domain import (
     ValidationError,
     hermitian_pseudo_inverse,
     matrix_operator_norm,
-    psd_margin,
     range_factors,
     range_split,
+    weight_check,
 )
 
 _EXP_CLAMP = 460.0  # largest exponent 2 tau x - s in the separable solve
@@ -57,7 +57,8 @@ def checked_states(states) -> tuple[list, list]:
 
     Raises ``ValidationError`` unless there is at least one state, the taus
     and weights are finite, the taus are positive and distinct, and the
-    weights are Hermitian PSD with a nonempty range (``range_split``).
+    weights are Hermitian PSD (``weight_check``) with a nonempty range
+    (``range_split``).
     """
     taus = [float(t) for t, _ in states]
     weights = [np.asarray(n, dtype=complex) for _, n in states]
@@ -74,7 +75,8 @@ def checked_states(states) -> tuple[list, list]:
     if gaps and min(gaps) < 1e-8 * max(taus):
         raise ValidationError("taus must be distinct")
     for tau, n in zip(taus, weights):
-        if psd_margin(n) < -1e-8 * (1.0 + matrix_operator_norm(n)):
+        margin, defect, tol = weight_check(n)
+        if margin < -tol or defect > tol:
             raise ValidationError("weights must be Hermitian positive semidefinite")
         if not range_split(n)[0].size:
             raise ValidationError(f"the weight of tau = {tau:g} has an empty range")

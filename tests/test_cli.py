@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from mstl import cli, domain, glm, kdv
+from mstl import cli, conditions, domain, glm, kdv
 from mstl.domain import BoundState, NumericsError, RhoGrid, ScatteringData, SpaceGrid
 
 
@@ -335,6 +335,26 @@ def test_validate_takes_one_rank_for_a_weight_and_its_residue(tmp_path):
     path = tmp_path / "data.json"
     cli.write_scattering_json(path, data)
     assert cli.main(["validate", "--data", str(path)]) == 0
+
+
+@pytest.mark.parametrize("low, verdict", [(-1e-7, 2), (-1e-9, 0)])
+def test_one_weight_rule_for_condition_A_validate_and_invert(tmp_path, low, verdict):
+    # each weight is judged against its own norm: -1e-7 lies past 1e-8 (1 + 1) for
+    # diag(1, low), however large the weight 100 I of the other state
+    rg = RhoGrid(8.0, 32)
+    data = ScatteringData(
+        side="right", rho_grid=rg, S=np.zeros((rg.n, 2, 2), complex),
+        bound_states=(BoundState(tau=2.0, weight=100.0 * np.eye(2, dtype=complex), side="right"),
+                      BoundState(tau=1.0, weight=np.diag([1.0, low]).astype(complex), side="right")),
+    )
+    path = tmp_path / "data.json"
+    cli.write_scattering_json(path, data)
+    item = conditions.check_condition_A(data).item("bound_state_psd")
+    assert (item.value, item.tol) == (low, pytest.approx(-2e-8))
+    assert item.passed == (verdict == 0)
+    assert cli.main(["validate", "--data", str(path)]) == verdict
+    assert cli.main(["invert", "--data", str(path), "--x-min", "-1", "--x-max", "1", "--dx", "0.05",
+                     "--out", str(tmp_path / "inv")]) == verdict
 
 
 @pytest.mark.parametrize("weight", ["1e-300", "1e300"])

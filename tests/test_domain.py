@@ -82,6 +82,21 @@ def test_operator_norm_submultiplicative():
     assert matrix_operator_norm(a @ b) <= matrix_operator_norm(a) * matrix_operator_norm(b) + 1e-12
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_operator_norms_match_the_largest_singular_value(m):
+    rng = np.random.default_rng(m)
+    a = rng.normal(size=(50, m, m)) + 1j * rng.normal(size=(50, m, m))
+    a[0] = 0.0
+    a[1] = np.diag(np.arange(1.0, m + 1.0))  # its norm is its largest entry, m
+    norms = domain.operator_norms(a)
+    reference = np.linalg.svd(a, compute_uv=False)[:, 0]
+    assert norms[0] == 0.0 and norms[1] == pytest.approx(m, rel=1e-15)
+    assert np.all(np.abs(norms - reference) <= 2e-15 * reference)
+    # the Gram of these would overflow or underflow
+    for big in (3e200, 1e-200):
+        assert domain.operator_norms(big * a[2:]) == pytest.approx(big * reference[2:], rel=2e-15)
+
+
 def test_space_grid():
     grid = SpaceGrid.from_bounds(-1.0, 1.0, 0.5)
     assert grid.n == 5

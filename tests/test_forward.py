@@ -276,13 +276,15 @@ def two_soliton():
 
 
 def _count_sweeps(monkeypatch):
-    """List that gets one entry (the batch of rho) per sweep."""
+    """List that gets one entry [batch of rho, cells stepped] per sweep."""
     calls = []
     sweep = forward._sweep
 
-    def counting(potential, rhos, direction, substeps=1):
-        calls.append(np.asarray(rhos))
-        return sweep(potential, rhos, direction, substeps)
+    def counting(potential, rhos, direction, substeps=1, stop=None):
+        calls.append([np.asarray(rhos), -1])  # the first item is the starting node
+        for item in sweep(potential, rhos, direction, substeps, stop):
+            calls[-1][1] += item[0] >= 0  # items between nodes carry node -1
+            yield item
 
     monkeypatch.setattr(forward, "_sweep", counting)
     return calls
@@ -297,13 +299,74 @@ def test_refined_taus_bracket_a_count_drop(two_soliton):
         assert counts[0] > counts[1]
 
 
+@pytest.mark.parametrize("before, after, crossed", [
+    ([-0.1, 2.0], [0.2, 2.1], 1),  # one phase crosses 0
+    ([3.0, 1.0], [-3.0, 1.2], 0),  # one phase wraps past pi, which is no state
+    ([3.0, -0.5], [-3.0, 0.5], 1),  # both at once leave the negative count as it was
+    ([-0.5, -0.4], [0.5, 0.6], 2),  # a state of multiplicity 2
+])
+def test_crossings_of_zero_by_the_rising_eigenphases(before, after, crossed):
+    def phases(tau, theta):
+        theta = np.array(theta)
+        return forward._Phases(tau, theta, np.ones_like(theta), np.exp(1j * theta.sum()))
+
+    assert forward._crossings(phases(1.0, before), phases(1.1, after)) == crossed
+
+
+@pytest.mark.parametrize("node", [100, 200, 250])
+def test_matching_node_roots_do_not_depend_on_the_node(two_soliton, monkeypatch, node):
+    # the default matching node is 160, the middle of the 321 nodes
+    middle = forward.find_bound_states(two_soliton)
+    monkeypatch.setattr(forward, "_matching_node", lambda potential: node)
+    moved = forward.find_bound_states(two_soliton)
+    assert [rank for _, rank in moved] == [rank for _, rank in middle] == [1, 1]
+    assert max(abs(a - b) for (a, _), (b, _) in zip(moved, middle)) <= 1e-12
+
+
+def test_batched_weights_equal_weights_state_by_state(two_soliton):
+    states = forward.find_bound_states(two_soliton)
+    batched = forward.weight_matrices(two_soliton, states)
+    assert forward.weight_matrices(two_soliton, []) == []
+    for state, pair in zip(states, batched):
+        ((n_minus, n_plus),) = forward.weight_matrices(two_soliton, [state])
+        assert np.array_equal(pair[0], n_minus) and np.array_equal(pair[1], n_plus)
+
+
+def test_mirrored_cell_factors_are_bit_identical(bump_setup):
+    # on the symmetric grid the factors of rho > 0 serve -rho; each half swept
+    # alone has no mirror image and makes all its own factors
+    _, bump, _ = bump_setup
+    nodes = RhoGrid(10.0, 64).nodes
+    for direction in ("plus", "minus"):
+        f, p = forward._propagate(bump, nodes, direction, [0, 400, 800])
+        for half in (slice(None, 64), slice(64, None)):
+            f_half, p_half = forward._propagate(bump, nodes[half], direction, [0, 400, 800])
+            assert np.array_equal(f[:, half], f_half) and np.array_equal(p[:, half], p_half)
+
+
+def test_full_forward_decomposes_the_cells_once(two_soliton, monkeypatch):
+    pot = solitons.separable_glm_solve([(1.0, 2.0 * np.eye(2))], two_soliton.grid)
+    cells = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def recording(a, *args, original=original, **kwargs):
+            cells.append(np.shape(a) == pot.cell_values.shape)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    forward.full_forward(pot, RhoGrid(10.0, 64))
+    assert sum(cells) == 1
+
+
 def test_full_forward_sweep_count(two_soliton, monkeypatch):
     calls = _count_sweeps(monkeypatch)
     result = forward.full_forward(two_soliton, RhoGrid(10.0, 64))
     assert len(result.j_plus.bound_states) == 2
-    # seven count rounds (7), real grid (2), and per state the weight fields
-    # (2); the residue ring made it 17, the determinant scan and zoom 24
-    assert len(calls) == 13
+    # 320 swept cells: one count sweep (1), three rounds of matching-node half
+    # sweeps (4 x 2 halves), the real grid (2) and all states' weight fields
+    # (2); seven count rounds and two weight sweeps per state stepped 4160
+    assert sum(cells for _, cells in calls) == 2560
 
 
 def test_full_forward_sweeps_have_real_rho_squared(two_soliton, bump_setup, monkeypatch):
@@ -313,8 +376,9 @@ def test_full_forward_sweeps_have_real_rho_squared(two_soliton, bump_setup, monk
     _, bump, _ = bump_setup
     for pot in (two_soliton, bump):
         forward.full_forward(pot, RhoGrid(10.0, 64))
-    assert len(calls) == 13 + 2
-    for rhos in calls:
+    # the bump's 800 cells are stepped by its two real-grid sweeps only
+    assert sum(cells for _, cells in calls) == 2560 + 2 * 800
+    for rhos, _ in calls:
         assert np.all((rhos**2).imag == 0)
 
 
@@ -387,7 +451,7 @@ def test_weights_sech_well():
     grid = SpaceGrid.from_bounds(-10.0, 10.0, 0.02)
     well = domain.sech_well(grid, tau=1.0)
     ((tau, _),) = forward.find_bound_states(well)
-    n_minus, n_plus = forward.weight_matrices(well, tau, 1)
+    ((n_minus, n_plus),) = forward.weight_matrices(well, [(tau, 1)])
     assert abs(n_plus[0, 0] - 2.0) < 1e-3
     assert abs(n_minus[0, 0] - 2.0) < 1e-3
 
@@ -398,7 +462,7 @@ def test_weights_projector_soliton():
     grid = SpaceGrid.from_bounds(-10.0, 10.0, 0.02)
     well = domain.sech_well(grid, tau=1.0, matrix=proj)
     ((tau, _),) = forward.find_bound_states(well)
-    n_minus, n_plus = forward.weight_matrices(well, tau, 1)
+    ((n_minus, n_plus),) = forward.weight_matrices(well, [(tau, 1)])
     assert np.abs(n_plus - 2.0 * proj).max() < 2e-3
     assert np.abs(n_plus - n_plus.conj().T).max() < 1e-8
     assert domain.psd_margin(n_plus) > -1e-8
@@ -412,7 +476,7 @@ def test_weights_of_multiplicity_two_and_of_the_two_soliton(two_soliton):
     with pytest.warns(UserWarning, match="threshold"):
         ((tau, rank),) = forward.find_bound_states(well)
     assert rank == 2
-    for n in forward.weight_matrices(well, tau, rank):
+    for n in forward.weight_matrices(well, [(tau, rank)])[0]:
         assert np.abs(n - 2.0 * np.eye(2)).max() < 2e-3
 
     v = np.array([1.0, 1.0j]) / np.sqrt(2)
@@ -434,7 +498,7 @@ def test_weights_deep_box_on_a_coarse_grid():
     for tau, rank in states:
         f = box_oracle_field(x, 1j * tau, height).real
         norm = np.trapezoid(f**2, x) + (f[0] ** 2 + f[-1] ** 2) / (2.0 * tau)
-        _, n_plus = forward.weight_matrices(box, tau, rank)
+        ((_, n_plus),) = forward.weight_matrices(box, [(tau, rank)])
         assert abs(n_plus[0, 0] * norm - 1.0) < 1e-6
 
 
@@ -444,7 +508,7 @@ def test_weights_refuse_a_tau_without_a_state(tau):
     grid = SpaceGrid.from_bounds(-10.0, 10.0, 0.02)
     well = domain.sech_well(grid, tau=1.0)
     with pytest.raises(NumericsError, match=f"tau = {tau:g}"):
-        forward.weight_matrices(well, tau, 1)
+        forward.weight_matrices(well, [(tau, 1)])
     with pytest.raises(NumericsError, match=f"tau = {tau:g}"):
         forward.residue_matrix(well, tau)
 
