@@ -342,7 +342,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     ok = report_a.passed
     denominator = conditions.right_denominator(data) if data.side == "right" else None
     if denominator is not None:
-        report_b = conditions.check_condition_B_numeric(denominator[0], data)
+        report_b = conditions.check_condition_B_numeric(denominator, data)
         payload["condition_B"] = report_b.as_dict()
         ok = ok and report_b.passed
     if args.out:

@@ -4,10 +4,11 @@ Two families of report-style validators:
 
 * per-side checks (reflection norm below one, conjugation symmetry, decay,
   Fourier-kernel regularity, weight positivity), and
-* checks on a candidate transmission denominator D(rho): analyticity probe,
-  residue structure at the bound-state points, large-rho and small-rho
-  behavior, the modulus identity against the reflection data, and
-  integrability of the connected left kernel.
+* numeric checks on a candidate transmission denominator D(rho) and the
+  residues of D^-1 it comes with: analyticity probe, the residues against
+  the weights (``residue_check``), large-rho and small-rho behavior, the
+  modulus identity against the reflection data, and integrability of the
+  connected left kernel.
 
 Asymptotic items are operationalized on a finite grid as two-scale trends: a
 limit cannot be tested, but a bounded or decreasing pair of probes can.
@@ -25,12 +26,11 @@ from mstl.domain import (
     BoundState,
     ScatteringData,
     ValidationError,
-    contour_residue,
     hermitian_pseudo_inverse,
-    hermitian_rank,
     matrix_operator_norm,
     operator_norms,
-    residue_contour_radius,
+    residue_check,
+    tau_gap,
     weight_check,
 )
 
@@ -138,9 +138,8 @@ def check_condition_A(data: ScatteringData) -> ConditionReport:
 
     items.append(_kernel_tail_item("kernel_tail_decay", data.side, r_norms))
 
-    taus = np.array(data.taus)
-    tau_ok = bool(np.all(taus > 0)) and (len(taus) < 2 or float(np.diff(np.sort(taus)).min()) > 1e-6)
-    items.append(CheckItem("bound_state_taus", tau_ok, float(taus.min(initial=1.0)), 0.0))
+    gap, gap_tol = tau_gap(data.taus)
+    items.append(CheckItem("bound_state_taus", gap >= gap_tol, gap, gap_tol))
 
     # the weight whose margin and defect lie closest to (or furthest past) its own tolerance
     checks = [weight_check(b.weight) for b in data.bound_states] or [(0.0, 0.0, HERMITICITY_RTOL)]
@@ -351,13 +350,17 @@ def _semicircle(radius: float) -> np.ndarray:
     return radius * np.exp(1j * theta)
 
 
-def check_condition_B_numeric(d_of, j_plus: ScatteringData) -> ConditionReport:
+def check_condition_B_numeric(denominator, j_plus: ScatteringData) -> ConditionReport:
     """Numeric report on a candidate transmission denominator for right data.
 
-    Analyticity is probed by Cauchy-integral self-consistency on a rectangle
-    (a finite test, not a proof); residues, asymptotics, the modulus identity
-    and the connected left kernel are measured directly.
+    ``denominator`` is the pair (D evaluator, residues of D^-1 in bound-state
+    order) that ``right_denominator`` returns.  Analyticity is probed by
+    Cauchy-integral self-consistency on a rectangle (a finite test, not a
+    proof); the residues are judged against the weights (``residue_check``);
+    asymptotics, the modulus identity and the connected left kernel are
+    measured directly.
     """
+    d_of, residues = denominator
     nodes = j_plus.rho_grid.nodes
     rho_max = j_plus.rho_grid.rho_max
     m = j_plus.m
@@ -367,8 +370,7 @@ def check_condition_B_numeric(d_of, j_plus: ScatteringData) -> ConditionReport:
     # Cauchy self-consistency on a rectangle enclosing the bound-state points,
     # applied to rho (D - I): that combination is the one required continuous
     # down to the real axis, where D itself may blow up like 1/rho.
-    taus = list(j_plus.taus)
-    top = 2.0 * max(taus, default=1.0) + 1.0
+    top = 2.0 * max(j_plus.taus, default=1.0) + 1.0
     rect_w = max(rho_max / 2, 1.0)
     corners = [-rect_w + 0.1j, rect_w + 0.1j, rect_w + top * 1j, -rect_w + top * 1j]
     z0 = 0.5j * (0.1 + top)
@@ -385,20 +387,14 @@ def check_condition_B_numeric(d_of, j_plus: ScatteringData) -> ConditionReport:
     cauchy_defect = matrix_operator_norm(probe - total) / (1.0 + matrix_operator_norm(probe))
     items.append(CheckItem("analytic_cauchy_probe", cauchy_defect <= 1e-2, float(cauchy_defect), 1e-2))
 
-    # residues of D^{-1} proportional to the weights with invertible cofactor
-    res_defect = 0.0
-    rank_ok = True
-    for b in j_plus.bound_states:
-        radius = residue_contour_radius(b.tau, taus)
-        r_hat = contour_residue(lambda z: np.linalg.inv(d_of(z)), 1j * b.tau, radius)
-        proj = hermitian_pseudo_inverse(b.weight) @ b.weight
-        defect = matrix_operator_norm(r_hat - r_hat @ proj) / max(matrix_operator_norm(r_hat), 1e-30)
-        res_defect = max(res_defect, defect)
-        rank_n = hermitian_rank(b.weight)
-        rank_r = int(np.linalg.matrix_rank(r_hat, tol=1e-8 * max(matrix_operator_norm(r_hat), 1e-30)))
-        rank_ok = rank_ok and (rank_n == rank_r)
-    items.append(CheckItem("residue_matches_weight", rank_ok and res_defect <= 1e-6,
-                           float(res_defect), 1e-6))
+    # residues of D^{-1}: C_k N_k with invertible C_k; the residue furthest
+    # past (or closest to) its tolerance is reported, and a missing one fails
+    checks = [residue_check(r, b.weight) for b, r in zip(j_plus.bound_states, residues)]
+    if len(residues) != len(j_plus.bound_states):
+        checks.append((np.inf, HERMITICITY_RTOL, False))
+    res_defect, res_tol, _ = max(checks, key=lambda c: c[0] / c[1], default=(0.0, HERMITICITY_RTOL, True))
+    res_ok = all(defect <= tol and rank_ok for defect, tol, rank_ok in checks)
+    items.append(CheckItem("residue_matches_weight", res_ok, res_defect, res_tol))
 
     # |rho| * ||D - I|| bounded at two scales
     v1 = matrix_operator_norm(d_of(_semicircle(rho_max)) - eye) * rho_max

@@ -27,10 +27,9 @@ import numpy as np
 EIG_CUTOFF_REL = 1e-10
 # Hermiticity tolerance: defect <= HERMITICITY_RTOL * (1 + ||N||) is repaired
 # by symmetrization, anything above is rejected.  A weight's PSD margin may
-# fall as far below zero (``weight_check``).
+# fall as far below zero (``weight_check``), and a residue stray as far out of
+# its weight's range (``residue_check``).
 HERMITICITY_RTOL = 1e-8
-# Trapezoid nodes on a residue contour.
-_CONTOUR_NODES = 64
 # Gaussian bumps of the bundled random potential, and the norm of each.
 _RANDOM_BUMPS = 3
 _RANDOM_AMPLITUDE = 0.4
@@ -54,10 +53,6 @@ class IllPosedDataError(NumericsError):
 
 class InconsistentDataError(NumericsError):
     """Left/right reconstructions disagree beyond tolerance."""
-
-
-class ContourGeometryError(ValidationError):
-    """A residue contour would cross the real axis or a neighboring pole."""
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +103,32 @@ def weight_check(n: np.ndarray) -> tuple[float, float, float]:
     return psd_margin(n), hermitian_defect(n), HERMITICITY_RTOL * (1.0 + matrix_operator_norm(n))
 
 
+def residue_check(r: np.ndarray, n: np.ndarray) -> tuple[float, float, bool]:
+    """(defect, tolerance, ranks agree) of a residue R against its weight N: the one rule for residues.
+
+    Condition B wants R = C N with C invertible.  The defect is ||R K K^H||,
+    K a basis of the complement of N's range (``range_split``), against
+    ``HERMITICITY_RTOL`` (1 + ||R||); the rank of R counts its singular values
+    above ``EIG_CUTOFF_REL`` times the largest, the cutoff of N's range.
+    """
+    r = np.asarray(r, dtype=complex)
+    w, _, ker = range_split(np.asarray(n, dtype=complex))
+    s = np.linalg.svd(r, compute_uv=False)  # descending
+    rank = np.count_nonzero(s > EIG_CUTOFF_REL * s[0])
+    tol = HERMITICITY_RTOL * (1.0 + float(s[0]))
+    return matrix_operator_norm(r @ ker @ ker.conj().T), tol, bool(rank == w.size)
+
+
+def tau_gap(taus) -> tuple[float, float]:
+    """(smallest gap between two taus, tolerance): the one rule for distinct taus.
+
+    Taus are distinct when the gap is at least 1e-8 times the largest tau;
+    fewer than two taus have an infinite gap.
+    """
+    taus = np.sort(np.asarray(taus, dtype=float))
+    return float(np.diff(taus).min(initial=np.inf)), 1e-8 * float(taus.max(initial=0.0))
+
+
 def _checked_hermitian(n: np.ndarray, what: str = "matrix") -> np.ndarray:
     n = np.asarray(n, dtype=complex)
     if n.ndim != 2 or n.shape[0] != n.shape[1]:
@@ -153,39 +174,10 @@ def hermitian_pseudo_inverse(n: np.ndarray) -> np.ndarray:
     return (v * (1.0 / w)) @ v.conj().T
 
 
-def hermitian_rank(n: np.ndarray) -> int:
-    """Dimension of the range of a Hermitian matrix (``range_split``)."""
-    return range_split(_checked_hermitian(n, "rank input"))[0].size
-
-
 def psd_margin(n: np.ndarray) -> float:
     """Smallest eigenvalue of the symmetrized matrix (negative = PSD violation)."""
     n = np.asarray(n, dtype=complex)
     return float(np.linalg.eigvalsh(0.5 * (n + n.conj().T)).min())
-
-
-def residue_contour_radius(tau: float, neighbor_taus) -> float:
-    """Residue contour radius around rho = i tau: min(tau/2, gap/2, 0.2), gap the
-    distance to the nearest other tau, so the ring misses the axis and other poles."""
-    gap = min((abs(tau - t) for t in neighbor_taus if t != tau), default=np.inf)
-    return min(tau / 2.0, gap / 2.0, 0.2)
-
-
-def contour_residue(f, center: complex, radius: float) -> np.ndarray:
-    """Residue of a matrix function at ``center`` by a circular trapezoid contour.
-
-    ``f`` must accept a complex array of shape (n,), the ``_CONTOUR_NODES``
-    nodes of the ring, and return values of shape (n, ...), for instance
-    (n, m, m); the residue has the trailing shape.  Trapezoid on a circle
-    converges exponentially for integrands that are analytic apart from the
-    enclosed simple pole.
-    """
-    if radius <= 0:
-        raise ContourGeometryError("contour radius must be positive")
-    theta = 2.0 * np.pi * (np.arange(_CONTOUR_NODES) + 0.5) / _CONTOUR_NODES
-    ring = np.exp(1j * theta)
-    values = np.asarray(f(center + radius * ring))
-    return (radius / _CONTOUR_NODES) * np.tensordot(ring, values, axes=(0, 0))
 
 
 # ---------------------------------------------------------------------------

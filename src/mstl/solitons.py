@@ -25,10 +25,10 @@ from mstl.domain import (
     SampledPotential,
     SpaceGrid,
     ValidationError,
-    hermitian_pseudo_inverse,
-    matrix_operator_norm,
     range_factors,
     range_split,
+    residue_check,
+    tau_gap,
     weight_check,
 )
 
@@ -71,8 +71,8 @@ def checked_states(states) -> tuple[list, list]:
             raise ValidationError(f"the weight of tau = {tau:g} has non-finite entries")
     if min(taus) <= 0:
         raise ValidationError("taus must be positive")
-    gaps = [abs(a - b) for i, a in enumerate(taus) for b in taus[i + 1 :]]
-    if gaps and min(gaps) < 1e-8 * max(taus):
+    gap, tol = tau_gap(taus)
+    if gap < tol:
         raise ValidationError("taus must be distinct")
     for tau, n in zip(taus, weights):
         margin, defect, tol = weight_check(n)
@@ -105,10 +105,11 @@ def build_projector_chain(states) -> ProjectorChain:
     for k, (tau, n) in enumerate(zip(taus, weights)):
         left = _factors_at(eye, taus, projectors, k, range(len(taus) - 1, k, -1))
         res = left @ (2j * tau * projectors[k]) @ rights[k]
-        defect = matrix_operator_norm(res - res @ hermitian_pseudo_inverse(n) @ n)
-        if defect > 1e-8 * (1.0 + matrix_operator_norm(res)):
+        defect, tol, rank_ok = residue_check(res, n)
+        if defect > tol or not rank_ok:
             raise NumericsError(
-                f"residue at tau = {tau:g} is not a multiple of the weight (defect {defect:.3e})"
+                f"residue at tau = {tau:g} is not an invertible multiple of the weight "
+                f"(defect {defect:.3e}, ranks agree: {rank_ok})"
             )
         residues.append(res)
     return ProjectorChain(taus=tuple(taus), projectors=tuple(projectors), residues=tuple(residues))
@@ -120,22 +121,6 @@ def _factors_at(eye, taus, projectors, k: int, order) -> np.ndarray:
     for j in order:
         out = out @ (eye + 2.0 * taus[j] / (taus[k] - taus[j]) * projectors[j])
     return out
-
-
-def evaluate_U(chain: ProjectorChain, rho) -> np.ndarray:
-    """The unitary factor at one or many spectral points (poles excluded)."""
-    rho = np.asarray(rho, dtype=complex)
-    scalar = rho.ndim == 0
-    z = np.atleast_1d(rho)
-    for tau in chain.taus:
-        if np.any(np.abs(z - 1j * tau) < 1e-12):
-            raise ValidationError(f"evaluation at the pole rho = {tau:g}i")
-    m = chain.m
-    eye = np.eye(m, dtype=complex)
-    out = np.broadcast_to(eye, z.shape + (m, m)).copy()
-    for tau, p in zip(chain.taus[::-1], chain.projectors[::-1]):
-        out = out @ (eye + ((2j * tau) / (z - 1j * tau))[:, None, None] * p)
-    return out[0] if scalar else out
 
 
 def reflectionless_D(chain: ProjectorChain):

@@ -1,4 +1,4 @@
-"""Shared fixtures: reference potentials, forward data, and the box oracle."""
+"""Shared fixtures: reference potentials, forward data, the box oracle and a ring residue."""
 
 import numpy as np
 import pytest
@@ -42,6 +42,17 @@ def box_oracle_field(x, rho, height=1.0, half_width=1.0):
     out[mid] = a_in * np.exp(1j * kappa * x[mid]) + b_in * np.exp(-1j * kappa * x[mid])
     out[left] = a * np.exp(1j * rho * x[left]) + b * np.exp(-1j * rho * x[left])
     return out
+
+
+def contour_residue(f, center, radius, nodes=64):
+    """Residue of a matrix function at ``center`` by the trapezoid rule on a ring.
+
+    ``f`` maps a complex array of shape (n,) to values of shape (n, ...).
+    The rule converges exponentially when f is analytic on and inside the
+    ring apart from a simple pole at the center.
+    """
+    ring = np.exp(2j * np.pi * (np.arange(nodes) + 0.5) / nodes)
+    return (radius / nodes) * np.tensordot(ring, np.asarray(f(center + radius * ring)), axes=(0, 0))
 
 
 @pytest.fixture(scope="session")

@@ -231,7 +231,9 @@ def test_criterion_11_condition_validators(box_forward, bump_forward, soliton_da
     )
 
     chain = solitons.build_projector_chain([(1.0, np.array([[2.0 + 0j]]))])
-    report_b = conditions.check_condition_B_numeric(solitons.reflectionless_D(chain), soliton_data)
+    report_b = conditions.check_condition_B_numeric(
+        (solitons.reflectionless_D(chain), chain.residues), soliton_data
+    )
     b_names = ["residue_matches_weight", "large_rho_identity", "inverse_bounded_near_zero",
                "modulus_identity", "zero_limit"]
     b_ok = all(report_b.item(n).passed for n in b_names)
@@ -257,7 +259,7 @@ def test_criterion_11_condition_validators(box_forward, bump_forward, soliton_da
         z = np.atleast_1d(np.asarray(z, complex))
         return np.broadcast_to(eye, z.shape + (1, 1)).copy()
 
-    v3 = conditions.check_condition_B_numeric(identity_d, box_forward.j_plus)
+    v3 = conditions.check_condition_B_numeric((identity_d, []), box_forward.j_plus)
     v3_ok = not v3.item("modulus_identity").passed
 
     ok = all_pass and b_ok and v1_ok and v2_ok and v3_ok

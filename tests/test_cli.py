@@ -357,6 +357,25 @@ def test_one_weight_rule_for_condition_A_validate_and_invert(tmp_path, low, verd
                      "--out", str(tmp_path / "inv")]) == verdict
 
 
+@pytest.mark.parametrize("gap, verdict", [(5e-7, 0), (2e-8, 0), (5e-9, 2)])
+def test_one_tau_rule_for_condition_A_validate_and_invert(tmp_path, gap, verdict):
+    # taus are distinct when they lie at least 1e-8 times the largest tau apart
+    rg = RhoGrid(20.0, 256)
+    data = ScatteringData(
+        side="right", rho_grid=rg, S=np.zeros((rg.n, 2, 2), complex),
+        bound_states=(BoundState(tau=1.0, weight=np.diag([2.0, 0.0]).astype(complex), side="right"),
+                      BoundState(tau=1.0 + gap, weight=np.diag([0.0, 2.0]).astype(complex), side="right")),
+    )
+    path = tmp_path / "data.json"
+    cli.write_scattering_json(path, data)
+    item = conditions.check_condition_A(data).item("bound_state_taus")
+    assert (item.value, item.tol) == (pytest.approx(gap, rel=1e-6), pytest.approx(1e-8 * (1.0 + gap)))
+    assert item.passed == (verdict == 0)
+    assert cli.main(["validate", "--data", str(path)]) == verdict
+    assert cli.main(["invert", "--data", str(path), "--x-min", "-1", "--x-max", "1", "--dx", "0.05",
+                     "--out", str(tmp_path / "inv")]) == verdict
+
+
 @pytest.mark.parametrize("weight", ["1e-300", "1e300"])
 def test_soliton_refuses_a_state_off_the_grid(tmp_path, capsys, weight):
     # the one-soliton centre ln(N / 2 tau) / 2 tau lies near x = -345 (+345)

@@ -3,6 +3,7 @@ import pytest
 
 from mstl import conditions, domain, forward, solitons
 from mstl.domain import BoundState, RhoGrid, ScatteringData
+from tests.conftest import contour_residue
 
 
 def zero_data(side="right", m=1, rho_grid=None):
@@ -91,10 +92,9 @@ def test_scalar_D_residues_match_the_contour_oracle():
     d_of = conditions.scalar_D(data)
     taus = list(data.taus)
     assert len(taus) == 2
+    gap = abs(taus[0] - taus[1])
     for tau, r in zip(taus, d_of.residues()):
-        ring = domain.contour_residue(
-            lambda z: np.linalg.inv(d_of(z)), 1j * tau, domain.residue_contour_radius(tau, taus)
-        )
+        ring = contour_residue(lambda z: np.linalg.inv(d_of(z)), 1j * tau, min(tau / 2, gap / 2, 0.2))
         assert np.abs(r - ring).max() <= 1e-12 * np.abs(r).max()
 
 
@@ -153,13 +153,15 @@ def test_scalar_D_rejects_matrix_data(bump_forward):
 
 def test_condition_B_reflectionless_passes(soliton_data):
     chain = solitons.build_projector_chain([(1.0, np.array([[2.0 + 0j]]))])
-    report = conditions.check_condition_B_numeric(solitons.reflectionless_D(chain), soliton_data)
+    report = conditions.check_condition_B_numeric(
+        (solitons.reflectionless_D(chain), chain.residues), soliton_data
+    )
     assert report.passed
 
 
 def test_condition_B_scalar_box_passes(box_forward):
     d_ev = conditions.scalar_D(box_forward.j_plus)
-    report = conditions.check_condition_B_numeric(d_ev, box_forward.j_plus)
+    report = conditions.check_condition_B_numeric((d_ev, d_ev.residues()), box_forward.j_plus)
     assert report.passed
     assert report.item("modulus_identity").value < 1e-3
 
@@ -173,18 +175,37 @@ def test_condition_B_flags_broken_modulus(box_forward):
         z = np.atleast_1d(np.asarray(z, complex))
         return np.broadcast_to(eye, z.shape + (1, 1)).copy()
 
-    report = conditions.check_condition_B_numeric(identity_D, data)
+    report = conditions.check_condition_B_numeric((identity_D, []), data)
     item = report.item("modulus_identity")
     assert not item.passed
     expected = np.abs(np.abs(data.S[:, 0, 0]) ** 2).max()
     assert item.value == pytest.approx(expected, rel=1e-10)
 
 
+E1 = np.diag([1.0, 0.0]).astype(complex)
+
+
+@pytest.mark.parametrize("weight, residues", [
+    (2.0 * E1, [2j * np.array([[0.0, 1.0], [0.0, 0.0]])]),  # rows off the weight's range
+    (np.eye(2, dtype=complex), [2j * E1]),  # rank one for a weight of rank two
+    (np.eye(2, dtype=complex), []),  # missing
+], ids=["off_range", "rank", "missing"])
+def test_condition_B_flags_each_bad_residue(weight, residues):
+    # the exact pair passes; the same D with a bad residue fails that item alone
+    rg = RhoGrid(8.0, 64)
+    data = ScatteringData(side="right", rho_grid=rg, S=np.zeros((rg.n, 2, 2), complex),
+                          bound_states=(BoundState(tau=1.0, weight=weight, side="right"),))
+    d_of, exact = conditions.right_denominator(data)
+    assert conditions.check_condition_B_numeric((d_of, exact), data).passed
+    report = conditions.check_condition_B_numeric((d_of, residues), data)
+    assert report.failed_names() == ["residue_matches_weight"]
+
+
 def test_forward_data_pass_both_conditions(box_forward):
     # necessity, numerically: true scattering data admit a valid denominator
     assert conditions.check_condition_A(box_forward.j_plus).passed
     d_ev = conditions.scalar_D(box_forward.j_plus)
-    assert conditions.check_condition_B_numeric(d_ev, box_forward.j_plus).passed
+    assert conditions.check_condition_B_numeric((d_ev, d_ev.residues()), box_forward.j_plus).passed
 
 
 def test_condition_A_kernel_memory_is_bounded():

@@ -7,11 +7,11 @@ from mstl.domain import (
     SampledPotential,
     SpaceGrid,
     ValidationError,
-    contour_residue,
     hermitian_pseudo_inverse,
-    hermitian_rank,
     matrix_operator_norm,
+    range_split,
 )
+from tests.conftest import contour_residue
 
 VV = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)  # vv* for v = (1, 1)
 
@@ -45,7 +45,7 @@ def test_pinv_properties_random_psd(seed):
     pinv = hermitian_pseudo_inverse(n)
     assert np.allclose(n @ pinv @ n, n, atol=1e-10)
     assert np.min(np.linalg.eigvalsh(pinv)) >= -1e-12
-    assert hermitian_rank(pinv) == hermitian_rank(n) == 2
+    assert range_split(pinv)[0].size == range_split(n)[0].size == 2
     # double pseudo-inverse restores N on its range
     assert matrix_operator_norm(hermitian_pseudo_inverse(pinv) - n) <= 1e-8 * (
         1 + matrix_operator_norm(n)
@@ -59,7 +59,7 @@ def test_one_rank_rule_for_weights(small):
     # factors and the projector chain's kernel alike
     n = np.diag([2.0, small]).astype(complex)
     w, _, ker = domain.range_split(n)
-    assert hermitian_rank(n) == w.size == 1
+    assert w.size == 1
     assert np.allclose(hermitian_pseudo_inverse(n), np.diag([0.5, 0.0]), rtol=0, atol=1e-15)
     b, index = domain.range_factors([n])
     assert np.allclose(b @ b.conj().T, np.diag([2.0, 0.0]), rtol=0, atol=1e-15)
@@ -67,6 +67,31 @@ def test_one_rank_rule_for_weights(small):
     assert np.allclose(np.abs(ker[:, 0]), [0.0, 1.0])
     chain = solitons.build_projector_chain([(1.0, n)])
     assert np.allclose(chain.projectors[0], np.diag([1.0, 0.0]), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [np.eye(2), VV, np.diag([2.0, 1e-8])], ids=["full", "rank1", "weak"])
+def test_residue_check_accepts_invertible_multiples(n):
+    # a weak direction inside the weight's range keeps its rank in C N
+    c = np.array([[1.0, 2.0j], [0.5, -1.0]])
+    defect, tol, ranks_agree = domain.residue_check(c @ n, n)
+    assert defect <= tol and ranks_agree
+    assert tol == pytest.approx(1e-8 * (1.0 + matrix_operator_norm(c @ n)))
+
+
+def test_residue_check_flags_range_and_rank():
+    # rows along e2 for a weight on e1: the ranks agree, the defect is ||R||
+    off = np.array([[0.0, 1.0], [0.0, 1.0j]])
+    defect, tol, ranks_agree = domain.residue_check(off, np.diag([2.0, 0.0]))
+    assert defect == pytest.approx(np.sqrt(2.0)) and defect > tol and ranks_agree
+    # a rank-one residue for the weight I: no defect, but C is singular
+    defect, tol, ranks_agree = domain.residue_check(2j * VV, np.eye(2))
+    assert defect == 0.0 and not ranks_agree
+
+
+def test_tau_gap():
+    assert domain.tau_gap([2.0, 1.0, 1.5]) == (0.5, 2e-8)
+    assert domain.tau_gap([4.0]) == (np.inf, 4e-8)
+    assert domain.tau_gap([]) == (np.inf, 0.0)
 
 
 def test_operator_norm_examples():

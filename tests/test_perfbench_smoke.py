@@ -1,0 +1,27 @@
+"""One pass of every benchmark workload, with the benchmark's own checks.
+
+A report item that is renamed or newly fails would make a benchmark run
+incorrect; here it fails a test first.  The workloads are imported from
+``perfbench/`` as they are.
+"""
+
+import importlib
+from pathlib import Path
+
+from mstl import cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+# the one fault each workload is known to show on every pass (see perfbench/README.md)
+EXPECTED_FAULTS = {"soliton-roundtrip": {"forward": ["forward.kernel_tail_decay"]}}
+
+
+def test_one_pass_of_each_workload(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    for name, make_steps in workloads.WORKLOADS.items():
+        outcomes = [(step.name, step.check(cli.main(step.argv), step.out))
+                    for step in make_steps(701, tmp_path / name)]
+        _, _, unknown = workloads.tally(outcomes)
+        assert unknown == [], name
+        faults = {step: o.faults for step, o in outcomes if o.faults}
+        assert faults == EXPECTED_FAULTS.get(name, {}), name
