@@ -149,7 +149,7 @@ def _scattering_from_doc(doc) -> ScatteringData:
         if not np.isfinite(tau):
             raise ValidationError(f"bound-state tau must be finite, got {tau}")
         weight = _complex_from_pairs(b["N"], (m, m), "bound-state weight N")
-        states.append(BoundState(tau=tau, weight=weight, side=doc["side"]))
+        states.append(BoundState(tau=tau, weight=weight))
     return ScatteringData(side=doc["side"], rho_grid=grid, S=s, bound_states=tuple(states))
 
 
@@ -282,7 +282,7 @@ def cmd_soliton(args: argparse.Namespace) -> int:
     m = states[0][1].shape[0]
     data = ScatteringData(
         side="right", rho_grid=rho, S=np.zeros((rho.n, m, m), dtype=complex),
-        bound_states=tuple(BoundState(tau=t, weight=n, side="right") for t, n in states),
+        bound_states=tuple(BoundState(tau=t, weight=n) for t, n in states),
     )
     write_scattering_json(args.out / "scattering_right.json", data)
     write_report(args.out / "report.json", {

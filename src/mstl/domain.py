@@ -406,17 +406,15 @@ def random_potential(grid: SpaceGrid, dim: int = 2, seed: int = 0) -> SampledPot
 
 @dataclass(frozen=True)
 class BoundState:
-    """One bound state: rho = i*tau with a Hermitian PSD weight matrix."""
+    """One bound state: rho = i*tau with a Hermitian PSD weight matrix, on the side
+    of the ScatteringData that holds it."""
 
     tau: float
     weight: np.ndarray
-    side: str  # "right" | "left"
 
     def __post_init__(self):
         if self.tau <= 0:
             raise ValidationError("tau must be positive")
-        if self.side not in ("right", "left"):
-            raise ValidationError(f"unknown side {self.side!r}")
         object.__setattr__(self, "weight", np.asarray(self.weight, dtype=complex))
 
 
@@ -438,8 +436,6 @@ class ScatteringData:
         object.__setattr__(self, "S", s)
         object.__setattr__(self, "bound_states", tuple(self.bound_states))
         for b in self.bound_states:
-            if b.side != self.side:
-                raise ValidationError("bound state side disagrees with data side")
             if b.weight.shape != s.shape[1:]:
                 raise ValidationError("bound state weight dimension mismatch")
 

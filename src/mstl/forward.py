@@ -696,8 +696,8 @@ def full_forward(potential: SampledPotential, rho_grid: RhoGrid) -> ForwardResul
     s_minus, s_plus = reflection_matrices(coeffs)
     right_states, left_states = [], []
     for (tau, _), (n_minus, n_plus) in zip(states, weight_matrices(potential, states) if states else []):
-        right_states.append(BoundState(tau=tau, weight=n_plus, side="right"))
-        left_states.append(BoundState(tau=tau, weight=n_minus, side="left"))
+        right_states.append(BoundState(tau=tau, weight=n_plus))
+        left_states.append(BoundState(tau=tau, weight=n_minus))
 
     j_plus = ScatteringData(side="right", rho_grid=rho_grid, S=s_plus, bound_states=tuple(right_states))
     j_minus = ScatteringData(side="left", rho_grid=rho_grid, S=s_minus, bound_states=tuple(left_states))

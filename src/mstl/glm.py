@@ -26,8 +26,10 @@ data and R(-u) for left data, which the mirrored equation has in the same
 form; both are the + transform of the side's S, taken on the exact grid
 (2 x_0, du, count).  It is sampled to just past the slowest bound-state tail
 and is zero beyond, and also past |u| = ``RhoGrid.u_limit``, where the
-midpoint sum aliases.  The dense window is set by F alone: it ends where |F|
-has fallen below TAIL_REL times its running max (at least count + 7 nodes).
+midpoint sum aliases.  The dense window ends where |F| has fallen below
+TAIL_REL times its running max (at least count + 7 nodes), or at the end of
+the samples for the nodes where it never does: F can keep a floor above that
+(the bump's does past u = 10), and then the sampling end sets the window.
 Past its last node L the bound-state part
 sum_k N_k exp(-tau_k (t + y)) = E(t) E(y)^H is eliminated in closed form,
 which leaves the window kernel

@@ -40,7 +40,7 @@ def evolve_scattering_data(data: ScatteringData, t: float) -> ScatteringData:
                 f"weight scale exp({exponent:.3g}) overflows; use soliton_trajectory, "
                 "which carries weights in log scale"
             )
-        states.append(BoundState(tau=b.tau, weight=b.weight * np.exp(exponent), side="right"))
+        states.append(BoundState(tau=b.tau, weight=b.weight * np.exp(exponent)))
     return ScatteringData(side="right", rho_grid=data.rho_grid, S=s_t, bound_states=tuple(states))
 
 

@@ -1,4 +1,7 @@
-"""Shared fixtures: reference potentials, forward data, the box oracle and a ring residue."""
+"""Shared fixtures: reference potentials, forward data, the box oracle, a ring residue
+and a strict JSON reader."""
+
+import json
 
 import numpy as np
 import pytest
@@ -42,6 +45,15 @@ def box_oracle_field(x, rho, height=1.0, half_width=1.0):
     out[mid] = a_in * np.exp(1j * kappa * x[mid]) + b_in * np.exp(-1j * kappa * x[mid])
     out[left] = a * np.exp(1j * rho * x[left]) + b * np.exp(-1j * rho * x[left])
     return out
+
+
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def read_strict_json(path):
+    """Parse a JSON file, refusing the NaN and Infinity tokens Python's json writes by default."""
+    return json.loads(path.read_text(), parse_constant=_refuse_constant)
 
 
 def contour_residue(f, center, radius, nodes=64):
@@ -90,7 +102,7 @@ def bump_forward(bump_setup):
 def soliton_data():
     """Right data of the unit soliton: S = 0, tau = 1, weight 2."""
     rho_grid = domain.RhoGrid(8.0, 64)
-    state = domain.BoundState(tau=1.0, weight=np.array([[2.0 + 0j]]), side="right")
+    state = domain.BoundState(tau=1.0, weight=np.array([[2.0 + 0j]]))
     return domain.ScatteringData(
         side="right",
         rho_grid=rho_grid,

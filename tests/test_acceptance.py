@@ -90,7 +90,7 @@ def test_criterion_04_one_soliton_closed_form(soliton_data):
     rho_grid = soliton_data.rho_grid
     mat_data = ScatteringData(
         side="right", rho_grid=rho_grid, S=np.zeros((rho_grid.n, 2, 2), complex),
-        bound_states=(BoundState(tau=1.0, weight=2.0 * proj, side="right"),),
+        bound_states=(BoundState(tau=1.0, weight=2.0 * proj),),
     )
     out2 = glm.invert(mat_data, grid=grid)
     err_mat = float(np.abs(out2.potential.values - exact[:, None, None] * proj).max())
@@ -242,7 +242,7 @@ def test_criterion_11_condition_validators(box_forward, bump_forward, soliton_da
     rg = soliton_data.rho_grid
     non_psd = ScatteringData(
         side="right", rho_grid=rg, S=np.zeros((rg.n, 2, 2), complex),
-        bound_states=(BoundState(tau=1.0, weight=np.diag([1.0, -0.1]).astype(complex), side="right"),),
+        bound_states=(BoundState(tau=1.0, weight=np.diag([1.0, -0.1]).astype(complex)),),
     )
     v1 = conditions.check_condition_A(non_psd)
     v1_ok = (not v1.item("bound_state_psd").passed) and v1.item("bound_state_psd").value == pytest.approx(-0.1)

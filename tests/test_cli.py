@@ -6,6 +6,7 @@ import pytest
 
 from mstl import cli, conditions, domain, glm, kdv
 from mstl.domain import BoundState, NumericsError, RhoGrid, ScatteringData, SpaceGrid
+from tests.conftest import read_strict_json
 
 
 @pytest.fixture()
@@ -35,7 +36,7 @@ def test_scattering_json_roundtrip(tmp_path):
     s = rng.normal(size=(rg.n, 2, 2)) * 0.1 + 0.05j * rng.normal(size=(rg.n, 2, 2))
     data = ScatteringData(
         side="right", rho_grid=rg, S=s,
-        bound_states=(BoundState(tau=1.5, weight=np.array([[2.0, 1j], [-1j, 1.0]]), side="right"),),
+        bound_states=(BoundState(tau=1.5, weight=np.array([[2.0, 1j], [-1j, 1.0]])),),
     )
     path = tmp_path / "data.json"
     cli.write_scattering_json(path, data)
@@ -139,7 +140,7 @@ def test_scattering_json_bytes_match_the_json_oracle(tmp_path, m, n_rho, n_state
         S=_awkward_complex(rng, (n_rho, m, m)),
         bound_states=tuple(
             BoundState(tau=float(rng.choice([5e-324, 1e-300, 0.7, 1e300])),
-                       weight=_awkward_complex(rng, (m, m)), side="left")
+                       weight=_awkward_complex(rng, (m, m)))
             for _ in range(n_states)),
     )
     path = tmp_path / "data.json"
@@ -175,7 +176,7 @@ def test_non_finite_scattering_data_is_not_written(tmp_path, soliton_data, where
     else:
         tau = np.inf
     data = ScatteringData(side="right", rho_grid=soliton_data.rho_grid, S=s,
-                          bound_states=(BoundState(tau=tau, weight=weight, side="right"),))
+                          bound_states=(BoundState(tau=tau, weight=weight),))
     with pytest.raises(NumericsError, match="non-finite"):
         cli.write_scattering_json(tmp_path / "data.json", data)
     assert not (tmp_path / "data.json").exists()
@@ -318,7 +319,7 @@ def test_validate_command(tmp_path, soliton_data):
 
     bad = ScatteringData(
         side="right", rho_grid=soliton_data.rho_grid, S=soliton_data.S,
-        bound_states=(BoundState(tau=1.0, weight=np.array([[-1.0 + 0j]]), side="right"),),
+        bound_states=(BoundState(tau=1.0, weight=np.array([[-1.0 + 0j]])),),
     )
     bad_path = tmp_path / "bad.json"
     cli.write_scattering_json(bad_path, bad)
@@ -330,7 +331,7 @@ def test_validate_takes_one_rank_for_a_weight_and_its_residue(tmp_path):
     rg = RhoGrid(8.0, 32)
     data = ScatteringData(
         side="right", rho_grid=rg, S=np.zeros((rg.n, 2, 2), complex),
-        bound_states=(BoundState(tau=1.0, weight=np.diag([2.0, -1e-9]).astype(complex), side="right"),),
+        bound_states=(BoundState(tau=1.0, weight=np.diag([2.0, -1e-9]).astype(complex)),),
     )
     path = tmp_path / "data.json"
     cli.write_scattering_json(path, data)
@@ -344,8 +345,8 @@ def test_one_weight_rule_for_condition_A_validate_and_invert(tmp_path, low, verd
     rg = RhoGrid(8.0, 32)
     data = ScatteringData(
         side="right", rho_grid=rg, S=np.zeros((rg.n, 2, 2), complex),
-        bound_states=(BoundState(tau=2.0, weight=100.0 * np.eye(2, dtype=complex), side="right"),
-                      BoundState(tau=1.0, weight=np.diag([1.0, low]).astype(complex), side="right")),
+        bound_states=(BoundState(tau=2.0, weight=100.0 * np.eye(2, dtype=complex)),
+                      BoundState(tau=1.0, weight=np.diag([1.0, low]).astype(complex))),
     )
     path = tmp_path / "data.json"
     cli.write_scattering_json(path, data)
@@ -363,8 +364,8 @@ def test_one_tau_rule_for_condition_A_validate_and_invert(tmp_path, gap, verdict
     rg = RhoGrid(20.0, 256)
     data = ScatteringData(
         side="right", rho_grid=rg, S=np.zeros((rg.n, 2, 2), complex),
-        bound_states=(BoundState(tau=1.0, weight=np.diag([2.0, 0.0]).astype(complex), side="right"),
-                      BoundState(tau=1.0 + gap, weight=np.diag([0.0, 2.0]).astype(complex), side="right")),
+        bound_states=(BoundState(tau=1.0, weight=np.diag([2.0, 0.0]).astype(complex)),
+                      BoundState(tau=1.0 + gap, weight=np.diag([0.0, 2.0]).astype(complex))),
     )
     path = tmp_path / "data.json"
     cli.write_scattering_json(path, data)
@@ -398,7 +399,7 @@ def test_invert_refuses_mismatched_left_data(tmp_path, capsys, left_side, left_m
     def write(name, side, m):
         data = ScatteringData(
             side=side, rho_grid=rg, S=np.zeros((rg.n, m, m), complex),
-            bound_states=(BoundState(tau=1.0, weight=weight * np.eye(m, dtype=complex), side=side),),
+            bound_states=(BoundState(tau=1.0, weight=weight * np.eye(m, dtype=complex)),),
         )
         cli.write_scattering_json(tmp_path / name, data)
         return str(tmp_path / name)
@@ -433,7 +434,7 @@ def one_state_data(tmp_path, tau):
     rg = RhoGrid(8.0, 32)
     data = ScatteringData(
         side="right", rho_grid=rg, S=np.zeros((rg.n, 1, 1), complex),
-        bound_states=(BoundState(tau=tau, weight=np.array([[2 * tau + 0j]]), side="right"),),
+        bound_states=(BoundState(tau=tau, weight=np.array([[2 * tau + 0j]])),),
     )
     path = tmp_path / "weak.json"
     cli.write_scattering_json(path, data)
@@ -487,6 +488,45 @@ def test_exit_codes(tmp_path):
                      "--out", str(tmp_path / "o")]) == 4
     # soliton without states -> validation error
     assert cli.main(["soliton", "--out", str(tmp_path / "s")]) == 2
+
+
+# Odd but valid options, each run with its documented exit code; "{d}" is the
+# case's output directory.  Past a spectral step 2 rho_max / n_rho of about 226
+# the u-window of the kernel checks holds a single sample.
+EDGE_RUNS = {
+    "soliton on a coarse grid, then validate": [
+        ("soliton --tau 1 --weight 2 --rho-max 1000 --n-rho 8 --out {d}/s", 0),
+        ("validate --data {d}/s/scattering_right.json --out {d}/v", 2),  # analytic_cauchy_probe
+    ],
+    "forward on a coarse grid": [
+        ("forward --bundled bump --x-min -3 --x-max 3 --rho-max 1000 --n-rho 8 --out {d}/f", 2),
+    ],
+    "forward on a wide grid": [("forward --bundled bump --n-rho 64 --rho-max 1e6 --out {d}/f", 2)],
+    "roundtrip on a coarse grid": [
+        ("roundtrip --bundled bump --x-min -3 --x-max 3 --rho-max 1000 --n-rho 8 --out {d}/r", 2),
+    ],
+    "two rho nodes": [
+        ("soliton --tau 1 --weight 2 --n-rho 2 --out {d}/s", 0),
+        ("validate --data {d}/s/scattering_right.json --out {d}/v", 0),
+        ("forward --bundled bump --n-rho 2 --out {d}/f", 0),
+        ("roundtrip --bundled bump --x-min -2 --x-max 2 --n-rho 2 --out {d}/r", 3),
+    ],
+    "two rho nodes of scalar data with reflection": [
+        ("forward --bundled box --x-min -2 --x-max 2 --n-rho 2 --out {d}/f", 2),
+        # the scalar denominator needs four nodes
+        ("validate --data {d}/f/scattering_right.json", 2),
+        ("invert --data {d}/f/scattering_right.json --x-min -2 --x-max 2 --out {d}/i", 2),
+    ],
+    "kdv at one time": [("kdv --tau 1 --weight 2 --n-t 1 --out {d}/k", 0)],
+}
+
+
+@pytest.mark.parametrize("runs", EDGE_RUNS.values(), ids=EDGE_RUNS.keys())
+def test_edge_inputs_end_in_their_exit_codes(tmp_path, runs):
+    for argv, code in runs:
+        assert cli.main(argv.format(d=tmp_path).split()) == code, argv
+    for path in tmp_path.rglob("report.json"):
+        read_strict_json(path)
 
 
 def _scattering_doc(soliton_data, tmp_path):

@@ -28,7 +28,7 @@ def test_condition_A_flags_non_psd_weight():
     rg = RhoGrid(8.0, 32)
     bad = ScatteringData(
         side="right", rho_grid=rg, S=np.zeros((rg.n, 2, 2), complex),
-        bound_states=(BoundState(tau=1.0, weight=np.diag([1.0, -0.1]).astype(complex), side="right"),),
+        bound_states=(BoundState(tau=1.0, weight=np.diag([1.0, -0.1]).astype(complex)),),
     )
     report = conditions.check_condition_A(bad)
     assert not report.passed
@@ -52,7 +52,7 @@ def test_connect_reflectionless():
     weight = np.array([[2.0 + 0j]])
     data = ScatteringData(
         side="right", rho_grid=rg, S=np.zeros((rg.n, 1, 1), complex),
-        bound_states=(BoundState(tau=1.0, weight=weight, side="right"),),
+        bound_states=(BoundState(tau=1.0, weight=weight),),
     )
     chain = solitons.build_projector_chain([(1.0, weight)])
     d_of = solitons.reflectionless_D(chain)
@@ -71,7 +71,7 @@ def test_connect_takes_the_residues_in_bound_state_order(reflection):
     # R_+ = 2 i tau_k (tau_k + tau_j) / (tau_k - tau_j), N_- = |R_+|^2 / N_+
     # is 144 / 8 at tau = 2 and 36 / 4 at tau = 1
     rg = RhoGrid(8.0, 32)
-    states = tuple(BoundState(tau=t, weight=np.array([[w + 0j]]), side="right") for t, w in ((2.0, 8.0), (1.0, 4.0)))
+    states = tuple(BoundState(tau=t, weight=np.array([[w + 0j]])) for t, w in ((2.0, 8.0), (1.0, 4.0)))
     data = ScatteringData(side="right", rho_grid=rg, S=np.full((rg.n, 1, 1), reflection, complex),
                           bound_states=states)
     d_of, residues = conditions.right_denominator(data)
@@ -123,7 +123,7 @@ def test_scalar_D_trivial_cases():
     rg = RhoGrid(8.0, 128)
     one_state = ScatteringData(
         side="right", rho_grid=rg, S=np.zeros((rg.n, 1, 1), complex),
-        bound_states=(BoundState(tau=1.0, weight=np.array([[2.0 + 0j]]), side="right"),),
+        bound_states=(BoundState(tau=1.0, weight=np.array([[2.0 + 0j]])),),
     )
     d_ev = conditions.scalar_D(one_state)
     z = np.array([0.5 + 0.5j, 2.0 + 0j, 10j])
@@ -194,7 +194,7 @@ def test_condition_B_flags_each_bad_residue(weight, residues):
     # the exact pair passes; the same D with a bad residue fails that item alone
     rg = RhoGrid(8.0, 64)
     data = ScatteringData(side="right", rho_grid=rg, S=np.zeros((rg.n, 2, 2), complex),
-                          bound_states=(BoundState(tau=1.0, weight=weight, side="right"),))
+                          bound_states=(BoundState(tau=1.0, weight=weight),))
     d_of, exact = conditions.right_denominator(data)
     assert conditions.check_condition_B_numeric((d_of, exact), data).passed
     report = conditions.check_condition_B_numeric((d_of, residues), data)
@@ -222,3 +222,95 @@ def test_condition_A_kernel_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# one case per gating item that fails it, with the items that fail alongside
+# (reflection_norm_below_one, bound_state_psd, bound_state_taus,
+# residue_matches_weight and modulus_identity fail in other tests)
+
+
+def _scalar(rg, s):
+    return ScatteringData(side="right", rho_grid=rg, S=np.asarray(s, complex).reshape(rg.n, 1, 1))
+
+
+G_GRID = RhoGrid(40.0, 256)
+G_REFLECTION = 1e-3 * np.exp(-G_GRID.nodes**2)
+
+
+def _symmetry_broken_at_one_node():
+    # S(-rho) != S(rho)^* at one node: too narrow to move the kernel
+    s = G_REFLECTION + 0j
+    s[np.argmin(np.abs(G_GRID.nodes - 20.0))] += 2e-6j
+    return _scalar(G_GRID, s)
+
+
+def _reflection_bump_at_the_grid_edge():
+    rg = RhoGrid(8.0, 64)
+    return _scalar(rg, 1e-3 * np.exp(-(np.abs(rg.nodes) - 7.8) ** 2))
+
+
+def _reflection_at_one_node_pair():
+    # a node pair's midpoint sum is a cosine over the whole u-window
+    rg = RhoGrid(10.0, 64)
+    s = np.zeros(rg.n)
+    s[np.argsort(np.abs(np.abs(rg.nodes) - 3.0))[:2]] = 0.3
+    return _scalar(rg, s)
+
+
+def _non_hermitian_weight():
+    rg = RhoGrid(8.0, 32)
+    weight = np.array([[1.0, 1e-3], [0.0, 1.0]], complex)
+    return ScatteringData(side="right", rho_grid=rg, S=np.zeros((rg.n, 2, 2), complex),
+                          bound_states=(BoundState(tau=1.0, weight=weight),))
+
+
+# case -> the items it fails, the one it is named for first
+A_CASES = {
+    "reflection_symmetry": (_symmetry_broken_at_one_node, ["reflection_symmetry"]),
+    "reflection_tail_decay": (_reflection_bump_at_the_grid_edge, ["reflection_tail_decay"]),
+    # symmetric to 5e-7 <= 1e-6, yet the kernel's Hermiticity defect is 6.3e-6
+    "kernel_hermitian": (lambda: _scalar(G_GRID, G_REFLECTION + 2.5e-7j), ["kernel_hermitian"]),
+    "kernel_tail_decay": (_reflection_at_one_node_pair, ["kernel_tail_decay"]),
+    "bound_state_hermitian": (_non_hermitian_weight, ["bound_state_hermitian"]),
+}
+
+
+@pytest.mark.parametrize("make, failed", A_CASES.values(), ids=A_CASES.keys())
+def test_condition_A_fails_each_item(make, failed):
+    assert conditions.check_condition_A(make()).failed_names() == failed
+
+
+B_GRID = RhoGrid(8.0, 128)
+B_NODE = B_GRID.nodes[B_GRID.n_half]  # the smallest positive node
+
+
+def _d(f):
+    """A hand-written scalar D evaluator from a function of rho."""
+    return lambda rho: f(np.asarray(rho, complex))[:, None, None]
+
+
+# case -> (S on B_GRID, D, the items it fails); no bound states, so no residues
+B_CASES = {
+    "none": (0.0, _d(np.ones_like), []),
+    # a pole at i inside the probe's rectangle; |D| = 1 on the real line
+    "analytic_cauchy_probe": (0.0, _d(lambda z: (z + 1j) / (z - 1j)), ["analytic_cauchy_probe"]),
+    # rho (D - I) grows like rho
+    "large_rho_identity": (0.0, _d(lambda z: 1 + 1e-7 * z / (z + 1j)), ["large_rho_identity"]),
+    # D vanishes next to the smallest node; where the modulus identity holds
+    # it bounds ||D^-1|| by 1 on the real line, so it fails too
+    "inverse_bounded_near_zero": (0.0, _d(lambda z: (z**2 - (B_NODE * (1 + 1e-8)) ** 2) / (z + 1j) ** 2),
+                                  ["inverse_bounded_near_zero", "modulus_identity"]),
+    # |D|^-2 = 1 - |S|^2 with D ~ -1/rho^2 and S -> 1 at the origin
+    "zero_limit": (np.sqrt(2 * B_GRID.nodes**2 + 1) / (B_GRID.nodes**2 + 1), _d(lambda z: (z + 1j) ** 2 / z**2),
+                   ["zero_limit"]),
+    # |S|^2 <= 1e-8 with D = I; the left kernel sits at u = -25
+    "connected_left_kernel_tail": (1e-4 * np.exp(25j * B_GRID.nodes - B_GRID.nodes**2), _d(np.ones_like),
+                                   ["connected_left_kernel_tail"]),
+}
+
+
+@pytest.mark.parametrize("s, d_of, failed", B_CASES.values(), ids=B_CASES.keys())
+def test_condition_B_fails_each_item(s, d_of, failed):
+    data = _scalar(B_GRID, np.broadcast_to(s, B_GRID.nodes.shape))
+    assert conditions.check_condition_B_numeric((d_of, []), data).failed_names() == failed

@@ -411,6 +411,24 @@ def test_count_multiplicity_of_identity_well():
     assert abs(tau - 1.0) < 1e-3
 
 
+@pytest.mark.parametrize("tau2, states", [
+    (1.0 + 1e-7, [(0.9999911115, 1), (0.9999912115, 1)]),
+    (1.0, [(0.9999911115, 2)]),
+])
+def test_near_degenerate_states_are_split_by_their_crossings(tau2, states):
+    # two decoupled sech wells 1e-7 apart in tau: the Newton step stops at the
+    # pair, and the crossings just past it say it holds one of the two states
+    grid = SpaceGrid.from_bounds(-8.0, 8.0, 0.02)
+
+    def profile(x):
+        return np.diag([-2.0 / np.cosh(x) ** 2, -2.0 * tau2**2 / np.cosh(tau2 * x) ** 2]).astype(complex)
+
+    with pytest.warns(UserWarning, match="threshold"):
+        found = forward.find_bound_states(domain.SampledPotential.from_profile(grid, profile))
+    assert [rank for _, rank in found] == [rank for _, rank in states]
+    assert np.abs(np.array([tau for tau, _ in found]) - [tau for tau, _ in states]).max() < 1e-9
+
+
 def test_count_rank_two_and_rank_one_weights():
     rng = np.random.default_rng(3)
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))

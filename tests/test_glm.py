@@ -138,7 +138,7 @@ def test_mirrored_kernel():
     s = (0.05 / (rg.nodes + 1j))[:, None, None] * mix
     weight = np.array([[2.0, 0.5j], [-0.5j, 1.0]])
     left = ScatteringData(side="left", rho_grid=rg, S=s,
-                          bound_states=(BoundState(tau=1.3, weight=weight, side="left"),))
+                          bound_states=(BoundState(tau=1.3, weight=weight),))
 
     def m_minus(v):
         phases = np.exp(-1j * np.outer(v, rg.nodes)) * (rg.step / (2 * np.pi))
@@ -291,7 +291,7 @@ def test_invert_flags_inconsistent_sides(soliton_data):
     # a wrong left weight makes the two reconstructions disagree at the origin
     bad_left = ScatteringData(
         side="left", rho_grid=soliton_data.rho_grid, S=np.zeros_like(soliton_data.S),
-        bound_states=(BoundState(tau=1.0, weight=np.array([[50.0 + 0j]]), side="left"),),
+        bound_states=(BoundState(tau=1.0, weight=np.array([[50.0 + 0j]])),),
     )
     grid = SpaceGrid.from_bounds(-5.0, 5.0, 0.05)
     with pytest.raises(InconsistentDataError):
@@ -382,7 +382,7 @@ def test_soliton_systems_end_with_the_targets(monkeypatch):
     rg = RhoGrid(20.0, 256)
     data = ScatteringData(
         side="right", rho_grid=rg, S=np.zeros((rg.n, 2, 2), complex),
-        bound_states=(BoundState(1.0, 2.0 * proj, "right"), BoundState(2.0, 8.0 * proj, "right")),
+        bound_states=(BoundState(1.0, 2.0 * proj), BoundState(2.0, 8.0 * proj)),
     )
     shapes = []
     zpotrf = lapack.zpotrf

@@ -9,6 +9,7 @@ import importlib
 from pathlib import Path
 
 from mstl import cli
+from tests.conftest import read_strict_json
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # the one fault each workload is known to show on every pass (see perfbench/README.md)
@@ -25,3 +26,7 @@ def test_one_pass_of_each_workload(tmp_path, monkeypatch):
         assert unknown == [], name
         faults = {step: o.faults for step, o in outcomes if o.faults}
         assert faults == EXPECTED_FAULTS.get(name, {}), name
+    reports = sorted(tmp_path.rglob("report.json"))
+    assert reports
+    for path in reports:
+        read_strict_json(path)  # JSON, not Python's NaN / Infinity tokens
