@@ -6,7 +6,7 @@ scattering data (reflection matrices, bound states, weight matrices) from a
 sampled potential, reconstructs the potential from scattering data through the
 Gelfand-Levitan-Marchenko equation, builds reflectionless (multi-soliton)
 potentials in closed form, validates admissibility conditions on scattering
-data, and evolves scattering data under the matrix KdV flow.
+data, and follows reflectionless data under the matrix KdV flow.
 """
 
 from mstl import conditions, domain, forward, glm, kdv, solitons

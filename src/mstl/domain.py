@@ -88,10 +88,6 @@ def operator_norms(a: np.ndarray) -> np.ndarray:
     return scale * np.sqrt(np.linalg.eigvalsh(a.conj().swapaxes(-2, -1) @ a)[..., -1])
 
 
-def hermitian_defect(n: np.ndarray) -> float:
-    return matrix_operator_norm(n - n.conj().T)
-
-
 def weight_check(n: np.ndarray) -> tuple[float, float, float]:
     """(PSD margin, Hermiticity defect, tolerance) of one weight: the one rule for weights.
 
@@ -100,7 +96,8 @@ def weight_check(n: np.ndarray) -> tuple[float, float, float]:
     state's verdict does not change when an unrelated state is added.
     """
     n = np.asarray(n, dtype=complex)
-    return psd_margin(n), hermitian_defect(n), HERMITICITY_RTOL * (1.0 + matrix_operator_norm(n))
+    defect = matrix_operator_norm(n - n.conj().T)
+    return psd_margin(n), defect, HERMITICITY_RTOL * (1.0 + matrix_operator_norm(n))
 
 
 def residue_check(r: np.ndarray, n: np.ndarray) -> tuple[float, float, bool]:
@@ -457,13 +454,3 @@ class CoefficientSet:
     B: np.ndarray
     C: np.ndarray
     D: np.ndarray
-
-
-@dataclass(frozen=True)
-class JostAsymptotics:
-    """Large-rho correction terms: omega_pm(x) and omega = (1/2) integral of Q."""
-
-    grid: SpaceGrid
-    omega_plus: np.ndarray
-    omega_minus: np.ndarray
-    omega: np.ndarray

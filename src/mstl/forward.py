@@ -63,7 +63,6 @@ from mstl.domain import (
     BoundState,
     CoefficientSet,
     IntegrationAccuracyError,
-    JostAsymptotics,
     NumericsError,
     RhoGrid,
     SampledPotential,
@@ -314,20 +313,6 @@ def reflection_matrices(coefficients: CoefficientSet):
     except np.linalg.LinAlgError as exc:  # excluded by the unitarity identity
         raise NumericsError(f"singular matching coefficient on a real node: {exc}") from exc
     return s_minus, s_plus
-
-
-def jost_asymptotics(potential: SampledPotential) -> JostAsymptotics:
-    """Large-rho correction data: omega_+(x), omega_-(x) and their common limit."""
-    q = potential.values
-    dx = potential.grid.dx
-    cum = np.zeros_like(q)
-    cum[1:] = np.cumsum(dx * (q[1:] + q[:-1]) / 2.0, axis=0)  # cumulative trapezoid
-    total = cum[-1]
-    omega_minus = -0.5 * cum
-    omega_plus = -0.5 * (total[None] - cum)
-    return JostAsymptotics(
-        grid=potential.grid, omega_plus=omega_plus, omega_minus=omega_minus, omega=0.5 * total
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -133,21 +133,17 @@ def fourier_kernel(data: ScatteringData, u0: float, du: float, count: int) -> np
     return _transform(data, 1.0 if data.side == "right" else -1.0, u0, du, count)
 
 
-def _bound_part(data: ScatteringData, u: np.ndarray) -> np.ndarray:
-    """Bound-state part of the right-form kernel: sum_k N_k exp(-tau_k u)."""
-    out = np.zeros(u.shape + (data.m, data.m), dtype=complex)
-    for b in data.bound_states:
-        out += np.exp(-b.tau * u)[:, None, None] * b.weight
-    return out
-
-
 def assemble_M(data: ScatteringData, u0: float, du: float, count: int) -> np.ndarray:
     """Right-form GLM kernel samples at u_j = u0 + j du, shape (count, m, m).
 
     Right data give M_+(u).  Left data give M_-(-u), the kernel of the
     mirrored left equation: the Fourier part at -u plus N_k exp(-tau_k u).
     """
-    return _transform(data, 1.0, u0, du, count) + _bound_part(data, u0 + du * np.arange(count))
+    u = u0 + du * np.arange(count)
+    out = _transform(data, 1.0, u0, du, count)
+    for b in data.bound_states:
+        out += np.exp(-b.tau * u)[:, None, None] * b.weight
+    return out
 
 
 def _tail_factor(data: ScatteringData, ys: np.ndarray):
@@ -177,18 +173,11 @@ def _tail_factor(data: ScatteringData, ys: np.ndarray):
 
 
 def gregory_weights(n: int, du: float) -> np.ndarray:
-    """Endpoint-corrected trapezoid weights (Gregory rule, fourth order).
-
-    Falls back to plain trapezoid when the grid is too short for the
-    correction stencil.
-    """
+    """Endpoint-corrected trapezoid weights (Gregory rule, fourth order) on n >= 6 nodes."""
     w = np.full(n, du)
-    if n >= 8:
-        head = _GREGORY_HEAD * du
-        w[:3] = head
-        w[-3:] = head[::-1]
-    elif n >= 2:
-        w[0] = w[-1] = 0.5 * du
+    head = _GREGORY_HEAD * du
+    w[:3] = head
+    w[-3:] = head[::-1]
     return w
 
 
@@ -328,8 +317,9 @@ def _half_line_potential(data: ScatteringData, xs: np.ndarray, dx: float):
 
     # the continuous part, the + transform of either side's S in right form,
     # is sampled up to u_hi, past the slowest bound-state tail, and is zero
-    # beyond it, and past |u| = u_limit, where the midpoint sum aliases
-    tails = np.log(np.maximum(scales, 1e-30) / TAIL_REL) / taus
+    # beyond it, and past |u| = u_limit, where the midpoint sum aliases; the
+    # logs are taken apart, as ||N|| / TAIL_REL overflows past ||N|| = 1.8e298
+    tails = (np.log(np.maximum(scales, 1e-30)) - np.log(TAIL_REL)) / taus
     slowest = float(taus[np.argmax(tails)]) if taus.size else None
     u_hi = max(2 * ext[-1] + 2.0, max(tails, default=0.0) + 2.0)
     n_u = int(np.ceil((u_hi - 2 * ext[0]) / du)) + 1

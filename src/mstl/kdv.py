@@ -14,34 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mstl.domain import (
-    BoundState,
-    SampledPotential,
-    ScatteringData,
-    SpaceGrid,
-    ValidationError,
-)
+from mstl.domain import SampledPotential, SpaceGrid, ValidationError
 from mstl.solitons import separable_glm_solve
-
-_EXP_LIMIT = 700.0
-
-
-def evolve_scattering_data(data: ScatteringData, t: float) -> ScatteringData:
-    """Right scattering data after time t of the matrix KdV flow."""
-    if data.side != "right":
-        raise ValidationError("the evolution law is stated for right-side data")
-    phases = np.exp(8j * data.rho_grid.nodes**3 * t)
-    s_t = phases[:, None, None] * data.S
-    states = []
-    for b in data.bound_states:
-        exponent = 8.0 * b.tau**3 * t
-        if exponent > _EXP_LIMIT:
-            raise ValidationError(
-                f"weight scale exp({exponent:.3g}) overflows; use soliton_trajectory, "
-                "which carries weights in log scale"
-            )
-        states.append(BoundState(tau=b.tau, weight=b.weight * np.exp(exponent)))
-    return ScatteringData(side="right", rho_grid=data.rho_grid, S=s_t, bound_states=tuple(states))
 
 
 @dataclass(frozen=True)

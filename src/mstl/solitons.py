@@ -213,8 +213,3 @@ def separable_glm_solve(states, x_grid: SpaceGrid, log_scales=None) -> SampledPo
     q_nodes, _ = separable_potential_values(states, x_grid.xs, log_scales)
     q_cells, _ = separable_potential_values(states, x_grid.midpoints, log_scales)
     return SampledPotential(x_grid, q_nodes, cell_values=q_cells)
-
-
-def soliton_center(tau: float, weight: float) -> float:
-    """Scalar one-soliton center: ln(c / (2 tau)) / (2 tau) for weight c."""
-    return float(np.log(weight / (2.0 * tau)) / (2.0 * tau))

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from mstl import cli, conditions, domain, glm, kdv
+from mstl import cli, conditions, domain, glm, kdv, solitons
 from mstl.domain import BoundState, NumericsError, RhoGrid, ScatteringData, SpaceGrid
 from tests.conftest import read_strict_json
 
@@ -467,6 +467,37 @@ def test_weakly_bound_state_is_a_numeric_failure(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("numeric failure:") and err.count("\n") == 1
     assert "kernel window" in err and "tau = 1e-06" in err
+
+
+def test_glm_operator_not_positive_definite_is_a_numeric_failure(tmp_path, capsys):
+    # S = 3 exp(-rho^2 / 4) exceeds 1 near the origin; its kernel
+    # (3 / sqrt(pi)) exp(-u^2) gives I + F an eigenvalue below zero
+    rg = RhoGrid(20.0, 256)
+    data = ScatteringData(side="right", rho_grid=rg, S=(3.0 * np.exp(-rg.nodes**2 / 4))[:, None, None])
+    cli.write_scattering_json(tmp_path / "right.json", data)
+    code = cli.main(["invert", "--data", str(tmp_path / "right.json"), "--x-min", "-2", "--x-max", "2",
+                     "--out", str(tmp_path / "inv")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("numeric failure: GLM operator not positive definite")
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-300])
+def test_weights_near_the_float_limits_invert(tmp_path, scale):
+    # the left weight derived from the tau = 1 weight times 1e-300 has norm
+    # 1.8e301: its tail length ln(||N|| / 1e-10) / tau is finite, though
+    # ||N|| / 1e-10 overflows
+    v = np.array([1.0, 1.0j]) / np.sqrt(2)
+    states = [(1.0, 2.0 * scale * np.outer(v, v.conj())), (2.0, 8.0 * np.outer(v, v.conj()))]
+    rg = RhoGrid(20.0, 256)
+    data = ScatteringData(side="right", rho_grid=rg, S=np.zeros((rg.n, 2, 2), complex),
+                          bound_states=tuple(BoundState(tau=t, weight=n) for t, n in states))
+    cli.write_scattering_json(tmp_path / "right.json", data)
+    assert cli.main(["validate", "--data", str(tmp_path / "right.json")]) == 0
+    assert cli.main(["invert", "--data", str(tmp_path / "right.json"), "--x-min", "-2", "--x-max", "2",
+                     "--out", str(tmp_path / "inv")]) == 0
+    pot = cli.read_potential_csv(tmp_path / "inv" / "potential.csv")
+    exact, _ = solitons.separable_potential_values(states, pot.grid.xs)
+    assert np.abs(pot.values - exact).max() < 1e-3
 
 
 def test_perfbench_layers_resolve():

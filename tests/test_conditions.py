@@ -89,7 +89,7 @@ def test_scalar_D_residues_match_the_contour_oracle():
     # ring around each pole
     grid = domain.SpaceGrid.from_bounds(-3.0, 3.0, 0.02)
     data = forward.full_forward(domain.box_potential(grid, height=-6.0), RhoGrid(10.0, 128)).j_plus
-    d_of = conditions.scalar_D(data)
+    d_of = conditions.ScalarD(data)
     taus = list(data.taus)
     assert len(taus) == 2
     gap = abs(taus[0] - taus[1])
@@ -125,18 +125,18 @@ def test_scalar_D_trivial_cases():
         side="right", rho_grid=rg, S=np.zeros((rg.n, 1, 1), complex),
         bound_states=(BoundState(tau=1.0, weight=np.array([[2.0 + 0j]])),),
     )
-    d_ev = conditions.scalar_D(one_state)
+    d_ev = conditions.ScalarD(one_state)
     z = np.array([0.5 + 0.5j, 2.0 + 0j, 10j])
     expect = (z - 1j) / (z + 1j)
     assert np.abs(d_ev(z)[:, 0, 0] - expect).max() < 1e-12
 
     no_states = zero_data(rho_grid=rg)
-    d_one = conditions.scalar_D(no_states)
+    d_one = conditions.ScalarD(no_states)
     assert np.abs(d_one(z)[:, 0, 0] - 1.0).max() < 1e-12
 
 
 def test_scalar_D_box_matches_forward(box_forward):
-    d_ev = conditions.scalar_D(box_forward.j_plus)
+    d_ev = conditions.ScalarD(box_forward.j_plus)
     nodes = box_forward.j_plus.rho_grid.nodes
     mine = d_ev(nodes.astype(complex))[:, 0, 0]
     ref = box_forward.coefficients.D[:, 0, 0]
@@ -148,7 +148,7 @@ def test_scalar_D_box_matches_forward(box_forward):
 
 def test_scalar_D_rejects_matrix_data(bump_forward):
     with pytest.raises(domain.ValidationError):
-        conditions.scalar_D(bump_forward.j_plus)
+        conditions.ScalarD(bump_forward.j_plus)
 
 
 def test_condition_B_reflectionless_passes(soliton_data):
@@ -160,7 +160,7 @@ def test_condition_B_reflectionless_passes(soliton_data):
 
 
 def test_condition_B_scalar_box_passes(box_forward):
-    d_ev = conditions.scalar_D(box_forward.j_plus)
+    d_ev = conditions.ScalarD(box_forward.j_plus)
     report = conditions.check_condition_B_numeric((d_ev, d_ev.residues()), box_forward.j_plus)
     assert report.passed
     assert report.item("modulus_identity").value < 1e-3
@@ -204,7 +204,7 @@ def test_condition_B_flags_each_bad_residue(weight, residues):
 def test_forward_data_pass_both_conditions(box_forward):
     # necessity, numerically: true scattering data admit a valid denominator
     assert conditions.check_condition_A(box_forward.j_plus).passed
-    d_ev = conditions.scalar_D(box_forward.j_plus)
+    d_ev = conditions.ScalarD(box_forward.j_plus)
     assert conditions.check_condition_B_numeric((d_ev, d_ev.residues()), box_forward.j_plus).passed
 
 
@@ -297,10 +297,9 @@ B_CASES = {
     "analytic_cauchy_probe": (0.0, _d(lambda z: (z + 1j) / (z - 1j)), ["analytic_cauchy_probe"]),
     # rho (D - I) grows like rho
     "large_rho_identity": (0.0, _d(lambda z: 1 + 1e-7 * z / (z + 1j)), ["large_rho_identity"]),
-    # D vanishes next to the smallest node; where the modulus identity holds
-    # it bounds ||D^-1|| by 1 on the real line, so it fails too
-    "inverse_bounded_near_zero": (0.0, _d(lambda z: (z**2 - (B_NODE * (1 + 1e-8)) ** 2) / (z + 1j) ** 2),
-                                  ["inverse_bounded_near_zero", "modulus_identity"]),
+    # D vanishes next to the smallest node, so |D|^-2 is far from 1 - |S|^2 = 1
+    "modulus_identity": (0.0, _d(lambda z: (z**2 - (B_NODE * (1 + 1e-8)) ** 2) / (z + 1j) ** 2),
+                         ["modulus_identity"]),
     # |D|^-2 = 1 - |S|^2 with D ~ -1/rho^2 and S -> 1 at the origin
     "zero_limit": (np.sqrt(2 * B_GRID.nodes**2 + 1) / (B_GRID.nodes**2 + 1), _d(lambda z: (z + 1j) ** 2 / z**2),
                    ["zero_limit"]),

@@ -4,6 +4,7 @@ import pytest
 from mstl import glm, solitons
 from mstl.domain import (
     BoundState,
+    IllPosedDataError,
     InconsistentDataError,
     RhoGrid,
     ScatteringData,
@@ -188,6 +189,21 @@ def test_nested_diagonal_matches_dense(m):
         ref = dense_diagonal(kern, x0 + k * du, du, n - k)
         assert np.abs(out.diag[k] - ref).max() < 1e-12
     assert out.residual < 1e-12
+
+
+@pytest.mark.parametrize("gap, refused", [(1e-6, False), (1e-13, True)])
+def test_nested_diagonal_refuses_a_near_singular_system(gap, refused):
+    # the rank-one Hankel kernel h_k = -a r^k gives the system I - a u u^T with
+    # u_j = sqrt(w_j) r^j, positive definite with smallest eigenvalue
+    # gap = 1 - a ||u||^2, which bounds its reciprocal condition
+    n, du, r = 20, 0.1, 0.8
+    u = np.sqrt(glm.gregory_weights(n, du)) * r ** np.arange(n)
+    h = (-(1.0 - gap) / (u @ u) * r ** np.arange(2 * n - 1))[:, None, None].astype(complex)
+    if refused:
+        with pytest.raises(IllPosedDataError, match="reciprocal condition"):
+            glm.nested_diagonal(h, du, 1)
+    else:
+        assert glm.nested_diagonal(h, du, 1).sigma_min_est <= gap
 
 
 def test_solve_zero_kernel():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mstl import domain, forward, kdv
+from mstl import domain, forward, kdv, solitons
 from mstl.domain import RhoGrid, SpaceGrid, ValidationError
 
 
@@ -9,31 +9,28 @@ def one_soliton_states(weight=2.0):
     return [(1.0, np.array([[weight + 0j]]))]
 
 
-def test_evolve_identity_at_t0(soliton_data):
-    out = kdv.evolve_scattering_data(soliton_data, 0.0)
-    assert np.allclose(out.S, soliton_data.S)
-    assert out.bound_states[0].weight == pytest.approx(soliton_data.bound_states[0].weight)
+def test_evolve_identity_at_t0():
+    grid = SpaceGrid.from_bounds(-8.0, 8.0, 0.02)
+    traj = kdv.soliton_trajectory(one_soliton_states(), [0.0], grid)
+    ref = solitons.separable_glm_solve(one_soliton_states(), grid)
+    assert np.array_equal(traj.potentials[0].values, ref.values)
 
 
-def test_evolve_weight_growth(soliton_data):
-    out = kdv.evolve_scattering_data(soliton_data, 0.5)
-    assert out.bound_states[0].weight[0, 0] == pytest.approx(2.0 * np.exp(4.0))
-    assert out.bound_states[0].tau == soliton_data.bound_states[0].tau
+def test_evolve_weight_growth():
+    # the weight grows by exp(8 tau^3 t), here e^4, and tau stays
+    grid = SpaceGrid.from_bounds(-8.0, 8.0, 0.02)
+    traj = kdv.soliton_trajectory(one_soliton_states(), [0.5], grid)
+    ref = solitons.separable_glm_solve(one_soliton_states(2.0 * np.exp(4.0)), grid)
+    assert np.abs(traj.potentials[0].values - ref.values).max() < 1e-12
 
 
-def test_evolve_preserves_reflection_modulus(box_forward):
-    out = kdv.evolve_scattering_data(box_forward.j_plus, 0.3)
-    assert np.abs(np.abs(out.S) - np.abs(box_forward.j_plus.S)).max() < 1e-12
-
-
-def test_evolve_rejects_left_data(box_forward):
-    with pytest.raises(ValidationError):
-        kdv.evolve_scattering_data(box_forward.j_minus, 0.1)
-
-
-def test_evolve_overflow_guard(soliton_data):
-    with pytest.raises(ValidationError, match="log scale"):
-        kdv.evolve_scattering_data(soliton_data, 1e3)
+def test_evolve_overflow_guard():
+    # exp(8 tau^3 t) = e^800 overflows a float; the weight's log scale still
+    # puts the soliton at its centre 4 tau^2 t = 400
+    grid = SpaceGrid.from_bounds(390.0, 410.0, 0.02)
+    traj = kdv.soliton_trajectory(one_soliton_states(), [100.0], grid)
+    exact = -2.0 / np.cosh(grid.xs - 400.0) ** 2
+    assert np.abs(traj.potentials[0].values[:, 0, 0] - exact).max() < 1e-10
 
 
 def test_soliton_center_moves_at_4_tau_squared():

@@ -2,10 +2,12 @@
 
 A report item that is renamed or newly fails would make a benchmark run
 incorrect; here it fails a test first.  The workloads are imported from
-``perfbench/`` as they are.
+``perfbench/`` as they are, and the benchmark's own unit tests run too.
 """
 
 import importlib
+import io
+import unittest
 from pathlib import Path
 
 from mstl import cli
@@ -30,3 +32,11 @@ def test_one_pass_of_each_workload(tmp_path, monkeypatch):
     assert reports
     for path in reports:
         read_strict_json(path)  # JSON, not Python's NaN / Infinity tokens
+
+
+def test_benchmark_unit_tests_pass(monkeypatch):
+    # perfbench/test_perfbench.py, which imports oracles, spans and workloads as top-level modules
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    suite = unittest.defaultTestLoader.loadTestsFromModule(importlib.import_module("test_perfbench"))
+    result = unittest.TextTestRunner(stream=io.StringIO()).run(suite)
+    assert result.testsRun > 0 and result.wasSuccessful(), result.failures + result.errors

@@ -103,7 +103,7 @@ def test_separable_one_soliton_closed_form():
 def test_separable_center_formula(tau, c):
     grid = SpaceGrid.from_bounds(-10.0, 10.0, 0.02)
     pot = solitons.separable_glm_solve(scalar_states((tau, c)), grid)
-    x0 = solitons.soliton_center(tau, c)
+    x0 = np.log(c / (2.0 * tau)) / (2.0 * tau)
     exact = -2.0 * tau**2 / np.cosh(tau * (grid.xs - x0)) ** 2
     assert np.abs(pot.values[:, 0, 0] - exact).max() < 1e-12
 
