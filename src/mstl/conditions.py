@@ -347,6 +347,31 @@ class ScalarD:
 # Condition B
 
 
+def _cauchy_nodes(a: complex, b: complex, z0: complex):
+    """(nodes, weights) of 16-point Gauss-Legendre panels for the integral of dz along a -> b.
+
+    Each panel is at most max(0.5, |z - z0| / 2 - 0.5) long at its end
+    nearest z0, so the panels grow geometrically away from z0 and a side of
+    length L takes O(log L) of them.  The Legendre nodes and weights are the
+    eigenvalues of the Jacobi matrix and the squared first components of its
+    eigenvectors (Golub-Welsch).
+    """
+    k = np.arange(1.0, 16.0)
+    x, v = np.linalg.eigh(np.diag(k / np.sqrt(4 * k * k - 1), 1), UPLO="U")
+    length = abs(b - a)
+    near = float(np.clip(((z0 - a) * np.conj(b - a)).real / length**2, 0.0, 1.0))
+    breaks = [near]
+    for end in (0.0, 1.0):
+        t = near
+        while t != end:
+            h = max(0.5, 0.5 * abs(a + (b - a) * t - z0) - 0.5) / length
+            t = min(t + h, 1.0) if end else max(t - h, 0.0)
+            breaks.append(t)
+    t = np.unique(breaks)
+    half = 0.5 * np.diff(t)[:, None]
+    return a + (b - a) * (t[:-1, None] + half * (1.0 + x)).ravel(), (b - a) * (2.0 * half * v[0] ** 2).ravel()
+
+
 def _semicircle(radius: float) -> np.ndarray:
     theta = np.linspace(0.05, np.pi - 0.05, 33)
     return radius * np.exp(1j * theta)
@@ -376,15 +401,9 @@ def check_condition_B_numeric(denominator, j_plus: ScatteringData) -> ConditionR
     rect_w = max(rho_max / 2, 1.0)
     corners = [-rect_w + 0.1j, rect_w + 0.1j, rect_w + top * 1j, -rect_w + top * 1j]
     z0 = 0.5j * (0.1 + top)
-    total = np.zeros((m, m), dtype=complex)
-    npts = 128
-    for a, b in zip(corners, corners[1:] + corners[:1]):
-        ts = (np.arange(npts) + 0.5) / npts
-        zs = a + (b - a) * ts
-        vals = zs[:, None, None] * (d_of(zs) - eye)
-        total += ((b - a) / npts / (2j * np.pi)) * np.tensordot(
-            1.0 / (zs - z0), vals, axes=(0, 0)
-        )
+    sides = [_cauchy_nodes(a, b, z0) for a, b in zip(corners, corners[1:] + corners[:1])]
+    zs, dz = (np.concatenate(part) for part in zip(*sides))
+    total = np.tensordot(dz / (2j * np.pi * (zs - z0)), zs[:, None, None] * (d_of(zs) - eye), axes=(0, 0))
     probe = z0 * (d_of(np.array([z0]))[0] - eye)
     cauchy_defect = matrix_operator_norm(probe - total) / (1.0 + matrix_operator_norm(probe))
     items.append(CheckItem("analytic_cauchy_probe", cauchy_defect <= 1e-2, float(cauchy_defect), 1e-2))

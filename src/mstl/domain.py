@@ -74,13 +74,16 @@ def operator_norms(a: np.ndarray) -> np.ndarray:
     the larger root of the Gram's characteristic polynomial, a sum of
     nonnegative terms, from the column norms p, q and inner product b; one
     batched ``eigvalsh`` otherwise.  Each matrix is scaled by its largest
-    entry first, so the Gram neither overflows nor underflows.
+    entry first, so the Gram neither overflows nor underflows.  A matrix
+    whose largest entry is subnormal is lifted by 2^600 first, as dividing a
+    complex array by a subnormal takes its reciprocal, which overflows.
     """
     a = np.asarray(a)
     if a.shape[-1] == 1:
         return np.abs(a[..., 0, 0])
     scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
-    a = a / np.where(scale > 0, scale, 1.0)[..., None, None]
+    lift = np.where(scale < np.finfo(float).tiny, 2.0**600, 1.0)
+    a = a * lift[..., None, None] / np.where(scale > 0, scale * lift, 1.0)[..., None, None]
     if a.shape[-1] == 2:
         p, q = np.moveaxis((a.real**2 + a.imag**2).sum(axis=-2), -1, 0)
         b = np.abs(np.sum(a[..., :, 0].conj() * a[..., :, 1], axis=-1))
@@ -109,6 +112,8 @@ def residue_check(r: np.ndarray, n: np.ndarray) -> tuple[float, float, bool]:
     above ``EIG_CUTOFF_REL`` times the largest, the cutoff of N's range.
     """
     r = np.asarray(r, dtype=complex)
+    if not np.isfinite(r).all():  # e.g. the scalar closed form at coinciding taus
+        return np.inf, HERMITICITY_RTOL, False
     w, _, ker = range_split(np.asarray(n, dtype=complex))
     s = np.linalg.svd(r, compute_uv=False)  # descending
     rank = np.count_nonzero(s > EIG_CUTOFF_REL * s[0])

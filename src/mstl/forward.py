@@ -278,7 +278,8 @@ def scattering_coefficients(potential: SampledPotential, rho_grid: RhoGrid) -> C
     provide.  B is the matching coefficient; C follows from the real-axis
     symmetry C(rho) = -B(rho)^*.  The drift, the RMS deviation of A's bracket
     across the checkpoints, beyond tolerance raises
-    ``IntegrationAccuracyError`` naming the worst node.
+    ``IntegrationAccuracyError`` naming the worst node; brackets that
+    overflow raise ``NumericsError``.
     """
     nodes = rho_grid.nodes
     cps = _checkpoints(potential)
@@ -291,6 +292,9 @@ def scattering_coefficients(potential: SampledPotential, rho_grid: RhoGrid) -> C
     a = -mean_a / two_iz
     b = _bracket(fm, pm, fp, pp).mean(axis=0) / two_iz
     d = _bracket(fp[:, ::-1], pp[:, ::-1], fm, pm).mean(axis=0) / two_iz
+    finite = np.isfinite(drift) & np.isfinite(b).all(axis=(1, 2)) & np.isfinite(d).all(axis=(1, 2))
+    if not finite.all():  # no grid refinement helps where the fields leave double range
+        raise NumericsError(f"Jost fields overflow at rho = {nodes[np.argmin(finite)]:.6g}: brackets not finite")
     scale = 1.0 + float(np.abs(2.0 * nodes[:, None, None] * a).max())
     j = int(np.argmax(drift))
     if drift[j] > BRACKET_SPREAD_RTOL * scale * 2 * max(1.0, float(np.abs(nodes).max())):

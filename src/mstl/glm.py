@@ -24,21 +24,21 @@ The Fourier part F of the kernel is one array per side: right-form samples
 at the Hankel arguments u_j = 2 x_0 + j du of the first node, R(u) for right
 data and R(-u) for left data, which the mirrored equation has in the same
 form; both are the + transform of the side's S, taken on the exact grid
-(2 x_0, du, count).  It is sampled to just past the slowest bound-state tail
-and is zero beyond, and also past |u| = ``RhoGrid.u_limit``, where the
-midpoint sum aliases.  The dense window ends where |F| has fallen below
-TAIL_REL times its running max (at least count + 7 nodes), or at the end of
-the samples for the nodes where it never does: F can keep a floor above that
-(the bump's does past u = 10), and then the sampling end sets the window.
-Past its last node L the bound-state part
+(2 x_0, du, count).  It is sampled to just past the slowest bound-state tail,
+but at most to one sample past |u| = ``RhoGrid.u_limit``, where the midpoint
+sum aliases, and is zero beyond.  The dense window ends where |F| has fallen
+below TAIL_REL times its running max (at least count + 7 nodes), or at the
+end of the samples for the nodes where it never does: F can keep a floor
+above that (the bump's does past u = 10), and then the sampling end sets the
+window.  Past its last node L the bound-state part
 sum_k N_k exp(-tau_k (t + y)) = E(t) E(y)^H is eliminated in closed form,
-which leaves the window kernel
-F(t + y) + E(t) W E(y)^H (see ``_tail_factor``): the exact Schur complement
-of the tail, so it stays positive definite with a smallest eigenvalue at
-least that of the whole operator.  W depends on L alone, so the nesting
-holds, and interleave r reads the contiguous block of F from u_r.  No kernel
-window or dense system above MAX_ENTRIES complex entries is allocated:
-``IllPosedDataError`` names the bound state whose tail sets the sampling.
+which leaves the window kernel F(t + y) + E(t) W E(y)^H (see ``_tail_factor``):
+the exact Schur complement of the tail, so it stays positive definite with a
+smallest eigenvalue at least that of the whole operator.  W depends on L
+alone, so the nesting holds, and interleave r reads the contiguous block of F
+from u_r.  No kernel-sample array or dense system above MAX_ENTRIES complex
+entries is allocated, and Q within 1 / _OVERLAP_TOL of the roundoff floor
+4 eps / (sigma_min dx^2) raises ``IllPosedDataError``.
 
 The discretized operator inherits Hermitian positive definiteness from the
 continuous one (after symmetrization by the square-root quadrature weights),
@@ -67,7 +67,7 @@ from mstl.domain import (
 
 RCOND_FLOOR = 1e-12
 TAIL_REL = 1e-10
-MAX_ENTRIES = 2**27  # complex entries of the kernel window or of the dense GLM system
+MAX_ENTRIES = 2**27  # complex entries of the kernel samples or of the dense GLM system
 _BLOCK_U = 2**12  # u samples per chirp-z block of the Fourier kernel
 _OVERLAP = 1.0  # each side is solved past x = 0 to |x| = _OVERLAP, where the two must agree
 _OVERLAP_TOL = 0.05  # largest overlap gap, relative to 0.1 + max |Q|
@@ -257,7 +257,7 @@ def nested_diagonal(h: np.ndarray, du: float, count: int, tail: np.ndarray = Non
     if info:
         raise IllPosedDataError(f"GLM operator not positive definite (info {info})")
     rcond, _ = lapack.zpocon(r_fac, anorm)
-    if rcond < RCOND_FLOOR:
+    if not rcond >= RCOND_FLOOR:  # NaN too: a kernel that overflows gives a NaN factor
         raise IllPosedDataError(f"GLM system has reciprocal condition {rcond:.3e}")
     u = r_fac.T[::-1, ::-1]
 
@@ -290,13 +290,10 @@ def _derivative(values: np.ndarray, dx: float) -> np.ndarray:
     return (-values[4:] + 8 * values[3:-1] - 8 * values[1:-3] + values[:-4]) / (12 * dx)
 
 
-def _check_size(entries: float, what: str, slowest) -> None:
+def _check_size(entries: float, what: str) -> None:
     """Raise ``IllPosedDataError`` when one array would exceed MAX_ENTRIES."""
     if entries > MAX_ENTRIES:
-        cause = f" (slowest bound-state tail: tau = {slowest:.4g})" if slowest is not None else ""
-        raise IllPosedDataError(
-            f"GLM {what} needs {entries:.3g} complex entries, over the budget of 2^27{cause}"
-        )
+        raise IllPosedDataError(f"GLM {what} needs {entries:.3g} complex entries, over the budget of 2^27")
 
 
 def _half_line_potential(data: ScatteringData, xs: np.ndarray, dx: float):
@@ -315,15 +312,13 @@ def _half_line_potential(data: ScatteringData, xs: np.ndarray, dx: float):
     taus = np.array(data.taus)
     scales = np.array([matrix_operator_norm(b.weight) for b in data.bound_states])
 
-    # the continuous part, the + transform of either side's S in right form,
-    # is sampled up to u_hi, past the slowest bound-state tail, and is zero
-    # beyond it, and past |u| = u_limit, where the midpoint sum aliases; the
-    # logs are taken apart, as ||N|| / TAIL_REL overflows past ||N|| = 1.8e298
+    # the continuous part, the + transform of either side's S in right form, is sampled past the
+    # slowest bound-state tail but at most to one sample past |u| = u_limit, where the midpoint sum
+    # aliases and F is zero; the logs are apart, as ||N|| / TAIL_REL overflows past ||N|| = 1.8e298
     tails = (np.log(np.maximum(scales, 1e-30)) - np.log(TAIL_REL)) / taus
-    slowest = float(taus[np.argmax(tails)]) if taus.size else None
-    u_hi = max(2 * ext[-1] + 2.0, max(tails, default=0.0) + 2.0)
+    u_hi = max(2 * ext[-1] + 2.0, min(max(tails, default=0.0) + 2.0, data.rho_grid.u_limit + du))
     n_u = int(np.ceil((u_hi - 2 * ext[0]) / du)) + 1
-    _check_size(n_u * data.rho_grid.n, "kernel window", slowest)
+    _check_size(n_u * data.m**2, "kernel samples")
     u = 2 * ext[0] + du * np.arange(n_u)
     f = _transform(data, 1.0, 2 * ext[0], du, n_u)
     f[np.abs(u) > data.rho_grid.u_limit] = 0.0
@@ -337,7 +332,7 @@ def _half_line_potential(data: ScatteringData, xs: np.ndarray, dx: float):
 
     counts = [ext[0::2].size, ext[1::2].size]
     sizes = [max(c + 7, int(np.ceil((y_end - ext[r]) / du - 1e-9)) + 1) for r, c in enumerate(counts)]
-    _check_size((max(sizes) * data.m) ** 2, "system", slowest)
+    _check_size((max(sizes) * data.m) ** 2, "system")
     end = max(r + 2 * n - 1 for r, n in enumerate(sizes))
     if end > n_u:  # F is zero past u_hi
         f = np.concatenate([f, np.zeros((end - n_u, data.m, data.m), dtype=complex)])
@@ -437,6 +432,11 @@ def invert(j_plus: ScatteringData, j_minus: ScatteringData = None, *, grid: Spac
         raise InconsistentDataError(
             f"left/right reconstructions disagree by {overlap_gap:.3e} on the overlap window"
         )
+    # Q's roundoff floor: K(x, x) = ((A^-1)_00 - I) / w_0 with w_0 = 3/4 dx and ||A^-1|| <= 1 / sigma_min,
+    # differenced by a stencil whose |coefficients| sum to 18 / (12 dx); only zero data give Q = 0 exactly
+    floor = 4.0 * np.finfo(float).eps / (min(sigmas) * dx**2)
+    if scale < floor / _OVERLAP_TOL and (scale > 0 or j_plus.bound_states or np.any(j_plus.S)):
+        raise IllPosedDataError(f"max |Q| = {scale:.3e} is too close to the GLM roundoff floor {floor:.3e}")
 
     return InversionResult(
         potential=SampledPotential(grid, q),

@@ -429,11 +429,10 @@ def test_invert_zeroes_the_fourier_part_past_the_sampling_limit(tmp_path):
     assert np.abs(q_in.values[on] - q_out.values).max() < 1e-4 * np.abs(q_in.values).max()
 
 
-def one_state_data(tmp_path, tau):
+def one_state_data(tmp_path, tau, rho_grid=RhoGrid(8.0, 32)):
     """Right data of the scalar one-soliton centred at 0 (weight 2 tau), S = 0."""
-    rg = RhoGrid(8.0, 32)
     data = ScatteringData(
-        side="right", rho_grid=rg, S=np.zeros((rg.n, 1, 1), complex),
+        side="right", rho_grid=rho_grid, S=np.zeros((rho_grid.n, 1, 1), complex),
         bound_states=(BoundState(tau=tau, weight=np.array([[2 * tau + 0j]])),),
     )
     path = tmp_path / "weak.json"
@@ -453,20 +452,75 @@ def test_weakly_bound_state_inverts(tmp_path):
     assert np.abs(pot.values[:, 0, 0] - exact).max() < 1e-6 * 2e-6
 
 
+@pytest.mark.parametrize("tau", [7e-3, 5e-3, 2e-3])
+def test_weakly_bound_state_inverts_on_the_default_grids(tmp_path, tau):
+    # the CLI's rho grid and dx: the kernel tail reaches u = 2.7e3 to 8.8e3, far
+    # past u_limit = 56.5, and only the samples up to u_limit are taken
+    out = tmp_path / "out"
+    code = cli.main(["invert", "--data", str(one_state_data(tmp_path, tau, RhoGrid(40.0, 1024))),
+                     "--x-min", "-4", "--x-max", "4", "--out", str(out)])
+    assert code == 0
+    pot = cli.read_potential_csv(out / "potential.csv")
+    exact = -2 * tau**2 / np.cosh(tau * pot.grid.xs) ** 2
+    assert np.abs(pot.values[:, 0, 0] - exact).max() < 1e-6 * 2 * tau**2
+
+
+def test_weak_state_inverts_to_the_roundoff_floor(tmp_path):
+    # max |Q| = 2e-10 lies 560 roundoff floors 4 eps / (sigma_min dx^2) up
+    out = tmp_path / "out"
+    assert cli.main(["invert", "--data", str(one_state_data(tmp_path, 1e-5)), "--x-min", "-2",
+                     "--x-max", "2", "--dx", "0.05", "--out", str(out)]) == 0
+    pot = cli.read_potential_csv(out / "potential.csv")
+    floor = 4 * np.finfo(float).eps / (read_strict_json(out / "report.json")["sigma_min_est"] * 0.05**2)
+    exact = -2e-10 / np.cosh(1e-5 * pot.grid.xs) ** 2
+    assert np.abs(pot.values[:, 0, 0] - exact).max() <= 2 * floor
+
+
 def test_weakly_bound_state_is_a_numeric_failure(tmp_path, capsys, monkeypatch):
-    # tau = 1e-6 would need the Fourier part sampled out to u = 1e7: the
-    # kernel window budget refuses it before any sampling
+    # tau = 1e-6 puts the kernel tail near u = 1e7, but the Fourier part is
+    # sampled only to one sample past u_limit; max |Q| = 2e-12 then lies
+    # within the roundoff floor of the solve
     path = one_state_data(tmp_path, 1e-6)
-    sampled = []
-    monkeypatch.setattr(glm, "assemble_M", lambda *args: sampled.append(args))
-    monkeypatch.setattr(glm, "fourier_kernel", lambda *args: sampled.append(args))
-    monkeypatch.setattr(glm, "_transform", lambda *args: sampled.append(args))
+    counts, transform = [], glm._transform
+    monkeypatch.setattr(glm, "_transform", lambda data, *args: counts.append(args[-1]) or transform(data, *args))
     code = cli.main(["invert", "--data", str(path), "--x-min", "-2", "--x-max", "2",
+                     "--dx", "0.05", "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:") and err.count("\n") == 1
+    assert "roundoff floor" in err
+    # each side's samples run from u = 2 (-1 - 2 dx) to at most 2 du past
+    # u_limit: 138 of them, not the 1e8 that reach the tail
+    du = 0.1
+    assert counts and max(counts) <= (RhoGrid(8.0, 32).u_limit + 2.2) / du + 3
+
+
+def test_oversized_glm_system_is_a_numeric_failure(tmp_path, capsys, bump_forward):
+    # dx = 1e-4 on [-6, 6] needs a system of about (2 * 35000)^2 entries
+    for name, data in (("right.json", bump_forward.j_plus), ("left.json", bump_forward.j_minus)):
+        cli.write_scattering_json(tmp_path / name, data)
+    code = cli.main(["invert", "--data", str(tmp_path / "right.json"), "--data-left", str(tmp_path / "left.json"),
+                     "--x-min", "-6", "--x-max", "6", "--dx", "1e-4", "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: GLM system needs") and err.count("\n") == 1
+
+
+def test_oversized_kernel_samples_are_a_numeric_failure(tmp_path, capsys, monkeypatch):
+    # rho_max = 1e-6 on two nodes puts u_limit at 5.7e6: sampling the m = 2
+    # kernel to the tau = 1e-6 tail up to there needs 2.26e8 entries
+    rg = RhoGrid(1e-6, 2)
+    v = np.array([1.0, 1.0j]) / np.sqrt(2)
+    data = ScatteringData(side="right", rho_grid=rg, S=np.zeros((rg.n, 2, 2), complex),
+                          bound_states=(BoundState(tau=1e-6, weight=2e-6 * np.outer(v, v.conj())),))
+    cli.write_scattering_json(tmp_path / "right.json", data)
+    sampled = []
+    monkeypatch.setattr(glm, "_transform", lambda *args: sampled.append(args))
+    code = cli.main(["invert", "--data", str(tmp_path / "right.json"), "--x-min", "-2", "--x-max", "2",
                      "--dx", "0.05", "--out", str(tmp_path / "out")])
     assert code == 3 and not sampled
     err = capsys.readouterr().err
-    assert err.startswith("numeric failure:") and err.count("\n") == 1
-    assert "kernel window" in err and "tau = 1e-06" in err
+    assert err.startswith("numeric failure: GLM kernel samples needs 2.26e+08") and err.count("\n") == 1
 
 
 def test_glm_operator_not_positive_definite_is_a_numeric_failure(tmp_path, capsys):
@@ -500,6 +554,22 @@ def test_weights_near_the_float_limits_invert(tmp_path, scale):
     assert np.abs(pot.values - exact).max() < 1e-3
 
 
+def test_validate_takes_a_weight_with_subnormal_entries(tmp_path, monkeypatch):
+    # the soliton workload's right data with the tau = 1 weight times 1e-300:
+    # the weight's 2e-17 imaginary diagonal roundoff becomes a subnormal 2e-317
+    import importlib
+    from pathlib import Path
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    path = tmp_path / "seeded_right.json"
+    workloads.write_reflectionless_data(path, workloads.TAUS, workloads.WEIGHTS, workloads.seeded_direction(701))
+    doc = json.loads(path.read_text())
+    doc["bound_states"][0]["N"] = (1e-300 * np.array(doc["bound_states"][0]["N"])).tolist()
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", "--data", str(path), "--out", str(tmp_path / "v")]) == 0
+
+
 def test_perfbench_layers_resolve():
     # perfbench/run.py --trace 1 wraps these bindings; a refactor that drops
     # one of them fails here instead of in the benchmark
@@ -527,7 +597,8 @@ def test_exit_codes(tmp_path):
 EDGE_RUNS = {
     "soliton on a coarse grid, then validate": [
         ("soliton --tau 1 --weight 2 --rho-max 1000 --n-rho 8 --out {d}/s", 0),
-        ("validate --data {d}/s/scattering_right.json --out {d}/v", 2),  # analytic_cauchy_probe
+        # the Cauchy probe's panels grade away from its centre: a wide rectangle is exact too
+        ("validate --data {d}/s/scattering_right.json --out {d}/v", 0),
     ],
     "forward on a coarse grid": [
         ("forward --bundled bump --x-min -3 --x-max 3 --rho-max 1000 --n-rho 8 --out {d}/f", 2),

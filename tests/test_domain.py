@@ -122,6 +122,17 @@ def test_operator_norms_match_the_largest_singular_value(m):
         assert domain.operator_norms(big * a[2:]) == pytest.approx(big * reference[2:], rel=2e-15)
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_operator_norms_of_subnormal_matrices(m):
+    # dividing by a subnormal largest entry takes its reciprocal, which overflows
+    a = np.zeros((1, m, m), dtype=complex)
+    a[0, 1, 1] = 1e-317j
+    assert domain.operator_norms(a)[0] == 1e-317
+    b = np.zeros((2, m, m), dtype=complex)
+    b[:, 0, 0], b[:, 0, 1] = 3e-320, 4e-320j
+    assert np.allclose(domain.operator_norms(b), 5e-320, rtol=1e-3, atol=0)
+
+
 def test_space_grid():
     grid = SpaceGrid.from_bounds(-1.0, 1.0, 0.5)
     assert grid.n == 5

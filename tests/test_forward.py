@@ -246,10 +246,11 @@ def test_reflectionless_potential_has_tiny_reflection():
 
 def test_bracket_drift_is_an_accuracy_error():
     # a box of height 1e5 at dx = 0.02 grows the fields by about e^1260 across it;
-    # the brackets overflow, and the drift reads inf
+    # the brackets overflow, which no finer space grid mends
     box = domain.box_potential(SpaceGrid.from_bounds(-2.0, 2.0, 0.02), height=1e5)
-    with np.errstate(over="ignore"), pytest.raises(IntegrationAccuracyError, match="bracket drift inf"):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError, match="overflow") as err:
         forward.scattering_coefficients(box, RhoGrid(10.0, 64))
+    assert not isinstance(err.value, IntegrationAccuracyError) and "refine" not in str(err.value)
 
 
 def test_find_bound_states_zero(zero_pot):
