@@ -28,6 +28,7 @@ import numpy as np
 
 from mstl import conditions, forward, glm, kdv, solitons
 from mstl.domain import (
+    MAX_ENTRIES,
     BoundState,
     NumericsError,
     RhoGrid,
@@ -300,8 +301,12 @@ def cmd_kdv(args: argparse.Namespace) -> int:
     if not np.isfinite(args.t_max):
         raise ValidationError(f"--t-max must be finite, got {args.t_max}")
     states = _soliton_states(args)
+    grid = space_grid(args)
+    entries = args.n_t * grid.n * states[0][1].size  # the trajectory's potentials
+    if entries > MAX_ENTRIES:
+        raise ValidationError(f"--n-t {args.n_t} snapshots need {entries:.3g} entries, over the budget of 2^27")
     times = np.linspace(0.0, args.t_max, args.n_t)
-    traj = kdv.soliton_trajectory(states, times, space_grid(args))
+    traj = kdv.soliton_trajectory(states, times, grid)
     args.out.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(args.out / "trajectory.csv", traj)
     centers = [kdv.estimate_center(p) for p in traj.potentials]

@@ -21,6 +21,7 @@ Everything returns a ConditionReport; nothing raises on a failed item.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,10 +226,39 @@ def right_denominator(j_plus: ScatteringData):
 # scalar transmission denominator from |S| and the bound states
 
 
-def _li2(w):
-    from scipy.special import spence  # loaded on first use: it dominates start-up
+# B_2k / (2k + 1)! for k = 19 down to 1, from the Bernoulli numbers B_2 .. B_38 as exact fractions
+_LI2_SERIES = [num / (den * math.factorial(2 * k + 1)) for k, num, den in reversed([
+    (1, 1, 6), (2, -1, 30), (3, 1, 42), (4, -1, 30), (5, 5, 66), (6, -691, 2730), (7, 7, 6), (8, -3617, 510),
+    (9, 43867, 798), (10, -174611, 330), (11, 854513, 138), (12, -236364091, 2730), (13, 8553103, 6),
+    (14, -23749461029, 870), (15, 8615841276005, 14322), (16, -7709321041217, 510), (17, 2577687858367, 6),
+    (18, -26315271553053477373, 1919190), (19, 2929993913841559, 6),
+])]
 
-    return spence(1.0 - np.asarray(w))
+
+def _li2(w):
+    """The dilogarithm Li2(w) off its cut (1, inf), real for real w <= 1.
+
+    |w| > 1 is taken inside the unit disk by Li2(w) = -pi^2/6 - ln(-w)^2 / 2
+    - Li2(1/w), and then Re w > 1/2 to 1 - w by Li2(w) = pi^2/6
+    - ln(w) ln(1 - w) - Li2(1 - w).  There u = -ln(1 - w) has |u| <= pi/3,
+    and Li2(w) = sum_n B_n u^(n+1) / (n+1)! is summed through B_39, its terms
+    falling like (|u| / 2 pi)^n.
+    """
+    w = np.asarray(w)
+    z = w.astype(complex)
+    flip = np.abs(z) > 1
+    z[flip] = 1.0 / z[flip]
+    turn = z.real > 0.5
+    z[turn] = 1.0 - z[turn]
+    u = -np.log(1.0 - z)
+    u2 = u * u
+    series = np.zeros_like(u)
+    for c in _LI2_SERIES:
+        series = series * u2 + c
+    li = u + u2 * (u * series - 0.25)  # B_0 = 1, B_1 = -1/2, and B_n = 0 for odd n > 1
+    li[turn] = np.pi**2 / 6 + u[turn] * np.log(z[turn]) - li[turn]
+    li[flip] = -np.pi**2 / 6 - 0.5 * np.log(-w[flip]) ** 2 - li[flip]
+    return li.real if np.isrealobj(w) else li
 
 
 class ScalarD:

@@ -30,6 +30,9 @@ EIG_CUTOFF_REL = 1e-10
 # fall as far below zero (``weight_check``), and a residue stray as far out of
 # its weight's range (``residue_check``).
 HERMITICITY_RTOL = 1e-8
+# Budget of complex entries of any one array an input may size: a grid's
+# nodes, the count's sweep steps, the GLM's kernel samples and dense system.
+MAX_ENTRIES = 2**27
 # Gaussian bumps of the bundled random potential, and the norm of each.
 _RANDOM_BUMPS = 3
 _RANDOM_AMPLITUDE = 0.4
@@ -205,7 +208,10 @@ class SpaceGrid:
     def from_bounds(cls, x_min: float, x_max: float, dx: float) -> "SpaceGrid":
         if not (math.isfinite(x_min) and math.isfinite(x_max) and math.isfinite(dx) and dx > 0):
             raise ValidationError("grid bounds must be finite and dx positive")
-        n = int(round((x_max - x_min) / dx)) + 1
+        steps = (x_max - x_min) / dx
+        if not steps < MAX_ENTRIES:  # an infinite quotient too
+            raise ValidationError(f"a grid of {steps:.3g} steps is over the budget of 2^27 nodes")
+        n = int(round(steps)) + 1
         if n < 2 or not math.isclose(x_min + (n - 1) * dx, x_max, rel_tol=0, abs_tol=1e-9):
             raise ValidationError("bounds are not an integer number of steps apart")
         return cls(x_min, dx, n)
@@ -235,6 +241,8 @@ class RhoGrid:
     def __post_init__(self):
         if not (math.isfinite(self.rho_max) and self.rho_max > 0) or self.n_half < 1:
             raise ValidationError("rho_max must be positive and finite, n_half >= 1")
+        if 2 * self.n_half > MAX_ENTRIES:
+            raise ValidationError(f"a rho grid of {2 * self.n_half} nodes is over the budget of 2^27")
         step = self.rho_max / self.n_half
         pos = step * (np.arange(self.n_half) + 0.5)
         object.__setattr__(self, "_nodes", np.concatenate([-pos[::-1], pos]))

@@ -21,6 +21,15 @@ a time, so memory does not grow with the grid, and on the symmetric real grid
 for rho > 0 only (mu^2 is even in rho).  The cell eigendecomposition is made
 once per potential (``SampledPotential.cell_eigh``) and shared by every sweep.
 
+Every layer but the count needs the plus and the minus field over the same
+cells, so one routine (``_sweep``) advances a plus sweep from the right edge
+and a minus sweep from the left edge together, as one (2, m, 2 m n_rho)
+array: one loop step takes both across a cell with one call for the cell
+factors of both and one stacked basis change, and does each field's
+arithmetic exactly as a sweep of its own would.  Kept nodes stay in their
+cell's eigenbasis until one batched product moves them all to the node
+basis.  The count runs the same routine with its one minus sweep.
+
 Only the cells from the first to the last nonzero cell value are stepped.
 Free cells outside that range (cell values exactly zero; node values do not
 decide it) are never visited: there the fields are the exact free solution,
@@ -32,7 +41,7 @@ support and is integrated right-to-left; "minus" mirrors this.  Row-equation
 solutions needed in brackets are obtained from column solutions at -conj(rho)
 by conjugate transposition, which is valid because Q is Hermitian.  The
 symmetric real grid is closed under rho -> -conj(rho), so
-``scattering_coefficients`` gets A, B and D from one plus and one minus sweep.
+``scattering_coefficients`` gets A, B and D from one stacked sweep pair.
 
 Bound states are counted (``_count``): by the oscillation theorem, the
 number with tau_k > tau is the number of conjugate points of F_-(x, i tau),
@@ -44,11 +53,12 @@ at one matching node (the matching-point scheme of the multichannel CP
 solvers): W = U_+^H U_- has the eigenvalue 1 there, so one of its
 eigenphases, all of which rise with tau, crosses 0.  Newton on that
 eigenphase, safeguarded by the bracket, needs a plus half sweep from the
-right and a minus half sweep from the left per round, the cells of one
-sweep, for all brackets at once.  Brackets whose drop the eigenphase
-crossings do not explain are multisected by the count instead.  The weights
-of all states come from one plus and one minus sweep over all nodes at every
-state's i tau, matched at one node and normalized (``_norming_factors``).
+right and a minus half sweep from the left per round, stacked, so half as
+many loop steps as the cells of one sweep, for all brackets at once.
+Brackets whose drop the eigenphase crossings do not explain are multisected
+by the count instead.  The weights of all states come from one stacked sweep
+pair over all nodes at every state's i tau, matched at one node and
+normalized (``_norming_factors``).
 """
 
 from __future__ import annotations
@@ -60,6 +70,7 @@ from typing import NamedTuple
 import numpy as np
 
 from mstl.domain import (
+    MAX_ENTRIES,
     BoundState,
     CoefficientSet,
     IntegrationAccuracyError,
@@ -138,119 +149,137 @@ def _free_step(f, p, rhos, h):
     return ch * f + sl * p, ms * f + ch * p
 
 
-def _sweep(potential: SampledPotential, rhos: np.ndarray, direction: str, substeps: int = 1, stop=None):
-    """Yield (node, v, t) from the free wave at the swept range's incoming edge on.
+def _sweep(potential: SampledPotential, rhos: np.ndarray, directions, substeps: int = 1, stop=None):
+    """Yield (nodes, v, t) from the free waves at the swept range's incoming edges on.
 
-    One item per step across the swept cells (the first is the starting node,
-    in the identity basis): ``t`` is the field (F, F') at ``node`` in the
-    eigenbasis ``v`` of the cell just crossed, component-major, t[a, 0, b, n]
-    and t[a, 1, b, n] being entry (a, b) of F and F' at rho_n, so a change of
-    basis is one (m x m) @ (m x 2 m n_rho) product.  The sweep ends at the far
-    edge of the swept range, or at node ``stop`` inside it (a half sweep).
-    Cell factors are made for blocks of at most ``_BLOCK_ELEMENTS`` (cell,
+    The sweeps of ``directions`` ("plus" from the right edge of the swept
+    range, "minus" from its left edge) advance together, one step of each
+    per item; the first item holds the starting nodes, in the identity basis.
+    ``t`` is the stacked field, shape (d, m, 2, m, n_rho): t[d, a, 0, b, n]
+    and t[d, a, 1, b, n] are entry (a, b) of F and F' of sweep d at rho_n in
+    the eigenbasis v[d] of the cell it has just crossed, so the change of
+    basis is one stacked (m x m) @ (m x 2 m n_rho) product.  nodes[d] is the
+    node sweep d reaches, -1 between nodes (``substeps`` splits every cell
+    into equal steps) and after its end: the far edge of the swept range, or
+    node ``stop`` inside it (half sweeps).  An ended sweep is left as it is,
+    v[d] staying its last cell's eigenbasis.  The cell factors of all sweeps
+    come from one call per block of at most ``_BLOCK_ELEMENTS`` (step, sweep,
     component, rho) entries; mu^2 is even in rho, so on a symmetric batch
     (the real grid) they are made for its upper half and mirrored.  ``t`` is
     updated in place; a consumer may right-multiply its columns in place and
-    the sweep goes on from the result.  ``substeps`` splits every cell into
-    equal steps; the items between nodes carry node -1.
+    the sweeps go on from the result.
 
     Every rho must be real or i tau with tau >= 0, so that mu^2 = lambda - rho^2
     is real and ``_cell_factors`` applies.
     """
-    grid = potential.grid
-    m = potential.m
+    grid, m, d = potential.grid, potential.m, len(directions)
     if not np.all((rhos.imag == 0) | ((rhos.real == 0) & (rhos.imag >= 0))):
         raise ValidationError("Jost solutions are swept at real rho or at rho = i tau, tau >= 0")
     nr = rhos.size
     lo, hi = _swept_nodes(potential)
-    if direction == "plus":
-        ikr, start = 1j * rhos, hi
-        cells = np.arange(hi - 1, (lo if stop is None else stop) - 1, -1)
-        reached = cells  # stepping from node c+1 down across cell c reaches node c
-        h = -grid.dx
-    elif direction == "minus":
-        ikr, start = -1j * rhos, lo
-        cells = np.arange(lo, hi if stop is None else stop)
-        reached = cells + 1
-        h = grid.dx
-    else:
-        raise ValidationError(f"unknown direction {direction!r}")
+    sweeps = []  # (ikr, start, cells, nodes reached, h) of each direction
+    for direction in directions:
+        if direction == "plus":  # crossing cell c downward reaches node c
+            cells = np.arange(hi - 1, (lo if stop is None else stop) - 1, -1)
+            sweeps.append((1j * rhos, hi, cells, cells, -grid.dx))
+        elif direction == "minus":
+            cells = np.arange(lo, hi if stop is None else stop)
+            sweeps.append((-1j * rhos, lo, cells, cells + 1, grid.dx))
+        else:
+            raise ValidationError(f"unknown direction {direction!r}")
+    ikr, starts, cells, reached, h = zip(*sweeps)
 
-    wave = np.exp(ikr * grid.xs[start])
-    t = np.empty((m, 2, m, nr), dtype=complex)  # C order: reshapes below are views
-    t[:, 0], t[:, 1] = np.eye(m)[..., None] * wave, np.eye(m)[..., None] * (ikr * wave)
-    yield start, np.eye(m), t
-    if not cells.size:
+    ikr, starts = np.array(ikr), list(starts)
+    wave = np.exp(ikr * grid.xs[starts][:, None])
+    eye = np.eye(m)
+    t = np.empty((d, m, 2, m, nr), dtype=complex)  # C order: reshapes below are views
+    t[:, :, 0], t[:, :, 1] = eye[..., None] * wave[:, None, None], eye[..., None] * (ikr * wave)[:, None, None]
+    yield starts, np.broadcast_to(eye, (d, m, m)), t
+    lengths = [c.size * substeps for c in cells]
+    steps = max(lengths)
+    if not steps:
         return
 
-    w, v = (np.repeat(a[cells], substeps, axis=0) for a in potential.cell_eigh)
-    reached = np.where((np.arange(w.shape[0]) + 1) % substeps, -1, np.repeat(reached, substeps))
-    h /= substeps
-    vh = v.conj().transpose(0, 2, 1)
-    hop = vh[1:] @ v[:-1]  # carries the field from one step's eigenbasis into the next
-    u = (vh[0] @ t.reshape(m, -1)).reshape(t.shape)
-    swapped = u[:, ::-1]  # (F', F)
+    lam, vecs = potential.cell_eigh
+    w = np.zeros((steps, d, m))
+    v = np.empty((steps, d, m, m), dtype=vecs.dtype)
+    v[:] = eye
+    nodes = np.full((steps, d), -1)
+    for j, (c, r, n) in enumerate(zip(cells, reached, lengths)):
+        if n:  # an ended sweep keeps its last cell
+            c = np.concatenate([np.repeat(c, substeps), np.full(steps - n, c[-1])])
+            w[:, j], v[:, j] = lam[c], vecs[c]
+            nodes[:n, j] = np.where((np.arange(n) + 1) % substeps, -1, np.repeat(r, substeps))
+    nodes = nodes.tolist()
+    h = (np.array(h) / substeps)[:, None, None, None]
+    vh = v.conj().swapaxes(-1, -2)
+    hop = vh[1:] @ v[:-1]  # carries each field from one step's eigenbasis into the next
+    u = np.matmul(vh[0], t.reshape(d, m, -1)).reshape(t.shape)
+    swapped = u[:, :, ::-1]  # (F', F)
     cross = np.empty_like(t)
     rho2 = (rhos**2).real
     mirrored = nr % 2 == 0 and np.array_equal(rho2, rho2[::-1])
-    block = max(1, _BLOCK_ELEMENTS // (m * max(nr, 1)))
-    for b0 in range(0, w.shape[0], block):
-        mu2 = w[b0 : b0 + block, :, None, None] - (rho2[nr // 2 :] if mirrored else rho2)
-        factors = _cell_factors(mu2, h)  # (steps, m, 1, n_rho), or its upper half
+    block = max(1, _BLOCK_ELEMENTS // (d * m * max(nr, 1)))
+    live, views, short = slice(None), (t, u, swapped, cross), min(lengths)
+    for b0 in range(0, steps, block):
+        mu2 = w[b0 : b0 + block, :, :, None, None] - (rho2[nr // 2 :] if mirrored else rho2)
+        ch, sl, ms = _cell_factors(mu2, h)  # (steps, d, m, 1, n_rho), or its upper half
+        ch, sl_ms = ch[:, :, :, None], np.stack([sl, ms], axis=3)
         if mirrored:
-            factors = [np.concatenate([f[..., ::-1], f], axis=-1) for f in factors]
-        ch, sl, ms = factors
-        ch, sl_ms = ch[:, :, None], np.stack([sl, ms], axis=2)
+            ch, sl_ms = (np.concatenate([f[..., ::-1], f], axis=-1) for f in (ch, sl_ms))
         for i in range(ch.shape[0]):
             k = b0 + i
+            if k == short:  # the shorter sweep has ended: the longer one goes on alone
+                j = int(np.argmax(lengths))
+                live = slice(j, j + 1)
+                views = tuple(a[live] for a in (t, u, swapped, cross))
+            tl, ul, swl, cl = views
             # F <- cosh F + sinhc F',  F' <- cosh F' + mu^2 sinhc F
-            np.multiply(ch[i], u, out=t)
-            np.multiply(sl_ms[i], swapped, out=cross)
-            t += cross
-            yield int(reached[k]), v[k], t
-            if k + 1 < w.shape[0]:
-                np.matmul(hop[k], t.reshape(m, -1), out=u.reshape(m, -1))
+            np.multiply(ch[i, live], ul, out=tl)
+            np.multiply(sl_ms[i, live], swl, out=cl)
+            tl += cl
+            yield nodes[k], v[k], t
+            if k + 1 < steps:
+                np.matmul(hop[k, live], tl.reshape(len(tl), m, -1), out=ul.reshape(len(ul), m, -1))
 
 
-def _propagate(potential: SampledPotential, rhos: np.ndarray, direction: str, keep):
-    """Jost field (F, F') at the node indices ``keep``.
+def _propagate(potential: SampledPotential, rhos: np.ndarray, keep):
+    """Plus and minus Jost fields (F, F') at the node indices ``keep``, from one stacked sweep.
 
-    Output arrays have shape (len(keep), n_rho, m, m).  Only the cells between
-    the first and last nonzero cell are stepped (see ``_sweep``); on the
-    incoming side of that range the field is the free wave exp(+-i rho x) I,
-    and beyond its far edge it is carried from the edge by one exact free step.
+    Output arrays have shape (2, len(keep), n_rho, m, m), plus first.  Only
+    the cells between the first and last nonzero cell are stepped (see
+    ``_sweep``); on the incoming side of that range a field is the free wave
+    exp(+-i rho x) I, and beyond its far edge it is carried from the edge by
+    one exact free step.  The sweep keeps each node of ``keep`` in its cell's
+    eigenbasis, and one batched product takes them all to the node basis.
     """
-    xs = potential.grid.xs
-    m = potential.m
+    xs, m = potential.grid.xs, potential.m
     rhos = np.atleast_1d(np.asarray(rhos, dtype=complex))
     keep = np.asarray(keep, dtype=int)
-    slot = {j: k for k, j in enumerate(keep.tolist())}
-    out_f = np.empty((keep.size, rhos.size, m, m), dtype=complex)
-    out_p = np.empty((keep.size, rhos.size, m, m), dtype=complex)
+    slot = {node: k for k, node in enumerate(keep.tolist())}
+    v_kept = np.zeros((2, keep.size, m, m), dtype=complex)
+    t_kept = np.zeros((2, keep.size, m, 2, m, rhos.size), dtype=complex)
+    for nodes, v, t in _sweep(potential, rhos, ("plus", "minus")):
+        for j, node in enumerate(nodes):
+            k = slot.get(node)
+            if k is not None:
+                v_kept[j, k], t_kept[j, k] = v[j], t[j]
+    np.matmul(v_kept, t_kept.reshape(2, keep.size, m, -1), out=t_kept.reshape(2, keep.size, m, -1))
+    fields = np.ascontiguousarray(t_kept.transpose(3, 0, 1, 5, 2, 4))  # (F or F', sweep, node, rho, m, m)
+    out_f, out_p = fields
 
-    start = None
-    for node, v, t in _sweep(potential, rhos, direction):
-        start = node if start is None else start
-        if node in slot:
-            out_f[slot[node]], out_p[slot[node]] = _to_nodes(v, t)
-    end = node
-    f, p = _to_nodes(v, t)
-
-    sign = 1 if direction == "plus" else -1  # the sweep runs toward -sign x
-    incoming, beyond = (keep - start) * sign > 0, (keep - end) * sign < 0
-    ikr = sign * 1j * rhos
-    wave = np.exp(ikr * xs[keep[incoming], None])
-    out_f[incoming] = wave[..., None, None] * np.eye(m)
-    out_p[incoming] = (ikr * wave)[..., None, None] * np.eye(m)
-    if np.any(beyond):
-        out_f[beyond], out_p[beyond] = _free_step(f, p, rhos, xs[keep[beyond]] - xs[end])
+    lo, hi = _swept_nodes(potential)
+    for j, (sign, start, end) in enumerate(((1, hi, lo), (-1, lo, hi))):  # sweep j runs toward -sign x
+        incoming, beyond = (keep - start) * sign > 0, (keep - end) * sign < 0
+        ikr = sign * 1j * rhos
+        wave = np.exp(ikr * xs[keep[incoming], None])
+        out_f[j, incoming] = wave[..., None, None] * np.eye(m)
+        out_p[j, incoming] = (ikr * wave)[..., None, None] * np.eye(m)
+        if np.any(beyond):  # from the sweep's last node
+            g = (v[j] @ t[j].reshape(m, -1)).reshape(t[j].shape)
+            f, p = g[:, 0].transpose(2, 0, 1), g[:, 1].transpose(2, 0, 1)
+            out_f[j, beyond], out_p[j, beyond] = _free_step(f, p, rhos, xs[keep[beyond]] - xs[end])
     return out_f, out_p
-
-
-def _to_nodes(v, t):
-    """(F, F') of shape (n_rho, m, m) from the eigenbasis state ``t`` of a cell."""
-    g = (v @ t.reshape(v.shape[0], -1)).reshape(t.shape)
-    return g[:, 0].transpose(2, 0, 1), g[:, 1].transpose(2, 0, 1)
 
 
 def _bracket(zf, zp, yf, yp):
@@ -271,7 +300,7 @@ def _checkpoints(potential: SampledPotential) -> np.ndarray:
 
 
 def scattering_coefficients(potential: SampledPotential, rho_grid: RhoGrid) -> CoefficientSet:
-    """Matching coefficients A, B, C, D on the real grid, from one plus and one minus sweep.
+    """Matching coefficients A, B, C, D on the real grid, from one stacked plus and minus sweep.
 
     The row solutions of each bracket are the column fields at -conj(rho) =
     -rho, the reversed node of the symmetric grid, which the same two sweeps
@@ -283,8 +312,7 @@ def scattering_coefficients(potential: SampledPotential, rho_grid: RhoGrid) -> C
     """
     nodes = rho_grid.nodes
     cps = _checkpoints(potential)
-    fp, pp = _propagate(potential, nodes, "plus", cps)
-    fm, pm = _propagate(potential, nodes, "minus", cps)
+    (fp, fm), (pp, pm) = _propagate(potential, nodes, cps)
     two_iz = 2j * nodes[:, None, None]
     br_a = _bracket(fm[:, ::-1], pm[:, ::-1], fp, pp)
     mean_a = br_a.mean(axis=0)
@@ -334,33 +362,46 @@ def _frame_scale(potential: SampledPotential, taus) -> float:
     return float(np.sqrt(max(float(w.max()), 0.0) + top * top))
 
 
-def _cayley_frames(potential: SampledPotential, taus: np.ndarray, s: float, direction: str, stop=None):
-    """Yield (node, v, u) at the readings of U = (Y + i Y'/s)(Y - i Y'/s)^-1, Y = F(x, i tau).
+def _cayley_frames(potential: SampledPotential, taus: np.ndarray, s: float, directions, stop=None):
+    """Yield (v, u) at the readings of U = (Y + i Y'/s)(Y - i Y'/s)^-1, Y = F(x, i tau).
 
-    ``u`` is U^T in the eigenbasis ``v`` of the cell just crossed, shape
-    (n_tau, m, m), along the sweep of ``_sweep`` in ``direction`` up to
-    ``stop``.  U is unitary, a function of the span of Y's columns only, and
-    det U is invariant under a change of basis.  With s from ``_frame_scale``
-    arg det U moves at most 2 m s per unit length, so it is read often enough
-    (cells split into equal steps if need be) to move less than pi between
-    readings, and at the last node.  Each reading resets the frame to
+    ``u`` holds U^T of each sweep of ``directions`` at its latest reading,
+    shape (d, n_tau, m, m), in the eigenbasis v[d] of the cell it has just
+    crossed, along the sweeps of ``_sweep`` up to ``stop``.  U is unitary, a
+    function of the span of Y's columns only, and det U is invariant under a
+    change of basis.  With s from ``_frame_scale`` arg det U moves at most
+    2 m s per unit length, so each sweep is read often enough (cells split
+    into equal steps if need be) to move less than pi between readings, and
+    at its last node.  Each reading resets that sweep's frame to
     ((U + I)/2, s (U - I)/2i), right multiplication by (Y - i Y'/s)^-1,
     before it can overflow.
     """
     m = potential.m
     lo, hi = _swept_nodes(potential)
-    end = (hi if direction == "minus" else lo) if stop is None else stop
+    ends = [(hi if direction == "minus" else lo) if stop is None else stop for direction in directions]
     motion = 2 * m * s * potential.grid.dx  # bound on |d arg det U| per cell
+    steps = (hi - lo) * (motion / np.pi + 1)
+    if not steps * m * m <= MAX_ENTRIES:  # the sweep holds each step's eigenbasis
+        raise NumericsError(
+            f"the bound-state sweeps need {steps:.3g} steps, {m}x{m} eigenbases each, over the budget of 2^27: "
+            f"eigenphases move by up to {motion:.3g} per cell"
+        )
     substeps = int(motion / np.pi) + 1
     stride = int(np.ceil(np.pi * substeps / motion)) - 1  # steps between readings
     i_s, eye = 1j / s, np.eye(m)
-    for k, (node, v, t) in enumerate(_sweep(potential, 1j * taus, direction, substeps, stop)):
-        if k % stride and node != end:
+    u = np.empty((len(directions), taus.size, m, m), dtype=complex)
+    running = list(range(len(directions)))  # sweeps not yet read at their last node
+    for k, (nodes, v, t) in enumerate(_sweep(potential, 1j * taus, directions, substeps, stop)):
+        read = [j for j in running if nodes[j] == ends[j] or not k % stride]
+        if not read:
             continue
-        f, p = t[:, 0].T, t[:, 1].T  # transposed fields, (n_tau, m, m)
-        u = np.linalg.solve(f - i_s * p, f + i_s * p)  # U^T
-        yield node, v, u
-        t[:, 0], t[:, 1] = (0.5 * (u + eye)).T, ((u - eye) / (2.0 * i_s)).T
+        sl = slice(read[0], read[-1] + 1)  # of at most two sweeps, so contiguous
+        f, p = t[sl, :, 0].transpose(0, 3, 2, 1), t[sl, :, 1].transpose(0, 3, 2, 1)  # transposed fields
+        u[sl] = np.linalg.solve(f - i_s * p, f + i_s * p)  # U^T
+        yield v, u
+        t[sl, :, 0] = (0.5 * (u[sl] + eye)).transpose(0, 3, 2, 1)
+        t[sl, :, 1] = ((u[sl] - eye) / (2.0 * i_s)).transpose(0, 3, 2, 1)
+        running = [j for j in running if nodes[j] != ends[j]]
 
 
 def _count(potential: SampledPotential, taus) -> tuple[np.ndarray, np.ndarray]:
@@ -380,10 +421,10 @@ def _count(potential: SampledPotential, taus) -> tuple[np.ndarray, np.ndarray]:
     s = _frame_scale(potential, taus)
     phi0 = 2.0 * np.arctan(taus / s)  # U = exp(i phi0) I at the start
     winding = potential.m * phi0  # arg det U, lifted
-    for _, _, u in _cayley_frames(potential, taus, s, "minus"):
-        winding += np.angle(np.linalg.det(u) / np.exp(1j * winding))
+    for _, u in _cayley_frames(potential, taus, s, ("minus",)):
+        winding += np.angle(np.linalg.det(u[0]) / np.exp(1j * winding))
 
-    phases = np.angle(np.linalg.eigvals(u))
+    phases = np.angle(np.linalg.eigvals(u[0]))
     inside = (phases.sum(axis=1) - winding) / (2.0 * np.pi)
     conjugate = np.rint(inside).astype(int)
     if np.any(np.abs(inside - conjugate) > 0.25):
@@ -407,7 +448,7 @@ def _matching_node(potential: SampledPotential) -> int:
 
 
 def _eigenphases(potential: SampledPotential, taus, s: float, node: int) -> list:
-    """``_Phases`` at each tau, from a plus half sweep hi -> node and a minus half sweep lo -> node.
+    """``_Phases`` at each tau, from a stacked plus half sweep hi -> node and minus half sweep lo -> node.
 
     U_+ and U_- are the Cayley frames of F_+ and F_- at ``node``; W = U_+^H U_-
     has the eigenvalue 1 exactly where the spans of (F_+, F_+') and (F_-, F_-')
@@ -418,13 +459,10 @@ def _eigenphases(potential: SampledPotential, taus, s: float, node: int) -> list
     """
     taus = np.asarray(taus, dtype=float)
     both = np.concatenate([taus, taus + _STEP])
-
-    def at_node(direction):
-        for _, v, u in _cayley_frames(potential, both, s, direction, node):
-            pass
-        return v @ u.transpose(0, 2, 1) @ v.conj().T  # U in the basis of the nodes
-
-    w = at_node("plus").conj().transpose(0, 2, 1) @ at_node("minus")
+    for v, u in _cayley_frames(potential, both, s, ("plus", "minus"), node):
+        pass
+    plus, minus = v[:, None] @ u.swapaxes(-1, -2) @ v.conj().swapaxes(-1, -2)[:, None]  # U in the node basis
+    w = plus.conj().transpose(0, 2, 1) @ minus
     here, ahead = w[: taus.size], w[taus.size :]
     lam, x = np.linalg.eig(here)
     moved = np.einsum("nai,nab,nbi->ni", x.conj(), here.conj().transpose(0, 2, 1) @ ahead, x)
@@ -628,7 +666,7 @@ def _cell_integral(potential: SampledPotential, phi, dphi, tau: float) -> np.nda
 def _norming_factors(potential: SampledPotential, states) -> list:
     """(B, V) for each state (tau, rank): N_- = B B^H, N_+ = V V^H, residue R_+ = i B V^H at i tau.
 
-    One plus and one minus sweep over all nodes carry every state's tau.
+    One stacked plus and minus sweep over all nodes carries every state's tau.
     The states are the null space [V; B] of [[F_+, -F_-], [F_+', -F_-']] at
     the node x* maximizing sigma_min(F_+) sigma_min(F_-), away from where
     the jitter of tau excites either field's growing mode; the ``rank``
@@ -641,8 +679,7 @@ def _norming_factors(potential: SampledPotential, states) -> list:
     """
     m, nodes = potential.m, range(potential.grid.n)
     taus = np.array([tau for tau, _ in states], dtype=float)
-    fp, pp = _propagate(potential, 1j * taus, "plus", nodes)
-    fm, pm = _propagate(potential, 1j * taus, "minus", nodes)
+    (fp, fm), (pp, pm) = _propagate(potential, 1j * taus, nodes)
     sigma = np.linalg.svd(fp, compute_uv=False)[..., -1] * np.linalg.svd(fm, compute_uv=False)[..., -1]
     out = []
     for i, ((tau, rank), star) in enumerate(zip(states, np.argmax(sigma, axis=0))):

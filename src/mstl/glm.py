@@ -55,6 +55,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from mstl.domain import (
+    MAX_ENTRIES,
     IllPosedDataError,
     InconsistentDataError,
     SampledPotential,
@@ -67,7 +68,6 @@ from mstl.domain import (
 
 RCOND_FLOOR = 1e-12
 TAIL_REL = 1e-10
-MAX_ENTRIES = 2**27  # complex entries of the kernel samples or of the dense GLM system
 _BLOCK_U = 2**12  # u samples per chirp-z block of the Fourier kernel
 _OVERLAP = 1.0  # each side is solved past x = 0 to |x| = _OVERLAP, where the two must agree
 _OVERLAP_TOL = 0.05  # largest overlap gap, relative to 0.1 + max |Q|
@@ -311,6 +311,13 @@ def _half_line_potential(data: ScatteringData, xs: np.ndarray, dx: float):
     ext = xs[0] + dx * np.arange(-2, xs.size + 2)
     taus = np.array(data.taus)
     scales = np.array([matrix_operator_norm(b.weight) for b in data.bound_states])
+    # the bound-state kernel N exp(-tau u) is formed from the first Hankel argument u = 2 ext_0 on
+    peaks = np.log(np.maximum(scales, 1e-30)) - taus * 2 * ext[0]
+    if np.any(peaks >= np.log(np.finfo(float).max)):
+        raise IllPosedDataError(
+            f"bound state at tau = {taus[np.argmax(peaks)]:.6g} of the {data.side} data overflows the GLM "
+            f"kernel ||N|| exp(-tau u) at its first Hankel argument u = {2 * ext[0]:.6g}"
+        )
 
     # the continuous part, the + transform of either side's S in right form, is sampled past the
     # slowest bound-state tail but at most to one sample past |u| = u_limit, where the midpoint sum

@@ -10,6 +10,8 @@ scale, so trajectories remain computable long after exp(8 tau^3 t) overflows.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +34,9 @@ def soliton_trajectory(states, t_grid, x_grid: SpaceGrid) -> KdVTrajectory:
     """
     times = tuple(float(t) for t in t_grid)
     taus = [float(t) for t, _ in states]
+    t_max, tau_max = max(map(abs, times), default=0.0), max(taus, default=0.0)
+    if min(t_max, tau_max) > 0 and math.log(8.0 * t_max) + 3.0 * math.log(tau_max) >= math.log(sys.float_info.max):
+        raise ValidationError(f"the log weight growth 8 tau^3 t leaves the double range at tau = {tau_max:g}")
     potentials = tuple(
         separable_glm_solve(states, x_grid, log_scales=[8.0 * tau**3 * t for tau in taus])
         for t in times

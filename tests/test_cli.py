@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from mstl import cli, conditions, domain, glm, kdv, solitons
+from mstl import cli, conditions, domain, forward, glm, kdv, solitons
 from mstl.domain import BoundState, NumericsError, RhoGrid, ScatteringData, SpaceGrid
 from tests.conftest import read_strict_json
 
@@ -771,7 +771,7 @@ def test_cli_options_and_defaults():
     }
 
 
-def test_import_leaves_spline_and_optimizer_unloaded():
+def test_import_leaves_spline_and_optimizer_unloaded(tmp_path):
     import os
     import subprocess
     import sys
@@ -780,15 +780,20 @@ def test_import_leaves_spline_and_optimizer_unloaded():
 
     src = os.path.dirname(os.path.dirname(mstl.__file__))
     env = dict(os.environ, PYTHONPATH=src)
+    box = forward.full_forward(domain.box_potential(SpaceGrid.from_bounds(-2.0, 2.0, 0.02)), RhoGrid(20.0, 128))
+    cli.write_scattering_json(tmp_path / "box.json", box.j_plus)
     # the Fourier kernel of condition A is numpy's FFT alone: one call loads
-    # neither scipy.signal nor scipy.fft
+    # neither scipy.signal nor scipy.fft; validating scalar data with
+    # reflection takes the dilogarithm from numpy, not from scipy.special
     probe = ("import sys, numpy as np, mstl.cli; print(sorted(m for m in "
              "('scipy.interpolate', 'scipy.optimize', 'scipy.special', 'scipy.linalg', "
              "'scipy.signal', 'scipy.fft') if m in sys.modules)); "
              "from mstl.domain import RhoGrid, ScatteringData; rg = RhoGrid(10.0, 64); "
              "mstl.conditions.check_condition_A(ScatteringData(side='right', rho_grid=rg, "
              "S=(0.1 / (rg.nodes + 1j))[:, None, None])); "
-             "print(sorted(m for m in ('scipy.signal', 'scipy.fft') if m in sys.modules))")
+             "print(sorted(m for m in ('scipy.signal', 'scipy.fft') if m in sys.modules)); "
+             f"code = mstl.cli.main(['validate', '--data', {str(tmp_path / 'box.json')!r}]); "
+             "print(code, sorted(m for m in ('scipy.special', 'scipy.signal', 'scipy.fft') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.split() == ["[]", "[]"]
+    assert out.stdout.split() == ["[]", "[]", "validate:", "PASS", "0", "[]"]

@@ -119,6 +119,20 @@ def test_connection_involution(box_forward):
     assert np.abs(back - box_forward.j_plus.S).max() < 1e-10
 
 
+def test_dilogarithm_matches_scipy_spence():
+    # Li2(w) = spence(1 - w), over random points of every scale off the cut (1, inf)
+    # and on the real half-lines ScalarD takes (w <= 0, real results)
+    from scipy.special import spence
+
+    rng = np.random.default_rng(3)
+    w = 10.0 ** rng.uniform(-6, 8, 20000) * np.exp(1j * rng.uniform(-np.pi, np.pi, 20000))
+    w = w[(w.real < 1) | (np.abs(w.imag) > 1e-3 * np.abs(w))]
+    assert np.all(np.abs(conditions._li2(w) - spence(1 - w)) <= 1e-14 * np.abs(spence(1 - w)))
+    x = -np.concatenate([np.linspace(0.0, 1.0, 101), np.geomspace(1.0, 1e10, 101)])
+    li = conditions._li2(x)
+    assert li.dtype == float and np.all(np.abs(li - spence(1 - x)) <= 1e-14 * np.abs(spence(1 - x)))
+
+
 def test_scalar_D_trivial_cases():
     rg = RhoGrid(8.0, 128)
     one_state = ScatteringData(

@@ -18,10 +18,13 @@ def zero_pot():
     return domain.zero_potential(SpaceGrid.from_bounds(-4.0, 4.0, 0.02), dim=2)
 
 
+SWEEP = {"plus": 0, "minus": 1}  # index of each direction in the stacked fields
+
+
 def _field(potential, rho, direction):
     """Whole-grid Jost field (F, F') at one spectral point, shape (n, m, m) each."""
-    f, p = forward._propagate(potential, np.array([rho]), direction, range(potential.grid.n))
-    return f[:, 0], p[:, 0]
+    f, p = forward._propagate(potential, np.array([rho]), range(potential.grid.n))
+    return f[SWEEP[direction], :, 0], p[SWEEP[direction], :, 0]
 
 
 def _bracket_with_spread(row, column):
@@ -53,7 +56,7 @@ def test_jost_rejects_lower_half_plane(zero_pot):
 def test_jost_rejects_rho_off_the_two_axes(zero_pot, rho):
     # sweeps run at real rho and at rho = i tau, tau >= 0, where mu^2 is real
     with pytest.raises(ValidationError, match="real rho or at rho = i tau"):
-        forward._propagate(zero_pot, np.array([1.0, rho]), "minus", [0])
+        forward._propagate(zero_pot, np.array([1.0, rho]), [0])
 
 
 def test_cell_factors_match_complex_reference():
@@ -176,7 +179,8 @@ def test_propagate_matches_expm_reference(direction):
     assert np.abs(np.linalg.eigvalsh(pot.cell_values[17]) - 1.5**2).min() < 1e-12
 
     rhos = np.array([1.3, 0.6j, 1.5])
-    f, p = forward._propagate(pot, rhos, direction, range(grid.n))
+    f, p = forward._propagate(pot, rhos, range(grid.n))
+    f, p = f[SWEEP[direction]], p[SWEEP[direction]]
     for k, rho in enumerate(rhos):
         f_ref, p_ref = _expm_reference(pot, rho, direction)
         assert np.abs(f[:, k] - f_ref).max() <= 1e-12 * np.abs(f_ref).max()
@@ -274,14 +278,18 @@ def two_soliton():
 
 
 def _count_sweeps(monkeypatch):
-    """List that gets one entry [batch of rho, cells stepped] per sweep."""
+    """List that gets one entry [batch of rho, loop steps] per call of the sweep routine.
+
+    A loop step advances every sweep of the call (a plus and a minus sweep,
+    or the count's one minus sweep) by one cell.
+    """
     calls = []
     sweep = forward._sweep
 
-    def counting(potential, rhos, direction, substeps=1, stop=None):
-        calls.append([np.asarray(rhos), -1])  # the first item is the starting node
-        for item in sweep(potential, rhos, direction, substeps, stop):
-            calls[-1][1] += item[0] >= 0  # items between nodes carry node -1
+    def counting(potential, rhos, directions, substeps=1, stop=None):
+        calls.append([np.asarray(rhos), -1])  # the first item holds the starting nodes
+        for item in sweep(potential, rhos, directions, substeps, stop):
+            calls[-1][1] += 1
             yield item
 
     monkeypatch.setattr(forward, "_sweep", counting)
@@ -335,11 +343,51 @@ def test_mirrored_cell_factors_are_bit_identical(bump_setup):
     # alone has no mirror image and makes all its own factors
     _, bump, _ = bump_setup
     nodes = RhoGrid(10.0, 64).nodes
-    for direction in ("plus", "minus"):
-        f, p = forward._propagate(bump, nodes, direction, [0, 400, 800])
-        for half in (slice(None, 64), slice(64, None)):
-            f_half, p_half = forward._propagate(bump, nodes[half], direction, [0, 400, 800])
-            assert np.array_equal(f[:, half], f_half) and np.array_equal(p[:, half], p_half)
+    f, p = forward._propagate(bump, nodes, [0, 400, 800])
+    for half in (slice(None, 64), slice(64, None)):
+        f_half, p_half = forward._propagate(bump, nodes[half], [0, 400, 800])
+        assert np.array_equal(f[:, :, half], f_half) and np.array_equal(p[:, :, half], p_half)
+
+
+def _swept_alone(potential, rhos, direction):
+    """{node: (F, F')} of one sweep run by itself, each node taken to the node basis on its own."""
+    fields = {}
+    for (node,), v, t in forward._sweep(potential, rhos, (direction,)):
+        if node >= 0:
+            g = (v[0] @ t[0].reshape(potential.m, -1)).reshape(t[0].shape)
+            fields[node] = g[:, 0].transpose(2, 0, 1), g[:, 1].transpose(2, 0, 1)
+    return fields
+
+
+@pytest.mark.parametrize("case", ["two-soliton at i tau", "bump on the real grid"])
+def test_stacked_sweeps_equal_each_direction_swept_alone(two_soliton, bump_setup, case):
+    # the stacked pair and its batched node transform do each field's
+    # arithmetic exactly as a sweep of its own does
+    if case == "two-soliton at i tau":
+        pot, rhos = two_soliton, 1j * np.array([0.3, 1.0, 2.0])
+    else:
+        pot, rhos = bump_setup[1], RhoGrid(10.0, 64).nodes
+    lo, hi = forward._swept_nodes(pot)
+    alone = [_swept_alone(pot, rhos, direction) for direction in SWEEP]
+    for keep in (forward._checkpoints(pot), np.arange(lo, hi + 1)):
+        f, p = forward._propagate(pot, rhos, keep)
+        for j, fields in enumerate(alone):
+            assert all(np.array_equal(f[j, k], fields[node][0]) for k, node in enumerate(keep))
+            assert all(np.array_equal(p[j, k], fields[node][1]) for k, node in enumerate(keep))
+
+
+@pytest.mark.parametrize("node", [160, 100, 250])
+def test_stacked_half_sweeps_equal_each_half_alone(two_soliton, node):
+    # halves of equal length, a longer plus half and a longer minus half: the
+    # Cayley readings of each half are those of the half swept by itself
+    taus = np.array([0.3, 1.0, 2.0])
+    s = forward._frame_scale(two_soliton, taus)
+    for v, u in forward._cayley_frames(two_soliton, taus, s, ("plus", "minus"), node):
+        pass
+    for j, direction in enumerate(SWEEP):
+        for v_alone, u_alone in forward._cayley_frames(two_soliton, taus, s, (direction,), node):
+            pass
+        assert np.array_equal(v[j], v_alone[0]) and np.array_equal(u[j], u_alone[0])
 
 
 def test_full_forward_decomposes_the_cells_once(two_soliton, monkeypatch):
@@ -361,10 +409,11 @@ def test_full_forward_sweep_count(two_soliton, monkeypatch):
     calls = _count_sweeps(monkeypatch)
     result = forward.full_forward(two_soliton, RhoGrid(10.0, 64))
     assert len(result.j_plus.bound_states) == 2
-    # 320 swept cells: one count sweep (1), three rounds of matching-node half
-    # sweeps (4 x 2 halves), the real grid (2) and all states' weight fields
-    # (2); seven count rounds and two weight sweeps per state stepped 4160
-    assert sum(cells for _, cells in calls) == 2560
+    # 320 swept cells: the count sweep (320 steps), three rounds of stacked
+    # matching-node half sweeps (160 steps each), the stacked real-grid pair
+    # (320) and the stacked weight pair of all states (320); the same sweeps
+    # one direction at a time stepped 2560 cells
+    assert sum(steps for _, steps in calls) == 1440
 
 
 def test_full_forward_sweeps_have_real_rho_squared(two_soliton, bump_setup, monkeypatch):
@@ -374,8 +423,8 @@ def test_full_forward_sweeps_have_real_rho_squared(two_soliton, bump_setup, monk
     _, bump, _ = bump_setup
     for pot in (two_soliton, bump):
         forward.full_forward(pot, RhoGrid(10.0, 64))
-    # the bump's 800 cells are stepped by its two real-grid sweeps only
-    assert sum(cells for _, cells in calls) == 2560 + 2 * 800
+    # the bump's 800 cells are stepped by its stacked real-grid pair only
+    assert sum(steps for _, steps in calls) == 1440 + 800
     for rhos, _ in calls:
         assert np.all((rhos**2).imag == 0)
 
