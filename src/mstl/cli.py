@@ -209,10 +209,11 @@ def _soliton_states(args: argparse.Namespace):
         v = np.array([complex(part) for part in args.direction.split(",")])
     except ValueError as exc:
         raise ValidationError(f"--direction {args.direction!r}: {exc}") from exc
-    norm = np.linalg.norm(v)
-    if not (np.isfinite(norm) and norm > 0):
+    largest = np.abs(v).max()
+    if not (np.isfinite(largest) and largest > 0):
         raise ValidationError("--direction must be a finite nonzero vector")
-    v = v / norm
+    v = (v.view(float) / largest).view(complex)  # the norm of v itself may overflow; real parts divide exactly
+    v = v / np.linalg.norm(v)
     proj = np.outer(v, v.conj())
     return [(t, w * proj) for t, w in zip(args.taus, args.weights)]
 
@@ -302,6 +303,7 @@ def cmd_kdv(args: argparse.Namespace) -> int:
         raise ValidationError(f"--t-max must be finite, got {args.t_max}")
     states = _soliton_states(args)
     grid = space_grid(args)
+    solitons.check_on_grid(states, grid)  # the t = 0 states, as ``soliton`` checks them
     entries = args.n_t * grid.n * states[0][1].size  # the trajectory's potentials
     if entries > MAX_ENTRIES:
         raise ValidationError(f"--n-t {args.n_t} snapshots need {entries:.3g} entries, over the budget of 2^27")

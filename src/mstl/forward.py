@@ -21,14 +21,15 @@ a time, so memory does not grow with the grid, and on the symmetric real grid
 for rho > 0 only (mu^2 is even in rho).  The cell eigendecomposition is made
 once per potential (``SampledPotential.cell_eigh``) and shared by every sweep.
 
-Every layer but the count needs the plus and the minus field over the same
-cells, so one routine (``_sweep``) advances a plus sweep from the right edge
-and a minus sweep from the left edge together, as one (2, m, 2 m n_rho)
-array: one loop step takes both across a cell with one call for the cell
-factors of both and one stacked basis change, and does each field's
-arithmetic exactly as a sweep of its own would.  Kept nodes stay in their
-cell's eigenbasis until one batched product moves them all to the node
-basis.  The count runs the same routine with its one minus sweep.
+One routine (``_sweep``) runs every sweep.  The bound-state matching and
+the weights need the plus and the minus field over the same cells, so it
+advances a plus sweep from the right edge and a minus sweep from the left
+edge together, as one (2, m, 2 m n_rho) array: one loop step takes both
+across a cell with one call for the cell factors of both and one stacked
+basis change, and does each field's arithmetic exactly as a sweep of its
+own would.  Kept nodes stay in their cell's eigenbasis until one batched
+product moves them all to the node basis.  The real-axis coefficients run
+the same routine with one plus sweep, the count with one minus sweep.
 
 Only the cells from the first to the last nonzero cell value are stepped.
 Free cells outside that range (cell values exactly zero; node values do not
@@ -40,8 +41,12 @@ Directions: the "plus" solution equals exp(i rho x) I to the right of the
 support and is integrated right-to-left; "minus" mirrors this.  Row-equation
 solutions needed in brackets are obtained from column solutions at -conj(rho)
 by conjugate transposition, which is valid because Q is Hermitian.  The
-symmetric real grid is closed under rho -> -conj(rho), so
-``scattering_coefficients`` gets A, B and D from one stacked sweep pair.
+symmetric real grid is closed under rho -> -conj(rho), and the brackets do
+not depend on x: at the left edge of the swept range the minus field is
+exactly the free wave exp(-i rho x) I, so ``scattering_coefficients`` gets
+A, B and D from one plus sweep, read there.  Its drift gate checks the plus
+field's flux identity F'^H F - F^H F' = -2 i rho I at checkpoints across the
+range, against its roundoff, which grows as max|F| max|F'|.
 
 Bound states are counted (``_count``): by the oscillation theorem, the
 number with tau_k > tau is the number of conjugate points of F_-(x, i tau),
@@ -243,6 +248,27 @@ def _sweep(potential: SampledPotential, rhos: np.ndarray, directions, substeps: 
                 np.matmul(hop[k, live], tl.reshape(len(tl), m, -1), out=ul.reshape(len(ul), m, -1))
 
 
+def _kept_fields(potential: SampledPotential, rhos: np.ndarray, directions, keep: np.ndarray):
+    """(F, F') of the sweeps of ``directions`` at the node indices ``keep``, and their last (v, t).
+
+    The fields have shape (2, d, len(keep), n_rho, m, m), F first; a node
+    that a sweep does not reach stays zero.  The sweep keeps each node of
+    ``keep`` in its cell's eigenbasis, and one batched product takes them all
+    to the node basis.
+    """
+    m, d = potential.m, len(directions)
+    slot = {node: k for k, node in enumerate(keep.tolist())}
+    v_kept = np.zeros((d, keep.size, m, m), dtype=complex)
+    t_kept = np.zeros((d, keep.size, m, 2, m, rhos.size), dtype=complex)
+    for nodes, v, t in _sweep(potential, rhos, directions):
+        for j, node in enumerate(nodes):
+            k = slot.get(node)
+            if k is not None:
+                v_kept[j, k], t_kept[j, k] = v[j], t[j]
+    np.matmul(v_kept, t_kept.reshape(d, keep.size, m, -1), out=t_kept.reshape(d, keep.size, m, -1))
+    return np.ascontiguousarray(t_kept.transpose(3, 0, 1, 5, 2, 4)), v, t  # (F or F', sweep, node, rho, m, m)
+
+
 def _propagate(potential: SampledPotential, rhos: np.ndarray, keep):
     """Plus and minus Jost fields (F, F') at the node indices ``keep``, from one stacked sweep.
 
@@ -250,23 +276,12 @@ def _propagate(potential: SampledPotential, rhos: np.ndarray, keep):
     the cells between the first and last nonzero cell are stepped (see
     ``_sweep``); on the incoming side of that range a field is the free wave
     exp(+-i rho x) I, and beyond its far edge it is carried from the edge by
-    one exact free step.  The sweep keeps each node of ``keep`` in its cell's
-    eigenbasis, and one batched product takes them all to the node basis.
+    one exact free step.
     """
     xs, m = potential.grid.xs, potential.m
     rhos = np.atleast_1d(np.asarray(rhos, dtype=complex))
     keep = np.asarray(keep, dtype=int)
-    slot = {node: k for k, node in enumerate(keep.tolist())}
-    v_kept = np.zeros((2, keep.size, m, m), dtype=complex)
-    t_kept = np.zeros((2, keep.size, m, 2, m, rhos.size), dtype=complex)
-    for nodes, v, t in _sweep(potential, rhos, ("plus", "minus")):
-        for j, node in enumerate(nodes):
-            k = slot.get(node)
-            if k is not None:
-                v_kept[j, k], t_kept[j, k] = v[j], t[j]
-    np.matmul(v_kept, t_kept.reshape(2, keep.size, m, -1), out=t_kept.reshape(2, keep.size, m, -1))
-    fields = np.ascontiguousarray(t_kept.transpose(3, 0, 1, 5, 2, 4))  # (F or F', sweep, node, rho, m, m)
-    out_f, out_p = fields
+    (out_f, out_p), v, t = _kept_fields(potential, rhos, ("plus", "minus"), keep)
 
     lo, hi = _swept_nodes(potential)
     for j, (sign, start, end) in enumerate(((1, hi, lo), (-1, lo, hi))):  # sweep j runs toward -sign x
@@ -288,46 +303,48 @@ def _bracket(zf, zp, yf, yp):
     The row solution enters as the column field (zf, zp) computed at
     -conj(rho), conjugate-transposed.
     """
-    return np.einsum("...ba,...bd->...ad", zp.conj(), yf) - np.einsum(
-        "...ba,...bd->...ad", zf.conj(), yp
-    )
+    return zp.conj().swapaxes(-1, -2) @ yf - zf.conj().swapaxes(-1, -2) @ yp
 
 
 def _checkpoints(potential: SampledPotential) -> np.ndarray:
-    """Bracket nodes spread over the swept range, where the drift can arise."""
+    """Nodes spread over the swept range, its left edge first, where a bracket drift can arise."""
     lo, hi = _swept_nodes(potential)
     return np.unique(np.linspace(lo, hi, _N_CHECKPOINTS).astype(int))
 
 
 def scattering_coefficients(potential: SampledPotential, rho_grid: RhoGrid) -> CoefficientSet:
-    """Matching coefficients A, B, C, D on the real grid, from one stacked plus and minus sweep.
+    """Matching coefficients A, B, C, D on the real grid, from one plus sweep.
 
-    The row solutions of each bracket are the column fields at -conj(rho) =
-    -rho, the reversed node of the symmetric grid, which the same two sweeps
-    provide.  B is the matching coefficient; C follows from the real-axis
-    symmetry C(rho) = -B(rho)^*.  The drift, the RMS deviation of A's bracket
-    across the checkpoints, beyond tolerance raises
-    ``IntegrationAccuracyError`` naming the worst node; brackets that
-    overflow raise ``NumericsError``.
+    The brackets do not depend on x, so each is read at the left edge of the
+    swept range, where the minus field is exactly the free wave exp(-i rho x) I.
+    The row solutions are the column fields at -conj(rho) = -rho, the
+    reversed node of the symmetric grid.  B is the matching coefficient; C
+    follows from the real-axis symmetry C(rho) = -B(rho)^*.  The drift is
+    the largest deviation of the plus field's flux F'^H F - F^H F' from
+    -2 i rho I across the checkpoints, relative to max|F| max|F'| there (its
+    roundoff); beyond tolerance it raises ``IntegrationAccuracyError``
+    naming the worst node.  Brackets that overflow raise ``NumericsError``.
     """
-    nodes = rho_grid.nodes
+    nodes, m = rho_grid.nodes, potential.m
     cps = _checkpoints(potential)
-    (fp, fm), (pp, pm) = _propagate(potential, nodes, cps)
+    (fp, pp), _, _ = _kept_fields(potential, nodes, ("plus",), cps)
+    fp, pp = fp[0], pp[0]  # (checkpoint, rho, m, m)
+    fm = np.exp(-1j * nodes * potential.grid.xs[cps[0]])[:, None, None] * np.eye(m)
+    pm = -1j * nodes[:, None, None] * fm
     two_iz = 2j * nodes[:, None, None]
-    br_a = _bracket(fm[:, ::-1], pm[:, ::-1], fp, pp)
-    mean_a = br_a.mean(axis=0)
-    drift = np.sqrt(np.mean(np.abs(br_a - mean_a) ** 2, axis=(0, 2, 3)))
-    a = -mean_a / two_iz
-    b = _bracket(fm, pm, fp, pp).mean(axis=0) / two_iz
-    d = _bracket(fp[:, ::-1], pp[:, ::-1], fm, pm).mean(axis=0) / two_iz
-    finite = np.isfinite(drift) & np.isfinite(b).all(axis=(1, 2)) & np.isfinite(d).all(axis=(1, 2))
-    if not finite.all():  # no grid refinement helps where the fields leave double range
+    a = -_bracket(fm[::-1], pm[::-1], fp[0], pp[0]) / two_iz
+    b = _bracket(fm, pm, fp[0], pp[0]) / two_iz
+    d = _bracket(fp[0, ::-1], pp[0, ::-1], fm, pm) / two_iz
+    defect = np.abs(_bracket(fp, pp, fp, pp) + two_iz * np.eye(m)).max(axis=(0, 2, 3))
+    drift = defect / np.abs(fp).max(axis=(0, 2, 3)) / np.abs(pp).max(axis=(0, 2, 3))
+    finite = np.isfinite(drift) & np.isfinite(a).all(axis=(1, 2)) & np.isfinite(b).all(axis=(1, 2))
+    finite &= np.isfinite(d).all(axis=(1, 2))
+    if not finite.all():  # no grid refinement helps where the fields or their flux leave double range
         raise NumericsError(f"Jost fields overflow at rho = {nodes[np.argmin(finite)]:.6g}: brackets not finite")
-    scale = 1.0 + float(np.abs(2.0 * nodes[:, None, None] * a).max())
     j = int(np.argmax(drift))
-    if drift[j] > BRACKET_SPREAD_RTOL * scale * 2 * max(1.0, float(np.abs(nodes).max())):
+    if drift[j] > BRACKET_SPREAD_RTOL:
         raise IntegrationAccuracyError(
-            f"bracket drift {drift[j]:.3e} at rho = {nodes[j]:.6g}; refine the space grid"
+            f"bracket drift {drift[j]:.3e} of max|F| max|F'| at rho = {nodes[j]:.6g}; refine the space grid"
         )
     c = -b.conj().transpose(0, 2, 1)
     return CoefficientSet(rho_grid=rho_grid, A=a, B=b, C=c, D=d)

@@ -304,8 +304,11 @@ def _half_line_potential(data: ScatteringData, xs: np.ndarray, dx: float):
     two nodes past each end, so every node gets the central stencil.  With
     du = 2 dx, node i of those nodes has the Hankel argument
     u_i = 2 ext_0 + i du, so two interleaved factorizations cover them, the
-    r-th reading the kernel samples from u_r.  Returns
-    (q values (len(xs), m, m), min sigma estimate, max residual).
+    r-th reading the kernel samples from u_r.  A failed factorization or
+    reciprocal-condition gate of data with bound states is re-raised naming
+    the side and the state whose kernel ||N|| exp(-tau u) peaks highest on
+    the grid, against 1/eps.  Returns (q values (len(xs), m, m), min sigma
+    estimate, max residual).
     """
     du = 2.0 * dx
     ext = xs[0] + dx * np.arange(-2, xs.size + 2)
@@ -344,8 +347,18 @@ def _half_line_potential(data: ScatteringData, xs: np.ndarray, dx: float):
     if end > n_u:  # F is zero past u_hi
         f = np.concatenate([f, np.zeros((end - n_u, data.m, data.m), dtype=complex)])
 
-    solves = [nested_diagonal(f[r : r + 2 * n - 1], du, c, _tail_factor(data, ext[r] + du * np.arange(n)))
-              for r, (n, c) in enumerate(zip(sizes, counts))]
+    try:
+        solves = [nested_diagonal(f[r : r + 2 * n - 1], du, c, _tail_factor(data, ext[r] + du * np.arange(n)))
+                  for r, (n, c) in enumerate(zip(sizes, counts))]
+    except IllPosedDataError as exc:
+        if not data.bound_states:
+            raise
+        k = int(np.argmax(peaks))
+        raise IllPosedDataError(
+            f"{exc}, from the {data.side} data: its state at tau = {taus[k]:.6g} peaks at "
+            f"||N|| exp(-tau u) = {np.exp(peaks[k]):.3g} on the first Hankel argument u = {2 * ext[0]:.6g}, "
+            f"against 1/eps = {1 / np.finfo(float).eps:.3g}"
+        ) from exc
     diag = np.empty((ext.size, data.m, data.m), dtype=complex)
     diag[0::2], diag[1::2] = solves[0].diag, solves[1].diag
     return (

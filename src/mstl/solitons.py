@@ -33,7 +33,7 @@ from mstl.domain import (
 )
 
 _EXP_CLAMP = 460.0  # largest exponent 2 tau x - s in the separable solve
-# least share of its mass a state must have on the grid of ``mstl soliton``;
+# least share of its mass a state must have on the grid of ``mstl soliton`` and ``mstl kdv``;
 # below it the state's potential there is under about 4e-10 of its peak
 _MIN_GRID_SHARE = 1e-10
 

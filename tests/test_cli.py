@@ -388,6 +388,45 @@ def test_soliton_refuses_a_state_off_the_grid(tmp_path, capsys, weight):
     assert err.startswith("validation error:") and "no mass on the grid" in err
 
 
+@pytest.mark.parametrize("states", [["--tau", "1", "--weight", "1e300", "--tau", "2", "--weight", "8",
+                                     "--direction", "1,1j"], ["--tau", "1e-300", "--weight", "2"]])
+def test_kdv_refuses_a_state_off_the_grid(tmp_path, capsys, states):
+    out = tmp_path / "out"
+    code = cli.main(["kdv", *states, "--x-min", "-2", "--x-max", "2", "--dx", "0.05", "--t-max", "0.1",
+                     "--n-t", "3", "--out", str(out)])
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and "no mass on the grid" in err
+
+
+@pytest.mark.parametrize("directions", [("1,1", "1e300,1e300"), ("1,0", "1e-320,0")])
+def test_soliton_direction_is_scaled_before_its_norm(tmp_path, directions):
+    # the norm of (1e300, 1e300) overflows, and a complex division by the
+    # subnormal 1e-320 does; each direction is that of its unit-scale twin
+    for direction in directions:
+        assert cli.main(["soliton", "--tau", "1", "--weight", "2", "--direction", direction,
+                         "--out", str(tmp_path / direction)]) == 0
+    written = [(tmp_path / direction / "potential.csv").read_bytes() for direction in directions]
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("tau, code", [(5.0, 0), (20.0, 3)])
+def test_invert_names_the_state_its_solve_cannot_resolve(tmp_path, capsys, tau, code):
+    # at tau = 20 the state's kernel N exp(-tau u) peaks at 5e20 on the solve grid, past 1/eps
+    rg = RhoGrid(8.0, 32)
+    state = BoundState(tau=tau, weight=np.array([[2.0 * tau + 0j]]))
+    data = ScatteringData(side="right", rho_grid=rg, S=np.zeros((rg.n, 1, 1), dtype=complex),
+                          bound_states=(state,))
+    path = tmp_path / "data.json"
+    cli.write_scattering_json(path, data)
+    assert cli.main(["invert", "--data", str(path), "--x-min", "-2", "--x-max", "2", "--dx", "0.05",
+                     "--out", str(tmp_path / "inv")]) == code
+    if code:
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: GLM operator not positive definite")
+        assert "right data" in err and "tau = 20 " in err
+
+
 @pytest.mark.parametrize("left_side, left_m, weight", [
     ("right", 1, 8.0),  # right data as the left file, off-centre soliton
     ("right", 1, 2.0),  # the same for a soliton centred at 0
@@ -620,6 +659,14 @@ EDGE_RUNS = {
         ("invert --data {d}/f/scattering_right.json --x-min -2 --x-max 2 --out {d}/i", 2),
     ],
     "kdv at one time": [("kdv --tau 1 --weight 2 --n-t 1 --out {d}/k", 0)],
+    # the state tau = 1 is centred near x = -345, as ``soliton`` refuses it
+    "kdv of a state off the grid": [
+        ("kdv --tau 1 --weight 1e300 --tau 2 --weight 8 --direction 1,1j --x-min -2 --x-max 2 --dx 0.05 "
+         "--t-max 0.1 --n-t 3 --out {d}/k", 2),
+    ],
+    "kdv of a state too shallow for the grid": [
+        ("kdv --tau 1e-300 --weight 2 --x-min -2 --x-max 2 --dx 0.05 --t-max 0.1 --n-t 3 --out {d}/k", 2),
+    ],
 }
 
 

@@ -257,6 +257,60 @@ def test_bracket_drift_is_an_accuracy_error():
     assert not isinstance(err.value, IntegrationAccuracyError) and "refine" not in str(err.value)
 
 
+@pytest.mark.parametrize("case", ["box", "bump", "two-soliton", "random m = 3"])
+def test_left_edge_brackets_equal_two_sided_brackets_inside(box_setup, bump_setup, two_soliton, case):
+    # the brackets do not depend on x: those of the plus field against the free
+    # minus wave at the left edge are those of both swept fields at an interior node
+    pot = {
+        "box": box_setup[1],
+        "bump": bump_setup[1],
+        "two-soliton": two_soliton,
+        "random m = 3": domain.random_potential(SpaceGrid.from_bounds(-6.0, 6.0, 0.02), dim=3, seed=5),
+    }[case]
+    rg = RhoGrid(12.0, 128)
+    coeffs = forward.scattering_coefficients(pot, rg)
+    cps = forward._checkpoints(pot)
+    (fp, fm), (pp, pm) = (a[:, 0] for a in forward._propagate(pot, rg.nodes, [cps[cps.size // 2]]))
+    two_iz = 2j * rg.nodes[:, None, None]
+    scale = np.abs(coeffs.A).max(axis=(1, 2))[:, None, None]
+    for got, bracket in [
+        (-coeffs.A, forward._bracket(fm[::-1], pm[::-1], fp, pp)),
+        (coeffs.B, forward._bracket(fm, pm, fp, pp)),
+        (coeffs.D, forward._bracket(fp[::-1], pp[::-1], fm, pm)),
+    ]:
+        assert np.all(np.abs(got - bracket / two_iz) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("height", [10.0, 1e2, 1e3, 3e4])
+def test_high_box_barriers_pass_the_drift_gate(height):
+    # the fields grow by up to e^346 across the barrier; the flux identity's
+    # roundoff grows with max|F| max|F'|, and the gate scales with it
+    box = domain.box_potential(SpaceGrid.from_bounds(-2.0, 2.0, 0.02), height=height)
+    rg = RhoGrid(10.0, 64)
+    coeffs = forward.scattering_coefficients(box, rg)
+    a_or, b_or = box_oracle(rg.nodes, height=height)
+    assert np.abs(coeffs.A[:, 0, 0] / a_or - 1.0).max() <= 1e-12
+    assert np.abs((coeffs.B[:, 0, 0] - b_or) / a_or).max() <= 1e-12
+
+
+def test_coefficients_come_from_one_plus_sweep(bump_setup, zero_pot, monkeypatch):
+    # the minus field at the left edge of the swept range is the free wave,
+    # so the real grid needs the plus sweep alone, and a zero potential none
+    calls = []
+    sweep = forward._sweep
+
+    def recording(potential, rhos, directions, substeps=1, stop=None):
+        calls.append([directions, -1])
+        for item in sweep(potential, rhos, directions, substeps, stop):
+            calls[-1][1] += 1
+            yield item
+
+    monkeypatch.setattr(forward, "_sweep", recording)
+    forward.scattering_coefficients(bump_setup[1], RhoGrid(10.0, 64))
+    forward.scattering_coefficients(zero_pot, RhoGrid(8.0, 32))
+    assert calls == [[("plus",), 800], [("plus",), 0]]
+
+
 def test_find_bound_states_zero(zero_pot):
     assert forward.find_bound_states(zero_pot) == []
 
