@@ -184,6 +184,8 @@ def rho_grid(args: argparse.Namespace) -> RhoGrid:
 def _load_potential(args: argparse.Namespace) -> SampledPotential:
     if args.dim < 1:
         raise ValidationError(f"--dim must be at least 1, got {args.dim}")
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be non-negative, got {args.seed}")
     if args.potential:
         return read_potential_csv(args.potential)
     grid = space_grid(args)

@@ -31,11 +31,15 @@ own would.  Kept nodes stay in their cell's eigenbasis until one batched
 product moves them all to the node basis.  The real-axis coefficients run
 the same routine with one plus sweep, the count with one minus sweep.
 
-Only the cells from the first to the last nonzero cell value are stepped.
-Free cells outside that range (cell values exactly zero; node values do not
-decide it) are never visited: there the fields are the exact free solution,
-the incoming wave on one side and one free cosh/sinh step from the nearest
-swept node on the other.  An identically zero potential needs no sweep.
+Only the cells from the first to the last nonzero cell value are stepped,
+and no reader asks for a field at a node outside that range.  Free cells
+outside it (cell values exactly zero; node values do not decide it) are never
+visited: what lies beyond is closed form.  The coefficients read the plus
+field at the left edge against the free minus wave, the count carries its
+conjugate points across the free tail from U's eigenphases at the last node,
+the eigenphases are matched at a node inside the range, and the weights add
+each free tail's integral at its edge.  An identically zero potential needs
+no sweep.
 
 Directions: the "plus" solution equals exp(i rho x) I to the right of the
 support and is integrated right-to-left; "minus" mirrors this.  Row-equation
@@ -62,7 +66,7 @@ right and a minus half sweep from the left per round, stacked, so half as
 many loop steps as the cells of one sweep, for all brackets at once.
 Brackets whose drop the eigenphase crossings do not explain are multisected
 by the count instead.  The weights of all states come from one stacked sweep
-pair over all nodes at every state's i tau, matched at one node and
+pair over the swept nodes at every state's i tau, matched at one node and
 normalized (``_norming_factors``).
 """
 
@@ -142,16 +146,6 @@ def _swept_nodes(potential: SampledPotential) -> tuple[int, int]:
     if nonfree.size == 0:
         return 0, 0
     return int(nonfree[0]), int(nonfree[-1]) + 1
-
-
-def _free_step(f, p, rhos, h):
-    """Exact free (Q = 0) propagation of (F, F') over signed lengths ``h``.
-
-    ``f`` and ``p`` have shape (n_rho, m, m); the result has a leading axis
-    over ``h``.  The free propagator is scalar, so no basis change is needed.
-    """
-    ch, sl, ms = (c[..., None, None] for c in _cell_factors(-(rhos**2).real, h[:, None]))
-    return ch * f + sl * p, ms * f + ch * p
 
 
 def _sweep(potential: SampledPotential, rhos: np.ndarray, directions, substeps: int = 1, stop=None):
@@ -248,8 +242,8 @@ def _sweep(potential: SampledPotential, rhos: np.ndarray, directions, substeps: 
                 np.matmul(hop[k, live], tl.reshape(len(tl), m, -1), out=ul.reshape(len(ul), m, -1))
 
 
-def _kept_fields(potential: SampledPotential, rhos: np.ndarray, directions, keep: np.ndarray):
-    """(F, F') of the sweeps of ``directions`` at the node indices ``keep``, and their last (v, t).
+def _kept_fields(potential: SampledPotential, rhos: np.ndarray, directions, keep: np.ndarray) -> np.ndarray:
+    """(F, F') of the sweeps of ``directions`` at the node indices ``keep``.
 
     The fields have shape (2, d, len(keep), n_rho, m, m), F first; a node
     that a sweep does not reach stays zero.  The sweep keeps each node of
@@ -266,35 +260,7 @@ def _kept_fields(potential: SampledPotential, rhos: np.ndarray, directions, keep
             if k is not None:
                 v_kept[j, k], t_kept[j, k] = v[j], t[j]
     np.matmul(v_kept, t_kept.reshape(d, keep.size, m, -1), out=t_kept.reshape(d, keep.size, m, -1))
-    return np.ascontiguousarray(t_kept.transpose(3, 0, 1, 5, 2, 4)), v, t  # (F or F', sweep, node, rho, m, m)
-
-
-def _propagate(potential: SampledPotential, rhos: np.ndarray, keep):
-    """Plus and minus Jost fields (F, F') at the node indices ``keep``, from one stacked sweep.
-
-    Output arrays have shape (2, len(keep), n_rho, m, m), plus first.  Only
-    the cells between the first and last nonzero cell are stepped (see
-    ``_sweep``); on the incoming side of that range a field is the free wave
-    exp(+-i rho x) I, and beyond its far edge it is carried from the edge by
-    one exact free step.
-    """
-    xs, m = potential.grid.xs, potential.m
-    rhos = np.atleast_1d(np.asarray(rhos, dtype=complex))
-    keep = np.asarray(keep, dtype=int)
-    (out_f, out_p), v, t = _kept_fields(potential, rhos, ("plus", "minus"), keep)
-
-    lo, hi = _swept_nodes(potential)
-    for j, (sign, start, end) in enumerate(((1, hi, lo), (-1, lo, hi))):  # sweep j runs toward -sign x
-        incoming, beyond = (keep - start) * sign > 0, (keep - end) * sign < 0
-        ikr = sign * 1j * rhos
-        wave = np.exp(ikr * xs[keep[incoming], None])
-        out_f[j, incoming] = wave[..., None, None] * np.eye(m)
-        out_p[j, incoming] = (ikr * wave)[..., None, None] * np.eye(m)
-        if np.any(beyond):  # from the sweep's last node
-            g = (v[j] @ t[j].reshape(m, -1)).reshape(t[j].shape)
-            f, p = g[:, 0].transpose(2, 0, 1), g[:, 1].transpose(2, 0, 1)
-            out_f[j, beyond], out_p[j, beyond] = _free_step(f, p, rhos, xs[keep[beyond]] - xs[end])
-    return out_f, out_p
+    return np.ascontiguousarray(t_kept.transpose(3, 0, 1, 5, 2, 4))  # (F or F', sweep, node, rho, m, m)
 
 
 def _bracket(zf, zp, yf, yp):
@@ -322,24 +288,26 @@ def scattering_coefficients(potential: SampledPotential, rho_grid: RhoGrid) -> C
     follows from the real-axis symmetry C(rho) = -B(rho)^*.  The drift is
     the largest deviation of the plus field's flux F'^H F - F^H F' from
     -2 i rho I across the checkpoints, relative to max|F| max|F'| there (its
-    roundoff); beyond tolerance it raises ``IntegrationAccuracyError``
-    naming the worst node.  Brackets that overflow raise ``NumericsError``.
+    roundoff); it is formed from F / max|F| and F' / max|F'| per rho, so it
+    stays finite as long as the fields do.  Beyond tolerance it raises
+    ``IntegrationAccuracyError`` naming the worst node.  Fields or brackets
+    that overflow raise ``NumericsError``.
     """
     nodes, m = rho_grid.nodes, potential.m
     cps = _checkpoints(potential)
-    (fp, pp), _, _ = _kept_fields(potential, nodes, ("plus",), cps)
-    fp, pp = fp[0], pp[0]  # (checkpoint, rho, m, m)
+    fp, pp = _kept_fields(potential, nodes, ("plus",), cps)[:, 0]  # (checkpoint, rho, m, m)
     fm = np.exp(-1j * nodes * potential.grid.xs[cps[0]])[:, None, None] * np.eye(m)
     pm = -1j * nodes[:, None, None] * fm
     two_iz = 2j * nodes[:, None, None]
     a = -_bracket(fm[::-1], pm[::-1], fp[0], pp[0]) / two_iz
     b = _bracket(fm, pm, fp[0], pp[0]) / two_iz
     d = _bracket(fp[0, ::-1], pp[0, ::-1], fm, pm) / two_iz
-    defect = np.abs(_bracket(fp, pp, fp, pp) + two_iz * np.eye(m)).max(axis=(0, 2, 3))
-    drift = defect / np.abs(fp).max(axis=(0, 2, 3)) / np.abs(pp).max(axis=(0, 2, 3))
+    f_max, p_max = (np.abs(f).max(axis=(0, 2, 3))[:, None, None] for f in (fp, pp))
+    fn, pn = fp / f_max, pp / p_max  # the flux of the unscaled fields leaves double range before they do
+    drift = np.abs(_bracket(fn, pn, fn, pn) + two_iz / f_max / p_max * np.eye(m)).max(axis=(0, 2, 3))
     finite = np.isfinite(drift) & np.isfinite(a).all(axis=(1, 2)) & np.isfinite(b).all(axis=(1, 2))
     finite &= np.isfinite(d).all(axis=(1, 2))
-    if not finite.all():  # no grid refinement helps where the fields or their flux leave double range
+    if not finite.all():  # no grid refinement helps where the fields leave double range
         raise NumericsError(f"Jost fields overflow at rho = {nodes[np.argmin(finite)]:.6g}: brackets not finite")
     j = int(np.argmax(drift))
     if drift[j] > BRACKET_SPREAD_RTOL:
@@ -628,9 +596,11 @@ def find_bound_states(potential: SampledPotential) -> list[tuple[float, int]]:
     whose drop the eigenphases at the matching node explain are refined by
     Newton there (``_locate``); the others are multisected by the count until
     they are, or are narrower than ``_WIDTH``.  The lowest states, which the
-    count at tau = 0 finds only on the free tail, are threshold (half-bound)
-    states of a discretized exceptional potential: they are warned about and
-    not returned.
+    count at tau = 0 finds only on the free tail and the count at the first
+    positive point tau_1 does not find, are threshold (half-bound) states of a
+    discretized exceptional potential: they are warned about and not
+    returned.  A state above tau_1 is always kept, wherever its zero-energy
+    conjugate point lies.
     """
     w_min = float(potential.cell_eigh[0].min())
     if w_min >= 0.0:
@@ -638,7 +608,7 @@ def find_bound_states(potential: SampledPotential) -> list[tuple[float, int]]:
     taus = np.sqrt(-w_min) * np.arange(_SECTIONS + 2) / (_SECTIONS + 1)
     counts, conjugate = _count(potential, taus[:-1])
     seq = np.append(counts, 0)[None, :]
-    kept = int(conjugate[0])
+    kept = int(max(conjugate[0], counts[1]))
     if counts[0] > kept:
         warnings.warn(
             f"{counts[0] - kept} threshold state(s) below tau = "
@@ -657,16 +627,17 @@ def find_bound_states(potential: SampledPotential) -> list[tuple[float, int]]:
 
 
 def _cell_integral(potential: SampledPotential, phi, dphi, tau: float) -> np.ndarray:
-    """Exact int Phi^H Phi dx over the cells for -Phi'' + Q Phi = -tau^2 Phi.
+    """Exact int Phi^H Phi dx over the swept cells for -Phi'' + Q Phi = -tau^2 Phi.
 
-    ``phi``, ``dphi``: (Phi, Phi') at the nodes, shape (n, m, r).  On a cell
-    each eigencomponent of Q is psi_0 cosh(mu s) + psi_0' sinh(mu s)/mu, with
+    ``phi``, ``dphi``: (Phi, Phi') at the swept nodes lo..hi of
+    ``_swept_nodes``, shape (hi - lo + 1, m, r).  On a cell each
+    eigencomponent of Q is psi_0 cosh(mu s) + psi_0' sinh(mu s)/mu, with
     real mu^2 = lambda + tau^2; with ch = cosh(mu h), sl = sinh(mu h)/mu the
     integrals of cosh^2, cosh sinh/mu and (sinh/mu)^2 are (h + ch sl)/2,
     sl^2/2 and (ch sl - h)/(2 mu^2), the last by its series for small mu h.
     """
-    h = potential.grid.dx
-    lam, vecs = potential.cell_eigh
+    h, (lo, hi) = potential.grid.dx, _swept_nodes(potential)
+    lam, vecs = (a[lo:hi] for a in potential.cell_eigh)
     mu2 = lam + tau**2
     ch, sl = _cell_factors(mu2, h)[:2]
     z2 = mu2 * h * h
@@ -683,20 +654,22 @@ def _cell_integral(potential: SampledPotential, phi, dphi, tau: float) -> np.nda
 def _norming_factors(potential: SampledPotential, states) -> list:
     """(B, V) for each state (tau, rank): N_- = B B^H, N_+ = V V^H, residue R_+ = i B V^H at i tau.
 
-    One stacked plus and minus sweep over all nodes carries every state's tau.
-    The states are the null space [V; B] of [[F_+, -F_-], [F_+', -F_-']] at
-    the node x* maximizing sigma_min(F_+) sigma_min(F_-), away from where
-    the jitter of tau excites either field's growing mode; the ``rank``
-    smallest singular values must lie below ``_NULL_GAP`` times the next.
-    Phi is F_+ V from x* on and F_- B before it; G = int Phi^H Phi dx is
-    exact over the cells and the free tails (Phi^H Phi / (2 tau) per end).
+    One stacked plus and minus sweep carries every state's tau, and the
+    fields are kept at the swept nodes lo..hi only.  The states are the null
+    space [V; B] of [[F_+, -F_-], [F_+', -F_-']] at the swept node x*
+    maximizing sigma_min(F_+) sigma_min(F_-), away from where the jitter of
+    tau excites either field's growing mode; the ``rank`` smallest singular
+    values must lie below ``_NULL_GAP`` times the next.  Phi is F_+ V from x*
+    on and F_- B before it; G = int Phi^H Phi dx is exact over the swept
+    cells, and beyond lo and hi Phi is a decaying free wave, so each free
+    tail adds Phi^H Phi / (2 tau) at its end of the range.
     Then N_+ = V G^-1 V^H, N_- = B G^-1 B^H (N = (int f^2 dx)^-1 in matrix
     form) and R_+ = i F_-^-1 F_+ N_+ = i B G^-1 V^H at x*, so [V; B] C^-H is
     returned, G = C C^H.
     """
-    m, nodes = potential.m, range(potential.grid.n)
+    m, (lo, hi) = potential.m, _swept_nodes(potential)
     taus = np.array([tau for tau, _ in states], dtype=float)
-    (fp, fm), (pp, pm) = _propagate(potential, 1j * taus, nodes)
+    (fp, fm), (pp, pm) = _kept_fields(potential, 1j * taus, ("plus", "minus"), np.arange(lo, hi + 1))
     sigma = np.linalg.svd(fp, compute_uv=False)[..., -1] * np.linalg.svd(fm, compute_uv=False)[..., -1]
     out = []
     for i, ((tau, rank), star) in enumerate(zip(states, np.argmax(sigma, axis=0))):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,30 +23,24 @@ def zero_pot():
 SWEEP = {"plus": 0, "minus": 1}  # index of each direction in the stacked fields
 
 
+def _swept(potential):
+    """The swept nodes lo..hi: no forward reader asks for a field outside them."""
+    lo, hi = forward._swept_nodes(potential)
+    return np.arange(lo, hi + 1)
+
+
 def _field(potential, rho, direction):
-    """Whole-grid Jost field (F, F') at one spectral point, shape (n, m, m) each."""
-    f, p = forward._propagate(potential, np.array([rho]), range(potential.grid.n))
-    return f[SWEEP[direction], :, 0], p[SWEEP[direction], :, 0]
+    """Jost field (F, F') at the swept nodes at one spectral point, shape (n, m, m) each."""
+    f, p = forward._kept_fields(potential, np.array([rho], dtype=complex), (direction,), _swept(potential))
+    return f[0, :, 0], p[0, :, 0]
 
 
 def _bracket_with_spread(row, column):
     """Bracket of a row field (given as the column field at -conj(rho)) and a
-    column field, averaged over the grid, with its RMS spread across x."""
+    column field, averaged over the nodes, with its RMS spread across x."""
     values = forward._bracket(*row, *column)
     mean = values.mean(axis=0)
     return mean, float(np.sqrt(np.mean(np.abs(values - mean) ** 2)))
-
-
-def test_jost_zero_potential_plus(zero_pot):
-    f, _ = _field(zero_pot, 1.0, "plus")
-    expect = np.exp(1j * zero_pot.grid.xs)[:, None, None] * np.eye(2)
-    assert np.abs(f - expect).max() < 1e-12
-
-
-def test_jost_zero_potential_minus_imaginary(zero_pot):
-    f, _ = _field(zero_pot, 1.0j, "minus")
-    expect = np.exp(zero_pot.grid.xs)[:, None, None] * np.eye(2)
-    assert np.abs(f - expect).max() < 1e-10
 
 
 def test_jost_rejects_lower_half_plane(zero_pot):
@@ -56,7 +52,7 @@ def test_jost_rejects_lower_half_plane(zero_pot):
 def test_jost_rejects_rho_off_the_two_axes(zero_pot, rho):
     # sweeps run at real rho and at rho = i tau, tau >= 0, where mu^2 is real
     with pytest.raises(ValidationError, match="real rho or at rho = i tau"):
-        forward._propagate(zero_pot, np.array([1.0, rho]), [0])
+        forward._kept_fields(zero_pot, np.array([1.0, rho]), tuple(SWEEP), np.array([0]))
 
 
 def test_cell_factors_match_complex_reference():
@@ -76,7 +72,7 @@ def test_jost_box_field_matches_oracle():
     grid = SpaceGrid.from_bounds(-2.0, 2.0, 0.02)
     box = domain.box_potential(grid)
     f, _ = _field(box, 2.0, "plus")
-    expect = box_oracle_field(grid.xs, 2.0)
+    expect = box_oracle_field(grid.xs[_swept(box)], 2.0)
     assert np.abs(f[:, 0, 0] - expect).max() < 1e-10
 
 
@@ -94,7 +90,7 @@ def test_jost_box_field_off_node_edges(direction, rho, half_width, cell_edge):
     box = domain.box_potential(grid, half_width=half_width)
     f, _ = _field(box, rho, direction)
     # the box is even, so the minus field is the plus field at -x
-    xs = grid.xs if direction == "plus" else -grid.xs
+    xs = grid.xs[_swept(box)] * (1 if direction == "plus" else -1)
     expect = box_oracle_field(xs, rho, half_width=cell_edge)
     assert np.abs(f[:, 0, 0] - expect).max() < 1e-10 * np.abs(expect).max()
 
@@ -105,27 +101,8 @@ def test_jost_pde_residual_small():
     f, _ = _field(bump, 2.0, "plus")
     # second-difference consistency with the node-sampled equation, O(dx^2)
     lap = (f[2:] - 2 * f[1:-1] + f[:-2]) / grid.dx**2
-    resid = -lap + bump.values[1:-1] @ f[1:-1] - 4.0 * f[1:-1]
+    resid = -lap + bump.values[_swept(bump)][1:-1] @ f[1:-1] - 4.0 * f[1:-1]
     assert np.abs(resid).max() < 3e-3 * np.abs(f).max()
-
-
-def test_jost_zero_energy_computable(zero_pot):
-    f, _ = _field(zero_pot, 0.0, "minus")
-    assert np.abs(f - np.eye(2)).max() < 1e-12
-
-
-def test_wronskian_zero_potential():
-    pot = domain.zero_potential(SpaceGrid.from_bounds(-3.0, 3.0, 0.05))
-    f_plus = _field(pot, 1.0, "plus")
-    f_plus_neg = _field(pot, -1.0 + 0j, "plus")
-    # the row solution at rho is the conjugate transpose of the column at -rho,
-    # so the same-argument bracket at rho = 1 takes (row from -1, column at +1)
-    same, spread = _bracket_with_spread(f_plus_neg, f_plus)
-    assert np.abs(same).max() < 1e-12 and spread < 1e-12
-    # crossed arguments (row at +1, column at -1) give +2 i rho; both build
-    # from the plus field computed at -1
-    cross, _ = _bracket_with_spread(f_plus_neg, f_plus_neg)
-    assert np.abs(cross - 2j * np.eye(1)).max() < 1e-12
 
 
 def test_wronskian_box_constancy():
@@ -179,8 +156,8 @@ def test_propagate_matches_expm_reference(direction):
     assert np.abs(np.linalg.eigvalsh(pot.cell_values[17]) - 1.5**2).min() < 1e-12
 
     rhos = np.array([1.3, 0.6j, 1.5])
-    f, p = forward._propagate(pot, rhos, range(grid.n))
-    f, p = f[SWEEP[direction]], p[SWEEP[direction]]
+    assert forward._swept_nodes(pot) == (0, grid.n - 1)
+    f, p = forward._kept_fields(pot, rhos, tuple(SWEEP), _swept(pot))[:, SWEEP[direction]]
     for k, rho in enumerate(rhos):
         f_ref, p_ref = _expm_reference(pot, rho, direction)
         assert np.abs(f[:, k] - f_ref).max() <= 1e-12 * np.abs(f_ref).max()
@@ -249,9 +226,9 @@ def test_reflectionless_potential_has_tiny_reflection():
 
 
 def test_bracket_drift_is_an_accuracy_error():
-    # a box of height 1e5 at dx = 0.02 grows the fields by about e^1260 across it;
-    # the brackets overflow, which no finer space grid mends
-    box = domain.box_potential(SpaceGrid.from_bounds(-2.0, 2.0, 0.02), height=1e5)
+    # a box of height 2e5 at dx = 0.02 grows the fields by about e^894 across it;
+    # the fields overflow, which no finer space grid mends
+    box = domain.box_potential(SpaceGrid.from_bounds(-2.0, 2.0, 0.02), height=2e5)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError, match="overflow") as err:
         forward.scattering_coefficients(box, RhoGrid(10.0, 64))
     assert not isinstance(err.value, IntegrationAccuracyError) and "refine" not in str(err.value)
@@ -270,7 +247,7 @@ def test_left_edge_brackets_equal_two_sided_brackets_inside(box_setup, bump_setu
     rg = RhoGrid(12.0, 128)
     coeffs = forward.scattering_coefficients(pot, rg)
     cps = forward._checkpoints(pot)
-    (fp, fm), (pp, pm) = (a[:, 0] for a in forward._propagate(pot, rg.nodes, [cps[cps.size // 2]]))
+    (fp, fm), (pp, pm) = forward._kept_fields(pot, rg.nodes, tuple(SWEEP), cps[cps.size // 2, None])[:, :, 0]
     two_iz = 2j * rg.nodes[:, None, None]
     scale = np.abs(coeffs.A).max(axis=(1, 2))[:, None, None]
     for got, bracket in [
@@ -281,10 +258,11 @@ def test_left_edge_brackets_equal_two_sided_brackets_inside(box_setup, bump_setu
         assert np.all(np.abs(got - bracket / two_iz) <= 1e-12 * scale)
 
 
-@pytest.mark.parametrize("height", [10.0, 1e2, 1e3, 3e4])
+@pytest.mark.parametrize("height", [10.0, 1e2, 1e3, 3e4, 1e5])
 def test_high_box_barriers_pass_the_drift_gate(height):
-    # the fields grow by up to e^346 across the barrier; the flux identity's
-    # roundoff grows with max|F| max|F'|, and the gate scales with it
+    # the fields grow by up to e^632 across the barrier; the flux identity's
+    # roundoff grows with max|F| max|F'|, and the gate scales with it; at 1e5
+    # only the flux of the unscaled fields would leave double range
     box = domain.box_potential(SpaceGrid.from_bounds(-2.0, 2.0, 0.02), height=height)
     rg = RhoGrid(10.0, 64)
     coeffs = forward.scattering_coefficients(box, rg)
@@ -397,10 +375,10 @@ def test_mirrored_cell_factors_are_bit_identical(bump_setup):
     # alone has no mirror image and makes all its own factors
     _, bump, _ = bump_setup
     nodes = RhoGrid(10.0, 64).nodes
-    f, p = forward._propagate(bump, nodes, [0, 400, 800])
+    keep = forward._checkpoints(bump)
+    fields = forward._kept_fields(bump, nodes, tuple(SWEEP), keep)
     for half in (slice(None, 64), slice(64, None)):
-        f_half, p_half = forward._propagate(bump, nodes[half], [0, 400, 800])
-        assert np.array_equal(f[:, :, half], f_half) and np.array_equal(p[:, :, half], p_half)
+        assert np.array_equal(fields[..., half, :, :], forward._kept_fields(bump, nodes[half], tuple(SWEEP), keep))
 
 
 def _swept_alone(potential, rhos, direction):
@@ -421,10 +399,9 @@ def test_stacked_sweeps_equal_each_direction_swept_alone(two_soliton, bump_setup
         pot, rhos = two_soliton, 1j * np.array([0.3, 1.0, 2.0])
     else:
         pot, rhos = bump_setup[1], RhoGrid(10.0, 64).nodes
-    lo, hi = forward._swept_nodes(pot)
     alone = [_swept_alone(pot, rhos, direction) for direction in SWEEP]
-    for keep in (forward._checkpoints(pot), np.arange(lo, hi + 1)):
-        f, p = forward._propagate(pot, rhos, keep)
+    for keep in (forward._checkpoints(pot), _swept(pot)):
+        f, p = forward._kept_fields(pot, rhos, tuple(SWEEP), keep)
         for j, fields in enumerate(alone):
             assert all(np.array_equal(f[j, k], fields[node][0]) for k, node in enumerate(keep))
             assert all(np.array_equal(p[j, k], fields[node][1]) for k, node in enumerate(keep))
@@ -619,6 +596,70 @@ def test_weights_deep_box_on_a_coarse_grid():
         norm = np.trapezoid(f**2, x) + (f[0] ** 2 + f[-1] ** 2) / (2.0 * tau)
         ((_, n_plus),) = forward.weight_matrices(box, [(tau, rank)])
         assert abs(n_plus[0, 0] * norm - 1.0) < 1e-6
+
+
+def test_box_weights_do_not_depend_on_the_grid_width():
+    # beyond the swept cells each weight's integrand is a closed-form free
+    # tail, so the free cells of a wider grid change no bit
+    narrow, wide = (
+        domain.box_potential(SpaceGrid.from_bounds(-w, w, 0.02), height=-20.0) for w in (2.0, 10.0)
+    )
+    states = forward.find_bound_states(narrow)
+    assert len(states) == 3 and forward.find_bound_states(wide) == states
+    for got, expect in zip(forward.weight_matrices(wide, states), forward.weight_matrices(narrow, states)):
+        assert all(np.array_equal(a, b) for a, b in zip(got, expect))
+
+
+def test_full_forward_reads_fields_at_swept_nodes_only(monkeypatch):
+    box = domain.box_potential(SpaceGrid.from_bounds(-10.0, 10.0, 0.02), height=-20.0)
+    lo, hi = forward._swept_nodes(box)
+    kept = []
+    fields = forward._kept_fields
+
+    def recording(potential, rhos, directions, keep):
+        kept.append(keep)
+        return fields(potential, rhos, directions, keep)
+
+    monkeypatch.setattr(forward, "_kept_fields", recording)
+    result = forward.full_forward(box, RhoGrid(10.0, 64))
+    assert len(result.j_plus.bound_states) == 3 and len(kept) == 2  # the real grid and the weights
+    assert all(np.all((lo <= keep) & (keep <= hi)) for keep in kept)
+
+
+def _even_box_state(height, half_width):
+    """tau of the lowest state of a box well: k tan(k a) = tau, k^2 + tau^2 = -height."""
+    from scipy.optimize import brentq
+
+    depth = -height
+    k = brentq(
+        lambda k: k * np.tan(k * half_width) - np.sqrt(depth - k * k),
+        0.0,
+        min(np.sqrt(depth), 0.5 * np.pi / half_width) * (1 - 1e-15),
+        xtol=1e-15,
+    )
+    return float(np.sqrt(depth - k * k))
+
+
+@pytest.mark.parametrize("case", ["box of depth 50 and width 0.2", "one cell of depth 400"])
+def test_a_narrow_well_keeps_its_strongly_bound_state(case):
+    # the state's zero-energy conjugate point lies past the swept range, so the
+    # count at tau = 0 finds it on the free tail only; the count at the first
+    # positive point finds it too, so it is no threshold state
+    if case == "box of depth 50 and width 0.2":
+        height, half_width, grid = -50.0, 0.1, SpaceGrid.from_bounds(-4.0, 4.0, 0.02)
+        pot = domain.box_potential(grid, height=height, half_width=half_width)
+    else:
+        height, grid = -400.0, SpaceGrid.from_bounds(-2.0, 2.0, 0.05)
+        half_width = 0.5 * grid.dx
+        cells = np.zeros((grid.n - 1, 1, 1), dtype=complex)
+        cells[grid.n // 2] = height
+        pot = domain.SampledPotential(grid, np.zeros((grid.n, 1, 1), dtype=complex), cell_values=cells)
+    _, conjugate = forward._count(pot, [0.0])
+    assert conjugate[0] == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ((tau, rank),) = forward.find_bound_states(pot)
+    assert rank == 1 and abs(tau - _even_box_state(height, half_width)) <= 1e-12
 
 
 @pytest.mark.parametrize("tau", [1.5, 1.05])

@@ -228,10 +228,15 @@ BAD_VALUES = {
     "--weight": ["0", "-2", "nan", "inf", "1e300", "1e-300", "abc"],
     "--direction": ["", "0,0", "1,abc", "nan,1", "inf,1", "1e300,1e300", "1e-320,0", "1,1j,1"],
     "--n-t": ["0", "-1", "2.5", "abc", "1000000000000"],
+    "--seed": ["-1", "-99999999999999999999", "2.5", "abc"],
+    "--x-max": ["nan", "inf", "abc", "-2", "-5", "1e300", "-1.999999"],
+    "--rho-max": ["0", "-10", "nan", "inf", "abc", "1e-300", "1e300"],
+    "--t-max": ["0", "-1", "nan", "inf", "abc", "1e300"],
+    "--tol": ["0", "-1", "nan", "inf", "abc"],
 }
 COMMANDS = {
-    "forward": ["forward", "--bundled", "bump", *GRID, *SPECTRAL],
-    "roundtrip": ["roundtrip", "--bundled", "random", "--dim", "1", *GRID, *SPECTRAL, "--tol", "1"],
+    "forward": ["forward", "--bundled", "bump", "--seed", "0", *GRID, *SPECTRAL],
+    "roundtrip": ["roundtrip", "--bundled", "random", "--dim", "1", "--seed", "0", *GRID, *SPECTRAL, "--tol", "1"],
     "soliton": ["soliton", *STATES, *GRID, *SPECTRAL],
     "kdv": ["kdv", *STATES, *GRID, "--t-max", "0.1", "--n-t", "3"],
 }
@@ -301,3 +306,5 @@ def test_mutated_arguments_end_in_their_exit_codes(tmp_path, capsys, command):
     # sizes past the budget of 2^27 entries are refused before anything is allocated
     oversized = {("--dx", "1e-300"), ("--n-rho", "1000000000000"), ("--n-t", "1000000000000")}
     assert {codes[key] for key in oversized & codes.keys()} == {2}
+    # a negative seed is refused beside --dim, whether or not the source is random
+    assert {codes[key] for key in {("--seed", "-1"), ("--seed", "-99999999999999999999")} & codes.keys()} <= {2}
