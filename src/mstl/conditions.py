@@ -100,8 +100,12 @@ def _kernel_samples(data: ScatteringData) -> np.ndarray:
 
 def _kernel_tail_item(name: str, side: str, r_norms: np.ndarray) -> CheckItem:
     """The outer tenth of the kernel norms on the side's half-line stays below
-    a fifth of their peak (or below 1e-10)."""
-    n10 = max(1, len(r_norms) // 10)
+    a fifth of their peak (or below 1e-10).  A window of fewer than 10
+    samples (a coarse spectral grid) has no outer tenth to judge: it reads as
+    unresolved and passes, with its outermost sample and no tolerance."""
+    n10 = len(r_norms) // 10
+    if not n10:
+        return CheckItem(name, True, float(r_norms[-1] if side == "right" else r_norms[0]), math.nan)
     tail = float((r_norms[-n10:] if side == "right" else r_norms[:n10]).max(initial=0.0))
     tail_tol = max(0.2 * float(r_norms.max(initial=0.0)), 1e-10)
     return CheckItem(name, tail <= tail_tol, tail, tail_tol)

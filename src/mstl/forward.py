@@ -2,72 +2,52 @@
 
 The second-order system -F'' + Q F = rho^2 F is integrated cell by cell.  On
 each cell the potential is constant (see ``SampledPotential.cell_values``), so
-the exact solution operator is available from the eigendecomposition of the
-cell matrix: in the eigenbasis each component propagates with cosh(mu h) and
-sinh(mu h)/mu, mu^2 = lambda - rho^2.  Sweeps run only on the two axes, real
-rho and rho = i tau, so mu^2 is real and so are the factors (one real rule,
-``_cell_factors``): cosh and sinh of z = sqrt(mu^2) |h| where mu^2 > 0, cos
-and sin of z = sqrt(-mu^2) |h| where mu^2 <= 0.  This keeps the step error
-O(dx^2) uniformly in rho (free cells and step potentials are propagated
-exactly), and it preserves every Wronskian identity to roundoff, because the
-computed fields solve the cellwise equation exactly.
+the exact solution operator comes from the eigendecomposition of the cell
+matrix, made once per potential (``SampledPotential.cell_eigh``): in the
+eigenbasis each component propagates with cosh(mu h) and sinh(mu h)/mu,
+mu^2 = lambda - rho^2.  Sweeps run only at real rho and at rho = i tau, so
+mu^2 and the factors are real (``_cell_factors``).  The step error is O(dx^2)
+uniformly in rho, and every Wronskian identity holds to roundoff, because
+the computed fields solve the cellwise equation exactly.
 
-A sweep is vectorized over its batch of spectral points.  It stays in the
-eigenbasis of the current cell and holds (F, F') component-major, as one
-(m, 2 m n_rho) array, so the change of basis from one cell to the next is one
-(m x m) matrix product over the whole batch; the cell factors cosh(mu h),
-sinh(mu h)/mu and mu sinh(mu h) are computed for a bounded block of cells at
-a time, so memory does not grow with the grid, and on the symmetric real grid
-for rho > 0 only (mu^2 is even in rho).  The cell eigendecomposition is made
-once per potential (``SampledPotential.cell_eigh``) and shared by every sweep.
+One routine (``_sweep``) runs every sweep, vectorized over its batch of
+spectral points.  It holds (F, F') component-major in the current cell's
+eigenbasis, so moving to the next cell is one (m x m) matrix product over the
+batch, and makes the cell factors for a bounded block of cells at a time (on
+the symmetric real grid for rho > 0 only: mu^2 is even in rho).  A plus sweep
+from the right edge and a minus sweep from the left edge advance together as
+one (2, m, 2 m n_rho) array, each field's arithmetic exactly that of a sweep
+of its own.  The Newton and weight sweeps also carry the tau-derivative
+fields (dF, dF'), stepped with the closed-form mu^2-derivatives of the cell
+factors (``_cell_slopes``), as two more rows that the same product moves.
+Only the cells from the first to the last nonzero cell value are stepped;
+beyond them every field is a closed-form free wave, and an identically zero
+potential needs no sweep.
 
-One routine (``_sweep``) runs every sweep.  The bound-state matching and
-the weights need the plus and the minus field over the same cells, so it
-advances a plus sweep from the right edge and a minus sweep from the left
-edge together, as one (2, m, 2 m n_rho) array: one loop step takes both
-across a cell with one call for the cell factors of both and one stacked
-basis change, and does each field's arithmetic exactly as a sweep of its
-own would.  Kept nodes stay in their cell's eigenbasis until one batched
-product moves them all to the node basis.  The real-axis coefficients run
-the same routine with one plus sweep, the count with one minus sweep.
-
-Only the cells from the first to the last nonzero cell value are stepped,
-and no reader asks for a field at a node outside that range.  Free cells
-outside it (cell values exactly zero; node values do not decide it) are never
-visited: what lies beyond is closed form.  The coefficients read the plus
-field at the left edge against the free minus wave, the count carries its
-conjugate points across the free tail from U's eigenphases at the last node,
-the eigenphases are matched at a node inside the range, and the weights add
-each free tail's integral at its edge.  An identically zero potential needs
-no sweep.
-
-Directions: the "plus" solution equals exp(i rho x) I to the right of the
-support and is integrated right-to-left; "minus" mirrors this.  Row-equation
-solutions needed in brackets are obtained from column solutions at -conj(rho)
-by conjugate transposition, which is valid because Q is Hermitian.  The
-symmetric real grid is closed under rho -> -conj(rho), and the brackets do
-not depend on x: at the left edge of the swept range the minus field is
-exactly the free wave exp(-i rho x) I, so ``scattering_coefficients`` gets
-A, B and D from one plus sweep, read there.  Its drift gate checks the plus
-field's flux identity F'^H F - F^H F' = -2 i rho I at checkpoints across the
-range, against its roundoff, which grows as max|F| max|F'|.
+The "plus" solution equals exp(i rho x) I right of the support and is swept
+right-to-left; "minus" mirrors this.  Row solutions in brackets are column
+solutions at -conj(rho), conjugate-transposed (Q is Hermitian).  The brackets
+do not depend on x, and left of the swept cells the minus field is the free
+wave exp(-i rho x) I, so ``scattering_coefficients`` gets A, B and D from one
+plus sweep, read at the left edge.  Its drift gate checks the plus field's
+flux F'^H F - F^H F' = -2 i rho I across the range against its roundoff.
 
 Bound states are counted (``_count``): by the oscillation theorem, the
 number with tau_k > tau is the number of conjugate points of F_-(x, i tau),
 read along one minus sweep of Cayley frames U = (Y + i Y'/s)(Y - i Y'/s)^-1.
-``find_bound_states`` takes the count on [0, sqrt(-min lambda_min(Q))], where
-every state lies; the count alone certifies how many states each bracket
-holds.  Each state is then located where the plus and minus Jost planes meet
-at one matching node (the matching-point scheme of the multichannel CP
-solvers): W = U_+^H U_- has the eigenvalue 1 there, so one of its
-eigenphases, all of which rise with tau, crosses 0.  Newton on that
-eigenphase, safeguarded by the bracket, needs a plus half sweep from the
-right and a minus half sweep from the left per round, stacked, so half as
-many loop steps as the cells of one sweep, for all brackets at once.
-Brackets whose drop the eigenphase crossings do not explain are multisected
-by the count instead.  The weights of all states come from one stacked sweep
-pair over the swept nodes at every state's i tau, matched at one node and
-normalized (``_norming_factors``).
+The count on [0, sqrt(-min lambda_min(Q))], where every state lies,
+certifies how many states each bracket holds.  Each state is then located
+where the plus and minus Jost planes meet at one matching node (the
+matching-point scheme of the multichannel CP solvers): W = U_+^H U_- has the
+eigenvalue 1 there, so one of its eigenphases, all rising with tau, crosses 0.
+Newton on it, safeguarded by the bracket, takes one stacked plus and minus
+half sweep per round for all brackets, and the derivative rows give its
+slopes exactly.  Brackets the eigenphase crossings do not explain are
+multisected by the count.  Each state's weights come from one stacked
+half-sweep pair to its own node, shared by the states with the same node:
+the null space of the matching matrix there gives the eigenfunctions, and
+the tau-derivative Wronskian of each side gives its integral of Phi^H Phi,
+free tail included (``_norming_factors``).
 """
 
 from __future__ import annotations
@@ -96,7 +76,6 @@ _BLOCK_ELEMENTS = 2**15  # cell factors per sweep block, in (cell, component, rh
 _WIDTH = 1e-8  # a Newton step or bracket width this short locates a bound state
 _SECTIONS = 16  # count points per bracket in each multisection round
 _PASS = 4  # matching-node sections per count bracket in the first pass
-_STEP = 1e-7  # tau offset of the forward differences that give the eigenphase slopes
 _NULL_GAP = 1e-3  # a null singular value of the matching matrix lies below this times the next
 
 
@@ -136,6 +115,19 @@ def _cell_factors(mu2: np.ndarray, h: float | np.ndarray):
     return ch, sl, mu2 * sl
 
 
+def _cell_slopes(mu2: np.ndarray, h: float | np.ndarray, ch: np.ndarray, sl: np.ndarray):
+    """d/d(mu^2) of ch, sl and mu^2 sl of ``_cell_factors``: h sl/2, (h ch - sl)/(2 mu^2), (sl + h ch)/2.
+
+    The middle one cancels as mu^2 h^2 -> 0; below |mu^2 h^2| = 0.1 it comes
+    from its series h^3 sum_k k (mu^2 h^2)^(k-1) / (2k + 1)!, exact there by k = 6.
+    """
+    hch, z2 = h * ch, mu2 * h * h
+    small = np.abs(z2) < 0.1
+    series = 1 / 6 + z2 * (1 / 60 + z2 * (1 / 1680 + z2 * (1 / 90720 + z2 * (1 / 7983360 + z2 / 1037836800))))
+    dsl = np.where(small, h**3 * series, (hch - sl) / (2.0 * np.where(small, 1.0, mu2)))
+    return 0.5 * h * sl, dsl, 0.5 * (sl + hch)
+
+
 def _swept_nodes(potential: SampledPotential) -> tuple[int, int]:
     """First and last node of the cell range holding every nonzero cell value.
 
@@ -148,25 +140,22 @@ def _swept_nodes(potential: SampledPotential) -> tuple[int, int]:
     return int(nonfree[0]), int(nonfree[-1]) + 1
 
 
-def _sweep(potential: SampledPotential, rhos: np.ndarray, directions, substeps: int = 1, stop=None):
+def _sweep(potential: SampledPotential, rhos: np.ndarray, directions, substeps: int = 1, stop=None, slopes=False):
     """Yield (nodes, v, t) from the free waves at the swept range's incoming edges on.
 
     The sweeps of ``directions`` ("plus" from the right edge of the swept
-    range, "minus" from its left edge) advance together, one step of each
-    per item; the first item holds the starting nodes, in the identity basis.
-    ``t`` is the stacked field, shape (d, m, 2, m, n_rho): t[d, a, 0, b, n]
-    and t[d, a, 1, b, n] are entry (a, b) of F and F' of sweep d at rho_n in
-    the eigenbasis v[d] of the cell it has just crossed, so the change of
-    basis is one stacked (m x m) @ (m x 2 m n_rho) product.  nodes[d] is the
-    node sweep d reaches, -1 between nodes (``substeps`` splits every cell
-    into equal steps) and after its end: the far edge of the swept range, or
-    node ``stop`` inside it (half sweeps).  An ended sweep is left as it is,
-    v[d] staying its last cell's eigenbasis.  The cell factors of all sweeps
-    come from one call per block of at most ``_BLOCK_ELEMENTS`` (step, sweep,
-    component, rho) entries; mu^2 is even in rho, so on a symmetric batch
-    (the real grid) they are made for its upper half and mirrored.  ``t`` is
-    updated in place; a consumer may right-multiply its columns in place and
-    the sweeps go on from the result.
+    range, "minus" from its left edge) advance together, one step of each per
+    item; the first item holds the starting nodes, in the identity basis.
+    ``t`` has shape (d, m, rows, m, n_rho): t[d, a, 0, b, n] and
+    t[d, a, -1, b, n] are entry (a, b) of F and F' of sweep d at rho_n in the
+    eigenbasis v[d] of the cell it has just crossed.  With ``slopes`` (every
+    rho = i tau) rows 1 and 2 hold dF/dtau and dF'/dtau, so each row's partner
+    in the step is its mirror.  nodes[d] is the node sweep d reaches, -1
+    between nodes (``substeps`` splits every cell into equal steps) and after
+    its end: the far edge of the swept range, or node ``stop`` inside it (half
+    sweeps).  An ended sweep is left as it is, v[d] its last cell's eigenbasis.
+    ``t`` is updated in place; a consumer may right-multiply its columns in
+    place and the sweeps go on from the result.
 
     Every rho must be real or i tau with tau >= 0, so that mu^2 = lambda - rho^2
     is real and ``_cell_factors`` applies.
@@ -176,23 +165,25 @@ def _sweep(potential: SampledPotential, rhos: np.ndarray, directions, substeps: 
         raise ValidationError("Jost solutions are swept at real rho or at rho = i tau, tau >= 0")
     nr = rhos.size
     lo, hi = _swept_nodes(potential)
-    sweeps = []  # (ikr, start, cells, nodes reached, h) of each direction
+    sweeps = []  # (ikr, d ikr / d tau, start, cells, nodes reached, h) of each direction
     for direction in directions:
         if direction == "plus":  # crossing cell c downward reaches node c
             cells = np.arange(hi - 1, (lo if stop is None else stop) - 1, -1)
-            sweeps.append((1j * rhos, hi, cells, cells, -grid.dx))
+            sweeps.append((1j * rhos, -1.0, hi, cells, cells, -grid.dx))
         elif direction == "minus":
             cells = np.arange(lo, hi if stop is None else stop)
-            sweeps.append((-1j * rhos, lo, cells, cells + 1, grid.dx))
+            sweeps.append((-1j * rhos, 1.0, lo, cells, cells + 1, grid.dx))
         else:
             raise ValidationError(f"unknown direction {direction!r}")
-    ikr, starts, cells, reached, h = zip(*sweeps)
-
-    ikr, starts = np.array(ikr), list(starts)
-    wave = np.exp(ikr * grid.xs[starts][:, None])
-    eye = np.eye(m)
-    t = np.empty((d, m, 2, m, nr), dtype=complex)  # C order: reshapes below are views
-    t[:, :, 0], t[:, :, 1] = eye[..., None] * wave[:, None, None], eye[..., None] * (ikr * wave)[:, None, None]
+    ikr, dikr, starts, cells, reached, h = zip(*sweeps)
+    ikr, starts, eye = np.array(ikr), list(starts), np.eye(m)
+    x = grid.xs[starts][:, None]
+    rows = [wave := np.exp(ikr * x), ikr * wave]
+    if slopes:  # the tau-derivative of exp(ikr x), ikr = -+tau
+        dwave = np.array(dikr)[:, None] * wave
+        rows[1:1] = [x * dwave, (1.0 + ikr * x) * dwave]
+    t = np.empty((d, m, len(rows), m, nr), dtype=complex)  # C order: reshapes below are views
+    t[:] = eye[:, None, :, None] * np.stack(rows, axis=1)[:, None, :, None]
     yield starts, np.broadcast_to(eye, (d, m, m)), t
     lengths = [c.size * substeps for c in cells]
     steps = max(lengths)
@@ -214,29 +205,38 @@ def _sweep(potential: SampledPotential, rhos: np.ndarray, directions, substeps: 
     vh = v.conj().swapaxes(-1, -2)
     hop = vh[1:] @ v[:-1]  # carries each field from one step's eigenbasis into the next
     u = np.matmul(vh[0], t.reshape(d, m, -1)).reshape(t.shape)
-    swapped = u[:, :, ::-1]  # (F', F)
+    swapped = u[:, :, ::-1]  # each row's partner: (F', F), or (F', dF', dF, F)
     cross = np.empty_like(t)
     rho2 = (rhos**2).real
     mirrored = nr % 2 == 0 and np.array_equal(rho2, rho2[::-1])
+    half = slice(nr // 2 if mirrored else 0, None)
     block = max(1, _BLOCK_ELEMENTS // (d * m * max(nr, 1)))
-    live, views, short = slice(None), (t, u, swapped, cross), min(lengths)
+    arrays = (t, u, swapped, cross) + ((u[:, :, ::3], u[:, :, ::-3], t[:, :, 1:3]) if slopes else ())
+    live, views, short = slice(None), arrays, min(lengths)
     for b0 in range(0, steps, block):
-        mu2 = w[b0 : b0 + block, :, :, None, None] - (rho2[nr // 2 :] if mirrored else rho2)
+        mu2 = w[b0 : b0 + block, :, :, None, None] - rho2[half]
         ch, sl, ms = _cell_factors(mu2, h)  # (steps, d, m, 1, n_rho), or its upper half
-        ch, sl_ms = ch[:, :, :, None], np.stack([sl, ms], axis=3)
+        factors = [ch[:, :, :, None], np.stack([sl, ms], axis=3)]
+        if slopes:  # the rows (F, dF, dF', F') take (sl, sl, ms, ms) times their partner
+            factors[1] = factors[1].repeat(2, axis=3)
+            dch, dsl, dms = (2.0 * rhos.imag[half] * f for f in _cell_slopes(mu2, h, ch, sl))  # d/dtau
+            factors += [dch[:, :, :, None], np.stack([dsl, dms], axis=3)]
         if mirrored:
-            ch, sl_ms = (np.concatenate([f[..., ::-1], f], axis=-1) for f in (ch, sl_ms))
+            factors = [np.concatenate([f[..., ::-1], f], axis=-1) for f in factors]
         for i in range(ch.shape[0]):
             k = b0 + i
             if k == short:  # the shorter sweep has ended: the longer one goes on alone
                 j = int(np.argmax(lengths))
                 live = slice(j, j + 1)
-                views = tuple(a[live] for a in (t, u, swapped, cross))
-            tl, ul, swl, cl = views
+                views = tuple(a[live] for a in arrays)
+            tl, ul, swl, cl = views[:4]
             # F <- cosh F + sinhc F',  F' <- cosh F' + mu^2 sinhc F
-            np.multiply(ch[i, live], ul, out=tl)
-            np.multiply(sl_ms[i, live], swl, out=cl)
+            np.multiply(factors[0][i, live], ul, out=tl)
+            np.multiply(factors[1][i, live], swl, out=cl)
             tl += cl
+            if slopes:  # (dF, dF') += d cosh (F, F') + (d sinhc, d mu^2 sinhc) (F', F)
+                fl, pl, dtl = views[4:]
+                dtl += factors[2][i, live] * fl + factors[3][i, live] * pl
             yield nodes[k], v[k], t
             if k + 1 < steps:
                 np.matmul(hop[k, live], tl.reshape(len(tl), m, -1), out=ul.reshape(len(ul), m, -1))
@@ -347,8 +347,8 @@ def _frame_scale(potential: SampledPotential, taus) -> float:
     return float(np.sqrt(max(float(w.max()), 0.0) + top * top))
 
 
-def _cayley_frames(potential: SampledPotential, taus: np.ndarray, s: float, directions, stop=None):
-    """Yield (v, u) at the readings of U = (Y + i Y'/s)(Y - i Y'/s)^-1, Y = F(x, i tau).
+def _cayley_frames(potential: SampledPotential, taus: np.ndarray, s: float, directions, stop=None, slopes=False):
+    """Yield (v, u, du) at the readings of U = (Y + i Y'/s)(Y - i Y'/s)^-1, Y = F(x, i tau).
 
     ``u`` holds U^T of each sweep of ``directions`` at its latest reading,
     shape (d, n_tau, m, m), in the eigenbasis v[d] of the cell it has just
@@ -359,7 +359,9 @@ def _cayley_frames(potential: SampledPotential, taus: np.ndarray, s: float, dire
     into equal steps if need be) to move less than pi between readings, and
     at its last node.  Each reading resets that sweep's frame to
     ((U + I)/2, s (U - I)/2i), right multiplication by (Y - i Y'/s)^-1,
-    before it can overflow.
+    before it can overflow.  With ``slopes`` the derivative rows get the same
+    multiplication (its own tau-derivative leaves U as it is), and ``du`` holds
+    dU^T/dtau = ((dA - U dB) B^-1)^T, A, B = Y +- i Y'/s; else None.
     """
     m = potential.m
     lo, hi = _swept_nodes(potential)
@@ -375,17 +377,25 @@ def _cayley_frames(potential: SampledPotential, taus: np.ndarray, s: float, dire
     stride = int(np.ceil(np.pi * substeps / motion)) - 1  # steps between readings
     i_s, eye = 1j / s, np.eye(m)
     u = np.empty((len(directions), taus.size, m, m), dtype=complex)
+    du = np.empty_like(u) if slopes else None
     running = list(range(len(directions)))  # sweeps not yet read at their last node
-    for k, (nodes, v, t) in enumerate(_sweep(potential, 1j * taus, directions, substeps, stop)):
+    for k, (nodes, v, t) in enumerate(_sweep(potential, 1j * taus, directions, substeps, stop, slopes)):
         read = [j for j in running if nodes[j] == ends[j] or not k % stride]
         if not read:
             continue
         sl = slice(read[0], read[-1] + 1)  # of at most two sweeps, so contiguous
-        f, p = t[sl, :, 0].transpose(0, 3, 2, 1), t[sl, :, 1].transpose(0, 3, 2, 1)  # transposed fields
-        u[sl] = np.linalg.solve(f - i_s * p, f + i_s * p)  # U^T
-        yield v, u
+        y = t[sl].transpose(0, 4, 2, 3, 1)  # (sweep, tau, row, b, a): the rows transposed
+        f, p = y[:, :, 0], y[:, :, -1]
+        if slopes:  # U^T and the derivative rows times B^-1, transposed, from one solve
+            z = np.linalg.solve(f - i_s * p, np.concatenate([f + i_s * p, y[:, :, 1], y[:, :, 2]], axis=-1))
+            u[sl], dy, dp = z[..., :m], z[..., m : 2 * m], z[..., 2 * m :]
+            du[sl] = dy + i_s * dp - (dy - i_s * dp) @ u[sl]
+            t[sl, :, 1], t[sl, :, 2] = dy.transpose(0, 3, 2, 1), dp.transpose(0, 3, 2, 1)
+        else:
+            u[sl] = np.linalg.solve(f - i_s * p, f + i_s * p)  # U^T
+        yield v, u, du
         t[sl, :, 0] = (0.5 * (u[sl] + eye)).transpose(0, 3, 2, 1)
-        t[sl, :, 1] = ((u[sl] - eye) / (2.0 * i_s)).transpose(0, 3, 2, 1)
+        t[sl, :, -1] = ((u[sl] - eye) / (2.0 * i_s)).transpose(0, 3, 2, 1)
         running = [j for j in running if nodes[j] != ends[j]]
 
 
@@ -406,7 +416,7 @@ def _count(potential: SampledPotential, taus) -> tuple[np.ndarray, np.ndarray]:
     s = _frame_scale(potential, taus)
     phi0 = 2.0 * np.arctan(taus / s)  # U = exp(i phi0) I at the start
     winding = potential.m * phi0  # arg det U, lifted
-    for _, u in _cayley_frames(potential, taus, s, ("minus",)):
+    for _, u, _ in _cayley_frames(potential, taus, s, ("minus",)):
         winding += np.angle(np.linalg.det(u[0]) / np.exp(1j * winding))
 
     phases = np.angle(np.linalg.eigvals(u[0]))
@@ -438,21 +448,20 @@ def _eigenphases(potential: SampledPotential, taus, s: float, node: int) -> list
     U_+ and U_- are the Cayley frames of F_+ and F_- at ``node``; W = U_+^H U_-
     has the eigenvalue 1 exactly where the spans of (F_+, F_+') and (F_-, F_-')
     meet, i.e. at a bound state, with its multiplicity.  At a fixed s every
-    eigenphase of W rises with tau.  The slopes are forward differences over
-    ``_STEP`` by first-order perturbation: Im(x^H W(tau)^H W(tau + step) x)
-    / step for each unit eigenvector x of the unitary W(tau).
+    eigenphase of W rises with tau.  The sweeps carry the tau-derivative rows,
+    so dW = dU_+^H U_- + U_+^H dU_- is exact, and so is each slope by
+    first-order perturbation: Im(x^H W^H dW x) for each unit eigenvector x.
     """
     taus = np.asarray(taus, dtype=float)
-    both = np.concatenate([taus, taus + _STEP])
-    for v, u in _cayley_frames(potential, both, s, ("plus", "minus"), node):
+    for v, u, du in _cayley_frames(potential, taus, s, ("plus", "minus"), node, slopes=True):
         pass
-    plus, minus = v[:, None] @ u.swapaxes(-1, -2) @ v.conj().swapaxes(-1, -2)[:, None]  # U in the node basis
+    vh = v.conj().swapaxes(-1, -2)[:, None]
+    (plus, minus), (dplus, dminus) = (v[:, None] @ a.swapaxes(-1, -2) @ vh for a in (u, du))  # in the node basis
     w = plus.conj().transpose(0, 2, 1) @ minus
-    here, ahead = w[: taus.size], w[taus.size :]
-    lam, x = np.linalg.eig(here)
-    moved = np.einsum("nai,nab,nbi->ni", x.conj(), here.conj().transpose(0, 2, 1) @ ahead, x)
-    dets = np.linalg.det(here)
-    return [_Phases(*args) for args in zip(taus.tolist(), np.angle(lam), moved.imag / _STEP, dets)]
+    dw = dplus.conj().transpose(0, 2, 1) @ minus + plus.conj().transpose(0, 2, 1) @ dminus
+    lam, x = np.linalg.eig(w)
+    slopes = np.einsum("nai,nab,nbi->ni", x.conj(), w.conj().transpose(0, 2, 1) @ dw, x).imag
+    return [_Phases(*args) for args in zip(taus.tolist(), np.angle(lam), slopes, np.linalg.det(w))]
 
 
 def _crossings(a: _Phases, b: _Phases) -> int:
@@ -626,68 +635,49 @@ def find_bound_states(potential: SampledPotential) -> list[tuple[float, int]]:
     return sorted(states)
 
 
-def _cell_integral(potential: SampledPotential, phi, dphi, tau: float) -> np.ndarray:
-    """Exact int Phi^H Phi dx over the swept cells for -Phi'' + Q Phi = -tau^2 Phi.
-
-    ``phi``, ``dphi``: (Phi, Phi') at the swept nodes lo..hi of
-    ``_swept_nodes``, shape (hi - lo + 1, m, r).  On a cell each
-    eigencomponent of Q is psi_0 cosh(mu s) + psi_0' sinh(mu s)/mu, with
-    real mu^2 = lambda + tau^2; with ch = cosh(mu h), sl = sinh(mu h)/mu the
-    integrals of cosh^2, cosh sinh/mu and (sinh/mu)^2 are (h + ch sl)/2,
-    sl^2/2 and (ch sl - h)/(2 mu^2), the last by its series for small mu h.
-    """
-    h, (lo, hi) = potential.grid.dx, _swept_nodes(potential)
-    lam, vecs = (a[lo:hi] for a in potential.cell_eigh)
-    mu2 = lam + tau**2
-    ch, sl = _cell_factors(mu2, h)[:2]
-    z2 = mu2 * h * h
-    small = np.abs(z2) < 1e-2
-    series = h**3 * (1 / 3 + z2 * (1 / 15 + z2 * (2 / 315 + z2 / 2835)))
-    ss = np.where(small, series, 0.5 * (ch * sl - h) / np.where(small, 1.0, mu2))
-    cs = 0.5 * sl * sl
-    quad = np.stack([np.stack([0.5 * (h + ch * sl), cs], -1), np.stack([cs, ss], -1)], -1)
-    vh = vecs.conj().transpose(0, 2, 1)
-    psi = np.stack([vh @ phi[:-1], vh @ dphi[:-1]], axis=2)  # (cell, component, 2, r)
-    return np.einsum("caki,cakl,calj->ij", psi.conj(), quad, psi)
-
-
 def _norming_factors(potential: SampledPotential, states) -> list:
     """(B, V) for each state (tau, rank): N_- = B B^H, N_+ = V V^H, residue R_+ = i B V^H at i tau.
 
-    One stacked plus and minus sweep carries every state's tau, and the
-    fields are kept at the swept nodes lo..hi only.  The states are the null
-    space [V; B] of [[F_+, -F_-], [F_+', -F_-']] at the swept node x*
-    maximizing sigma_min(F_+) sigma_min(F_-), away from where the jitter of
-    tau excites either field's growing mode; the ``rank`` smallest singular
-    values must lie below ``_NULL_GAP`` times the next.  Phi is F_+ V from x*
-    on and F_- B before it; G = int Phi^H Phi dx is exact over the swept
-    cells, and beyond lo and hi Phi is a decaying free wave, so each free
-    tail adds Phi^H Phi / (2 tau) at its end of the range.
-    Then N_+ = V G^-1 V^H, N_- = B G^-1 B^H (N = (int f^2 dx)^-1 in matrix
-    form) and R_+ = i F_-^-1 F_+ N_+ = i B G^-1 V^H at x*, so [V; B] C^-H is
-    returned, G = C C^H.
+    A state is matched at x*, the midpoint of the cells where lambda_min(Q) <
+    -tau^2: where it lives, so neither Jost field has grown its other mode far
+    past it (no such cell, no state: the middle node serves, and is refused).
+    The states of one x* share a stacked plus and minus half sweep to it with
+    the tau-derivative rows.  The null space [V; B] of [[F_+, -F_-],
+    [F_+', -F_-']] at x* (``rank`` singular values below ``_NULL_GAP`` times
+    the next) gives Phi = F_+ V from x* on and F_- B before it.  W = Y^H dY' - Y'^H dY has W' = 2 tau Y^H Y; W_- vanishes at -inf,
+    W_+ at +inf, and each sweep starts from the free wave and its derivative,
+    so W_-(x*) = 2 tau int_-inf^x* F_-^H F_- and W_+(x*) = -2 tau int_x*^inf
+    F_+^H F_+, free tails included (the norming constant as a derivative of the
+    Wronskian, Deift-Trubowitz 1979), and G = int Phi^H Phi = (B^H W_- B -
+    V^H W_+ V) / (2 tau).  N_+ = V G^-1 V^H, N_- = B G^-1 B^H and R_+ =
+    i B G^-1 V^H, so [V; B] C^-H is returned, G = C C^H.
     """
-    m, (lo, hi) = potential.m, _swept_nodes(potential)
-    taus = np.array([tau for tau, _ in states], dtype=float)
-    (fp, fm), (pp, pm) = _kept_fields(potential, 1j * taus, ("plus", "minus"), np.arange(lo, hi + 1))
-    sigma = np.linalg.svd(fp, compute_uv=False)[..., -1] * np.linalg.svd(fm, compute_uv=False)[..., -1]
-    out = []
-    for i, ((tau, rank), star) in enumerate(zip(states, np.argmax(sigma, axis=0))):
-        _, s, vh = np.linalg.svd(np.block([[fp[star, i], -fm[star, i]], [pp[star, i], -pm[star, i]]]))
-        if not s[-rank] <= _NULL_GAP * s[-rank - 1]:
-            raise NumericsError(
-                f"no bound state of multiplicity {rank} at tau = {tau:.6g}: the {rank} smallest "
-                f"singular values of the matching matrix do not stand apart "
-                f"({s[-rank] / s[-rank - 1]:.2e} of the next)"
-            )
-        null = vh[-rank:].conj().T
-        v, b = null[:m], null[m:]
-        phi = np.concatenate([fm[:star, i] @ b, fp[star:, i] @ v])
-        dphi = np.concatenate([pm[:star, i] @ b, pp[star:, i] @ v])
-        ends = phi[[0, -1]].conj().transpose(0, 2, 1) @ phi[[0, -1]]
-        gram = _cell_integral(potential, phi, dphi, tau) + ends.sum(axis=0) / (2.0 * tau)
-        null = np.linalg.solve(np.linalg.cholesky(gram), null.conj().T).conj().T
-        out.append((null[m:], null[:m]))
+    m, lowest = potential.m, potential.cell_eigh[0][:, 0]
+    lives = [np.flatnonzero(lowest < -tau * tau) for tau, _ in states]  # the cells where each state lives
+    nodes = [int(c[0] + c[-1] + 1) // 2 if c.size else _matching_node(potential) for c in lives]
+    out = [None] * len(states)
+    for node in set(nodes):
+        group = [i for i, n in enumerate(nodes) if n == node]
+        taus = np.array([states[i][0] for i in group])
+        for _, basis, t in _sweep(potential, 1j * taus, ("plus", "minus"), stop=node, slopes=True):
+            pass
+        # (row, sweep, state, m, m) in the node basis; rows F, dF, dF', F'
+        f, df, dp, p = np.matmul(basis, t.reshape(2, m, -1)).reshape(t.shape).transpose(2, 0, 4, 1, 3)
+        wronskian = -_bracket(f, p, df, dp)
+        for k, i in enumerate(group):
+            tau, rank = states[i]
+            _, s, vh = np.linalg.svd(np.block([[f[0, k], -f[1, k]], [p[0, k], -p[1, k]]]))
+            if not s[-rank] <= _NULL_GAP * s[-rank - 1]:
+                raise NumericsError(
+                    f"no bound state of multiplicity {rank} at tau = {tau:.6g}: the {rank} smallest "
+                    f"singular values of the matching matrix do not stand apart "
+                    f"({s[-rank] / s[-rank - 1]:.2e} of the next)"
+                )
+            null = vh[-rank:].conj().T
+            v, b = null[:m], null[m:]
+            gram = (b.conj().T @ wronskian[1, k] @ b - v.conj().T @ wronskian[0, k] @ v) / (2.0 * tau)
+            null = np.linalg.solve(np.linalg.cholesky(gram), null.conj().T).conj().T
+            out[i] = (null[m:], null[:m])
     return out
 
 

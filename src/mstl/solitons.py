@@ -16,6 +16,7 @@ potential and is available in closed form (each factor inverts rationally).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,9 +57,10 @@ def checked_states(states) -> tuple[list, list]:
     """Taus and weights of (tau, weight) pairs, as floats and complex matrices.
 
     Raises ``ValidationError`` unless there is at least one state, the taus
-    and weights are finite, the taus are positive and distinct, and the
-    weights are Hermitian PSD (``weight_check``) with a nonempty range
-    (``range_split``).
+    and weights are finite, the taus are positive, distinct and small enough
+    that 4 tau^2 (the scale of Q) and tau e^``_EXP_CLAMP`` (the largest tau e
+    of the separable solve) are finite, and the weights are Hermitian PSD
+    (``weight_check``) with a nonempty range (``range_split``).
     """
     taus = [float(t) for t, _ in states]
     weights = [np.asarray(n, dtype=complex) for _, n in states]
@@ -71,6 +73,9 @@ def checked_states(states) -> tuple[list, list]:
             raise ValidationError(f"the weight of tau = {tau:g} has non-finite entries")
     if min(taus) <= 0:
         raise ValidationError("taus must be positive")
+    for tau in taus:
+        if not (math.isfinite(4.0 * tau * tau) and math.isfinite(tau * math.exp(_EXP_CLAMP))):
+            raise ValidationError(f"tau = {tau:g} is too large: the closed form of its state leaves double range")
     gap, tol = tau_gap(taus)
     if gap < tol:
         raise ValidationError("taus must be distinct")

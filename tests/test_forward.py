@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -64,6 +65,15 @@ def test_cell_factors_match_complex_reference():
     # sinh(mu h)/mu at mu = 0 is its limit h
     sl = np.where(mu2 == 0, h, np.sinh(mu * h) / np.where(mu2 == 0, 1.0, mu))
     for value, ref in zip(got, (np.cosh(mu * h), sl, mu2 * sl)):
+        assert value.dtype == float and value.shape == (4, 9)
+        assert np.all(np.abs(value - ref) <= 1e-14 * np.abs(ref))
+    # their derivatives in mu^2: that of sinh(mu h)/mu from its power series
+    # h^3 sum_k k z2^(k-1) / (2k + 1)!, z2 = mu^2 h^2, which does not cancel
+    # for |z2| <= 4 and is exact in double precision by k = 30
+    z2 = mu2 * h * h
+    dsl = h**3 * sum(k * z2 ** (k - 1) / math.factorial(2 * k + 1) for k in range(1, 30))
+    slopes = forward._cell_slopes(mu2, h, *got[:2])
+    for value, ref in zip(slopes, (0.5 * h * sl, dsl, 0.5 * (sl + h * np.cosh(mu * h)))):
         assert value.dtype == float and value.shape == (4, 9)
         assert np.all(np.abs(value - ref) <= 1e-14 * np.abs(ref))
 
@@ -277,9 +287,9 @@ def test_coefficients_come_from_one_plus_sweep(bump_setup, zero_pot, monkeypatch
     calls = []
     sweep = forward._sweep
 
-    def recording(potential, rhos, directions, substeps=1, stop=None):
+    def recording(potential, rhos, directions, substeps=1, stop=None, slopes=False):
         calls.append([directions, -1])
-        for item in sweep(potential, rhos, directions, substeps, stop):
+        for item in sweep(potential, rhos, directions, substeps, stop, slopes):
             calls[-1][1] += 1
             yield item
 
@@ -318,9 +328,9 @@ def _count_sweeps(monkeypatch):
     calls = []
     sweep = forward._sweep
 
-    def counting(potential, rhos, directions, substeps=1, stop=None):
+    def counting(potential, rhos, directions, substeps=1, stop=None, slopes=False):
         calls.append([np.asarray(rhos), -1])  # the first item holds the starting nodes
-        for item in sweep(potential, rhos, directions, substeps, stop):
+        for item in sweep(potential, rhos, directions, substeps, stop, slopes):
             calls[-1][1] += 1
             yield item
 
@@ -359,6 +369,19 @@ def test_matching_node_roots_do_not_depend_on_the_node(two_soliton, monkeypatch,
     moved = forward.find_bound_states(two_soliton)
     assert [rank for _, rank in moved] == [rank for _, rank in middle] == [1, 1]
     assert max(abs(a - b) for (a, _), (b, _) in zip(moved, middle)) <= 1e-12
+
+
+@pytest.mark.parametrize("node", [160, 100, 250])
+def test_eigenphase_slopes_are_the_derivatives_of_the_eigenphases(two_soliton, node):
+    # the slopes come from the tau-derivative rows, reset with the Cayley frames;
+    # central differences over 1e-5 agree to their own O(h^2) error, <= 1e-9
+    taus, h = np.array([0.5, 1.3, 2.2]), 1e-5
+    s = forward._frame_scale(two_soliton, taus)
+    at, up, down = (forward._eigenphases(two_soliton, taus + d, s, node) for d in (0.0, h, -h))
+    for p, p_up, p_down in zip(at, up, down):
+        differences = (np.sort(p_up.theta) - np.sort(p_down.theta)) / (2.0 * h)
+        slopes = p.slope[np.argsort(p.theta)]
+        assert np.abs(slopes - differences).max() <= 1e-8 * np.abs(slopes).max()
 
 
 def test_batched_weights_equal_weights_state_by_state(two_soliton):
@@ -413,10 +436,10 @@ def test_stacked_half_sweeps_equal_each_half_alone(two_soliton, node):
     # Cayley readings of each half are those of the half swept by itself
     taus = np.array([0.3, 1.0, 2.0])
     s = forward._frame_scale(two_soliton, taus)
-    for v, u in forward._cayley_frames(two_soliton, taus, s, ("plus", "minus"), node):
+    for v, u, _ in forward._cayley_frames(two_soliton, taus, s, ("plus", "minus"), node):
         pass
     for j, direction in enumerate(SWEEP):
-        for v_alone, u_alone in forward._cayley_frames(two_soliton, taus, s, (direction,), node):
+        for v_alone, u_alone, _ in forward._cayley_frames(two_soliton, taus, s, (direction,), node):
             pass
         assert np.array_equal(v[j], v_alone[0]) and np.array_equal(u[j], u_alone[0])
 
@@ -441,10 +464,10 @@ def test_full_forward_sweep_count(two_soliton, monkeypatch):
     result = forward.full_forward(two_soliton, RhoGrid(10.0, 64))
     assert len(result.j_plus.bound_states) == 2
     # 320 swept cells: the count sweep (320 steps), three rounds of stacked
-    # matching-node half sweeps (160 steps each), the stacked real-grid pair
-    # (320) and the stacked weight pair of all states (320); the same sweeps
-    # one direction at a time stepped 2560 cells
-    assert sum(steps for _, steps in calls) == 1440
+    # matching-node half sweeps (160 steps each), the real-grid plus sweep
+    # (320) and, per state, a stacked weight half-sweep pair that stops at
+    # its node (144 and 163 of 0..320: 176 and 163 steps)
+    assert sum(steps for _, steps in calls) == 1459
 
 
 def test_full_forward_sweeps_have_real_rho_squared(two_soliton, bump_setup, monkeypatch):
@@ -454,8 +477,8 @@ def test_full_forward_sweeps_have_real_rho_squared(two_soliton, bump_setup, monk
     _, bump, _ = bump_setup
     for pot in (two_soliton, bump):
         forward.full_forward(pot, RhoGrid(10.0, 64))
-    # the bump's 800 cells are stepped by its stacked real-grid pair only
-    assert sum(steps for _, steps in calls) == 1440 + 800
+    # the bump's 800 cells are stepped by its real-grid plus sweep only
+    assert sum(steps for _, steps in calls) == 1459 + 800
     for rhos, _ in calls:
         assert np.all((rhos**2).imag == 0)
 
@@ -543,13 +566,19 @@ def test_residue_matrix_sech_well():
     assert matrix_operator_norm(a_at @ r_minus) < 1e-6
 
 
-def test_weights_sech_well():
+@pytest.mark.parametrize("center, tau", [(-6.0, 3.0), (-5.0, 2.0), (0.0, 1.0), (3.0, 1.5), (5.5, 2.5)])
+def test_weights_sech_well(center, tau):
+    # -2 tau^2 sech^2(tau (x - c)) has N_+ = 2 tau e^(2 tau c) and N_- = 2 tau e^(-2 tau c);
+    # matched at the middle of the grid, the off-centre states' weights miss these by
+    # up to 3e11 relative, from the growing mode of a Jost field far from the well
     grid = SpaceGrid.from_bounds(-10.0, 10.0, 0.02)
-    well = domain.sech_well(grid, tau=1.0)
-    ((tau, _),) = forward.find_bound_states(well)
-    ((n_minus, n_plus),) = forward.weight_matrices(well, [(tau, 1)])
-    assert abs(n_plus[0, 0] - 2.0) < 1e-3
-    assert abs(n_minus[0, 0] - 2.0) < 1e-3
+    well = domain.SampledPotential.from_profile(
+        grid, lambda x: -2.0 * tau**2 / np.cosh(tau * (x - center)) ** 2 * np.eye(1, dtype=complex)
+    )
+    ((located, _),) = forward.find_bound_states(well)
+    ((n_minus, n_plus),) = forward.weight_matrices(well, [(located, 1)])
+    assert abs(n_plus[0, 0] / (2.0 * located * np.exp(2.0 * located * center)) - 1.0) < 1e-3
+    assert abs(n_minus[0, 0] / (2.0 * located * np.exp(-2.0 * located * center)) - 1.0) < 1e-3
 
 
 def test_weights_projector_soliton():
@@ -613,17 +642,24 @@ def test_box_weights_do_not_depend_on_the_grid_width():
 def test_full_forward_reads_fields_at_swept_nodes_only(monkeypatch):
     box = domain.box_potential(SpaceGrid.from_bounds(-10.0, 10.0, 0.02), height=-20.0)
     lo, hi = forward._swept_nodes(box)
-    kept = []
-    fields = forward._kept_fields
+    kept, stops = [], []
+    fields, sweep = forward._kept_fields, forward._sweep
 
     def recording(potential, rhos, directions, keep):
         kept.append(keep)
         return fields(potential, rhos, directions, keep)
 
+    def stopping(potential, rhos, directions, substeps=1, stop=None, slopes=False):
+        stops.append(stop)
+        return sweep(potential, rhos, directions, substeps, stop, slopes)
+
     monkeypatch.setattr(forward, "_kept_fields", recording)
+    monkeypatch.setattr(forward, "_sweep", stopping)
     result = forward.full_forward(box, RhoGrid(10.0, 64))
-    assert len(result.j_plus.bound_states) == 3 and len(kept) == 2  # the real grid and the weights
+    # the real grid keeps nodes; the weights read their half sweeps where they stop
+    assert len(result.j_plus.bound_states) == 3 and len(kept) == 1
     assert all(np.all((lo <= keep) & (keep <= hi)) for keep in kept)
+    assert all(lo <= stop <= hi for stop in stops if stop is not None)
 
 
 def _even_box_state(height, half_width):

@@ -40,3 +40,13 @@ def test_benchmark_unit_tests_pass(monkeypatch):
     suite = unittest.defaultTestLoader.loadTestsFromModule(importlib.import_module("test_perfbench"))
     result = unittest.TextTestRunner(stream=io.StringIO()).run(suite)
     assert result.testsRun > 0 and result.wasSuccessful(), result.failures + result.errors
+
+
+def test_perfbench_layers_resolve(monkeypatch):
+    # Tracer.install() takes each (module, attr) of spans.LAYERS by getattr; a
+    # refactor that drops one fails here instead of crashing the traced benchmark
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    for bindings in spans.LAYERS.values():
+        for module_name, attr in bindings:
+            assert callable(getattr(importlib.import_module(module_name), attr, None)), f"{module_name}.{attr}"
