@@ -43,11 +43,11 @@ eigenvalue 1 there, so one of its eigenphases, all rising with tau, crosses 0.
 Newton on it, safeguarded by the bracket, takes one stacked plus and minus
 half sweep per round for all brackets, and the derivative rows give its
 slopes exactly.  Brackets the eigenphase crossings do not explain are
-multisected by the count.  Each state's weights come from one stacked
-half-sweep pair to its own node, shared by the states with the same node:
-the null space of the matching matrix there gives the eigenfunctions, and
-the tau-derivative Wronskian of each side gives its integral of Phi^H Phi,
-free tail included (``_norming_factors``).
+multisected by the count.  One stacked plus and minus sweep of all states
+with the derivative rows gives the weights: at a node where the state lives,
+the null space of the matching matrix gives its eigenfunctions and the
+tau-derivative Wronskian of each side its integral of Phi^H Phi, free tail
+included (``_norming_factors``).
 """
 
 from __future__ import annotations
@@ -242,25 +242,25 @@ def _sweep(potential: SampledPotential, rhos: np.ndarray, directions, substeps: 
                 np.matmul(hop[k, live], tl.reshape(len(tl), m, -1), out=ul.reshape(len(ul), m, -1))
 
 
-def _kept_fields(potential: SampledPotential, rhos: np.ndarray, directions, keep: np.ndarray) -> np.ndarray:
-    """(F, F') of the sweeps of ``directions`` at the node indices ``keep``.
+def _kept_fields(potential: SampledPotential, rhos: np.ndarray, directions, keep: np.ndarray, slopes=False):
+    """(F, F') of the sweeps of ``directions`` at the node indices ``keep``; (F, dF, dF', F') with ``slopes``.
 
-    The fields have shape (2, d, len(keep), n_rho, m, m), F first; a node
-    that a sweep does not reach stays zero.  The sweep keeps each node of
-    ``keep`` in its cell's eigenbasis, and one batched product takes them all
-    to the node basis.
+    The fields have shape (rows, d, len(keep), n_rho, m, m); a node that a
+    sweep does not reach stays zero.  The sweep keeps each node of ``keep``
+    in its cell's eigenbasis, and one batched product takes them all to the
+    node basis.
     """
-    m, d = potential.m, len(directions)
+    m, d, rows = potential.m, len(directions), 4 if slopes else 2
     slot = {node: k for k, node in enumerate(keep.tolist())}
     v_kept = np.zeros((d, keep.size, m, m), dtype=complex)
-    t_kept = np.zeros((d, keep.size, m, 2, m, rhos.size), dtype=complex)
-    for nodes, v, t in _sweep(potential, rhos, directions):
+    t_kept = np.zeros((d, keep.size, m, rows, m, rhos.size), dtype=complex)
+    for nodes, v, t in _sweep(potential, rhos, directions, slopes=slopes):
         for j, node in enumerate(nodes):
             k = slot.get(node)
             if k is not None:
                 v_kept[j, k], t_kept[j, k] = v[j], t[j]
     np.matmul(v_kept, t_kept.reshape(d, keep.size, m, -1), out=t_kept.reshape(d, keep.size, m, -1))
-    return np.ascontiguousarray(t_kept.transpose(3, 0, 1, 5, 2, 4))  # (F or F', sweep, node, rho, m, m)
+    return np.ascontiguousarray(t_kept.transpose(3, 0, 1, 5, 2, 4))  # (row, sweep, node, rho, m, m)
 
 
 def _bracket(zf, zp, yf, yp):
@@ -638,46 +638,47 @@ def find_bound_states(potential: SampledPotential) -> list[tuple[float, int]]:
 def _norming_factors(potential: SampledPotential, states) -> list:
     """(B, V) for each state (tau, rank): N_- = B B^H, N_+ = V V^H, residue R_+ = i B V^H at i tau.
 
-    A state is matched at x*, the midpoint of the cells where lambda_min(Q) <
-    -tau^2: where it lives, so neither Jost field has grown its other mode far
-    past it (no such cell, no state: the middle node serves, and is refused).
-    The states of one x* share a stacked plus and minus half sweep to it with
-    the tau-derivative rows.  The null space [V; B] of [[F_+, -F_-],
-    [F_+', -F_-']] at x* (``rank`` singular values below ``_NULL_GAP`` times
-    the next) gives Phi = F_+ V from x* on and F_- B before it.  W = Y^H dY' - Y'^H dY has W' = 2 tau Y^H Y; W_- vanishes at -inf,
-    W_+ at +inf, and each sweep starts from the free wave and its derivative,
-    so W_-(x*) = 2 tau int_-inf^x* F_-^H F_- and W_+(x*) = -2 tau int_x*^inf
-    F_+^H F_+, free tails included (the norming constant as a derivative of the
-    Wronskian, Deift-Trubowitz 1979), and G = int Phi^H Phi = (B^H W_- B -
-    V^H W_+ V) / (2 tau).  N_+ = V G^-1 V^H, N_- = B G^-1 B^H and R_+ =
-    i B G^-1 V^H, so [V; B] C^-H is returned, G = C C^H.
+    One stacked plus and minus sweep with the tau-derivative rows carries
+    every tau and keeps the fields at the midpoint of each run of cells where
+    lambda_min(Q) < -tau^2 (the middle node where none is, which is refused).
+    A state is matched at x*, its midpoint of largest sigma_min(F_+)
+    sigma_min(F_-): where it lives, so neither Jost field has grown its other
+    mode far past it.  The null space [V; B] of [[F_+, -F_-], [F_+', -F_-']]
+    there (``rank`` singular values below ``_NULL_GAP`` times the next) gives
+    Phi = F_+ V from x* on and F_- B before it.  W = Y^H dY' - Y'^H dY has
+    W' = 2 tau Y^H Y; W_- vanishes at -inf, W_+ at +inf, and each sweep starts
+    from the free wave and its derivative, so W_-(x*) = 2 tau int_-inf^x*
+    F_-^H F_- and W_+(x*) = -2 tau int_x*^inf F_+^H F_+ (the norming constant
+    as a derivative of the Wronskian, Deift-Trubowitz 1979), and G =
+    int Phi^H Phi = (B^H W_- B - V^H W_+ V) / (2 tau).  N_+ = V G^-1 V^H,
+    N_- = B G^-1 B^H and R_+ = i B G^-1 V^H, so [V; B] C^-H is returned, G = C C^H.
     """
-    m, lowest = potential.m, potential.cell_eigh[0][:, 0]
-    lives = [np.flatnonzero(lowest < -tau * tau) for tau, _ in states]  # the cells where each state lives
-    nodes = [int(c[0] + c[-1] + 1) // 2 if c.size else _matching_node(potential) for c in lives]
-    out = [None] * len(states)
-    for node in set(nodes):
-        group = [i for i, n in enumerate(nodes) if n == node]
-        taus = np.array([states[i][0] for i in group])
-        for _, basis, t in _sweep(potential, 1j * taus, ("plus", "minus"), stop=node, slopes=True):
-            pass
-        # (row, sweep, state, m, m) in the node basis; rows F, dF, dF', F'
-        f, df, dp, p = np.matmul(basis, t.reshape(2, m, -1)).reshape(t.shape).transpose(2, 0, 4, 1, 3)
-        wronskian = -_bracket(f, p, df, dp)
-        for k, i in enumerate(group):
-            tau, rank = states[i]
-            _, s, vh = np.linalg.svd(np.block([[f[0, k], -f[1, k]], [p[0, k], -p[1, k]]]))
-            if not s[-rank] <= _NULL_GAP * s[-rank - 1]:
-                raise NumericsError(
-                    f"no bound state of multiplicity {rank} at tau = {tau:.6g}: the {rank} smallest "
-                    f"singular values of the matching matrix do not stand apart "
-                    f"({s[-rank] / s[-rank - 1]:.2e} of the next)"
-                )
-            null = vh[-rank:].conj().T
-            v, b = null[:m], null[m:]
-            gram = (b.conj().T @ wronskian[1, k] @ b - v.conj().T @ wronskian[0, k] @ v) / (2.0 * tau)
-            null = np.linalg.solve(np.linalg.cholesky(gram), null.conj().T).conj().T
-            out[i] = (null[m:], null[:m])
+    if not states:
+        return []
+    m, taus = potential.m, np.array([tau for tau, _ in states], dtype=float)
+    below = potential.cell_eigh[0][:, 0] < -taus[:, None] ** 2
+    edges = np.diff(np.pad(below, ((0, 0), (1, 1))).astype(int))  # +1 at a run's first cell, -1 past its last
+    runs = [(np.flatnonzero(e > 0) + np.flatnonzero(e < 0)) // 2 if e.any() else [_matching_node(potential)] for e in edges]
+    keep = np.unique(np.concatenate(runs))
+    f, df, dp, p = _kept_fields(potential, 1j * taus, ("plus", "minus"), keep, slopes=True)  # (sweep, node, state, m, m)
+    sigma = np.linalg.svd(f, compute_uv=False)[..., -1].prod(axis=0)
+    wronskian = -_bracket(f, p, df, dp)
+    out = []
+    for i, ((tau, rank), nodes) in enumerate(zip(states, runs)):
+        at = keep.searchsorted(nodes)
+        k = at[np.argmax(sigma[at, i])]
+        _, s, vh = np.linalg.svd(np.block([[f[0, k, i], -f[1, k, i]], [p[0, k, i], -p[1, k, i]]]))
+        if not s[-rank] <= _NULL_GAP * s[-rank - 1]:
+            raise NumericsError(
+                f"no bound state of multiplicity {rank} at tau = {tau:.6g}: the {rank} smallest "
+                f"singular values of the matching matrix do not stand apart "
+                f"({s[-rank] / s[-rank - 1]:.2e} of the next)"
+            )
+        null = vh[-rank:].conj().T
+        v, b = null[:m], null[m:]
+        gram = (b.conj().T @ wronskian[1, k, i] @ b - v.conj().T @ wronskian[0, k, i] @ v) / (2.0 * tau)
+        null = np.linalg.solve(np.linalg.cholesky(gram), null.conj().T).conj().T
+        out.append((null[m:], null[:m]))
     return out
 
 

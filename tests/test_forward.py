@@ -465,9 +465,9 @@ def test_full_forward_sweep_count(two_soliton, monkeypatch):
     assert len(result.j_plus.bound_states) == 2
     # 320 swept cells: the count sweep (320 steps), three rounds of stacked
     # matching-node half sweeps (160 steps each), the real-grid plus sweep
-    # (320) and, per state, a stacked weight half-sweep pair that stops at
-    # its node (144 and 163 of 0..320: 176 and 163 steps)
-    assert sum(steps for _, steps in calls) == 1459
+    # (320) and the stacked weight pair of all states with the tau-derivative
+    # rows (320)
+    assert sum(steps for _, steps in calls) == 1440
 
 
 def test_full_forward_sweeps_have_real_rho_squared(two_soliton, bump_setup, monkeypatch):
@@ -478,7 +478,7 @@ def test_full_forward_sweeps_have_real_rho_squared(two_soliton, bump_setup, monk
     for pot in (two_soliton, bump):
         forward.full_forward(pot, RhoGrid(10.0, 64))
     # the bump's 800 cells are stepped by its real-grid plus sweep only
-    assert sum(steps for _, steps in calls) == 1459 + 800
+    assert sum(steps for _, steps in calls) == 1440 + 800
     for rhos, _ in calls:
         assert np.all((rhos**2).imag == 0)
 
@@ -579,6 +579,32 @@ def test_weights_sech_well(center, tau):
     ((n_minus, n_plus),) = forward.weight_matrices(well, [(located, 1)])
     assert abs(n_plus[0, 0] / (2.0 * located * np.exp(2.0 * located * center)) - 1.0) < 1e-3
     assert abs(n_minus[0, 0] / (2.0 * located * np.exp(-2.0 * located * center)) - 1.0) < 1e-3
+    if center == 0.0:
+        assert abs(n_plus[0, 0] - 2.0) < 1e-3 and abs(n_minus[0, 0] - 2.0) < 1e-3
+
+
+@pytest.mark.parametrize("wells", [((-7.5, 2.5), (7.5, 3.0)), ((-7.5, 3.0), (7.5, 2.5))])
+def test_weights_of_separated_wells_of_different_depth(wells):
+    # both wells are deeper than -tau^2 of the shallower state, so its cells
+    # lie in two runs 15 apart; matched in the gap or at the other well, a
+    # Jost field has grown its other mode by about eps e^(2 tau D) ~ 1e16 there.
+    # Far apart, each state keeps its own well's weights, times T^-2 on the
+    # side of the other well: T = (tau - kappa)/(tau + kappa) is that
+    # reflectionless well's transmission at i tau
+    grid = SpaceGrid.from_bounds(-10.0, 10.0, 0.02)
+    pot = domain.SampledPotential.from_profile(
+        grid, lambda x: sum(-2.0 * k**2 / np.cosh(k * (x - c)) ** 2 for c, k in wells) * np.eye(1, dtype=complex)
+    )
+    states = forward.find_bound_states(pot)  # by tau, as the wells by depth
+    weights = forward.weight_matrices(pot, states)
+    own = {depth: (tau, n) for depth, (tau, _), n in zip(sorted(k for _, k in wells), states, weights)}
+    for (center, depth), (other, partner) in (wells, wells[::-1]):
+        (tau, (n_minus, n_plus)), kappa = own[depth], own[partner][0]
+        through = ((tau + kappa) / (tau - kappa)) ** 2
+        want_plus = 2.0 * tau * np.exp(2.0 * tau * center) * (through if other > center else 1.0)
+        want_minus = 2.0 * tau * np.exp(-2.0 * tau * center) * (through if other < center else 1.0)
+        assert abs(n_plus[0, 0] / want_plus - 1.0) < 1e-3
+        assert abs(n_minus[0, 0] / want_minus - 1.0) < 1e-3
 
 
 def test_weights_projector_soliton():
@@ -645,9 +671,9 @@ def test_full_forward_reads_fields_at_swept_nodes_only(monkeypatch):
     kept, stops = [], []
     fields, sweep = forward._kept_fields, forward._sweep
 
-    def recording(potential, rhos, directions, keep):
+    def recording(potential, rhos, directions, keep, slopes=False):
         kept.append(keep)
-        return fields(potential, rhos, directions, keep)
+        return fields(potential, rhos, directions, keep, slopes)
 
     def stopping(potential, rhos, directions, substeps=1, stop=None, slopes=False):
         stops.append(stop)
@@ -656,8 +682,9 @@ def test_full_forward_reads_fields_at_swept_nodes_only(monkeypatch):
     monkeypatch.setattr(forward, "_kept_fields", recording)
     monkeypatch.setattr(forward, "_sweep", stopping)
     result = forward.full_forward(box, RhoGrid(10.0, 64))
-    # the real grid keeps nodes; the weights read their half sweeps where they stop
-    assert len(result.j_plus.bound_states) == 3 and len(kept) == 1
+    # the real grid keeps its checkpoints, the weights the midpoints of the
+    # runs of cells where each state lives (one run each here)
+    assert len(result.j_plus.bound_states) == 3 and len(kept) == 2 and kept[1].size == 1
     assert all(np.all((lo <= keep) & (keep <= hi)) for keep in kept)
     assert all(lo <= stop <= hi for stop in stops if stop is not None)
 
