@@ -10,12 +10,16 @@ their separable form, and the integral equation
 is discretized by an endpoint-corrected (Gregory order-4) trapezoid rule on
 the uniform y-grid y_j = x + j du.  Its Hankel arguments 2x + du (i + j) (and
 a rank-r tail term that depends on the nodes alone) make the system at
-x + k du the trailing principal block of the system at x, up to
-the quadrature weights of the block's first three nodes.  So one reverse (UL)
+x + k du the trailing principal block of the system at x, up to the
+quadrature weights of the block's first three nodes.  So one reverse (UL)
 Cholesky factorization A = U U^H of the largest system gives the kernel
 diagonal K(x, x) at every node x + k du, each through a three-node Schur
-correction for its own Gregory weights.  With du = 2 dx two interleaved
-factorizations cover the target grid, and the potential is
+correction for its own Gregory weights.  The samples end in exact zeros, so
+without bound states the last nodes, whose Hankel arguments all fall there,
+meet each other only through I: U is I on them and the system's own rows
+beside them, and only the Schur complement of the other nodes is factored,
+from block rows that are each one window of the samples.  With du = 2 dx two
+interleaved factorizations cover the target grid, and the potential is
 Q(x) = -2 d/dx K(x, x) by fourth-order central differences, trusted on the
 right half-line; the left half-line uses the mirrored equation on the
 reflected nodes.
@@ -190,16 +194,38 @@ class DiagonalSolve:
     residual: float
 
 
-def _hankel_system(h: np.ndarray, sw: np.ndarray) -> np.ndarray:
-    """I + diag(sw) [h_{i+j}] diag(sw) as one C-contiguous (n m, n m) matrix."""
-    n, m = sw.size, h.shape[-1]
-    window = sliding_window_view(h, n, axis=0)  # window[i, a, b, j] = h[i + j, a, b]
-    a = np.ascontiguousarray(window.transpose(0, 1, 3, 2)).reshape(n * m, n * m)
-    s = np.repeat(sw, m)
-    a *= s[:, None]
-    a *= s[None, :]
+def _hankel_system(h: np.ndarray, du: float, s: int) -> np.ndarray:
+    """I + D [h_{i+j}] D, D^2 the Gregory weights, as a C-contiguous (n m, n m) matrix.
+
+    The first ``s`` nodes' rows are left [I 0].  Row (i, a) of the others is the
+    window of h[:, a, :] flattened from i m, times du; only the three Gregory
+    nodes at each end are then rescaled, their rows and columns by sqrt(w / du).
+    """
+    n, m = (len(h) + 1) // 2, h.shape[-1]
+    a = np.empty((n, m, n * m), dtype=complex)
+    a[:s] = 0.0
+    for b in range(m):
+        np.multiply(sliding_window_view(h[:, b, :].ravel(), n * m)[s * m :: m], du, out=a[s:, b])
+    ends = np.r_[0:3, n - 3 : n]
+    fix = np.sqrt(np.r_[_GREGORY_HEAD, _GREGORY_HEAD[::-1]])
+    a[ends[ends >= s]] *= fix[ends >= s, None, None]
+    a = a.reshape(n * m, n * m)
+    a[s * m :].reshape(-1, n, m)[:, ends] *= fix[:, None]
     a.flat[:: n * m + 1] += 1.0
     return a
+
+
+def _one_norm(a: np.ndarray, sm: int) -> float:
+    """1-norm of the Hermitian matrix whose rows are [I 0] above row ``sm`` and a's from it on.
+
+    Column j >= sm sums as row j; the moduli are formed 128 rows at a time.
+    """
+    sums = np.ones(len(a))
+    for lo in range(sm, len(a), 128):
+        block = np.abs(a[lo : lo + 128])
+        sums[lo : lo + 128] = block.sum(axis=1)
+        sums[:sm] += block[:, :sm].sum(axis=0)
+    return float(sums.max())
 
 
 def _hankel_product(h: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -226,6 +252,12 @@ def nested_diagonal(h: np.ndarray, du: float, count: int, tail: np.ndarray = Non
     with T = U's 3 x 3 node block at k, and K(x_k, x_k) = ((A_k^-1)_00 - I) / w_0
     (Dyson's diagonal identity).
 
+    Without a tail, samples that are exactly zero from h_K on leave the last
+    n - ceil(K / 2) nodes coupled to each other only through I.  U is I on
+    them and its block beside them is the system's own rows there, so only
+    the other nodes' rows are built and only their Schur complement is
+    factored, into the full factor that every gate below reads.
+
     A factorization failure or an estimated reciprocal condition below
     1e-12 raises ``IllPosedDataError``.  The residual is that of the x_0 row,
     solved through the factor and checked against the kernel applied by FFT
@@ -238,28 +270,35 @@ def nested_diagonal(h: np.ndarray, du: float, count: int, tail: np.ndarray = Non
         raise ValueError(f"{len(h)} kernel samples give {n} nodes, fewer than count + 7 = {count + 7}")
     m = h.shape[-1]
     p = np.zeros((n, m, 0), dtype=complex) if tail is None else tail
-    if not (np.any(h) or np.any(p)):
+    live = np.flatnonzero(np.any(h, axis=(1, 2)))
+    if not (live.size or np.any(p)):
         return DiagonalSolve(np.zeros((count, m, m), dtype=complex), 1.0, 0.0)
     w = gregory_weights(n, du)
     sw = np.sqrt(w)
 
-    # The system in reversed index order (nodes and entries within blocks) is
-    # built directly; its transpose is Fortran-ordered and equals its
-    # conjugate, so LAPACK factors it in place as R^H R.  Then the reversed
-    # system is L L^H with L = R^T, and A = U U^H with U = L reversed.
-    a_rev = _hankel_system(h[::-1, ::-1, ::-1], sw[::-1])
+    # Built in reversed index order (nodes and entries within blocks), where
+    # those nodes come first, the system's transpose is Fortran-ordered and its
+    # conjugate: LAPACK factors it in place as R^H R, R = [[I, X], [0, R22]] with
+    # X the built rows' first sm columns transposed and R22^H R22 = M22 - X^H X.
+    # The reversed system is L L^H, L = R^T, and A = U U^H with U = L reversed.
+    sm = 0 if p.shape[-1] else (n - (live[-1] + 2) // 2) * m
+    a_rev = _hankel_system(h[::-1, ::-1, ::-1], du, sm // m)
     if p.shape[-1]:
         # the tail term (D P)(D P)^H, added in place to the transpose
         dp_rev = (sw[:, None, None] * p).reshape(n * m, -1)[::-1].conj()
         a_rev = blas.zgemm(1.0, dp_rev, dp_rev, beta=1.0, c=a_rev.T, trans_b=2, overwrite_c=1).T
-    anorm = float(np.abs(a_rev).sum(axis=0).max())
-    r_fac, info = lapack.zpotrf(a_rev.T, lower=0, overwrite_a=1, clean=1)
-    if info:
-        raise IllPosedDataError(f"GLM operator not positive definite (info {info})")
-    rcond, _ = lapack.zpocon(r_fac, anorm)
+    anorm = _one_norm(a_rev, sm)  # read by the rcond gate alone: rcond * anorm does not depend on it
+    r22 = a_rev[sm:, sm:].T  # M22, which f2py copies when sm > 0
+    if sm:
+        r22 = blas.zherk(-1.0, a_rev[sm:, :sm].T, beta=1.0, c=r22, trans=2, overwrite_c=1)
+    r22, info = lapack.zpotrf(r22, lower=0, overwrite_a=1, clean=1)
+    if info:  # numbered from the first row of the whole reversed system
+        raise IllPosedDataError(f"GLM operator not positive definite (info {info + sm})")
+    a_rev[sm:, sm:] = r22.T
+    rcond, _ = lapack.zpocon(a_rev.T, anorm)
     if not rcond >= RCOND_FLOOR:  # NaN too: a kernel that overflows gives a NaN factor
         raise IllPosedDataError(f"GLM system has reciprocal condition {rcond:.3e}")
-    u = r_fac.T[::-1, ::-1]
+    u = a_rev[::-1, ::-1]
 
     k = np.arange(count)
     idx = k[:, None] * m + np.arange(3 * m)
@@ -274,7 +313,7 @@ def nested_diagonal(h: np.ndarray, du: float, count: int, tail: np.ndarray = Non
     # x_0 row in column form, A v = -b^H, solved with the reversed factor
     p_h = p.conj().transpose(0, 2, 1)
     rhs = -((h[:n].conj().transpose(0, 2, 1) + p @ p_h[0]) * sw[:, None, None])
-    sol, _ = lapack.zpotrs(r_fac, rhs.reshape(n * m, m)[::-1].conj())
+    sol, _ = lapack.zpotrs(a_rev.T, rhs.reshape(n * m, m)[::-1].conj())
     v = sol.conj()[::-1].reshape(n, m, m)
     z = sw[:, None, None] * v
     av = v + sw[:, None, None] * (_hankel_product(h, z) + p @ (p_h @ z).sum(axis=0))

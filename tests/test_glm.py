@@ -191,6 +191,118 @@ def test_nested_diagonal_matches_dense(m):
     assert out.residual < 1e-12
 
 
+def reversed_system(h, du):
+    """I + D [h_{i+j}] D (D^2 the Gregory weights) in reversed index order, built entry by entry."""
+    n, m = (len(h) + 1) // 2, h.shape[-1]
+    sw = np.sqrt(glm.gregory_weights(n, du))
+    blocks = h[np.add.outer(np.arange(n), np.arange(n))] * np.outer(sw, sw)[:, :, None, None]
+    return (blocks.transpose(0, 2, 1, 3).reshape(n * m, n * m) + np.eye(n * m))[::-1, ::-1]
+
+
+def compact_kernel(m, cut):
+    """The reflection part of ``test_nested_diagonal_matches_dense``, exactly zero past u = cut."""
+    v = np.array([1.0, 0.5j])[:m]
+    proj = np.outer(v, v.conj()) / np.vdot(v, v)
+    return lambda u: (0.05 * np.exp(-((u - 1.0) ** 2)) * (u <= cut))[:, None, None] * (proj + 0.3 * np.eye(m))
+
+
+def recorded_zpotrf(monkeypatch):
+    """The row count of every ``lapack.zpotrf`` call from now on, in a list."""
+    from scipy.linalg import lapack
+
+    rows = []
+    zpotrf = lapack.zpotrf
+
+    def recording(*args, **kwargs):
+        rows.append(args[0].shape[0])
+        return zpotrf(*args, **kwargs)
+
+    monkeypatch.setattr(lapack, "zpotrf", recording)
+    return rows
+
+
+@pytest.mark.parametrize("m, cut", [(1, 8.0), (2, 8.0), (2, 2.02)])
+def test_nested_diagonal_factors_only_the_coupled_block(m, cut, monkeypatch):
+    # no tail, and samples exactly zero past u = cut: the trailing nodes meet
+    # each other only through I, and only the other nodes are factored; with
+    # cut = 2.02 (between two samples) the late k lies among those nodes
+    kern = compact_kernel(m, cut)
+    x0, du, count, y_end = -0.5, 0.05, 60, 20.0
+    h = hankel_samples(kern, x0, du, y_end)
+    n = (len(h) + 1) // 2
+    rows = recorded_zpotrf(monkeypatch)
+    out = glm.nested_diagonal(h, du, count)
+    assert len(rows) == 1 and rows[0] < n * m
+    for k in (0, 1, 2, 3, 50):
+        ref = dense_diagonal(kern, x0 + k * du, du, n - k)
+        assert np.abs(out.diag[k] - ref).max() < 1e-12
+    assert out.residual < 1e-12
+    exact = float(np.linalg.eigvalsh(reversed_system(h, du)).min())
+    assert 0.2 * exact <= out.sigma_min_est <= 5.0 * exact
+
+
+def test_a_failed_split_factorization_names_the_minor_of_the_whole_system(monkeypatch):
+    # 3/sqrt(pi) exp(-u^2), zero past u = 6, is not positive definite from x = -1; the
+    # Schur complement's failing row is counted from the first row of the reversed system
+    from scipy.linalg import lapack
+
+    du = 0.05
+    h = hankel_samples(lambda u: (3 / np.sqrt(np.pi) * np.exp(-(u**2)) * (u <= 6.0))[:, None, None] + 0j,
+                       -1.0, du, 20.0)
+    _, info = lapack.zpotrf(reversed_system(h, du))
+    rows = recorded_zpotrf(monkeypatch)
+    with pytest.raises(IllPosedDataError, match="not positive definite") as exc:
+        glm.nested_diagonal(h, du, 1)
+    assert info > 0 and f"(info {info})" in str(exc.value)
+    assert info > (len(h) + 1) // 2 - rows[0]  # the failure lies in the factored block
+
+
+@pytest.mark.parametrize("case", ["split", "heavy identity columns", "tail"])
+def test_one_norm_rule_is_the_norm_of_the_whole_system(case):
+    du = 0.05
+    rng = np.random.default_rng(4)
+    h = hankel_samples(compact_kernel(2, 8.0), -0.5, du, 20.0)
+    full = reversed_system(h, du)
+    if case == "split":
+        live = np.flatnonzero(np.any(h, axis=(1, 2)))
+        s = (len(h) + 1) // 2 - (live[-1] + 2) // 2
+        built = glm._hankel_system(h[::-1, ::-1, ::-1], du, s)
+        assert s > 0
+        assert np.abs(built[2 * s :] - full[2 * s :]).max() < 1e-15
+        assert np.array_equal(built[: 2 * s], np.eye(*full.shape)[: 2 * s])
+        rule = glm._one_norm(built, 2 * s)
+    elif case == "heavy identity columns":
+        # three identity rows whose columns outweigh every built row
+        g = 0.01 * (rng.normal(size=(60, 60)) + 1j * rng.normal(size=(60, 60)))
+        g[:, :3] = rng.normal(size=(60, 3)) + 1j * rng.normal(size=(60, 3))
+        full = np.tril(g, -1) + np.tril(g, -1).conj().T + np.eye(60)
+        full[:3, :3] = np.eye(3)
+        assert np.abs(full).sum(axis=0).argmax() < 3
+        rule = glm._one_norm(np.vstack([np.eye(3, 60), full[3:]]), 3)  # rows [I 0] above, as built
+    else:
+        dp = rng.normal(size=(len(full), 2)) + 1j * rng.normal(size=(len(full), 2))
+        full = full + dp @ dp.conj().T
+        rule = glm._one_norm(full, 0)
+    assert abs(rule - np.abs(full).sum(axis=0).max()) <= 1e-14 * rule
+
+
+def test_invert_without_states_factors_smaller_blocks(bump_forward, monkeypatch):
+    # reflection only: the samples are zero past the sampling end, so each of the
+    # four factorizations covers fewer rows than its system has
+    systems = []
+    nested = glm.nested_diagonal
+
+    def recording(h, *args):
+        systems.append((len(h) + 1) // 2 * h.shape[-1])
+        return nested(h, *args)
+
+    monkeypatch.setattr(glm, "nested_diagonal", recording)
+    rows = recorded_zpotrf(monkeypatch)
+    glm.invert(bump_forward.j_plus, bump_forward.j_minus, grid=SpaceGrid.from_bounds(-4.0, 4.0, 0.04))
+    assert len(rows) == len(systems) == 4
+    assert all(r < s for r, s in zip(rows, systems))
+
+
 @pytest.mark.parametrize("gap, refused", [(1e-6, False), (1e-13, True)])
 def test_nested_diagonal_refuses_a_near_singular_system(gap, refused):
     # the rank-one Hankel kernel h_k = -a r^k gives the system I - a u u^T with
@@ -267,16 +379,7 @@ def test_potential_value_pointwise(soliton_data):
 
 
 def test_invert_runs_two_factorizations_per_side(soliton_data, monkeypatch):
-    from scipy.linalg import lapack
-
-    calls = []
-    zpotrf = lapack.zpotrf
-
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return zpotrf(*args, **kwargs)
-
-    monkeypatch.setattr(lapack, "zpotrf", counting)
+    calls = recorded_zpotrf(monkeypatch)
     glm.invert(soliton_data, grid=SpaceGrid.from_bounds(-3.0, 3.0, 0.05))
     # du = 2 dx: two interleaved factorizations on each side
     assert len(calls) == 4
@@ -389,8 +492,6 @@ def test_closed_form_tail_matches_long_window(case, mixed_forward):
 def test_soliton_systems_end_with_the_targets(monkeypatch):
     # S = 0: the kernel window holds no Fourier part, so every factorization
     # is count + 7 nodes long, and Q is the Hirota two-soliton times the projector
-    from scipy.linalg import lapack
-
     from tests.test_solitons import hirota_two_soliton
 
     v = np.array([1.0, 1j]) / np.sqrt(2.0)
@@ -400,14 +501,7 @@ def test_soliton_systems_end_with_the_targets(monkeypatch):
         side="right", rho_grid=rg, S=np.zeros((rg.n, 2, 2), complex),
         bound_states=(BoundState(1.0, 2.0 * proj), BoundState(2.0, 8.0 * proj)),
     )
-    shapes = []
-    zpotrf = lapack.zpotrf
-
-    def recording(*args, **kwargs):
-        shapes.append(args[0].shape[0])
-        return zpotrf(*args, **kwargs)
-
-    monkeypatch.setattr(lapack, "zpotrf", recording)
+    shapes = recorded_zpotrf(monkeypatch)
     grid = SpaceGrid.from_bounds(-2.0, 2.0, 0.02)
     out = glm.invert(data, grid=grid)
     # each side solves the 151 nodes within the overlap plus two past each end
