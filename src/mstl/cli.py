@@ -80,6 +80,8 @@ def read_potential_csv(path) -> SampledPotential:
     m = int(round(np.sqrt(max(len(header) - 1, 0) / 2)))
     if m < 1 or 1 + 2 * m * m != len(header) or rows.shape[1:] != (len(header),):
         raise ValidationError(f"malformed potential header or rows in {path}")
+    if not np.isfinite(rows).all():
+        raise ValidationError(f"potential data in {path} has non-finite entries")
     xs = rows[:, 0]
     dxs = np.diff(xs)
     if len(xs) < 2 or not np.allclose(dxs, dxs[0], rtol=1e-9, atol=1e-12):

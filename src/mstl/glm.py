@@ -18,7 +18,10 @@ correction for its own Gregory weights.  The samples end in exact zeros, so
 without bound states the last nodes, whose Hankel arguments all fall there,
 meet each other only through I: U is I on them and the system's own rows
 beside them, and only the Schur complement of the other nodes is factored,
-from block rows that are each one window of the samples.  With du = 2 dx two
+from block rows that are each one window of the samples.  Its Gram comes
+from the rows' Hankel displacement, one rank-5m update per block diagonal,
+and the factorization, its condition estimate and its solves are numpy's
+alone (no LAPACK wrapper is loaded).  With du = 2 dx two
 interleaved factorizations cover the target grid, and the potential is
 Q(x) = -2 d/dx K(x, x) by fourth-order central differences, trusted on the
 right half-line; the left half-line uses the mirrored equation on the
@@ -46,7 +49,8 @@ entries is allocated, and Q within 1 / _OVERLAP_TOL of the roundoff floor
 
 The discretized operator inherits Hermitian positive definiteness from the
 continuous one (after symmetrization by the square-root quadrature weights),
-so each factorization comes with a cheap reciprocal-condition estimate; the
+so each factorization comes with a cheap reciprocal-condition estimate (the
+Hager-Higham estimator of LAPACK's zpocon, transcribed); the
 smallest-eigenvalue margin doubles as a uniqueness probe.
 """
 
@@ -76,6 +80,7 @@ _BLOCK_U = 2**12  # u samples per chirp-z block of the Fourier kernel
 _OVERLAP = 1.0  # each side is solved past x = 0 to |x| = _OVERLAP, where the two must agree
 _OVERLAP_TOL = 0.05  # largest overlap gap, relative to 0.1 + max |Q|
 _GREGORY_HEAD = np.array([3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0])
+_SOLVE_BLOCK = 32  # rows per diagonal block of the blocked triangular solves
 
 
 def _chirp(turns: float, q: np.ndarray) -> np.ndarray:
@@ -194,6 +199,14 @@ class DiagonalSolve:
     residual: float
 
 
+def _end_scales(n: int) -> np.ndarray:
+    """sqrt(w / du) for the Gregory weights w on n >= 6 nodes: 1 but at the three nodes at each end."""
+    e = np.ones(n)
+    e[:3] = np.sqrt(_GREGORY_HEAD)
+    e[-3:] = e[2::-1]
+    return e
+
+
 def _hankel_system(h: np.ndarray, du: float, s: int) -> np.ndarray:
     """I + D [h_{i+j}] D, D^2 the Gregory weights, as a C-contiguous (n m, n m) matrix.
 
@@ -207,7 +220,7 @@ def _hankel_system(h: np.ndarray, du: float, s: int) -> np.ndarray:
     for b in range(m):
         np.multiply(sliding_window_view(h[:, b, :].ravel(), n * m)[s * m :: m], du, out=a[s:, b])
     ends = np.r_[0:3, n - 3 : n]
-    fix = np.sqrt(np.r_[_GREGORY_HEAD, _GREGORY_HEAD[::-1]])
+    fix = _end_scales(n)[ends]
     a[ends[ends >= s]] *= fix[ends >= s, None, None]
     a = a.reshape(n * m, n * m)
     a[s * m :].reshape(-1, n, m)[:, ends] *= fix[:, None]
@@ -236,6 +249,116 @@ def _hankel_product(h: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.fft.ifft(spectrum, axis=0)[n - 1 : 2 * n - 1]
 
 
+def _gram(b: np.ndarray, h: np.ndarray, du: float, s: int) -> np.ndarray:
+    """B B^H for the rows B = ``_hankel_system(h, du, s)[s m:, :s m]``, from their displacement.
+
+    Block (i, j) of B is du e_i e_j h_{i+j} (nodes i >= s, j < s; e^2 the
+    Gregory weight ratios), so with the row factors e_i e_i' taken out, block
+    (i, i') of the Gram obeys G[i + 1, i' + 1] = G[i, i'] + du^2 sum_j h_{i+j}
+    c_j h_{i'+j}^H with c_j = e_{j-1}^2 [0 < j <= s] - e_j^2 [j < s]: nonzero
+    at j = 0 and s (the window ends) and beside the Gregory nodes, rank 5 m
+    in all.  The first block row and column come from B itself.
+    """
+    m = h.shape[-1]
+    size = len(b)
+    e = _end_scales((len(h) + 1) // 2)
+    c = np.zeros(s + 1)
+    c[1:] += e[:s] ** 2
+    c[:s] -= e[:s] ** 2
+    js = np.flatnonzero(c)
+    w = h[np.arange(s, s + size // m - 1)[:, None] + js].transpose(0, 2, 1, 3).reshape(size - m, js.size * m)
+    step = (w * np.repeat(c[js] * du**2, m)) @ w.conj().T
+    er = np.repeat(e[s:], m)
+    g = np.empty((size, size), dtype=complex)
+    g[:, :m] = (b @ b[:m].conj().T) / (er[:, None] * er[:m])
+    g[:m, m:] = g[m:, :m].conj().T
+    for lo in range(m, size, m):
+        np.add(g[lo - m : lo, :-m], step[lo - m : lo], out=g[lo : lo + m, m:])
+    ends = np.flatnonzero(er != 1.0)
+    g[ends] *= er[ends, None]
+    g[:, ends] *= er[ends]
+    return g
+
+
+def _cholesky(a: np.ndarray, offset: int) -> np.ndarray:
+    """Lower Cholesky factor of the Hermitian ``a``.
+
+    If ``a`` is not positive definite, ``IllPosedDataError`` names LAPACK's
+    info, the order of its smallest leading minor that is not, plus
+    ``offset``; the minor is found by bisection, on the failure path only.
+    """
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        ok, bad = 0, len(a)
+        while bad - ok > 1:
+            mid = (ok + bad) // 2
+            try:
+                np.linalg.cholesky(a[:mid, :mid])
+                ok = mid
+            except np.linalg.LinAlgError:
+                bad = mid
+        raise IllPosedDataError(f"GLM operator not positive definite (info {bad + offset})") from None
+
+
+def _split_solver(b: np.ndarray, l22: np.ndarray):
+    """x -> A^-1 x for x of shape (N,) or (N, k), where A = L L^H with L = [[I, 0], [B, L22]].
+
+    L22 is swept in blocks of _SOLVE_BLOCK rows, its diagonal blocks inverted
+    in one batch.  B and B^H enter as products, so no solve touches the
+    identity block, and conjugates are taken of vectors only.
+    """
+    spans = [(lo, min(lo + _SOLVE_BLOCK, len(l22))) for lo in range(0, len(l22), _SOLVE_BLOCK)]
+    blocks = np.tile(np.eye(_SOLVE_BLOCK, dtype=complex), (len(spans), 1, 1))
+    for block, (lo, hi) in zip(blocks, spans):
+        block[: hi - lo, : hi - lo] = l22[lo:hi, lo:hi]
+    # the inverse of [[T, 0], [0, I]] holds T^-1
+    invs = [inv[: hi - lo, : hi - lo] for inv, (lo, hi) in zip(np.linalg.inv(blocks), spans)]
+
+    def solve(x):
+        x1 = x[: b.shape[1]]
+        y = x[b.shape[1] :] - b @ x1
+        for inv, (lo, hi) in zip(invs, spans):  # L22 y = x2 - B x1
+            y[lo:hi] = inv @ (y[lo:hi] - l22[lo:hi, :lo] @ y[:lo])
+        z = y.conj()
+        for inv, (lo, hi) in zip(invs[::-1], spans[::-1]):  # L22^H z2 = y, as L22^T conj(z2) = conj(y)
+            z[lo:hi] = inv.T @ (z[lo:hi] - l22[hi:, lo:hi].T @ z[hi:])
+        return np.concatenate([x1 - (b.T @ z).conj(), z.conj()])
+
+    return solve
+
+
+def _inverse_one_norm(solve, size: int) -> float:
+    """Estimate of ||A^-1||_1 for a Hermitian A of order ``size`` >= 2, A^-1 applied by ``solve``.
+
+    A transcription of LAPACK's zlacn2, the Hager-Higham estimator that
+    zpocon runs (Higham, ACM TOMS 14, 1988), with A^H = A: at most five
+    power steps on the dual unit ball, then the alternating-sign test vector.
+    The estimate is a lower bound on ||A^-1||_1.
+    """
+    tiny = np.finfo(float).tiny
+
+    def signs(x):
+        mod = np.abs(x)
+        return np.where(mod > tiny, x / np.maximum(mod, tiny), 1.0)
+
+    x = solve(np.full(size, 1.0 / size, dtype=complex))
+    est = np.abs(x).sum()
+    x = solve(signs(x))
+    j = int(np.argmax(np.abs(x)))
+    for _ in range(4):
+        x = solve(np.eye(1, size, j, dtype=complex)[0])
+        est, last = np.abs(x).sum(), est
+        if est <= last:
+            break
+        x = solve(signs(x))
+        j, j_last = int(np.argmax(np.abs(x))), j
+        if abs(x[j_last]) == abs(x[j]):
+            break
+    alternating = (1.0 + np.arange(size) / (size - 1)) * np.where(np.arange(size) % 2, -1.0, 1.0)
+    return float(max(est, 2.0 * np.abs(solve(alternating.astype(complex))).sum() / (3 * size)))
+
+
 def nested_diagonal(h: np.ndarray, du: float, count: int, tail: np.ndarray = None) -> DiagonalSolve:
     """K(x_k, x_k) at x_k = x_0 + k du, k < count, from one reverse Cholesky.
 
@@ -252,19 +375,20 @@ def nested_diagonal(h: np.ndarray, du: float, count: int, tail: np.ndarray = Non
     with T = U's 3 x 3 node block at k, and K(x_k, x_k) = ((A_k^-1)_00 - I) / w_0
     (Dyson's diagonal identity).
 
-    Without a tail, samples that are exactly zero from h_K on leave the last
-    n - ceil(K / 2) nodes coupled to each other only through I.  U is I on
-    them and its block beside them is the system's own rows there, so only
-    the other nodes' rows are built and only their Schur complement is
-    factored, into the full factor that every gate below reads.
+    In reversed index order the factor is lower triangular, L with
+    A reversed = L L^H.  Without a tail, samples that are exactly zero from
+    h_K on leave the last n - ceil(K / 2) nodes, which come first there,
+    coupled to each other only through I.  So A reversed is [[I, B^H], [B, M22]]
+    with B the built rows' own entries, L = [[I, 0], [B, L22]], and only
+    M22 - B B^H = L22 L22^H is factored, its Gram B B^H from the Hankel
+    displacement (``_gram``).  With a tail the identity block is empty.
 
     A factorization failure or an estimated reciprocal condition below
-    1e-12 raises ``IllPosedDataError``.  The residual is that of the x_0 row,
+    1e-12 raises ``IllPosedDataError``; the estimate is LAPACK zpocon's,
+    through ``_inverse_one_norm``.  The residual is that of the x_0 row,
     solved through the factor and checked against the kernel applied by FFT
     and through the tail factor.
     """
-    from scipy.linalg import blas, lapack  # loaded on first use: they dominate start-up
-
     n = (len(h) + 1) // 2
     if n < count + 7:
         raise ValueError(f"{len(h)} kernel samples give {n} nodes, fewer than count + 7 = {count + 7}")
@@ -276,27 +400,22 @@ def nested_diagonal(h: np.ndarray, du: float, count: int, tail: np.ndarray = Non
     w = gregory_weights(n, du)
     sw = np.sqrt(w)
 
-    # Built in reversed index order (nodes and entries within blocks), where
-    # those nodes come first, the system's transpose is Fortran-ordered and its
-    # conjugate: LAPACK factors it in place as R^H R, R = [[I, X], [0, R22]] with
-    # X the built rows' first sm columns transposed and R22^H R22 = M22 - X^H X.
-    # The reversed system is L L^H, L = R^T, and A = U U^H with U = L reversed.
+    # built in reversed index order (nodes and entries within blocks), where the
+    # nodes coupled only through I come first, and factored in place there
     sm = 0 if p.shape[-1] else (n - (live[-1] + 2) // 2) * m
-    a_rev = _hankel_system(h[::-1, ::-1, ::-1], du, sm // m)
+    h_rev = h[::-1, ::-1, ::-1]
+    a_rev = _hankel_system(h_rev, du, sm // m)
     if p.shape[-1]:
-        # the tail term (D P)(D P)^H, added in place to the transpose
-        dp_rev = (sw[:, None, None] * p).reshape(n * m, -1)[::-1].conj()
-        a_rev = blas.zgemm(1.0, dp_rev, dp_rev, beta=1.0, c=a_rev.T, trans_b=2, overwrite_c=1).T
+        dp_rev = (sw[:, None, None] * p).reshape(n * m, -1)[::-1]
+        a_rev += dp_rev @ dp_rev.conj().T  # the tail term (D P)(D P)^H
     anorm = _one_norm(a_rev, sm)  # read by the rcond gate alone: rcond * anorm does not depend on it
-    r22 = a_rev[sm:, sm:].T  # M22, which f2py copies when sm > 0
+    b, a22 = a_rev[sm:, :sm], a_rev[sm:, sm:]
     if sm:
-        r22 = blas.zherk(-1.0, a_rev[sm:, :sm].T, beta=1.0, c=r22, trans=2, overwrite_c=1)
-    r22, info = lapack.zpotrf(r22, lower=0, overwrite_a=1, clean=1)
-    if info:  # numbered from the first row of the whole reversed system
-        raise IllPosedDataError(f"GLM operator not positive definite (info {info + sm})")
-    a_rev[sm:, sm:] = r22.T
-    rcond, _ = lapack.zpocon(a_rev.T, anorm)
-    if not rcond >= RCOND_FLOOR:  # NaN too: a kernel that overflows gives a NaN factor
+        a22 -= _gram(b, h_rev, du, sm // m)
+    a22[...] = _cholesky(a22, sm)  # info numbered from the first row of the whole reversed system
+    solve = _split_solver(b, a22)
+    rcond = 1.0 / _inverse_one_norm(solve, n * m) / anorm
+    if not rcond >= RCOND_FLOOR:  # NaN too
         raise IllPosedDataError(f"GLM system has reciprocal condition {rcond:.3e}")
     u = a_rev[::-1, ::-1]
 
@@ -310,11 +429,10 @@ def nested_diagonal(h: np.ndarray, du: float, count: int, tail: np.ndarray = Non
     inv00 = np.linalg.inv(g)[:, :m, :m] * d_inv2[:, 0, None, None]
     diag = (inv00 - np.eye(m)) / head[0]
 
-    # x_0 row in column form, A v = -b^H, solved with the reversed factor
+    # x_0 row in column form, A v = -b^H, solved in reversed order
     p_h = p.conj().transpose(0, 2, 1)
     rhs = -((h[:n].conj().transpose(0, 2, 1) + p @ p_h[0]) * sw[:, None, None])
-    sol, _ = lapack.zpotrs(a_rev.T, rhs.reshape(n * m, m)[::-1].conj())
-    v = sol.conj()[::-1].reshape(n, m, m)
+    v = solve(rhs.reshape(n * m, m)[::-1])[::-1].reshape(n, m, m)
     z = sw[:, None, None] * v
     av = v + sw[:, None, None] * (_hankel_product(h, z) + p @ (p_h @ z).sum(axis=0))
     return DiagonalSolve(diag, float(rcond * anorm), float(np.abs(av - rhs).max()))

@@ -846,3 +846,26 @@ def test_import_leaves_spline_and_optimizer_unloaded(tmp_path):
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.split() == ["[]", "[]", "validate:", "PASS", "0", "[]"]
+
+
+def test_invert_loads_no_scipy(tmp_path):
+    # the GLM factorization, its condition estimate and its solves are numpy's alone
+    import os
+    import subprocess
+    import sys
+
+    import mstl
+
+    src = os.path.dirname(os.path.dirname(mstl.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    box = forward.full_forward(domain.box_potential(SpaceGrid.from_bounds(-2.0, 2.0, 0.02)), RhoGrid(20.0, 128))
+    cli.write_scattering_json(tmp_path / "box_right.json", box.j_plus)
+    cli.write_scattering_json(tmp_path / "box_left.json", box.j_minus)
+    argv = ["invert", "--data", str(tmp_path / "box_right.json"), "--data-left", str(tmp_path / "box_left.json"),
+            "--x-min", "-2", "--x-max", "2", "--out", str(tmp_path / "inv")]
+    probe = (f"import sys, mstl.cli; code = mstl.cli.main({argv!r}); "
+             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.split()[-2:] == ["0", "[]"]
+    assert (tmp_path / "inv" / "potential.csv").exists()

@@ -206,18 +206,16 @@ def compact_kernel(m, cut):
     return lambda u: (0.05 * np.exp(-((u - 1.0) ** 2)) * (u <= cut))[:, None, None] * (proj + 0.3 * np.eye(m))
 
 
-def recorded_zpotrf(monkeypatch):
-    """The row count of every ``lapack.zpotrf`` call from now on, in a list."""
-    from scipy.linalg import lapack
-
+def recorded_factorizations(monkeypatch):
+    """The row count of every ``glm._cholesky`` factorization from now on, in a list."""
     rows = []
-    zpotrf = lapack.zpotrf
+    cholesky = glm._cholesky
 
-    def recording(*args, **kwargs):
-        rows.append(args[0].shape[0])
-        return zpotrf(*args, **kwargs)
+    def recording(a, *args):
+        rows.append(a.shape[0])
+        return cholesky(a, *args)
 
-    monkeypatch.setattr(lapack, "zpotrf", recording)
+    monkeypatch.setattr(glm, "_cholesky", recording)
     return rows
 
 
@@ -230,7 +228,7 @@ def test_nested_diagonal_factors_only_the_coupled_block(m, cut, monkeypatch):
     x0, du, count, y_end = -0.5, 0.05, 60, 20.0
     h = hankel_samples(kern, x0, du, y_end)
     n = (len(h) + 1) // 2
-    rows = recorded_zpotrf(monkeypatch)
+    rows = recorded_factorizations(monkeypatch)
     out = glm.nested_diagonal(h, du, count)
     assert len(rows) == 1 and rows[0] < n * m
     for k in (0, 1, 2, 3, 50):
@@ -250,7 +248,7 @@ def test_a_failed_split_factorization_names_the_minor_of_the_whole_system(monkey
     h = hankel_samples(lambda u: (3 / np.sqrt(np.pi) * np.exp(-(u**2)) * (u <= 6.0))[:, None, None] + 0j,
                        -1.0, du, 20.0)
     _, info = lapack.zpotrf(reversed_system(h, du))
-    rows = recorded_zpotrf(monkeypatch)
+    rows = recorded_factorizations(monkeypatch)
     with pytest.raises(IllPosedDataError, match="not positive definite") as exc:
         glm.nested_diagonal(h, du, 1)
     assert info > 0 and f"(info {info})" in str(exc.value)
@@ -286,6 +284,134 @@ def test_one_norm_rule_is_the_norm_of_the_whole_system(case):
     assert abs(rule - np.abs(full).sum(axis=0).max()) <= 1e-14 * rule
 
 
+def random_samples(m, n, live, seed):
+    """Hermitian (2n - 1, m, m) Hankel samples, random up to index ``live`` and zero past it."""
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=(2 * n - 1, m, m)) + 1j * rng.normal(size=(2 * n - 1, m, m))
+    h[live + 1 :] = 0.0
+    return 0.05 * (h + h.conj().transpose(0, 2, 1))
+
+
+def identity_nodes(h):
+    """The nodes that ``nested_diagonal`` finds coupled only through I, without a tail."""
+    return (len(h) + 1) // 2 - (np.flatnonzero(np.any(h, axis=(1, 2)))[-1] + 2) // 2
+
+
+GRAM_CASES = {
+    "m = 1": lambda: hankel_samples(compact_kernel(1, 8.0), -0.5, 0.05, 20.0),
+    "m = 2": lambda: hankel_samples(compact_kernel(2, 8.0), -0.5, 0.05, 20.0),
+    "cut between samples": lambda: hankel_samples(compact_kernel(2, 2.02), -0.5, 0.05, 20.0),
+    "3 identity nodes": lambda: random_samples(2, 30, 53, 1),
+    "4 identity nodes": lambda: random_samples(1, 30, 51, 2),
+}
+
+
+@pytest.mark.parametrize("case", list(GRAM_CASES))
+def test_displacement_gram_is_the_product_of_the_rows(case):
+    # the Gram of the rows beside the identity block, by its rank-5m block-diagonal
+    # recurrence, against the dense product; with 3 or 4 identity nodes the window
+    # end meets the Gregory weights of the first nodes
+    h, du = GRAM_CASES[case](), 0.05
+    m, s = h.shape[-1], identity_nodes(h)
+    assert s == {"3 identity nodes": 3, "4 identity nodes": 4}.get(case, s) and s > 0
+    b = glm._hankel_system(h[::-1, ::-1, ::-1], du, s)[s * m :, : s * m]
+    dense = b @ b.conj().T
+    assert np.abs(glm._gram(b, h[::-1, ::-1, ::-1], du, s) - dense).max() <= 1e-14 * np.abs(dense).max()
+
+
+def tail_case():
+    """Samples with a bound-state tail P (n, m, r), and the tail's part of the reversed system."""
+    du = 0.05
+    h = hankel_samples(compact_kernel(2, 8.0), -0.5, du, 20.0)
+    n = (len(h) + 1) // 2
+    y = -0.5 + du * np.arange(n)
+    p = np.exp(-y)[:, None, None] * np.array([[1.0], [0.5j]])
+    dp = (np.sqrt(glm.gregory_weights(n, du))[:, None, None] * p).reshape(2 * n, 1)[::-1]
+    return h, du, p, dp @ dp.conj().T
+
+
+def near_singular_samples(gap):
+    """The rank-one Hankel kernel h_k = -a r^k, and du.
+
+    It gives the system I - a u u^T with u_j = sqrt(w_j) r^j, positive definite
+    with smallest eigenvalue gap = 1 - a ||u||^2, which bounds its reciprocal
+    condition.
+    """
+    n, du, r = 20, 0.1, 0.8
+    u = np.sqrt(glm.gregory_weights(n, du)) * r ** np.arange(n)
+    return (-(1.0 - gap) / (u @ u) * r ** np.arange(2 * n - 1))[:, None, None].astype(complex), du
+
+
+@pytest.mark.parametrize("case", ["split", "tail", "near-singular"])
+def test_condition_estimate_is_lapacks(case):
+    # the estimator on LAPACK's own factor gives zpocon's ||A^-1||_1; through the numpy
+    # factor, sigma_min_est = rcond * anorm moves only by the factorization's rounding,
+    # which grows as eps / rcond (1.9e-11 relative at rcond 2.7e-7)
+    from scipy.linalg import lapack
+
+    p = None
+    if case == "split":
+        du = 0.05
+        h = hankel_samples(compact_kernel(2, 8.0), -0.5, du, 20.0)
+        full = reversed_system(h, du)
+    elif case == "tail":
+        h, du, p, tail = tail_case()
+        full = reversed_system(h, du) + tail
+    else:
+        h, du = near_singular_samples(1e-6)
+        full = reversed_system(h, du)
+    anorm = np.abs(full).sum(axis=0).max()
+    r, info = lapack.zpotrf(full)
+    rcond, _ = lapack.zpocon(r, anorm)
+    assert info == 0
+    est = glm._inverse_one_norm(lambda x: lapack.zpotrs(r, x)[0], len(full))
+    assert abs(1.0 / (est * anorm) / rcond - 1.0) <= 1e-12
+    out = glm.nested_diagonal(h, du, 1, p)
+    floor = 100 * np.finfo(float).eps / rcond
+    assert abs(out.sigma_min_est / (rcond * anorm) - 1.0) <= max(1e-12, floor)
+    assert (floor < 1e-12) == (case != "near-singular")
+
+
+def test_condition_estimate_takes_the_alternating_stage():
+    # A^-1 = diag(2, 1, ..) + 10 w w^H with w orthogonal to the ones and zero at the first
+    # node: the power steps stop at column 0 (estimate 2), and only the alternating-sign
+    # vector sees the rank-one part, as in zpocon (||A^-1||_1 is 41)
+    from scipy.linalg import lapack
+
+    w = np.array([0, -1, 1, -1, 1, 0], dtype=complex)
+    a = np.linalg.inv(np.diag([2.0, 1, 1, 1, 1, 1]) + 10 * np.outer(w, w.conj()))
+    anorm = np.abs(a).sum(axis=0).max()
+    r, _ = lapack.zpotrf(a)
+    rcond, _ = lapack.zpocon(r, anorm)
+    est = glm._inverse_one_norm(lambda x: lapack.zpotrs(r, x)[0], 6)
+    assert est == pytest.approx(250 / 9, rel=1e-12)
+    assert abs(1.0 / (est * anorm) / rcond - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["split", "tail"])
+def test_blocked_solve_is_the_systems_inverse(case):
+    # [[I, 0], [B, L22]] as nested_diagonal forms it, applied to one and to three
+    # right-hand sides; L22's order is not a multiple of the solve block
+    if case == "split":
+        du = 0.05
+        h = hankel_samples(compact_kernel(2, 2.02), -0.5, du, 20.0)
+        full, s = reversed_system(h, du), identity_nodes(h)
+    else:
+        h, du, _, tail = tail_case()
+        full, s = reversed_system(h, du) + tail, 0
+    a = full.copy()
+    a[: 2 * s] = np.eye(*full.shape)[: 2 * s]
+    b, a22 = a[2 * s :, : 2 * s], a[2 * s :, 2 * s :]
+    a22 -= b @ b.conj().T
+    solve = glm._split_solver(b, np.linalg.cholesky(a22))
+    assert len(a22) % glm._SOLVE_BLOCK and (s > 0) == (case == "split")
+    rng = np.random.default_rng(7)
+    for shape in [(len(full),), (len(full), 3)]:
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        ref = np.linalg.solve(full, x)
+        assert np.abs(solve(x) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_invert_without_states_factors_smaller_blocks(bump_forward, monkeypatch):
     # reflection only: the samples are zero past the sampling end, so each of the
     # four factorizations covers fewer rows than its system has
@@ -297,7 +423,7 @@ def test_invert_without_states_factors_smaller_blocks(bump_forward, monkeypatch)
         return nested(h, *args)
 
     monkeypatch.setattr(glm, "nested_diagonal", recording)
-    rows = recorded_zpotrf(monkeypatch)
+    rows = recorded_factorizations(monkeypatch)
     glm.invert(bump_forward.j_plus, bump_forward.j_minus, grid=SpaceGrid.from_bounds(-4.0, 4.0, 0.04))
     assert len(rows) == len(systems) == 4
     assert all(r < s for r, s in zip(rows, systems))
@@ -305,12 +431,7 @@ def test_invert_without_states_factors_smaller_blocks(bump_forward, monkeypatch)
 
 @pytest.mark.parametrize("gap, refused", [(1e-6, False), (1e-13, True)])
 def test_nested_diagonal_refuses_a_near_singular_system(gap, refused):
-    # the rank-one Hankel kernel h_k = -a r^k gives the system I - a u u^T with
-    # u_j = sqrt(w_j) r^j, positive definite with smallest eigenvalue
-    # gap = 1 - a ||u||^2, which bounds its reciprocal condition
-    n, du, r = 20, 0.1, 0.8
-    u = np.sqrt(glm.gregory_weights(n, du)) * r ** np.arange(n)
-    h = (-(1.0 - gap) / (u @ u) * r ** np.arange(2 * n - 1))[:, None, None].astype(complex)
+    h, du = near_singular_samples(gap)
     if refused:
         with pytest.raises(IllPosedDataError, match="reciprocal condition"):
             glm.nested_diagonal(h, du, 1)
@@ -379,7 +500,7 @@ def test_potential_value_pointwise(soliton_data):
 
 
 def test_invert_runs_two_factorizations_per_side(soliton_data, monkeypatch):
-    calls = recorded_zpotrf(monkeypatch)
+    calls = recorded_factorizations(monkeypatch)
     glm.invert(soliton_data, grid=SpaceGrid.from_bounds(-3.0, 3.0, 0.05))
     # du = 2 dx: two interleaved factorizations on each side
     assert len(calls) == 4
@@ -501,7 +622,7 @@ def test_soliton_systems_end_with_the_targets(monkeypatch):
         side="right", rho_grid=rg, S=np.zeros((rg.n, 2, 2), complex),
         bound_states=(BoundState(1.0, 2.0 * proj), BoundState(2.0, 8.0 * proj)),
     )
-    shapes = recorded_zpotrf(monkeypatch)
+    shapes = recorded_factorizations(monkeypatch)
     grid = SpaceGrid.from_bounds(-2.0, 2.0, 0.02)
     out = glm.invert(data, grid=grid)
     # each side solves the 151 nodes within the overlap plus two past each end

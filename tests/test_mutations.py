@@ -287,6 +287,23 @@ def test_mutated_potentials_end_in_their_exit_codes(tmp_path, capsys, potential_
             assert codes[seed, mutation, "forward"] == 2, (seed, mutation)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["bump", "solitons"])
+def test_a_non_finite_cell_is_refused_before_any_arithmetic(tmp_path, capsys, potential_files, name):
+    # with warnings as errors: the cell is refused by name of the file, not after a NaN is formed
+    rows = (potential_files / f"{name}.csv").read_text().splitlines()
+    for seed in SEEDS:
+        mutated = list(rows)
+        CSV_MUTATIONS["non-finite cell"](mutated, np.random.default_rng(seed))
+        path = tmp_path / f"{seed}.csv"
+        path.write_text("".join(row + "\n" for row in mutated))
+        with pytest.raises(domain.ValidationError, match=f"{path}.*non-finite"):
+            cli.read_potential_csv(path)
+        for command in ("forward", "roundtrip"):
+            argv = [command, "--potential", str(path), *SPECTRAL, "--out", str(tmp_path / command)]
+            assert _run(argv, capsys) == 2, (seed, command)
+
+
 @pytest.mark.parametrize("command", list(COMMANDS))
 def test_mutated_arguments_end_in_their_exit_codes(tmp_path, capsys, command):
     # every bad value of each of the command's options, in place of a seeded
