@@ -32,18 +32,21 @@ wave exp(-i rho x) I, so ``scattering_coefficients`` gets A, B and D from one
 plus sweep, read at the left edge.  Its drift gate checks the plus field's
 flux F'^H F - F^H F' = -2 i rho I across the range against its roundoff.
 
-Bound states are counted (``_count``): by the oscillation theorem, the
-number with tau_k > tau is the number of conjugate points of F_-(x, i tau),
-read along one minus sweep of Cayley frames U = (Y + i Y'/s)(Y - i Y'/s)^-1.
-The count on [0, sqrt(-min lambda_min(Q))], where every state lies,
-certifies how many states each bracket holds.  Each state is then located
+Bound states are counted by the oscillation theorem: the number with
+tau_k > tau is the number of conjugate points of F_-(x, i tau), tracked by
+the Cayley frames U = (Y + i Y'/s)(Y - i Y'/s)^-1.  Each state is located
 where the plus and minus Jost planes meet at one matching node (the
 matching-point scheme of the multichannel CP solvers): W = U_+^H U_- has the
-eigenvalue 1 there, so one of its eigenphases, all rising with tau, crosses 0.
-Newton on it, safeguarded by the bracket, takes one stacked plus and minus
-half sweep per round for all brackets, and the derivative rows give its
-slopes exactly.  Brackets the eigenphase crossings do not explain are
-multisected by the count.  One stacked plus and minus sweep of all states
+eigenvalue 1 there, so one of its eigenphases, all rising with tau, crosses
+0.  One evaluator (``_matching``) reads at a node both the count, from the
+windings of det U_+ and det U_- along their half sweeps and W's eigenphases
+(Atkinson's oscillation theory), and the eigenphases with their slopes,
+exact from the derivative rows.  At the last swept node it needs the minus
+sweep alone (``_count``), and it is taken there across
+[0, sqrt(-min lambda_min(Q))], where every state lies.  At the matching node every tau that the Newton
+search tries, one stacked plus and minus half sweep per round for all
+brackets, carries its own count, which splits the brackets and fixes each
+state's multiplicity.  One stacked plus and minus sweep of all states
 with the derivative rows gives the weights: at a node where the state lives,
 the null space of the matching matrix gives its eigenfunctions and the
 tau-derivative Wronskian of each side its integral of Phi^H Phi, free tail
@@ -74,7 +77,7 @@ BRACKET_SPREAD_RTOL = 1e-6
 _N_CHECKPOINTS = 9
 _BLOCK_ELEMENTS = 2**15  # cell factors per sweep block, in (cell, component, rho) entries
 _WIDTH = 1e-8  # a Newton step or bracket width this short locates a bound state
-_SECTIONS = 16  # count points per bracket in each multisection round
+_SECTIONS = 16  # count points inside [0, tau_bound], and inside a part Newton does not halve
 _PASS = 4  # matching-node sections per count bracket in the first pass
 _NULL_GAP = 1e-3  # a null singular value of the matching matrix lies below this times the next
 
@@ -158,13 +161,24 @@ def _sweep(potential: SampledPotential, rhos: np.ndarray, directions, substeps: 
     place and the sweeps go on from the result.
 
     Every rho must be real or i tau with tau >= 0, so that mu^2 = lambda - rho^2
-    is real and ``_cell_factors`` applies.
+    is real and ``_cell_factors`` applies.  A rho whose square overflows, or
+    a step whose exponent sqrt(mu^2) h reaches cosh's overflow, raises
+    ``NumericsError`` before any field is formed.
     """
     grid, m, d = potential.grid, potential.m, len(directions)
     if not np.all((rhos.imag == 0) | ((rhos.real == 0) & (rhos.imag >= 0))):
         raise ValidationError("Jost solutions are swept at real rho or at rho = i tau, tau >= 0")
     nr = rhos.size
     lo, hi = _swept_nodes(potential)
+    lam, vecs = potential.cell_eigh
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho2 = (rhos**2).real
+    if not np.all(np.isfinite(rho2)):
+        raise NumericsError(f"rho^2 overflows at rho = {rhos[np.argmin(np.isfinite(rho2))]:.3g}: no sweep can run there")
+    top = float(lam[lo:hi].max(initial=-np.inf)) - float(rho2.min(initial=np.inf))  # the largest mu^2 of any step
+    exponent = np.sqrt(top) * grid.dx / substeps if top > 0 else 0.0
+    if exponent >= np.log(np.finfo(float).max):
+        raise NumericsError(f"a cell's exponent sqrt(lambda - rho^2) h reaches {exponent:.3g}, where cosh overflows")
     sweeps = []  # (ikr, d ikr / d tau, start, cells, nodes reached, h) of each direction
     for direction in directions:
         if direction == "plus":  # crossing cell c downward reaches node c
@@ -190,7 +204,6 @@ def _sweep(potential: SampledPotential, rhos: np.ndarray, directions, substeps: 
     if not steps:
         return
 
-    lam, vecs = potential.cell_eigh
     w = np.zeros((steps, d, m))
     v = np.empty((steps, d, m, m), dtype=vecs.dtype)
     v[:] = eye
@@ -207,7 +220,6 @@ def _sweep(potential: SampledPotential, rhos: np.ndarray, directions, substeps: 
     u = np.matmul(vh[0], t.reshape(d, m, -1)).reshape(t.shape)
     swapped = u[:, :, ::-1]  # each row's partner: (F', F), or (F', dF', dF, F)
     cross = np.empty_like(t)
-    rho2 = (rhos**2).real
     mirrored = nr % 2 == 0 and np.array_equal(rho2, rho2[::-1])
     half = slice(nr // 2 if mirrored else 0, None)
     block = max(1, _BLOCK_ELEMENTS // (d * m * max(nr, 1)))
@@ -399,83 +411,80 @@ def _cayley_frames(potential: SampledPotential, taus: np.ndarray, s: float, dire
         running = [j for j in running if nodes[j] != ends[j]]
 
 
-def _count(potential: SampledPotential, taus) -> tuple[np.ndarray, np.ndarray]:
-    """Bound states with tau_k > tau, with multiplicity, and the conjugate-point part.
+def _matching(potential: SampledPotential, taus, s: float, node: int):
+    """(count, conjugate, theta, slope) at each tau, from the Cayley frames U_+ and U_- at ``node``.
 
-    By the oscillation theorem the count is the number of conjugate points of
-    Y = F_-(x, i tau) (x where Y is singular, with multiplicity).  Inside the
-    swept range they are the crossings of -1 by the eigenvalues of the
-    unitary U of ``_cayley_frames``, which all pass pi downward (at rate 2 s),
-    so they follow from the winding of arg det U along one minus sweep and
-    U's eigenphases phi at the last node.  On the free tail beyond it,
-    Y' Y^-1 = s tan(phi/2) and Y vanishes once for each eigenvalue below
-    -tau, i.e. each phi < -2 atan(tau/s).  Returns the integer arrays
-    (count, conjugate points in range).
+    By the oscillation theorem the count N(tau) of states with tau_k > tau is
+    the number of conjugate points of Y = F_-(x, i tau) (x where Y is
+    singular, with multiplicity).  The eigenvalues of the unitary U of
+    ``_cayley_frames`` all pass pi downward (at rate 2 s) and cross -1 at
+    each conjugate point, so the count follows from the Cayley frames at any
+    node (Atkinson's oscillation theory): with arg det U_+ and arg det U_-
+    lifted along the plus half sweep hi -> node and the minus half sweep
+    lo -> node from their free-wave values -m phi0 and m phi0, phi0 =
+    2 atan(tau/s), and theta the eigenphases of W = U_+^H U_-,
+    N = (arg det U_+ - arg det U_- + sum theta) / 2 pi + #{theta < 0}.  The
+    first term, an integer, is the conjugate-point part.  W has the
+    eigenvalue 1 exactly where the spans of (F_+, F_+') and (F_-, F_-') meet,
+    i.e. at a bound state, with its multiplicity, and at a fixed s every
+    theta rises with tau.  The half sweeps carry the tau-derivative rows, so
+    dW = dU_+^H U_- + U_+^H dU_- is exact, and so is each slope by
+    first-order perturbation: Im(x^H W^H dW x) for each unit eigenvector x.
+
+    At the last swept node hi the plus field is still the free frame
+    U_+ = exp(-i phi0) I, so only the minus field is swept, theta are the
+    eigenphases of U_- itself moved by phi0 (a channel the potential leaves
+    free keeps theta = 0 exactly at tau = 0), and ``slope`` is None.  Returns
+    the integer arrays count and conjugate, theta and slope of shape (n_tau, m).
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    s = _frame_scale(potential, taus)
-    phi0 = 2.0 * np.arctan(taus / s)  # U = exp(i phi0) I at the start
-    winding = potential.m * phi0  # arg det U, lifted
-    for _, u, _ in _cayley_frames(potential, taus, s, ("minus",)):
-        winding += np.angle(np.linalg.det(u[0]) / np.exp(1j * winding))
-
-    phases = np.angle(np.linalg.eigvals(u[0]))
-    inside = (phases.sum(axis=1) - winding) / (2.0 * np.pi)
+    m, hi = potential.m, _swept_nodes(potential)[1]
+    phi0 = 2.0 * np.arctan(taus / s)
+    directions = ("plus", "minus") if node < hi else ("minus",)
+    winding = np.stack([-m * phi0, m * phi0])  # arg det U_+ and U_-, lifted from the free frames
+    swept = winding[2 - len(directions) :]
+    for v, u, du in _cayley_frames(potential, taus, s, directions, node, slopes=node < hi):
+        swept += np.angle(np.linalg.det(u) / np.exp(1j * swept))
+    if node < hi:
+        vh = v.conj().swapaxes(-1, -2)[:, None]
+        (plus, minus), (dplus, dminus) = (v[:, None] @ a.swapaxes(-1, -2) @ vh for a in (u, du))  # in the node basis
+        w = plus.conj().transpose(0, 2, 1) @ minus
+        dw = dplus.conj().transpose(0, 2, 1) @ minus + plus.conj().transpose(0, 2, 1) @ dminus
+        lam, x = np.linalg.eig(w)
+        theta = np.angle(lam)
+        slope = np.einsum("nai,nab,nbi->ni", x.conj(), w.conj().transpose(0, 2, 1) @ dw, x).imag
+    else:
+        theta, slope = np.angle(np.linalg.eigvals(u[0]) * np.exp(1j * phi0)[:, None]), None
+    inside = (winding[0] - winding[1] + theta.sum(axis=1)) / (2.0 * np.pi)
     conjugate = np.rint(inside).astype(int)
     if np.any(np.abs(inside - conjugate) > 0.25):
         raise NumericsError("eigenphase winding of the bound-state count is not integral")
-    return conjugate + np.sum(phases < -phi0[:, None], axis=1), conjugate
+    return conjugate + np.sum(theta < 0, axis=1), conjugate, theta, slope
+
+
+def _count(potential: SampledPotential, taus) -> tuple[np.ndarray, np.ndarray]:
+    """Bound states with tau_k > tau, with multiplicity, and the conjugate-point part.
+
+    ``_matching`` at the last swept node, from one minus sweep.  Returns the
+    integer arrays (count, conjugate points in range).
+    """
+    count, conjugate, _, _ = _matching(potential, taus, _frame_scale(potential, taus), _swept_nodes(potential)[1])
+    return count, conjugate
 
 
 class _Phases(NamedTuple):
-    """Eigenphases of W = U_+^H U_- at one tau, their slopes d theta / d tau, and det W."""
+    """The count at one tau, the eigenphases of W = U_+^H U_- there and their slopes d theta / d tau."""
 
     tau: float
+    count: int
     theta: np.ndarray
     slope: np.ndarray
-    det: complex
 
 
 def _matching_node(potential: SampledPotential) -> int:
     """The node where the plus and minus half sweeps meet: the middle of the swept range."""
     lo, hi = _swept_nodes(potential)
     return (lo + hi) // 2
-
-
-def _eigenphases(potential: SampledPotential, taus, s: float, node: int) -> list:
-    """``_Phases`` at each tau, from a stacked plus half sweep hi -> node and minus half sweep lo -> node.
-
-    U_+ and U_- are the Cayley frames of F_+ and F_- at ``node``; W = U_+^H U_-
-    has the eigenvalue 1 exactly where the spans of (F_+, F_+') and (F_-, F_-')
-    meet, i.e. at a bound state, with its multiplicity.  At a fixed s every
-    eigenphase of W rises with tau.  The sweeps carry the tau-derivative rows,
-    so dW = dU_+^H U_- + U_+^H dU_- is exact, and so is each slope by
-    first-order perturbation: Im(x^H W^H dW x) for each unit eigenvector x.
-    """
-    taus = np.asarray(taus, dtype=float)
-    for v, u, du in _cayley_frames(potential, taus, s, ("plus", "minus"), node, slopes=True):
-        pass
-    vh = v.conj().swapaxes(-1, -2)[:, None]
-    (plus, minus), (dplus, dminus) = (v[:, None] @ a.swapaxes(-1, -2) @ vh for a in (u, du))  # in the node basis
-    w = plus.conj().transpose(0, 2, 1) @ minus
-    dw = dplus.conj().transpose(0, 2, 1) @ minus + plus.conj().transpose(0, 2, 1) @ dminus
-    lam, x = np.linalg.eig(w)
-    slopes = np.einsum("nai,nab,nbi->ni", x.conj(), w.conj().transpose(0, 2, 1) @ dw, x).imag
-    return [_Phases(*args) for args in zip(taus.tolist(), np.angle(lam), slopes, np.linalg.det(w))]
-
-
-def _crossings(a: _Phases, b: _Phases) -> int:
-    """Upward crossings of 0 by the eigenphases of W between a.tau < b.tau.
-
-    The phases only rise, so arg det W rises by their total motion; read in
-    [0, 2 pi), that rise fixes how many phases wrapped past pi, and with the
-    change in the number of negative phases it gives the crossings of 0.  A
-    total motion of 2 pi or more is undercounted, which the callers detect
-    by comparing with the count's drop.
-    """
-    rise = np.angle(b.det / a.det) % (2.0 * np.pi)
-    wraps = np.rint((rise - (b.theta.sum() - a.theta.sum())) / (2.0 * np.pi))
-    return int(np.sum(a.theta < 0) - np.sum(b.theta < 0) + wraps)
 
 
 def _newton(a: _Phases, b: _Phases):
@@ -497,42 +506,57 @@ def _newton(a: _Phases, b: _Phases):
     return best
 
 
-def _locate(potential: SampledPotential, brackets: list, kept: int, s: float, states: list) -> list:
-    """Locate the states of count brackets (lo, hi, n_lo, n_hi) by Newton on the eigenphases of W.
+def _split(points: list, kept: int, step, located, states: list) -> list:
+    """Parts (a, b, step) between consecutive ``_Phases`` that hold states.
 
-    A first pass takes the eigenphases at ``_PASS`` + 1 points across each
-    bracket.  The bracket is explained when it holds no threshold state
-    (n_lo <= kept) and its eigenphases cross 0 exactly n_lo - n_hi times
-    (``_crossings``); the others are returned for multisection.  Then in
-    each round every open part gets one new tau, all in one batch of half
-    sweeps: the shortest Newton step into it from its two ends, or its
-    midpoint when there is none or the step is not half the last one.  The
-    crossings on either side of the new tau split the part, and must add up
-    to its own.  A Newton step shorter than ``_WIDTH`` locates a state of
-    the part's multiplicity when as many eigenphases stop there; otherwise
-    the next tau lies just past it, and the crossings up to there give its
-    multiplicity.  Located states are appended to ``states``.
+    A part holds min(N(a), kept) - N(b) states (threshold states not
+    counted); the part around ``located`` is that state, appended to
+    ``states`` with this multiplicity.
+    """
+    counts = [p.count for p in points]
+    if any(later > earlier for earlier, later in zip(counts, counts[1:])):
+        raise NumericsError("the bound-state count increases with tau")
+    parts = []
+    for a, b in zip(points, points[1:]):
+        rank = min(a.count, kept) - b.count
+        if rank > 0 and located is not None and a.tau < located < b.tau:
+            states.append((located, rank))
+        elif rank > 0:
+            parts.append((a, b, step))
+    return parts
+
+
+def _locate(potential: SampledPotential, brackets: list, kept: int, s: float) -> list:
+    """The states (tau, multiplicity) in brackets (lo, hi), by Newton on the eigenphases of W.
+
+    Every tau tried is evaluated at the matching node by ``_matching``, all
+    of one round in one batch of half sweeps, so each carries its count.  A
+    first pass takes ``_PASS`` + 1 points across each bracket.  Then every
+    part [a, b] that holds states gets one trial per round: the shortest
+    Newton step into it from its two ends; when that step is no longer than
+    ``_WIDTH``, the state it stops at, of the part's multiplicity when as
+    many eigenphases stop there, or else a point just past it, where the
+    count fixes its multiplicity; when there is no step or it is not half the
+    last one, ``_SECTIONS`` points evenly inside.  A part narrower than
+    ``_WIDTH`` is a state at its midpoint.
     """
     node = _matching_node(potential)
-    passes = [np.linspace(lo, hi, _PASS + 1).tolist() for lo, hi, _, _ in brackets]
+
+    def evaluate(taus):
+        count, _, theta, slope = _matching(potential, taus, s, node)
+        return list(map(_Phases, taus, count.tolist(), theta, slope))
+
+    passes = [np.linspace(lo, hi, _PASS + 1).tolist() for lo, hi in brackets]
     taus = sorted({tau for points in passes for tau in points})
-    at = dict(zip(taus, _eigenphases(potential, taus, s, node)))
-    unexplained, parts = [], []
-    for (lo, hi, n_lo, n_hi), points in zip(brackets, passes):
-        phases = [at[tau] for tau in points]
-        crossed = [_crossings(p, q) for p, q in zip(phases, phases[1:])]
-        if n_lo > kept or min(crossed) < 0 or sum(crossed) != n_lo - n_hi:
-            unexplained.append((lo, hi, n_lo, n_hi))
-            continue
-        for p, q, k in zip(phases, phases[1:], crossed):
-            if k:
-                parts.append((p, q, n_lo, n_lo - k, None))
-                n_lo -= k
+    at = dict(zip(taus, evaluate(taus)))
+    states, parts = [], []
+    for points in passes:
+        parts += _split([at[tau] for tau in points], kept, None, None, states)
 
     while parts:
-        trials = []
-        for a, b, n_lo, n_hi, last in parts:
-            rank, middle = n_lo - n_hi, 0.5 * (a.tau + b.tau)
+        trials = []  # (a, b, taus, step, located)
+        for a, b, last in parts:
+            rank = min(a.count, kept) - b.count
             newton = _newton(a, b)
             if newton is not None and abs(newton[1]) <= _WIDTH:
                 tau, step, multiplicity = newton
@@ -540,59 +564,21 @@ def _locate(potential: SampledPotential, brackets: list, kept: int, s: float, st
                 if multiplicity >= rank or not a.tau < past < b.tau:
                     states.append((tau, rank))
                 else:
-                    trials.append(((a, b, n_lo, n_hi), past, None, tau))
+                    trials.append((a, b, [past], None, tau))
             elif b.tau - a.tau <= _WIDTH:
-                states.append((middle, rank))
+                states.append((0.5 * (a.tau + b.tau), rank))
             elif newton is None or (last is not None and abs(newton[1]) > 0.5 * abs(last)):
-                trials.append(((a, b, n_lo, n_hi), middle, None, None))
+                cuts = a.tau + (b.tau - a.tau) * np.arange(1, _SECTIONS + 1) / (_SECTIONS + 1)
+                trials.append((a, b, cuts.tolist(), None, None))
             else:
-                trials.append(((a, b, n_lo, n_hi), newton[0], newton[1], None))
+                trials.append((a, b, [newton[0]], newton[1], None))
         if not trials:
             break
+        evaluated = iter(evaluate([tau for _, _, taus, _, _ in trials for tau in taus]))
         parts = []
-        for ((a, b, n_lo, n_hi), _, step, located), p in zip(
-            trials, _eigenphases(potential, [t[1] for t in trials], s, node)
-        ):
-            left, right = _crossings(a, p), _crossings(p, b)
-            if min(left, right) < 0 or left + right != n_lo - n_hi:
-                unexplained.append((a.tau, b.tau, n_lo, n_hi))
-                continue
-            for lo, hi, k, n in ((a, p, left, n_lo), (p, b, right, n_lo - left)):
-                if k and located is not None and lo.tau < located < hi.tau:
-                    states.append((located, k))
-                elif k:
-                    parts.append((lo, hi, n, n - k, step))
-    return unexplained
-
-
-def _multisect(potential: SampledPotential, brackets: list, kept: int, states: list) -> list:
-    """Cut each bracket (lo, hi, n_lo, n_hi) into ``_SECTIONS`` + 1 parts by one count sweep.
-
-    Returns the parts where the count drops below ``kept`` (a returned state
-    is inside); a part narrower than ``_WIDTH`` is a state at its midpoint,
-    appended to ``states``, whose multiplicity is the drop (threshold states
-    not counted).
-    """
-    lo, hi, n_lo, n_hi = (np.array(c) for c in zip(*brackets))
-    cuts = lo[:, None] + (hi - lo)[:, None] * np.arange(_SECTIONS + 2) / (_SECTIONS + 1)
-    cuts[:, -1] = hi
-    counts, _ = _count(potential, cuts[:, 1:-1].ravel())
-    seq = np.column_stack([n_lo, counts.reshape(-1, _SECTIONS), n_hi])
-    return _drops(cuts, seq, kept, states)
-
-
-def _drops(cuts: np.ndarray, seq: np.ndarray, kept: int, states: list) -> list:
-    """The parts [cuts[i, k], cuts[i, k + 1]] of counted brackets that hold a returned state."""
-    if np.any(np.diff(seq, axis=1) > 0):
-        raise NumericsError("the bound-state count increases with tau")
-    out = []
-    for i, k in zip(*np.nonzero((seq[:, :-1] > seq[:, 1:]) & (seq[:, 1:] < kept))):
-        lo, hi, n_lo, n_hi = float(cuts[i, k]), float(cuts[i, k + 1]), int(seq[i, k]), int(seq[i, k + 1])
-        if hi - lo <= _WIDTH:
-            states.append((0.5 * (lo + hi), min(n_lo, kept) - n_hi))
-        else:
-            out.append((lo, hi, n_lo, n_hi))
-    return out
+        for a, b, taus, step, located in trials:
+            parts += _split([a, *(next(evaluated) for _ in taus), b], kept, step, located, states)
+    return states
 
 
 def find_bound_states(potential: SampledPotential) -> list[tuple[float, int]]:
@@ -601,38 +587,31 @@ def find_bound_states(potential: SampledPotential) -> list[tuple[float, int]]:
     tau_k^2 <= -min lambda_min(Q) = tau_bound^2, so a positive semidefinite
     potential needs no sweep.  Otherwise the count N of ``_count`` is taken at
     tau = 0 and ``_SECTIONS`` points inside [0, tau_bound] (N(tau_bound) = 0);
-    it certifies how many states each bracket between them holds.  Brackets
-    whose drop the eigenphases at the matching node explain are refined by
-    Newton there (``_locate``); the others are multisected by the count until
-    they are, or are narrower than ``_WIDTH``.  The lowest states, which the
-    count at tau = 0 finds only on the free tail and the count at the first
-    positive point tau_1 does not find, are threshold (half-bound) states of a
-    discretized exceptional potential: they are warned about and not
-    returned.  A state above tau_1 is always kept, wherever its zero-energy
-    conjugate point lies.
+    the brackets between them where it drops are refined by Newton at the
+    matching node (``_locate``), where every tau tried carries its own count.
+    The lowest states, which the count at tau = 0 finds only on the free tail
+    and the count at the first positive point tau_1 does not find, are
+    threshold (half-bound) states of a discretized exceptional potential:
+    they are warned about and not returned.  A state above tau_1 is always
+    kept, wherever its zero-energy conjugate point lies.
     """
     w_min = float(potential.cell_eigh[0].min())
     if w_min >= 0.0:
         return []
     taus = np.sqrt(-w_min) * np.arange(_SECTIONS + 2) / (_SECTIONS + 1)
     counts, conjugate = _count(potential, taus[:-1])
-    seq = np.append(counts, 0)[None, :]
+    seq = np.append(counts, 0)
+    if np.any(np.diff(seq) > 0):
+        raise NumericsError("the bound-state count increases with tau")
     kept = int(max(conjugate[0], counts[1]))
     if counts[0] > kept:
         warnings.warn(
             f"{counts[0] - kept} threshold state(s) below tau = "
-            f"{taus[np.argmax(seq[0] <= kept)]:.3g}, found on the free tail only, are not returned",
+            f"{taus[np.argmax(seq <= kept)]:.3g}, found on the free tail only, are not returned",
             stacklevel=3,
         )
-
-    s = _frame_scale(potential, taus)
-    states = []
-    brackets = _drops(taus[None, :], seq, kept, states)
-    while brackets:
-        brackets = _locate(potential, brackets, kept, s, states)
-        if brackets:
-            brackets = _multisect(potential, brackets, kept, states)
-    return sorted(states)
+    drops = np.flatnonzero(np.minimum(seq[:-1], kept) > seq[1:])
+    return sorted(_locate(potential, [(taus[k], taus[k + 1]) for k in drops], kept, _frame_scale(potential, taus)))
 
 
 def _norming_factors(potential: SampledPotential, states) -> list:

@@ -199,14 +199,6 @@ class DiagonalSolve:
     residual: float
 
 
-def _end_scales(n: int) -> np.ndarray:
-    """sqrt(w / du) for the Gregory weights w on n >= 6 nodes: 1 but at the three nodes at each end."""
-    e = np.ones(n)
-    e[:3] = np.sqrt(_GREGORY_HEAD)
-    e[-3:] = e[2::-1]
-    return e
-
-
 def _hankel_system(h: np.ndarray, du: float, s: int) -> np.ndarray:
     """I + D [h_{i+j}] D, D^2 the Gregory weights, as a C-contiguous (n m, n m) matrix.
 
@@ -220,7 +212,7 @@ def _hankel_system(h: np.ndarray, du: float, s: int) -> np.ndarray:
     for b in range(m):
         np.multiply(sliding_window_view(h[:, b, :].ravel(), n * m)[s * m :: m], du, out=a[s:, b])
     ends = np.r_[0:3, n - 3 : n]
-    fix = _end_scales(n)[ends]
+    fix = np.sqrt(gregory_weights(n, 1.0))[ends]
     a[ends[ends >= s]] *= fix[ends >= s, None, None]
     a = a.reshape(n * m, n * m)
     a[s * m :].reshape(-1, n, m)[:, ends] *= fix[:, None]
@@ -261,7 +253,7 @@ def _gram(b: np.ndarray, h: np.ndarray, du: float, s: int) -> np.ndarray:
     """
     m = h.shape[-1]
     size = len(b)
-    e = _end_scales((len(h) + 1) // 2)
+    e = np.sqrt(gregory_weights((len(h) + 1) // 2, 1.0))
     c = np.zeros(s + 1)
     c[1:] += e[:s] ** 2
     c[:s] -= e[:s] ** 2

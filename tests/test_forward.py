@@ -347,20 +347,6 @@ def test_refined_taus_bracket_a_count_drop(two_soliton):
         assert counts[0] > counts[1]
 
 
-@pytest.mark.parametrize("before, after, crossed", [
-    ([-0.1, 2.0], [0.2, 2.1], 1),  # one phase crosses 0
-    ([3.0, 1.0], [-3.0, 1.2], 0),  # one phase wraps past pi, which is no state
-    ([3.0, -0.5], [-3.0, 0.5], 1),  # both at once leave the negative count as it was
-    ([-0.5, -0.4], [0.5, 0.6], 2),  # a state of multiplicity 2
-])
-def test_crossings_of_zero_by_the_rising_eigenphases(before, after, crossed):
-    def phases(tau, theta):
-        theta = np.array(theta)
-        return forward._Phases(tau, theta, np.ones_like(theta), np.exp(1j * theta.sum()))
-
-    assert forward._crossings(phases(1.0, before), phases(1.1, after)) == crossed
-
-
 @pytest.mark.parametrize("node", [100, 200, 250])
 def test_matching_node_roots_do_not_depend_on_the_node(two_soliton, monkeypatch, node):
     # the default matching node is 160, the middle of the 321 nodes
@@ -377,11 +363,74 @@ def test_eigenphase_slopes_are_the_derivatives_of_the_eigenphases(two_soliton, n
     # central differences over 1e-5 agree to their own O(h^2) error, <= 1e-9
     taus, h = np.array([0.5, 1.3, 2.2]), 1e-5
     s = forward._frame_scale(two_soliton, taus)
-    at, up, down = (forward._eigenphases(two_soliton, taus + d, s, node) for d in (0.0, h, -h))
-    for p, p_up, p_down in zip(at, up, down):
-        differences = (np.sort(p_up.theta) - np.sort(p_down.theta)) / (2.0 * h)
-        slopes = p.slope[np.argsort(p.theta)]
+    (_, _, theta, slope), up, down = (forward._matching(two_soliton, taus + d, s, node) for d in (0.0, h, -h))
+    for at, slopes_at, up_at, down_at in zip(theta, slope, up[2], down[2]):
+        differences = (np.sort(up_at) - np.sort(down_at)) / (2.0 * h)
+        slopes = slopes_at[np.argsort(at)]
         assert np.abs(slopes - differences).max() <= 1e-8 * np.abs(slopes).max()
+
+
+def _sech_wells(grid, wells, matrix=np.eye(1)):
+    """The sum of -2 k^2 sech^2(k (x - c)) over the wells (c, k), times ``matrix``."""
+    matrix = np.asarray(matrix, dtype=complex)
+    return domain.SampledPotential.from_profile(
+        grid, lambda x: sum(-2.0 * k**2 / np.cosh(k * (x - c)) ** 2 for c, k in wells) * matrix
+    )
+
+
+@pytest.mark.parametrize("case", [
+    "two-soliton", "off-centre sech well", "deepened m = 3 random", "identity well", "separated wells",
+])
+def test_matching_node_count_is_the_last_node_count(two_soliton, monkeypatch, case):
+    # the count from the two half sweeps' windings and W's eigenphases at any
+    # node equals the count of the one minus sweep at the last node.  tau = 0
+    # is left out: there a channel the potential leaves free (the two-soliton's)
+    # has theta = 0 exactly only at the last node, and roundoff of either sign
+    # elsewhere, so the search reads N(0) at the last node and caps every
+    # other reading at it
+    grid = SpaceGrid.from_bounds(-10.0, 10.0, 0.02)
+    if case == "two-soliton":
+        pot = two_soliton
+    elif case == "off-centre sech well":
+        pot = _sech_wells(grid, [(-5.0, 2.0)])
+    elif case == "deepened m = 3 random":
+        monkeypatch.setattr(domain, "_RANDOM_AMPLITUDE", 3.0)
+        grid = SpaceGrid.from_bounds(-6.0, 6.0, 0.02)
+        bumps = domain.random_potential(grid, dim=3, seed=2).values
+        pot = domain.SampledPotential(grid, bumps - 2.0 * np.exp(-grid.xs**2)[:, None, None] * np.eye(3))
+    elif case == "identity well":
+        pot = _sech_wells(grid, [(0.0, 1.0)], np.eye(2))
+    else:
+        pot = _sech_wells(grid, [(-7.5, 2.5), (7.5, 3.0)])
+    taus = np.linspace(0.0, 1.05 * np.sqrt(-pot.cell_eigh[0].min()), 102)[1:]
+    counts, _ = forward._count(pot, taus)
+    assert counts[0] > counts[-1] == 0
+    s = forward._frame_scale(pot, taus)
+    lo, hi = forward._swept_nodes(pot)
+    for node in (lo + (hi - lo) // 4, (lo + hi) // 2, lo + 3 * (hi - lo) // 4):
+        assert np.array_equal(forward._matching(pot, taus, s, node)[0], counts)
+
+
+@pytest.mark.parametrize("center, tau", [(-5.0, 2.0), (-6.0, 3.0), (5.5, 2.5)])
+def test_off_centre_wells_are_located_by_the_matching_node_counts(monkeypatch, center, tau):
+    # the crossing eigenphase is steep at the middle node, so Newton does not
+    # halve its steps; the counts of each round's sections carry the search
+    # without a count sweep past the first
+    calls = []
+    sweep = forward._sweep
+
+    def recording(potential, rhos, directions, substeps=1, stop=None, slopes=False):
+        calls.append(len(directions))
+        return sweep(potential, rhos, directions, substeps, stop, slopes)
+
+    monkeypatch.setattr(forward, "_sweep", recording)
+    well = _sech_wells(SpaceGrid.from_bounds(-10.0, 10.0, 0.02), [(center, tau)])
+    with pytest.warns(UserWarning, match="threshold"):
+        ((located, rank),) = forward.find_bound_states(well)
+    assert rank == 1 and abs(located - tau) < 1e-3
+    assert calls.count(1) == 1 and calls.count(2) <= 8
+    counts, _ = forward._count(well, [located - 1e-8, located + 1e-8])
+    assert counts[0] > counts[1]
 
 
 def test_batched_weights_equal_weights_state_by_state(two_soliton):
@@ -518,7 +567,7 @@ def test_count_multiplicity_of_identity_well():
 ])
 def test_near_degenerate_states_are_split_by_their_crossings(tau2, states):
     # two decoupled sech wells 1e-7 apart in tau: the Newton step stops at the
-    # pair, and the crossings just past it say it holds one of the two states
+    # pair, and the count just past it says it holds one of the two states
     grid = SpaceGrid.from_bounds(-8.0, 8.0, 0.02)
 
     def profile(x):

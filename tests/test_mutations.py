@@ -304,6 +304,25 @@ def test_a_non_finite_cell_is_refused_before_any_arithmetic(tmp_path, capsys, po
             assert _run(argv, capsys) == 2, (seed, command)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", ["bump", "solitons"])
+def test_values_out_of_the_sweeps_range_are_refused_before_any_sweep(tmp_path, capsys, potential_files, name):
+    # with numpy's warnings as errors: a cell whose exponent overflows cosh and a
+    # rho whose square overflows are refused, not swept into inf and NaN
+    rows = (potential_files / f"{name}.csv").read_text().splitlines()
+    for seed in SEEDS:
+        mutated = list(rows)
+        CSV_MUTATIONS["values x +-1e300"](mutated, np.random.default_rng(seed))
+        path = tmp_path / f"{seed}.csv"
+        path.write_text("".join(row + "\n" for row in mutated))
+        for command in ("forward", "roundtrip"):
+            argv = [command, "--potential", str(path), *SPECTRAL, "--out", str(tmp_path / command)]
+            assert _run(argv, capsys) == 3, (seed, command)
+    for command in ("forward", "roundtrip"):
+        argv = [command, "--potential", str(potential_files / f"{name}.csv"), "--rho-max", "1e300", "--n-rho", "16"]
+        assert _run([*argv, "--out", str(tmp_path / command)], capsys) == 3, command
+
+
 @pytest.mark.parametrize("command", list(COMMANDS))
 def test_mutated_arguments_end_in_their_exit_codes(tmp_path, capsys, command):
     # every bad value of each of the command's options, in place of a seeded
