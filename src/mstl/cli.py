@@ -351,14 +351,16 @@ def cmd_validate(args: argparse.Namespace) -> int:
     report_a = conditions.check_condition_A(data)
     payload = {"subcommand": "validate", "condition_A": report_a.as_dict()}
     ok = report_a.passed
-    denominator = conditions.right_denominator(data) if data.side == "right" else None
-    if denominator is not None:
-        report_b = conditions.check_condition_B_numeric(denominator, data)
-        payload["condition_B"] = report_b.as_dict()
-        ok = ok and report_b.passed
-    if args.out:
-        args.out.mkdir(parents=True, exist_ok=True)
-        write_report(args.out / "report.json", payload)
+    try:
+        denominator = conditions.right_denominator(data) if data.side == "right" else None
+        if denominator is not None:
+            report_b = conditions.check_condition_B_numeric(denominator, data)
+            payload["condition_B"] = report_b.as_dict()
+            ok = ok and report_b.passed
+    finally:  # data whose denominator is refused keep their condition A report
+        if args.out:
+            args.out.mkdir(parents=True, exist_ok=True)
+            write_report(args.out / "report.json", payload)
     print("validate: PASS" if ok else "validate: FAIL")
     return 0 if ok else 2
 

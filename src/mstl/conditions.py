@@ -29,6 +29,7 @@ import numpy as np
 from mstl.domain import (
     HERMITICITY_RTOL,
     BoundState,
+    NumericsError,
     ScatteringData,
     ValidationError,
     hermitian_pseudo_inverse,
@@ -69,9 +70,6 @@ class ConditionReport:
     @property
     def passed(self) -> bool:
         return all(item.passed for item in self.items)
-
-    def failed_names(self) -> list[str]:
-        return [item.name for item in self.items if not item.passed]
 
     def item(self, name: str) -> CheckItem:
         for it in self.items:
@@ -275,7 +273,9 @@ class ScalarD:
     integrable log singularity in the integrand: the local model w ln|xi| is
     fitted from the innermost nodes, quadratured implicitly through the
     smooth remainder, and integrated in closed form (dilogarithms) itself.
-    Built from right data of m = 1 on at least four rho nodes.
+    Built from right data of m = 1 on at least four rho nodes with distinct
+    taus (``tau_gap``), else ``ValidationError``; D at a point where the outer
+    factor leaves double range raises ``NumericsError``.
     """
 
     def __init__(self, j_plus: ScatteringData):
@@ -284,11 +284,14 @@ class ScalarD:
         self.nodes = j_plus.rho_grid.nodes
         if self.nodes.size < 4:
             raise ValidationError("the scalar denominator needs at least four rho nodes")
+        self.taus = tuple(float(t) for t in j_plus.taus)
+        gap, gap_tol = tau_gap(self.taus)
+        if gap < gap_tol:  # D^-1 has no simple pole at a repeated tau
+            raise ValidationError(f"the scalar denominator needs distinct taus: two lie {gap:.3g} apart")
         mod2 = np.abs(j_plus.S[:, 0, 0]) ** 2
         if mod2.max(initial=0.0) >= 1.0:
             raise ValidationError("|S| >= 1 at a node: outer factor undefined")
         self.f = np.log1p(-mod2)
-        self.taus = tuple(float(t) for t in j_plus.taus)
         self.step = float(self.nodes[1] - self.nodes[0])
         self.rho_max = float(self.nodes[-1]) + 0.5 * self.step
 
@@ -351,6 +354,14 @@ class ScalarD:
             out[boundary] = (-1.0 / (2j * np.pi)) * (pv + 1j * np.pi * f_at)
         return out
 
+    def _outer(self, z: np.ndarray, sign: float) -> np.ndarray:
+        """exp(sign gamma(z)), refused before it leaves double range."""
+        g = sign * self._gamma(z)
+        past = ~(g.real < np.log(np.finfo(float).max))  # NaN too
+        if past.any():
+            raise NumericsError(f"the outer factor of D leaves double range at rho = {z.flat[np.argmax(past)]:.3g}")
+        return np.exp(g)
+
     def __call__(self, rho) -> np.ndarray:
         """D at a 1-d array of points, shape (n, 1, 1)."""
         z = np.asarray(rho, dtype=complex)
@@ -359,7 +370,7 @@ class ScalarD:
         blaschke = np.ones(z.shape, dtype=complex)
         for tau in self.taus:
             blaschke *= (z - 1j * tau) / (z + 1j * tau)
-        return (blaschke * np.exp(self._gamma(z)))[..., None, None]
+        return (blaschke * self._outer(z, 1.0))[..., None, None]
 
     def residues(self) -> list:
         """Res D^-1 at each i tau_k, in the order of ``taus``, as (1, 1) arrays.
@@ -369,7 +380,7 @@ class ScalarD:
         exp(-gamma(i tau_k)) in closed form.
         """
         taus = np.array(self.taus)
-        outer = np.exp(-self._gamma(1j * taus))
+        outer = self._outer(1j * taus, -1.0)
         out = []
         for k, tau in enumerate(taus):
             rest = np.delete(taus, k)

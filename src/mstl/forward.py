@@ -156,9 +156,11 @@ def _sweep(potential: SampledPotential, rhos: np.ndarray, directions, substeps: 
     in the step is its mirror.  nodes[d] is the node sweep d reaches, -1
     between nodes (``substeps`` splits every cell into equal steps) and after
     its end: the far edge of the swept range, or node ``stop`` inside it (half
-    sweeps).  An ended sweep is left as it is, v[d] its last cell's eigenbasis.
-    ``t`` is updated in place; a consumer may right-multiply its columns in
-    place and the sweeps go on from the result.
+    sweeps).  Every sweep takes every step, of length h / substeps while it
+    runs and 0 after its end, where the cell factors are the identity; v[d]
+    stays its last cell's eigenbasis.  ``t`` is updated in place; a consumer
+    may right-multiply its columns in place and the sweeps go on from the
+    result.
 
     Every rho must be real or i tau with tau >= 0, so that mu^2 = lambda - rho^2
     is real and ``_cell_factors`` applies.  A rho whose square overflows, or
@@ -184,11 +186,9 @@ def _sweep(potential: SampledPotential, rhos: np.ndarray, directions, substeps: 
         if direction == "plus":  # crossing cell c downward reaches node c
             cells = np.arange(hi - 1, (lo if stop is None else stop) - 1, -1)
             sweeps.append((1j * rhos, -1.0, hi, cells, cells, -grid.dx))
-        elif direction == "minus":
+        else:
             cells = np.arange(lo, hi if stop is None else stop)
             sweeps.append((-1j * rhos, 1.0, lo, cells, cells + 1, grid.dx))
-        else:
-            raise ValidationError(f"unknown direction {direction!r}")
     ikr, dikr, starts, cells, reached, h = zip(*sweeps)
     ikr, starts, eye = np.array(ikr), list(starts), np.eye(m)
     x = grid.xs[starts][:, None]
@@ -209,12 +209,12 @@ def _sweep(potential: SampledPotential, rhos: np.ndarray, directions, substeps: 
     v[:] = eye
     nodes = np.full((steps, d), -1)
     for j, (c, r, n) in enumerate(zip(cells, reached, lengths)):
-        if n:  # an ended sweep keeps its last cell
+        if n:
             c = np.concatenate([np.repeat(c, substeps), np.full(steps - n, c[-1])])
             w[:, j], v[:, j] = lam[c], vecs[c]
             nodes[:n, j] = np.where((np.arange(n) + 1) % substeps, -1, np.repeat(r, substeps))
     nodes = nodes.tolist()
-    h = (np.array(h) / substeps)[:, None, None, None]
+    h = np.where(np.arange(steps)[:, None] < lengths, np.array(h) / substeps, 0.0)[:, :, None, None, None]
     vh = v.conj().swapaxes(-1, -2)
     hop = vh[1:] @ v[:-1]  # carries each field from one step's eigenbasis into the next
     u = np.matmul(vh[0], t.reshape(d, m, -1)).reshape(t.shape)
@@ -223,35 +223,28 @@ def _sweep(potential: SampledPotential, rhos: np.ndarray, directions, substeps: 
     mirrored = nr % 2 == 0 and np.array_equal(rho2, rho2[::-1])
     half = slice(nr // 2 if mirrored else 0, None)
     block = max(1, _BLOCK_ELEMENTS // (d * m * max(nr, 1)))
-    arrays = (t, u, swapped, cross) + ((u[:, :, ::3], u[:, :, ::-3], t[:, :, 1:3]) if slopes else ())
-    live, views, short = slice(None), arrays, min(lengths)
+    fields, partners, dt = u[:, :, ::3], u[:, :, ::-3], t[:, :, 1:3]  # with slopes: (F, F'), (F', F), (dF, dF')
     for b0 in range(0, steps, block):
-        mu2 = w[b0 : b0 + block, :, :, None, None] - rho2[half]
-        ch, sl, ms = _cell_factors(mu2, h)  # (steps, d, m, 1, n_rho), or its upper half
+        mu2, hb = w[b0 : b0 + block, :, :, None, None] - rho2[half], h[b0 : b0 + block]
+        ch, sl, ms = _cell_factors(mu2, hb)  # (steps, d, m, 1, n_rho), or its upper half
         factors = [ch[:, :, :, None], np.stack([sl, ms], axis=3)]
         if slopes:  # the rows (F, dF, dF', F') take (sl, sl, ms, ms) times their partner
             factors[1] = factors[1].repeat(2, axis=3)
-            dch, dsl, dms = (2.0 * rhos.imag[half] * f for f in _cell_slopes(mu2, h, ch, sl))  # d/dtau
+            dch, dsl, dms = (2.0 * rhos.imag[half] * f for f in _cell_slopes(mu2, hb, ch, sl))  # d/dtau
             factors += [dch[:, :, :, None], np.stack([dsl, dms], axis=3)]
         if mirrored:
             factors = [np.concatenate([f[..., ::-1], f], axis=-1) for f in factors]
         for i in range(ch.shape[0]):
             k = b0 + i
-            if k == short:  # the shorter sweep has ended: the longer one goes on alone
-                j = int(np.argmax(lengths))
-                live = slice(j, j + 1)
-                views = tuple(a[live] for a in arrays)
-            tl, ul, swl, cl = views[:4]
             # F <- cosh F + sinhc F',  F' <- cosh F' + mu^2 sinhc F
-            np.multiply(factors[0][i, live], ul, out=tl)
-            np.multiply(factors[1][i, live], swl, out=cl)
-            tl += cl
+            np.multiply(factors[0][i], u, out=t)
+            np.multiply(factors[1][i], swapped, out=cross)
+            t += cross
             if slopes:  # (dF, dF') += d cosh (F, F') + (d sinhc, d mu^2 sinhc) (F', F)
-                fl, pl, dtl = views[4:]
-                dtl += factors[2][i, live] * fl + factors[3][i, live] * pl
+                dt += factors[2][i] * fields + factors[3][i] * partners
             yield nodes[k], v[k], t
             if k + 1 < steps:
-                np.matmul(hop[k, live], tl.reshape(len(tl), m, -1), out=ul.reshape(len(ul), m, -1))
+                np.matmul(hop[k], t.reshape(d, m, -1), out=u.reshape(d, m, -1))
 
 
 def _kept_fields(potential: SampledPotential, rhos: np.ndarray, directions, keep: np.ndarray, slopes=False):
@@ -359,7 +352,7 @@ def _frame_scale(potential: SampledPotential, taus) -> float:
     return float(np.sqrt(max(float(w.max()), 0.0) + top * top))
 
 
-def _cayley_frames(potential: SampledPotential, taus: np.ndarray, s: float, directions, stop=None, slopes=False):
+def _cayley_frames(potential: SampledPotential, taus: np.ndarray, s: float, directions, stop: int, slopes=False):
     """Yield (v, u, du) at the readings of U = (Y + i Y'/s)(Y - i Y'/s)^-1, Y = F(x, i tau).
 
     ``u`` holds U^T of each sweep of ``directions`` at its latest reading,
@@ -377,7 +370,6 @@ def _cayley_frames(potential: SampledPotential, taus: np.ndarray, s: float, dire
     """
     m = potential.m
     lo, hi = _swept_nodes(potential)
-    ends = [(hi if direction == "minus" else lo) if stop is None else stop for direction in directions]
     motion = 2 * m * s * potential.grid.dx  # bound on |d arg det U| per cell
     steps = (hi - lo) * (motion / np.pi + 1)
     if not steps * m * m <= MAX_ENTRIES:  # the sweep holds each step's eigenbasis
@@ -392,7 +384,7 @@ def _cayley_frames(potential: SampledPotential, taus: np.ndarray, s: float, dire
     du = np.empty_like(u) if slopes else None
     running = list(range(len(directions)))  # sweeps not yet read at their last node
     for k, (nodes, v, t) in enumerate(_sweep(potential, 1j * taus, directions, substeps, stop, slopes)):
-        read = [j for j in running if nodes[j] == ends[j] or not k % stride]
+        read = [j for j in running if nodes[j] == stop or not k % stride]
         if not read:
             continue
         sl = slice(read[0], read[-1] + 1)  # of at most two sweeps, so contiguous
@@ -408,7 +400,7 @@ def _cayley_frames(potential: SampledPotential, taus: np.ndarray, s: float, dire
         yield v, u, du
         t[sl, :, 0] = (0.5 * (u[sl] + eye)).transpose(0, 3, 2, 1)
         t[sl, :, -1] = ((u[sl] - eye) / (2.0 * i_s)).transpose(0, 3, 2, 1)
-        running = [j for j in running if nodes[j] != ends[j]]
+        running = [j for j in running if nodes[j] != stop]
 
 
 def _matching(potential: SampledPotential, taus, s: float, node: int):
@@ -681,7 +673,7 @@ def full_forward(potential: SampledPotential, rho_grid: RhoGrid) -> ForwardResul
     coeffs = scattering_coefficients(potential, rho_grid)
     s_minus, s_plus = reflection_matrices(coeffs)
     right_states, left_states = [], []
-    for (tau, _), (n_minus, n_plus) in zip(states, weight_matrices(potential, states) if states else []):
+    for (tau, _), (n_minus, n_plus) in zip(states, weight_matrices(potential, states)):
         right_states.append(BoundState(tau=tau, weight=n_plus))
         left_states.append(BoundState(tau=tau, weight=n_minus))
 

@@ -481,16 +481,26 @@ def test_stacked_sweeps_equal_each_direction_swept_alone(two_soliton, bump_setup
 
 @pytest.mark.parametrize("node", [160, 100, 250])
 def test_stacked_half_sweeps_equal_each_half_alone(two_soliton, node):
-    # halves of equal length, a longer plus half and a longer minus half: the
-    # Cayley readings of each half are those of the half swept by itself
+    # halves of equal length, a longer plus half and a longer minus half, on
+    # the two-soliton's 320 swept cells and on 319 (its last cell zeroed), with
+    # and without the derivative rows: the Cayley readings of each half are
+    # those of the half swept by itself, whose identity steps after its end
+    # reach no reading
+    cells = two_soliton.cell_values.copy()
+    cells[-1] = 0.0
+    odd = domain.SampledPotential(two_soliton.grid, two_soliton.values, cell_values=cells)
+    assert forward._swept_nodes(odd) == (0, 319)
     taus = np.array([0.3, 1.0, 2.0])
-    s = forward._frame_scale(two_soliton, taus)
-    for v, u, _ in forward._cayley_frames(two_soliton, taus, s, ("plus", "minus"), node):
-        pass
-    for j, direction in enumerate(SWEEP):
-        for v_alone, u_alone, _ in forward._cayley_frames(two_soliton, taus, s, (direction,), node):
-            pass
-        assert np.array_equal(v[j], v_alone[0]) and np.array_equal(u[j], u_alone[0])
+    for pot in (two_soliton, odd):
+        s = forward._frame_scale(pot, taus)
+        for slopes in (False, True):
+            for v, u, du in forward._cayley_frames(pot, taus, s, tuple(SWEEP), node, slopes):
+                pass
+            for j, direction in enumerate(SWEEP):
+                for v_alone, u_alone, du_alone in forward._cayley_frames(pot, taus, s, (direction,), node, slopes):
+                    pass
+                assert np.array_equal(v[j], v_alone[0]) and np.array_equal(u[j], u_alone[0])
+                assert not slopes or np.array_equal(du[j], du_alone[0])
 
 
 def test_full_forward_decomposes_the_cells_once(two_soliton, monkeypatch):

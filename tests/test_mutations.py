@@ -133,6 +133,7 @@ def right_data(tmp_path_factory):
             "soliton": (root / "soliton.json", None)}
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", ["box", "bump", "soliton"])
 def test_mutated_data_end_in_their_exit_codes(tmp_path, capsys, right_data, name):
     right, left = right_data[name]
@@ -165,6 +166,16 @@ def test_mutated_data_end_in_their_exit_codes(tmp_path, capsys, right_data, name
     if name == "box":
         # its potential times 1e-12 lies within the GLM solve's roundoff floor
         assert codes[SEEDS[0], "S x 1e-12", "invert"] == 3
+        # with numpy's warnings as errors: the scalar denominator refuses a
+        # repeated tau and an outer factor past double range (seed 2 scales rho
+        # by 1e4) before any arithmetic; validate keeps its report, also where
+        # the denominator is refused for |S| >= 1
+        assert {codes[seed, "duplicate tau", command] for seed in SEEDS for command in ("validate", "invert")} == {2}
+        assert all("distinct taus" in errors[seed, "duplicate tau", "invert"] for seed in SEEDS)
+        assert codes[SEEDS[1], "rescale rho", "validate"] == 3
+        assert "outer factor of D leaves double range" in errors[SEEDS[1], "rescale rho", "validate"]
+        assert all((tmp_path / f"{seed}-{mutation}" / "v" / "report.json").exists()
+                   for seed in SEEDS for mutation in ("duplicate tau", "rescale rho", "S x 1e3"))
 
 
 # ---------------------------------------------------------------------------
