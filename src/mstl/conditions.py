@@ -42,6 +42,8 @@ from mstl.domain import (
 
 KERNEL_SPAN = 30.0  # |u| range of the Fourier-kernel checks of conditions A and B
 KERNEL_DU = 0.05  # their u step
+_CAUCHY_ROUNDOFF = 64  # condition B's Cauchy probe: eps multiples of its sum's term moduli
+_CAUCHY_QUADRATURE = 10  # and multiples of its 16- and 8-point rules' difference, in its tolerance
 
 
 @dataclass(frozen=True)
@@ -392,8 +394,8 @@ class ScalarD:
 # Condition B
 
 
-def _cauchy_nodes(a: complex, b: complex, z0: complex):
-    """(nodes, weights) of 16-point Gauss-Legendre panels for the integral of dz along a -> b.
+def _cauchy_nodes(a: complex, b: complex, z0: complex, points: int):
+    """(nodes, weights) of ``points``-point Gauss-Legendre panels for the integral of dz along a -> b.
 
     Each panel is at most max(0.5, |z - z0| / 2 - 0.5) long at its end
     nearest z0, so the panels grow geometrically away from z0 and a side of
@@ -401,7 +403,7 @@ def _cauchy_nodes(a: complex, b: complex, z0: complex):
     eigenvalues of the Jacobi matrix and the squared first components of its
     eigenvectors (Golub-Welsch).
     """
-    k = np.arange(1.0, 16.0)
+    k = np.arange(1.0, points)
     x, v = np.linalg.eigh(np.diag(k / np.sqrt(4 * k * k - 1), 1), UPLO="U")
     length = abs(b - a)
     near = float(np.clip(((z0 - a) * np.conj(b - a)).real / length**2, 0.0, 1.0))
@@ -428,9 +430,14 @@ def check_condition_B_numeric(denominator, j_plus: ScatteringData) -> ConditionR
     ``denominator`` is the pair (D evaluator, residues of D^-1 in bound-state
     order) that ``right_denominator`` returns.  Analyticity is probed by
     Cauchy-integral self-consistency on a rectangle (a finite test, not a
-    proof); the residues are judged against the weights (``residue_check``);
-    asymptotics, the modulus identity and the connected left kernel are
-    measured directly.
+    proof), to the sum's own accuracy: _CAUCHY_ROUNDOFF eps times the
+    moduli of its terms and of the probe, each taken before D - I cancels,
+    plus _CAUCHY_QUADRATURE times the departure of the 8-point rule on the
+    same panels, which a D unresolved by the panels (the poles of a coarse
+    grid's discrete Cauchy sum just below the rectangle) makes large; the
+    tolerance is never above 1e-2.  The residues are judged against the
+    weights (``residue_check``); asymptotics, the modulus identity and the
+    connected left kernel are measured directly.
     """
     d_of, residues = denominator
     nodes = j_plus.rho_grid.nodes
@@ -446,12 +453,28 @@ def check_condition_B_numeric(denominator, j_plus: ScatteringData) -> ConditionR
     rect_w = max(rho_max / 2, 1.0)
     corners = [-rect_w + 0.1j, rect_w + 0.1j, rect_w + top * 1j, -rect_w + top * 1j]
     z0 = 0.5j * (0.1 + top)
-    sides = [_cauchy_nodes(a, b, z0) for a, b in zip(corners, corners[1:] + corners[:1])]
-    zs, dz = (np.concatenate(part) for part in zip(*sides))
-    total = np.tensordot(dz / (2j * np.pi * (zs - z0)), zs[:, None, None] * (d_of(zs) - eye), axes=(0, 0))
-    probe = z0 * (d_of(np.array([z0]))[0] - eye)
-    cauchy_defect = matrix_operator_norm(probe - total) / (1.0 + matrix_operator_norm(probe))
-    items.append(CheckItem("analytic_cauchy_probe", cauchy_defect <= 1e-2, float(cauchy_defect), 1e-2))
+    # the 16-point panels give the probe's sum, and 8 points on the same panels its quadrature error
+    rules = []
+    for points in (16, 8):
+        sides = [_cauchy_nodes(a, b, z0, points) for a, b in zip(corners, corners[1:] + corners[:1])]
+        rules.append([np.concatenate(part) for part in zip(*sides)])
+    zs = np.concatenate([rules[0][0], rules[1][0], [z0]])
+    d = d_of(zs)
+    terms = zs[:, None, None] * (d - eye)
+    weights = np.concatenate([dz / (2j * np.pi * (z - z0)) for z, dz in rules])
+    fine = len(rules[0][0])
+    total = np.tensordot(weights[:fine], terms[:fine], axes=(0, 0))
+    coarse = np.tensordot(weights[fine:], terms[fine:-1], axes=(0, 0))
+    scale = 1.0 + matrix_operator_norm(terms[-1])
+    cauchy_defect = matrix_operator_norm(terms[-1] - total) / scale
+    # the sum's and the probe's roundoff, each term's modulus taken before D - I cancels, plus the
+    # quadrature error where D is not resolved (poles of a coarse grid just below the rectangle)
+    moduli = np.abs(zs) * (operator_norms(d) + 1.0)
+    roundoff = np.finfo(float).eps * (np.abs(weights[:fine]) @ moduli[:fine] + moduli[-1])
+    quadrature = matrix_operator_norm(total - coarse)
+    cauchy_tol = min((_CAUCHY_ROUNDOFF * roundoff + _CAUCHY_QUADRATURE * quadrature) / scale, 1e-2)
+    items.append(CheckItem("analytic_cauchy_probe", cauchy_defect <= cauchy_tol, float(cauchy_defect),
+                           float(cauchy_tol)))
 
     # residues of D^{-1}: C_k N_k with invertible C_k; the residue furthest
     # past (or closest to) its tolerance is reported, and a missing one fails

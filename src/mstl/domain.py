@@ -208,6 +208,8 @@ class SpaceGrid:
     def from_bounds(cls, x_min: float, x_max: float, dx: float) -> "SpaceGrid":
         if not (math.isfinite(x_min) and math.isfinite(x_max) and math.isfinite(dx) and dx > 0):
             raise ValidationError("grid bounds must be finite and dx positive")
+        if not x_max > x_min:
+            raise ValidationError(f"x_max must exceed x_min, got x_min = {x_min:g} and x_max = {x_max:g}")
         steps = (x_max - x_min) / dx
         if not steps < MAX_ENTRIES:  # an infinite quotient too
             raise ValidationError(f"a grid of {steps:.3g} steps is over the budget of 2^27 nodes")

@@ -51,7 +51,13 @@ The discretized operator inherits Hermitian positive definiteness from the
 continuous one (after symmetrization by the square-root quadrature weights),
 so each factorization comes with a cheap reciprocal-condition estimate (the
 Hager-Higham estimator of LAPACK's zpocon, transcribed); the
-smallest-eigenvalue margin doubles as a uniqueness probe.
+smallest-eigenvalue margin doubles as a uniqueness probe.  The estimate's
+1-norm of the system is a window sum of the samples' moduli, never read from
+the built rows, and the estimator's two fixed vectors go through the factor in
+one blocked solve with the residual check's right-hand sides.  ``invert``
+sizes the systems of both sides before it solves any, and all four are built
+and factored in one workspace of the largest one's (n m)^2 entries: one
+allocation per inversion, not one per system.
 """
 
 from __future__ import annotations
@@ -199,44 +205,68 @@ class DiagonalSolve:
     residual: float
 
 
-def _hankel_system(h: np.ndarray, du: float, s: int) -> np.ndarray:
+def _hankel_system(h: np.ndarray, du: float, s: int, work: np.ndarray = None) -> np.ndarray:
     """I + D [h_{i+j}] D, D^2 the Gregory weights, as a C-contiguous (n m, n m) matrix.
 
     The first ``s`` nodes' rows are left [I 0].  Row (i, a) of the others is the
     window of h[:, a, :] flattened from i m, times du; only the three Gregory
     nodes at each end are then rescaled, their rows and columns by sqrt(w / du).
+    The matrix is built in the leading (n m)^2 entries of the flat complex
+    ``work``, or in a new array without it.
     """
     n, m = (len(h) + 1) // 2, h.shape[-1]
-    a = np.empty((n, m, n * m), dtype=complex)
+    size = n * m
+    a = (np.empty(size * size, dtype=complex) if work is None else work[: size * size]).reshape(n, m, size)
     a[:s] = 0.0
     for b in range(m):
-        np.multiply(sliding_window_view(h[:, b, :].ravel(), n * m)[s * m :: m], du, out=a[s:, b])
+        np.multiply(sliding_window_view(h[:, b, :].ravel(), size)[s * m :: m], du, out=a[s:, b])
     ends = np.r_[0:3, n - 3 : n]
     fix = np.sqrt(gregory_weights(n, 1.0))[ends]
     a[ends[ends >= s]] *= fix[ends >= s, None, None]
-    a = a.reshape(n * m, n * m)
+    a = a.reshape(size, size)
     a[s * m :].reshape(-1, n, m)[:, ends] *= fix[:, None]
-    a.flat[:: n * m + 1] += 1.0
+    a.flat[:: size + 1] += 1.0
     return a
 
 
-def _one_norm(a: np.ndarray, sm: int) -> float:
-    """1-norm of the Hermitian matrix whose rows are [I 0] above row ``sm`` and a's from it on.
+def _one_norm(h: np.ndarray, du: float, dp: np.ndarray) -> float:
+    """1-norm of A = I + D [h_{i+j}] D (D^2 the Gregory weights), from the samples alone.
 
-    Column j >= sm sums as row j; the moduli are formed 128 rows at a time.
+    A is Hermitian, so its 1-norm is its largest row sum of moduli, and row
+    (i, a) sums to du e_i sum_j e_j sum_b |h_{i+j}[a, b]| with the diagonal
+    term replaced by |1 + du e_i^2 h_{2i}[a, a]| (e^2 the Gregory weight
+    ratios).  The inner sum over j is a window of a cumulative sum plus the
+    six end nodes where e_j != 1: O(n m^2) work, and no built row is read.
+    The tail rows ``dp`` (n m, r) of D P, in natural order and r = 0 without
+    a tail, add dp dp^H to A, whose row i is bounded by sum_k |dp_ik| sum_j
+    |dp_jk|; with a tail the result is an upper bound on the norm, exact for
+    I + dp dp^H of rank one.
     """
-    sums = np.ones(len(a))
-    for lo in range(sm, len(a), 128):
-        block = np.abs(a[lo : lo + 128])
-        sums[lo : lo + 128] = block.sum(axis=1)
-        sums[:sm] += block[:, :sm].sum(axis=0)
-    return float(sums.max())
+    n, m = (len(h) + 1) // 2, h.shape[-1]
+    e = np.sqrt(gregory_weights(n, 1.0))
+    r = np.abs(h).sum(axis=2)  # (2n - 1, m): sum_b |h_k[a, b]|
+    total = np.zeros((2 * n, m))
+    np.cumsum(r, axis=0, out=total[1:])
+    window = total[n:] - total[:n]
+    ends = np.r_[0:3, n - 3 : n]
+    window += ((e[ends] - 1.0)[:, None, None] * r[np.arange(n) + ends[:, None]]).sum(axis=0)
+    diag = du * e[:, None] ** 2 * np.diagonal(h[::2], axis1=1, axis2=2)
+    sums = du * e[:, None] * window - np.abs(diag) + np.abs(1.0 + diag)
+    mod = np.abs(dp)
+    return float((sums + (mod @ mod.sum(axis=0)).reshape(n, m)).max())
 
 
 def _hankel_product(h: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """[sum_j h_{i+j} z_j]_i for blocks h (2n-1, m, m) and z (n, m, k), by FFT."""
+    """[sum_j h_{i+j} z_j]_i for blocks h (2n-1, m, m) and z (n, m, k), by FFT.
+
+    The transforms are padded to the first length of the form 2^a 3^b 5^c
+    that holds the full linear convolution, 3n - 2 samples, so there is no
+    wrap-around and no prime length (1069 at n = 357 takes twice as long).
+    """
     n = z.shape[0]
-    size = 3 * n - 2  # the full linear convolution, no wrap-around
+    size = 3 * n - 2
+    while size // math.gcd(size, 2**30 * 3**19 * 5**13) > 1:
+        size += 1
     spectrum = np.fft.fft(h, size, axis=0) @ np.fft.fft(z[::-1], size, axis=0)
     return np.fft.ifft(spectrum, axis=0)[n - 1 : 2 * n - 1]
 
@@ -320,13 +350,30 @@ def _split_solver(b: np.ndarray, l22: np.ndarray):
     return solve
 
 
-def _inverse_one_norm(solve, size: int) -> float:
+def _estimator_probes(size: int) -> np.ndarray:
+    """zlacn2's two vectors that do not depend on its iteration, as the columns of a (size, 2) array.
+
+    The first is ones / size, where the power steps start; the second is the
+    alternating-sign vector (-1)^i (1 + i / (size - 1)) of its last stage.
+    """
+    i = np.arange(size)
+    out = np.empty((size, 2), dtype=complex)
+    out[:, 0] = 1.0 / size
+    out[:, 1] = (1.0 + i / (size - 1)) * np.where(i % 2, -1.0, 1.0)
+    return out
+
+
+def _inverse_one_norm(solve, size: int, probed: np.ndarray = None) -> float:
     """Estimate of ||A^-1||_1 for a Hermitian A of order ``size`` >= 2, A^-1 applied by ``solve``.
 
     A transcription of LAPACK's zlacn2, the Hager-Higham estimator that
     zpocon runs (Higham, ACM TOMS 14, 1988), with A^H = A: at most five
     power steps on the dual unit ball, then the alternating-sign test vector.
-    The estimate is a lower bound on ||A^-1||_1.
+    The estimate is a lower bound on ||A^-1||_1.  ``probed`` is
+    A^-1 ``_estimator_probes(size)``, the first and last stages' solves; a
+    caller passes it to take them in one blocked solve with right-hand sides
+    of its own, and without it they are taken here, again in one call.  Only
+    the sign and unit-vector steps between them are solved one at a time.
     """
     tiny = np.finfo(float).tiny
 
@@ -334,7 +381,9 @@ def _inverse_one_norm(solve, size: int) -> float:
         mod = np.abs(x)
         return np.where(mod > tiny, x / np.maximum(mod, tiny), 1.0)
 
-    x = solve(np.full(size, 1.0 / size, dtype=complex))
+    if probed is None:
+        probed = solve(_estimator_probes(size))
+    x = probed[:, 0]
     est = np.abs(x).sum()
     x = solve(signs(x))
     j = int(np.argmax(np.abs(x)))
@@ -347,11 +396,11 @@ def _inverse_one_norm(solve, size: int) -> float:
         j, j_last = int(np.argmax(np.abs(x))), j
         if abs(x[j_last]) == abs(x[j]):
             break
-    alternating = (1.0 + np.arange(size) / (size - 1)) * np.where(np.arange(size) % 2, -1.0, 1.0)
-    return float(max(est, 2.0 * np.abs(solve(alternating.astype(complex))).sum() / (3 * size)))
+    return float(max(est, 2.0 * np.abs(probed[:, 1]).sum() / (3 * size)))
 
 
-def nested_diagonal(h: np.ndarray, du: float, count: int, tail: np.ndarray = None) -> DiagonalSolve:
+def nested_diagonal(h: np.ndarray, du: float, count: int, tail: np.ndarray = None,
+                    work: np.ndarray = None) -> DiagonalSolve:
     """K(x_k, x_k) at x_k = x_0 + k du, k < count, from one reverse Cholesky.
 
     ``h`` holds the Hankel part of the kernel at the Hankel arguments
@@ -373,40 +422,52 @@ def nested_diagonal(h: np.ndarray, du: float, count: int, tail: np.ndarray = Non
     coupled to each other only through I.  So A reversed is [[I, B^H], [B, M22]]
     with B the built rows' own entries, L = [[I, 0], [B, L22]], and only
     M22 - B B^H = L22 L22^H is factored, its Gram B B^H from the Hankel
-    displacement (``_gram``).  With a tail the identity block is empty.
+    displacement (``_gram``).  With a tail the identity block is empty.  The
+    system is built and factored in the flat complex ``work`` of at least
+    (n m)^2 entries, which ``invert`` shares among all its systems, or in an
+    array of its own without it.
 
     A factorization failure or an estimated reciprocal condition below
     1e-12 raises ``IllPosedDataError``; the estimate is LAPACK zpocon's,
-    through ``_inverse_one_norm``.  The residual is that of the x_0 row,
-    solved through the factor and checked against the kernel applied by FFT
-    and through the tail factor.
+    through ``_inverse_one_norm``, against the 1-norm ``_one_norm`` takes
+    from the samples (with a tail, an upper bound on it).  The residual is
+    that of the x_0 row, checked against the kernel applied by FFT and
+    through the tail factor.  Its m columns are solved through the factor in
+    one blocked call together with the estimator's two fixed vectors.
     """
     n = (len(h) + 1) // 2
     if n < count + 7:
         raise ValueError(f"{len(h)} kernel samples give {n} nodes, fewer than count + 7 = {count + 7}")
     m = h.shape[-1]
+    size = n * m
     p = np.zeros((n, m, 0), dtype=complex) if tail is None else tail
     live = np.flatnonzero(np.any(h, axis=(1, 2)))
     if not (live.size or np.any(p)):
         return DiagonalSolve(np.zeros((count, m, m), dtype=complex), 1.0, 0.0)
     w = gregory_weights(n, du)
     sw = np.sqrt(w)
+    dp = (sw[:, None, None] * p).reshape(size, -1)
 
     # built in reversed index order (nodes and entries within blocks), where the
     # nodes coupled only through I come first, and factored in place there
     sm = 0 if p.shape[-1] else (n - (live[-1] + 2) // 2) * m
     h_rev = h[::-1, ::-1, ::-1]
-    a_rev = _hankel_system(h_rev, du, sm // m)
+    a_rev = _hankel_system(h_rev, du, sm // m, work)
     if p.shape[-1]:
-        dp_rev = (sw[:, None, None] * p).reshape(n * m, -1)[::-1]
-        a_rev += dp_rev @ dp_rev.conj().T  # the tail term (D P)(D P)^H
-    anorm = _one_norm(a_rev, sm)  # read by the rcond gate alone: rcond * anorm does not depend on it
+        a_rev += dp[::-1] @ dp[::-1].conj().T  # the tail term (D P)(D P)^H
     b, a22 = a_rev[sm:, :sm], a_rev[sm:, sm:]
     if sm:
         a22 -= _gram(b, h_rev, du, sm // m)
     a22[...] = _cholesky(a22, sm)  # info numbered from the first row of the whole reversed system
     solve = _split_solver(b, a22)
-    rcond = 1.0 / _inverse_one_norm(solve, n * m) / anorm
+
+    # the estimator's fixed vectors and the x_0 row in column form, A v = -b^H, in one
+    # blocked solve in reversed order
+    p_h = p.conj().transpose(0, 2, 1)
+    rhs = -((h[:n].conj().transpose(0, 2, 1) + p @ p_h[0]) * sw[:, None, None])
+    x = solve(np.concatenate([_estimator_probes(size), rhs.reshape(size, m)[::-1]], axis=1))
+    est = _inverse_one_norm(solve, size, x[:, :2])
+    rcond = 1.0 / est / _one_norm(h, du, dp)
     if not rcond >= RCOND_FLOOR:  # NaN too
         raise IllPosedDataError(f"GLM system has reciprocal condition {rcond:.3e}")
     u = a_rev[::-1, ::-1]
@@ -421,13 +482,10 @@ def nested_diagonal(h: np.ndarray, du: float, count: int, tail: np.ndarray = Non
     inv00 = np.linalg.inv(g)[:, :m, :m] * d_inv2[:, 0, None, None]
     diag = (inv00 - np.eye(m)) / head[0]
 
-    # x_0 row in column form, A v = -b^H, solved in reversed order
-    p_h = p.conj().transpose(0, 2, 1)
-    rhs = -((h[:n].conj().transpose(0, 2, 1) + p @ p_h[0]) * sw[:, None, None])
-    v = solve(rhs.reshape(n * m, m)[::-1])[::-1].reshape(n, m, m)
+    v = x[::-1, 2:].reshape(n, m, m)
     z = sw[:, None, None] * v
     av = v + sw[:, None, None] * (_hankel_product(h, z) + p @ (p_h @ z).sum(axis=0))
-    return DiagonalSolve(diag, float(rcond * anorm), float(np.abs(av - rhs).max()))
+    return DiagonalSolve(diag, float(1.0 / est), float(np.abs(av - rhs).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -445,19 +503,32 @@ def _check_size(entries: float, what: str) -> None:
         raise IllPosedDataError(f"GLM {what} needs {entries:.3g} complex entries, over the budget of 2^27")
 
 
-def _half_line_potential(data: ScatteringData, xs: np.ndarray, dx: float):
-    """Q = -2 dK/dx on ascending nodes ``xs`` from one side's data.
+@dataclass(frozen=True)
+class _HalfLine:
+    """One side's Nystrom systems, sized and sampled but not yet solved (``_half_line_systems``)."""
+
+    data: ScatteringData
+    dx: float
+    ext: np.ndarray  # the target nodes plus two past each end
+    f: np.ndarray  # the Fourier part at u_j = 2 ext_0 + j du, zero past u_hi
+    sizes: list  # node count of each interleaved system
+    peaks: np.ndarray  # log of each state's ||N|| exp(-tau u) at u = 2 ext_0
+
+    @property
+    def order(self) -> int:
+        """Order of the side's largest system."""
+        return max(self.sizes) * self.data.m
+
+
+def _half_line_systems(data: ScatteringData, xs: np.ndarray, dx: float) -> _HalfLine:
+    """Size and sample the systems of one side's data on ascending nodes ``xs``.
 
     Right data give the plus equation; left data give the mirrored equation,
     whose nodes are the reflected ones.  The diagonal is solved on xs plus
     two nodes past each end, so every node gets the central stencil.  With
     du = 2 dx, node i of those nodes has the Hankel argument
     u_i = 2 ext_0 + i du, so two interleaved factorizations cover them, the
-    r-th reading the kernel samples from u_r.  A failed factorization or
-    reciprocal-condition gate of data with bound states is re-raised naming
-    the side and the state whose kernel ||N|| exp(-tau u) peaks highest on
-    the grid, against 1/eps.  Returns (q values (len(xs), m, m), min sigma
-    estimate, max residual).
+    r-th reading the kernel samples from u_r.
     """
     du = 2.0 * dx
     ext = xs[0] + dx * np.arange(-2, xs.size + 2)
@@ -495,23 +566,37 @@ def _half_line_potential(data: ScatteringData, xs: np.ndarray, dx: float):
     end = max(r + 2 * n - 1 for r, n in enumerate(sizes))
     if end > n_u:  # F is zero past u_hi
         f = np.concatenate([f, np.zeros((end - n_u, data.m, data.m), dtype=complex)])
+    return _HalfLine(data, dx, ext, f, sizes, peaks)
 
+
+def _half_line_potential(side: _HalfLine, work: np.ndarray):
+    """Q = -2 dK/dx on the target nodes of ``side``, its systems built in ``work``.
+
+    ``work`` is a flat complex array of at least ``side.order``^2 entries.  A
+    failed factorization or reciprocal-condition gate of data with bound
+    states is re-raised naming the side and the state whose kernel
+    ||N|| exp(-tau u) peaks highest on the grid, against 1/eps.  Returns
+    (q values (len(xs), m, m), min sigma estimate, max residual).
+    """
+    data, ext, du = side.data, side.ext, 2.0 * side.dx
+    counts = [ext[0::2].size, ext[1::2].size]
     try:
-        solves = [nested_diagonal(f[r : r + 2 * n - 1], du, c, _tail_factor(data, ext[r] + du * np.arange(n)))
-                  for r, (n, c) in enumerate(zip(sizes, counts))]
+        solves = [nested_diagonal(side.f[r : r + 2 * n - 1], du, c, _tail_factor(data, ext[r] + du * np.arange(n)),
+                                  work)
+                  for r, (n, c) in enumerate(zip(side.sizes, counts))]
     except IllPosedDataError as exc:
         if not data.bound_states:
             raise
-        k = int(np.argmax(peaks))
+        k = int(np.argmax(side.peaks))
         raise IllPosedDataError(
-            f"{exc}, from the {data.side} data: its state at tau = {taus[k]:.6g} peaks at "
-            f"||N|| exp(-tau u) = {np.exp(peaks[k]):.3g} on the first Hankel argument u = {2 * ext[0]:.6g}, "
+            f"{exc}, from the {data.side} data: its state at tau = {data.taus[k]:.6g} peaks at "
+            f"||N|| exp(-tau u) = {np.exp(side.peaks[k]):.3g} on the first Hankel argument u = {2 * ext[0]:.6g}, "
             f"against 1/eps = {1 / np.finfo(float).eps:.3g}"
         ) from exc
     diag = np.empty((ext.size, data.m, data.m), dtype=complex)
     diag[0::2], diag[1::2] = solves[0].diag, solves[1].diag
     return (
-        -2.0 * _derivative(diag, dx),
+        -2.0 * _derivative(diag, side.dx),
         min(s.sigma_min_est for s in solves),
         max(s.residual for s in solves),
     )
@@ -568,16 +653,22 @@ def invert(j_plus: ScatteringData, j_minus: ScatteringData = None, *, grid: Spac
     has_minus = xs <= _OVERLAP + 1e-12
     q_plus = np.zeros((grid.n, m, m), dtype=complex)
     q_minus = np.zeros((grid.n, m, m), dtype=complex)
-    sigmas, residuals = [], []
-    # each side is solved only where the target grid has nodes on it
-    if has_plus.any():
-        q_plus[has_plus], sig, res = _half_line_potential(j_plus, xs[has_plus], dx)
-        sigmas.append(sig)
-        residuals.append(res)
+    # each side is solved only where the target grid has nodes on it; both are sized before
+    # either is solved, and every system of the inversion is built in one workspace
+    plus = _half_line_systems(j_plus, xs[has_plus], dx) if has_plus.any() else None
+    minus = None
     if has_minus.any():
         if j_minus is None:
             j_minus = _derive_left_data(j_plus)
-        q_mirror, sig, res = _half_line_potential(j_minus, -xs[has_minus][::-1], dx)
+        minus = _half_line_systems(j_minus, -xs[has_minus][::-1], dx)
+    work = np.empty(max(s.order for s in (plus, minus) if s) ** 2, dtype=complex)
+    sigmas, residuals = [], []
+    if plus:
+        q_plus[has_plus], sig, res = _half_line_potential(plus, work)
+        sigmas.append(sig)
+        residuals.append(res)
+    if minus:
+        q_mirror, sig, res = _half_line_potential(minus, work)
         q_minus[has_minus] = q_mirror[::-1]
         sigmas.append(sig)
         residuals.append(res)

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import warnings
 
@@ -581,9 +582,14 @@ def test_glm_operator_not_positive_definite_is_a_numeric_failure(tmp_path, capsy
     rg = RhoGrid(20.0, 256)
     data = ScatteringData(side="right", rho_grid=rg, S=(3.0 * np.exp(-rg.nodes**2 / 4))[:, None, None])
     cli.write_scattering_json(tmp_path / "right.json", data)
-    code = cli.main(["invert", "--data", str(tmp_path / "right.json"), "--x-min", "-2", "--x-max", "2",
-                     "--out", str(tmp_path / "inv")])
-    assert code == 3
+    cli.write_scattering_json(tmp_path / "left.json", dataclasses.replace(data, side="left"))
+    argv = ["invert", "--data", str(tmp_path / "right.json"), "--x-min", "-2", "--x-max", "2",
+            "--out", str(tmp_path / "inv")]
+    # both sides are sized before either is solved, so left data that cannot be
+    # derived from these are refused first
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("validation error: |S| >= 1")
+    assert cli.main([*argv, "--data-left", str(tmp_path / "left.json")]) == 3
     assert capsys.readouterr().err.startswith("numeric failure: GLM operator not positive definite")
 
 
@@ -659,6 +665,11 @@ EDGE_RUNS = {
         # the scalar denominator needs four nodes
         ("validate --data {d}/f/scattering_right.json", 2),
         ("invert --data {d}/f/scattering_right.json --x-min -2 --x-max 2 --out {d}/i", 2),
+    ],
+    "non-increasing bounds": [
+        ("soliton --tau 1 --weight 2 --out {d}/s", 0),
+        ("invert --data {d}/s/scattering_right.json --x-min 2 --x-max -2 --out {d}/i", 2),
+        ("invert --data {d}/s/scattering_right.json --x-min 0 --x-max 0 --out {d}/i", 2),
     ],
     "kdv at one time": [("kdv --tau 1 --weight 2 --n-t 1 --out {d}/k", 0)],
     # the state tau = 1 is centred near x = -345, as ``soliton`` refuses it

@@ -178,6 +178,20 @@ def test_condition_B_reflectionless_passes(soliton_data):
     assert report.passed
 
 
+def test_cauchy_probe_tolerance_is_the_quadratures_own(soliton_data):
+    # the chain's D is analytic: its defect sits at the sum's roundoff, far below 1e-2
+    d_of, residues = conditions.right_denominator(soliton_data)
+    exact = conditions.check_condition_B_numeric((d_of, residues), soliton_data).item("analytic_cauchy_probe")
+    assert exact.passed and exact.tol < 1e-12
+    # a pole of residue 1e-6 at 0.5 + 2.2i, inside the rectangle, leaves a defect of about
+    # 1e-6: inside a fixed 1e-2, but far past the roundoff and quadrature error of the sum
+    report = conditions.check_condition_B_numeric(
+        (lambda z: d_of(z) + (1e-6 / (np.asarray(z) - (0.5 + 2.2j)))[:, None, None], residues), soliton_data)
+    item = report.item("analytic_cauchy_probe")
+    assert _failed(report) == ["analytic_cauchy_probe"]
+    assert 1e3 * item.tol < item.value < 1e-2
+
+
 def test_condition_B_scalar_box_passes(box_forward):
     d_ev = conditions.ScalarD(box_forward.j_plus)
     report = conditions.check_condition_B_numeric((d_ev, d_ev.residues()), box_forward.j_plus)

@@ -142,6 +142,12 @@ def test_space_grid():
         SpaceGrid.from_bounds(0.0, 1.0, 0.3)
 
 
+@pytest.mark.parametrize("x_min, x_max", [(2.0, -2.0), (0.0, 0.0)])
+def test_non_increasing_bounds_name_both_values(x_min, x_max):
+    with pytest.raises(ValidationError, match=f"x_max must exceed x_min, got x_min = {x_min:g} and x_max = {x_max:g}"):
+        SpaceGrid.from_bounds(x_min, x_max, 0.02)
+
+
 def test_rho_grid_symmetric_without_origin():
     rg = RhoGrid(4.0, 8)
     assert rg.n == 16

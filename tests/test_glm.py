@@ -1,7 +1,10 @@
+import resource
+import sys
+
 import numpy as np
 import pytest
 
-from mstl import glm, solitons
+from mstl import domain, forward, glm, solitons
 from mstl.domain import (
     BoundState,
     IllPosedDataError,
@@ -255,32 +258,39 @@ def test_a_failed_split_factorization_names_the_minor_of_the_whole_system(monkey
     assert info > (len(h) + 1) // 2 - rows[0]  # the failure lies in the factored block
 
 
-@pytest.mark.parametrize("case", ["split", "heavy identity columns", "tail"])
+@pytest.mark.parametrize("case", ["split", "heavy identity columns", "tail", "rank-one tail alone"])
 def test_one_norm_rule_is_the_norm_of_the_whole_system(case):
+    # the rule reads the samples alone; the oracle sums the moduli of the whole
+    # Hermitian system, the columns of the nodes coupled only through I included
     du = 0.05
     rng = np.random.default_rng(4)
     h = hankel_samples(compact_kernel(2, 8.0), -0.5, du, 20.0)
+    if case == "heavy identity columns":
+        # h_{2n-4} = h_{2n-3} = -20 I: the last node is coupled only through I, and its
+        # columns outweigh every built row's, whose own diagonal |1 + w h| nearly cancels
+        n = 20
+        h = np.zeros((2 * n - 1, 2, 2), dtype=complex)
+        h[2 * n - 4 : 2 * n - 2] = -20.0 * np.eye(2)
     full = reversed_system(h, du)
-    if case == "split":
-        live = np.flatnonzero(np.any(h, axis=(1, 2)))
-        s = (len(h) + 1) // 2 - (live[-1] + 2) // 2
+    s = identity_nodes(h)
+    if case in ("split", "heavy identity columns"):
         built = glm._hankel_system(h[::-1, ::-1, ::-1], du, s)
         assert s > 0
         assert np.abs(built[2 * s :] - full[2 * s :]).max() < 1e-15
         assert np.array_equal(built[: 2 * s], np.eye(*full.shape)[: 2 * s])
-        rule = glm._one_norm(built, 2 * s)
-    elif case == "heavy identity columns":
-        # three identity rows whose columns outweigh every built row
-        g = 0.01 * (rng.normal(size=(60, 60)) + 1j * rng.normal(size=(60, 60)))
-        g[:, :3] = rng.normal(size=(60, 3)) + 1j * rng.normal(size=(60, 3))
-        full = np.tril(g, -1) + np.tril(g, -1).conj().T + np.eye(60)
-        full[:3, :3] = np.eye(3)
-        assert np.abs(full).sum(axis=0).argmax() < 3
-        rule = glm._one_norm(np.vstack([np.eye(3, 60), full[3:]]), 3)  # rows [I 0] above, as built
+        assert (np.abs(full).sum(axis=0).argmax() < 2 * s) == (case == "heavy identity columns")
+        rule = glm._one_norm(h, du, np.zeros((len(full), 0)))
     else:
-        dp = rng.normal(size=(len(full), 2)) + 1j * rng.normal(size=(len(full), 2))
-        full = full + dp @ dp.conj().T
-        rule = glm._one_norm(full, 0)
+        # the tail term D P (D P)^H, with dp in natural order: the rule is an upper bound,
+        # exact for a rank-one tail alone
+        rank, h = (2, h) if case == "tail" else (1, np.zeros_like(h))
+        dp = rng.normal(size=(len(full), rank)) + 1j * rng.normal(size=(len(full), rank))
+        full = reversed_system(h, du) + dp[::-1] @ dp[::-1].conj().T
+        rule = glm._one_norm(h, du, dp)
+        if case == "tail":
+            exact = np.abs(full).sum(axis=0).max()
+            assert exact <= rule * (1 + 1e-14) and rule <= 1.5 * exact
+            return
     assert abs(rule - np.abs(full).sum(axis=0).max()) <= 1e-14 * rule
 
 
@@ -427,6 +437,58 @@ def test_invert_without_states_factors_smaller_blocks(bump_forward, monkeypatch)
     glm.invert(bump_forward.j_plus, bump_forward.j_minus, grid=SpaceGrid.from_bounds(-4.0, 4.0, 0.04))
     assert len(rows) == len(systems) == 4
     assert all(r < s for r, s in zip(rows, systems))
+
+
+def test_nested_diagonal_applies_the_factor_at_most_five_times(monkeypatch):
+    # the estimator's first and alternating-sign vectors and the x_0 row's m columns
+    # go through the factor in one blocked call; only the sign and unit-vector steps
+    # between them are solved one at a time
+    applied = []
+    split_solver = glm._split_solver
+
+    def counting(*args):
+        solve = split_solver(*args)
+
+        def counted(x):
+            applied.append(x.shape[1:])
+            return solve(x)
+
+        return counted
+
+    monkeypatch.setattr(glm, "_split_solver", counting)
+    out = glm.nested_diagonal(hankel_samples(compact_kernel(2, 8.0), -0.5, 0.05, 20.0), 0.05, 60)
+    assert len(applied) <= 5 and applied[0] == (4,)
+    assert out.residual < 1e-12
+
+
+def test_invert_builds_every_system_in_one_buffer(bump_forward, monkeypatch):
+    # both sides are sized first, and all four systems are built in one workspace
+    # of the largest system's size
+    built = []
+    hankel_system = glm._hankel_system
+
+    def recording(*args):
+        built.append(hankel_system(*args))
+        return built[-1]
+
+    monkeypatch.setattr(glm, "_hankel_system", recording)
+    glm.invert(bump_forward.j_plus, bump_forward.j_minus, grid=SpaceGrid.from_bounds(-4.0, 4.0, 0.04))
+    assert len(built) == 4 and len({id(a.base) for a in built}) == 1
+    assert all(np.shares_memory(a, built[0]) for a in built)
+    assert built[0].base.size == max(a.size for a in built)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor page faults are counted on Linux")
+def test_a_warm_inversion_takes_no_page_faults():
+    # the workload bump: once the heap holds the inversion's working set, another
+    # inversion reuses it; a fresh mapping per system would fault on every page it touches
+    grid = SpaceGrid.from_bounds(-6.0, 6.0, 0.02)
+    data = forward.full_forward(domain.bump_potential(grid), RhoGrid(20.0, 256))
+    for _ in range(2):
+        glm.invert(data.j_plus, data.j_minus, grid=grid)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    glm.invert(data.j_plus, data.j_minus, grid=grid)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 256
 
 
 @pytest.mark.parametrize("gap, refused", [(1e-6, False), (1e-13, True)])
