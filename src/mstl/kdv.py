@@ -26,6 +26,17 @@ class KdVTrajectory:
     potentials: tuple
 
 
+def log_scales(taus, t: float) -> list:
+    """The log weight growth 8 tau^3 t of each state at time ``t``.
+
+    Raises ``ValidationError`` where it leaves the double range.
+    """
+    tau_max = max(taus, default=0.0)
+    if min(abs(t), tau_max) > 0 and math.log(8.0 * abs(t)) + 3.0 * math.log(tau_max) >= math.log(sys.float_info.max):
+        raise ValidationError(f"the log weight growth 8 tau^3 t leaves the double range at tau = {tau_max:g}")
+    return [8.0 * tau**3 * t for tau in taus]
+
+
 def soliton_trajectory(states, t_grid, x_grid: SpaceGrid) -> KdVTrajectory:
     """Reflectionless trajectory: evolve the discrete data, rebuild Q per t.
 
@@ -34,13 +45,8 @@ def soliton_trajectory(states, t_grid, x_grid: SpaceGrid) -> KdVTrajectory:
     """
     times = tuple(float(t) for t in t_grid)
     taus = [float(t) for t, _ in states]
-    t_max, tau_max = max(map(abs, times), default=0.0), max(taus, default=0.0)
-    if min(t_max, tau_max) > 0 and math.log(8.0 * t_max) + 3.0 * math.log(tau_max) >= math.log(sys.float_info.max):
-        raise ValidationError(f"the log weight growth 8 tau^3 t leaves the double range at tau = {tau_max:g}")
-    potentials = tuple(
-        separable_glm_solve(states, x_grid, log_scales=[8.0 * tau**3 * t for tau in taus])
-        for t in times
-    )
+    scales = [log_scales(taus, t) for t in times]
+    potentials = tuple(separable_glm_solve(states, x_grid, log_scales=s) for s in scales)
     return KdVTrajectory(times=times, potentials=potentials)
 
 

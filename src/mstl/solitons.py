@@ -191,14 +191,16 @@ def separable_potential_values(states, xs, log_scales=None):
     return q, diag
 
 
-def check_on_grid(states, x_grid: SpaceGrid) -> np.ndarray:
+def check_on_grid(states, x_grid: SpaceGrid, log_scales=None) -> np.ndarray:
     """Share of each state's mass 4 tau_k rank_k on ``x_grid``; raises below ``_MIN_GRID_SHARE``.
 
     Column c of the separable solve carries the mass int 4 |z_c|^2 dx = 4 tau_c,
     and |z_c|^2 = tau_c d/dx (E G^-1)_cc with E = diag(e), so (E G^-1)_cc
     rises from 0 to 1 and its rise across the grid is the share there.
+    ``log_scales`` are those of ``separable_potential_values``: a KdV
+    snapshot is checked with its own.
     """
-    _, _, index, e, g = _separable_system(states, x_grid.xs[[0, -1]])
+    _, _, index, e, g = _separable_system(states, x_grid.xs[[0, -1]], log_scales)
     left, right = e * np.diagonal(np.linalg.inv(g), axis1=1, axis2=2).real
     shares = np.array([np.mean((right - left)[index == k]) for k in range(len(states))])
     for (tau, _), share in zip(states, shares):

@@ -161,10 +161,16 @@ def test_csv_bytes_match_the_format_oracle(tmp_path, m):
     potential = _awkward_potential(rng, grid, m)
     cli.write_potential_csv(tmp_path / "potential.csv", potential)
     assert_same_text((tmp_path / "potential.csv").read_text(), oracle_potential_csv(potential))
-    traj = kdv.KdVTrajectory(times=np.array([0.0, 0.1, 1e-310]),
-                             potentials=tuple(_awkward_potential(rng, grid, m) for _ in range(3)))
-    cli.write_trajectory_csv(tmp_path / "trajectory.csv", traj)
-    assert_same_text((tmp_path / "trajectory.csv").read_text(), oracle_trajectory_csv(traj))
+    other = SpaceGrid(float(rng.normal()), float(rng.uniform(1e-3, 1.0)), 17)
+    for times, grids in [
+        ([0.0, 0.1, 1e-310, -0.0, 7.5], [grid] * 5),
+        ([7.5], [grid]),
+        ([0.0, 0.5, 1.0, 1.5], [grid, other, grid, other]),  # the writer formats x once per distinct grid
+    ]:
+        traj = kdv.KdVTrajectory(times=np.array(times),
+                                 potentials=tuple(_awkward_potential(rng, g, m) for g in grids))
+        cli.write_trajectory_csv(tmp_path / "trajectory.csv", traj)
+        assert_same_text((tmp_path / "trajectory.csv").read_text(), oracle_trajectory_csv(traj))
 
 
 @pytest.mark.parametrize("where", ["S", "N", "tau"])
@@ -411,6 +417,17 @@ def test_kdv_refuses_a_state_off_the_grid(tmp_path, capsys, states):
     assert code == 2 and not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("validation error:") and "no mass on the grid" in err
+
+
+@pytest.mark.parametrize("t_max, t", [("100", "25"), ("-100", "-25")])
+def test_kdv_refuses_a_state_that_leaves_the_grid(tmp_path, capsys, t_max, t):
+    # on the grid at t = 0, the soliton is near x = 4 tau^2 t = +-90000 at the next snapshot
+    out = tmp_path / "out"
+    code = cli.main(["kdv", "--tau", "30", "--weight", "2", "--t-max", t_max, "--x-min", "-8", "--x-max", "8",
+                     "--out", str(out)])
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: at t = {t}: the state tau = 30 has no mass on the grid")
 
 
 @pytest.mark.parametrize("directions", [("1,1", "1e300,1e300"), ("1,0", "1e-320,0")])
@@ -676,6 +693,10 @@ EDGE_RUNS = {
     "kdv of a state off the grid": [
         ("kdv --tau 1 --weight 1e300 --tau 2 --weight 8 --direction 1,1j --x-min -2 --x-max 2 --dx 0.05 "
          "--t-max 0.1 --n-t 3 --out {d}/k", 2),
+    ],
+    # on the grid at t = 0 and off it from t = 25 on
+    "kdv of a state that leaves the grid": [
+        ("kdv --tau 30 --weight 2 --t-max 100 --x-min -8 --x-max 8 --out {d}/k", 2),
     ],
     "kdv of a state too shallow for the grid": [
         ("kdv --tau 1e-300 --weight 2 --x-min -2 --x-max 2 --dx 0.05 --t-max 0.1 --n-t 3 --out {d}/k", 2),

@@ -174,6 +174,16 @@ def test_grid_shares_are_the_mass_on_the_grid():
     assert np.abs(wide - 1.0).max() < 1e-12
 
 
+def test_grid_shares_under_log_scales_are_those_of_the_scaled_weights():
+    v = np.array([1.0, 1.0j]) / np.sqrt(2)
+    states = [(1.0, 2.0 * np.outer(v, v.conj())), (2.0, 8.0 * np.eye(2)), (0.5, np.diag([3.0, 0.0]))]
+    grid = SpaceGrid.from_bounds(-1.0, 1.5, 0.001)
+    for scales in ([0.0, 0.0, 0.0], [1.5, -2.0, 0.7], [-10.0, 12.0, -5.0]):
+        scaled = [(tau, n * np.exp(s)) for (tau, n), s in zip(states, scales)]
+        shares = solitons.check_on_grid(scaled, grid)
+        assert np.abs(solitons.check_on_grid(states, grid, log_scales=scales) - shares).max() < 1e-12
+
+
 def test_separable_kernel_diagonal():
     xs = SpaceGrid.from_bounds(-2.0, 2.0, 0.5).xs
     _, diag = solitons.separable_potential_values(scalar_states((1.0, 2.0)), xs)
