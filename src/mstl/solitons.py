@@ -153,7 +153,7 @@ def reflectionless_D(chain: ProjectorChain):
 
 
 def _separable_system(states, xs, log_scales=None):
-    """B, tau and state index per column, e = exp(2 tau x - s) and G = C + diag(e) at ``xs``."""
+    """B, tau and state index per column, e = exp(2 tau x - s) at ``xs`` and the Cauchy matrix C."""
     b, index = range_factors([n for _, n in states])
     tau = np.array([float(t) for t, _ in states])[index]
     shift = 0.0 if log_scales is None else np.asarray(log_scales, dtype=float)[index]
@@ -164,11 +164,40 @@ def _separable_system(states, xs, log_scales=None):
     exponent = 2.0 * tau * xs[:, None] - shift
     e = np.exp(np.minimum(exponent, _EXP_CLAMP))
     cauchy = (b.conj().T @ b) / (tau[:, None] + tau[None, :])
-    return b, tau, index, e, cauchy + e[:, :, None] * np.eye(tau.size)
+    return b, tau, index, e, cauchy
+
+
+def _cauchy_solve(cauchy, e, rhs) -> np.ndarray:
+    """Y_i = (C + diag(e_i))^-1 rhs at every row e_i of ``e``.
+
+    ``cauchy`` is the (r, r) Hermitian positive definite C, ``e`` is (n, r)
+    and non-negative, ``rhs`` is (r, k).  G = C + diag(e) = L L^H is factored
+    by a Cholesky written out over the r columns, and L w = rhs and L^H y = w
+    are solved the same way: each step is one operation over all n points,
+    so no (n, r, r) stack is formed and no LAPACK call is made per point.
+    Returns Y of shape (n, r, k).  Raises ``NumericsError`` where a pivot is
+    not positive (NaN included).
+    """
+    r = e.shape[1]
+    pivots, low = [], {}  # L_jj and L_ij (i > j), each over the n points
+    for j in range(r):
+        d = cauchy[j, j].real + e[:, j] - sum(np.abs(low[j, k]) ** 2 for k in range(j))
+        if not (d > 0).all():
+            raise NumericsError(f"separable system not positive definite: pivot {j} is {d.min():.3e}")
+        pivots.append(np.sqrt(d))
+        for i in range(j + 1, r):
+            low[i, j] = (cauchy[i, j] - sum(low[i, k] * low[j, k].conj() for k in range(j))) / pivots[j]
+    w = []
+    for i in range(r):
+        w.append((rhs[i] - sum(low[i, k][:, None] * w[k] for k in range(i))) / pivots[i][:, None])
+    y = [None] * r
+    for i in reversed(range(r)):
+        y[i] = (w[i] - sum(low[k, i].conj()[:, None] * y[k] for k in range(i + 1, r))) / pivots[i][:, None]
+    return np.stack(y, axis=1)
 
 
 def separable_potential_values(states, xs, log_scales=None):
-    """Q and the kernel diagonal at arbitrary points, by one batched solve.
+    """Q and the kernel diagonal at arbitrary points, by one vectorized solve.
 
     ``states`` is a sequence of (tau, weight); optional ``log_scales`` carry
     weight factors exp(s_k) in log form (the KdV flow grows them fast).
@@ -177,17 +206,14 @@ def separable_potential_values(states, xs, log_scales=None):
     C_jk = B_j^H B_k / (tau_j + tau_k), the kernel diagonal is
     K(x, x) = -B G^{-1} B^H for G(x) = C + diag(exp(2 tau x - s)), and
     Q = -2 d/dx K(x, x) = -4 Y^H diag(tau exp(2 tau x - s)) Y with
-    Y = G^{-1} B^H.  Null directions of the weights never enter.
-    Returns (q, diag) arrays of shape (len(xs), m, m).
+    Y = G^{-1} B^H (``_cauchy_solve``).  Null directions of the weights never
+    enter.  Returns (q, diag) arrays of shape (len(xs), m, m).
     """
-    b, tau, _, e, g = _separable_system(states, xs, log_scales)
-    try:
-        y = np.linalg.solve(g, b.conj().T)
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(f"separable system singular: {exc}") from exc
-    z = np.sqrt(tau * e)[:, :, None] * y  # Q = -4 z^H z, Hermitian to roundoff
-    q = -4.0 * z.conj().transpose(0, 2, 1) @ z
-    diag = -b @ y
+    b, tau, _, e, cauchy = _separable_system(states, xs, log_scales)
+    y = _cauchy_solve(cauchy, e, b.conj().T)
+    z = np.sqrt(tau * e)[:, :, None] * y  # Q = -4 z^H z, a sum of r outer products, exactly Hermitian
+    q = -4.0 * sum(z[:, c, :, None].conj() * z[:, c, None, :] for c in range(tau.size))
+    diag = -sum(b[:, c, None] * y[:, c, None, :] for c in range(tau.size))
     return q, diag
 
 
@@ -197,11 +223,13 @@ def check_on_grid(states, x_grid: SpaceGrid, log_scales=None) -> np.ndarray:
     Column c of the separable solve carries the mass int 4 |z_c|^2 dx = 4 tau_c,
     and |z_c|^2 = tau_c d/dx (E G^-1)_cc with E = diag(e), so (E G^-1)_cc
     rises from 0 to 1 and its rise across the grid is the share there.
-    ``log_scales`` are those of ``separable_potential_values``: a KdV
-    snapshot is checked with its own.
+    diag(G^-1) at the two grid ends comes from ``_cauchy_solve`` with the
+    identity on the right.  ``log_scales`` are those of
+    ``separable_potential_values``: a KdV snapshot is checked with its own.
     """
-    _, _, index, e, g = _separable_system(states, x_grid.xs[[0, -1]], log_scales)
-    left, right = e * np.diagonal(np.linalg.inv(g), axis1=1, axis2=2).real
+    _, _, index, e, cauchy = _separable_system(states, x_grid.xs[[0, -1]], log_scales)
+    inverse = _cauchy_solve(cauchy, e, np.eye(index.size))
+    left, right = e * np.diagonal(inverse, axis1=1, axis2=2).real
     shares = np.array([np.mean((right - left)[index == k]) for k in range(len(states))])
     for (tau, _), share in zip(states, shares):
         if not share >= _MIN_GRID_SHARE:
@@ -215,8 +243,8 @@ def separable_glm_solve(states, x_grid: SpaceGrid, log_scales=None) -> SampledPo
     """Exact reflectionless solve: the potential of right-side states on ``x_grid``.
 
     The potential is sampled at nodes and cell midpoints from the closed-form
-    expression, so downstream propagation sees it at full accuracy.
+    expression, so downstream propagation sees it at full accuracy.  Nodes
+    and midpoints go through one solve, point by point as two solves would.
     """
-    q_nodes, _ = separable_potential_values(states, x_grid.xs, log_scales)
-    q_cells, _ = separable_potential_values(states, x_grid.midpoints, log_scales)
-    return SampledPotential(x_grid, q_nodes, cell_values=q_cells)
+    q, _ = separable_potential_values(states, np.concatenate([x_grid.xs, x_grid.midpoints]), log_scales)
+    return SampledPotential(x_grid, q[: x_grid.n], cell_values=q[x_grid.n :])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mstl import domain, solitons
+from mstl import domain, kdv, solitons
 from mstl.domain import SpaceGrid, ValidationError
 from tests.conftest import contour_residue
 
@@ -189,3 +189,55 @@ def test_separable_kernel_diagonal():
     _, diag = solitons.separable_potential_values(scalar_states((1.0, 2.0)), xs)
     expect = -2.0 * np.exp(-2 * xs) / (1 + np.exp(-2 * xs))
     assert np.abs(diag[:, 0, 0] - expect).max() < 1e-12
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 6])
+def test_cauchy_solve_matches_lapack(r):
+    # the separable system's C (weights of rank 3 over taus 0.3 or more apart)
+    # plus diag(e), e from e^-clamp to e^clamp and underflowed to 0
+    rng = np.random.default_rng(r)
+    taus = 0.5 + 0.3 * np.arange(r) + 0.1 * rng.random(r)
+    b = rng.normal(size=(3, r)) + 1j * rng.normal(size=(3, r))
+    cauchy = (b.conj().T @ b) / (taus[:, None] + taus[None, :])
+    exponent = rng.uniform(-solitons._EXP_CLAMP, solitons._EXP_CLAMP, size=(400, r))
+    exponent[::7, rng.integers(r)] = -800.0
+    e = np.exp(exponent)
+    assert (e == 0).any()
+    y = solitons._cauchy_solve(cauchy, e, b.conj().T)
+    ref = np.linalg.solve(cauchy + e[:, :, None] * np.eye(r), b.conj().T)
+    assert np.all(np.abs(y - ref).max(axis=(1, 2)) <= 1e-12 * np.abs(ref).max(axis=(1, 2)))
+
+
+@pytest.mark.parametrize(
+    "cauchy,e", [([[1.0, 2.0], [2.0, 1.0]], 0.0), (np.eye(2), np.nan)], ids=["indefinite", "nan"]
+)
+def test_cauchy_solve_refuses_a_pivot_that_is_not_positive(cauchy, e):
+    with pytest.raises(domain.NumericsError, match="not positive definite"):
+        solitons._cauchy_solve(np.asarray(cauchy, dtype=complex), np.full((5, 2), e), np.eye(2))
+
+
+@pytest.mark.parametrize("taus,weights", [((1.0, 2.0), (2.0, 8.0)), ((0.83, 2.17), (2.9, 6.2))])
+def test_kdv_workload_trajectory_matches_hirota(taus, weights):
+    # the kdv-trajectory workload's grid; relative to the closed form, so the
+    # far right, where Q falls to 1e-34, is checked too
+    grid = SpaceGrid.from_bounds(-8.0, 40.0, 0.02)
+    states = [(t, np.array([[c + 0j]])) for t, c in zip(taus, weights)]
+    traj = kdv.soliton_trajectory(states, [0.0, 0.5, 1.0], grid)
+    for t, pot in zip(traj.times, traj.potentials):
+        grown = [c * np.exp(8.0 * tau**3 * t) for tau, c in zip(taus, weights)]
+        for xs, q in ((grid.xs, pot.values), (grid.midpoints, pot.cell_values)):
+            exact = hirota_two_soliton(xs, taus, grown)
+            assert np.all(np.abs(q[:, 0, 0] - exact) <= 1e-12 * np.abs(exact))
+
+
+def test_separable_path_makes_no_lapack_solve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-point LAPACK call in the separable path")
+
+    for name in ("solve", "inv", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    v = np.array([1.0, 1.0j]) / np.sqrt(2)
+    states = [(1.0, 2.0 * np.outer(v, v.conj())), (2.0, 8.0 * np.eye(2))]
+    grid = SpaceGrid.from_bounds(-8.0, 8.0, 0.02)
+    kdv.soliton_trajectory(states, [0.0, 0.5], grid)
+    solitons.check_on_grid(states, grid, log_scales=[1.0, -2.0])
